@@ -9,8 +9,10 @@ package metadata
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -318,7 +320,9 @@ func (m *Metadata) EffectiveAllowedIndirect(coarse bool) NrAddrSets {
 	return m.AllowedIndirect
 }
 
-// FuncAt returns the function whose code range contains addr, or "".
+// FuncAt returns the function whose code range contains addr, or "". It
+// scans Funcs; Validate guarantees the ranges are disjoint, so the answer
+// does not depend on map order. Hot paths resolve through a FuncIndex.
 func (m *Metadata) FuncAt(addr uint64) string {
 	for name, fi := range m.Funcs {
 		if addr >= fi.Entry && addr < fi.End {
@@ -326,6 +330,62 @@ func (m *Metadata) FuncAt(addr uint64) string {
 		}
 	}
 	return ""
+}
+
+// FuncIndex resolves code addresses to function names by binary search
+// over the metadata's non-empty code ranges, sorted by entry. It answers
+// exactly as Metadata.FuncAt does for metadata that validates. An index
+// is immutable once built, so a consumer builds its own rather than
+// caching one on a Metadata that other goroutines share.
+type FuncIndex struct {
+	ranges []funcRange
+}
+
+type funcRange struct {
+	entry, end uint64
+	name       string
+}
+
+// NewFuncIndex builds the index of m's function ranges.
+func NewFuncIndex(m *Metadata) FuncIndex {
+	return FuncIndex{ranges: sortedRanges(m.Funcs)}
+}
+
+// FuncAt returns the function whose code range contains addr, or "".
+func (ix FuncIndex) FuncAt(addr uint64) string {
+	// The first range ending past addr is the only one that can hold it.
+	i, _ := slices.BinarySearchFunc(ix.ranges, addr, func(r funcRange, a uint64) int {
+		if r.end <= a {
+			return -1
+		}
+		return 1
+	})
+	if i < len(ix.ranges) && ix.ranges[i].entry <= addr {
+		return ix.ranges[i].name
+	}
+	return ""
+}
+
+// sortedRanges returns the ranges of funcs ordered by (entry, end, name).
+// Empty ranges contain no address and are dropped; inverted ones are kept
+// for Validate to reject.
+func sortedRanges(funcs map[string]FuncInfo) []funcRange {
+	out := make([]funcRange, 0, len(funcs))
+	for name, fi := range funcs {
+		if fi.Entry != fi.End {
+			out = append(out, funcRange{entry: fi.Entry, end: fi.End, name: name})
+		}
+	}
+	slices.SortFunc(out, func(a, b funcRange) int {
+		if c := cmp.Compare(a.entry, b.entry); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.end, b.end); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.name, b.name)
+	})
+	return out
 }
 
 // CallerAllowed reports whether caller may directly call callee under the
@@ -345,6 +405,23 @@ func (m *Metadata) CallerAllowed(callee, caller string) (constrained, allowed bo
 // so a malformed position would make argument integrity compare against a
 // fabricated zero instead of the real register.
 func (m *Metadata) Validate() error {
+	// Function ranges must be well formed and disjoint: address→function
+	// resolution (FuncAt, FuncIndex) would otherwise depend on map order
+	// or on the index's tie-breaking. A compiler-produced sidecar never
+	// overlaps; fail closed on one that does.
+	ranges := sortedRanges(m.Funcs)
+	for i, cur := range ranges {
+		if cur.entry > cur.end {
+			return fmt.Errorf("metadata: function %q: entry %#x past end %#x", cur.name, cur.entry, cur.end)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := ranges[i-1]; cur.entry < prev.end {
+			return fmt.Errorf("metadata: function %q [%#x,%#x) overlaps %q [%#x,%#x)",
+				cur.name, cur.entry, cur.end, prev.name, prev.entry, prev.end)
+		}
+	}
 	for addr, site := range m.ArgSites {
 		for _, spec := range site.Args {
 			if spec.Pos < 1 || spec.Pos > 6 {

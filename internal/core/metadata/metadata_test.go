@@ -241,3 +241,63 @@ func TestSummaryMentionsSyscalls(t *testing.T) {
 		}
 	}
 }
+
+func TestValidateRejectsMalformedFuncRanges(t *testing.T) {
+	cases := []struct {
+		name string
+		fi   FuncInfo
+		want string
+	}{
+		{"inverted", FuncInfo{Name: "g", Entry: 0x400200, End: 0x4001f0}, "past end"},
+		{"overlap-tail", FuncInfo{Name: "g", Entry: 0x400130, End: 0x400180}, "overlaps"},
+		{"overlap-head", FuncInfo{Name: "g", Entry: 0x4000f0, End: 0x400104}, "overlaps"},
+		{"nested", FuncInfo{Name: "g", Entry: 0x400110, End: 0x400120}, "overlaps"},
+		{"same", FuncInfo{Name: "g", Entry: 0x400100, End: 0x400140}, "overlaps"},
+	}
+	for _, tc := range cases {
+		m := sampleMeta()
+		m.Funcs["g"] = tc.fi
+		err := m.Validate()
+		if err == nil {
+			t.Fatalf("%s: range %+v accepted", tc.name, tc.fi)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: unexpected error %v", tc.name, err)
+		}
+		// An overlapping sidecar makes address resolution depend on map
+		// order: fail closed at load time.
+		data, merr := m.Marshal()
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if _, err := Unmarshal(data); err == nil {
+			t.Fatalf("%s: sidecar accepted by Unmarshal", tc.name)
+		}
+	}
+	// Adjacent (end is exclusive) and empty ranges are well formed.
+	m := sampleMeta()
+	m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400140, End: 0x400180}
+	m.Funcs["e"] = FuncInfo{Name: "e", Entry: 0x400120, End: 0x400120}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("adjacent and empty ranges rejected: %v", err)
+	}
+}
+
+func TestFuncIndexMatchesFuncAt(t *testing.T) {
+	m := sampleMeta()
+	m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400140, End: 0x400180}
+	m.Funcs["h"] = FuncInfo{Name: "h", Entry: 0x400200, End: 0x400210}
+	m.Funcs["e"] = FuncInfo{Name: "e", Entry: 0x400190, End: 0x400190}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewFuncIndex(m)
+	for _, a := range []uint64{0, 0x400000, 0x4000ff, 0x400100, 0x40013f, 0x400140, 0x400180, 0x400190, 0x40020f, 0x400210, ^uint64(0)} {
+		if got, want := ix.FuncAt(a), m.FuncAt(a); got != want {
+			t.Fatalf("index FuncAt(%#x) = %q, scan = %q", a, got, want)
+		}
+	}
+	if got := NewFuncIndex(New()).FuncAt(0x400100); got != "" {
+		t.Fatalf("empty index resolved %q", got)
+	}
+}

@@ -230,6 +230,12 @@ type Monitor struct {
 	Meta *metadata.Metadata
 	Cfg  Config
 
+	// funcs resolves RIP to the function holding it. It indexes Meta and
+	// is rebuilt whenever Meta is (Attach, generation swap); it lives on
+	// the monitor because fleet tenants share one *Metadata across
+	// goroutines.
+	funcs metadata.FuncIndex
+
 	proc   *kernel.Process
 	shadow *shadow.Reader
 
@@ -346,6 +352,7 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 	m := &Monitor{
 		Meta:       meta,
 		Cfg:        cfg,
+		funcs:      metadata.NewFuncIndex(meta),
 		proc:       proc,
 		ChecksByNr: map[uint32]uint64{},
 		Offload:    DeriveOffload(meta, cfg),
@@ -1027,7 +1034,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "stack walk did not reach the process base"}
 	}
 	m.proc.K.Clock.Add(m.Cfg.Costs.CFPerFrame * uint64(len(trace)+1))
-	prevFn := m.Meta.FuncAt(regs.RIP) // the wrapper containing the syscall
+	prevFn := m.funcs.FuncAt(regs.RIP) // the wrapper containing the syscall
 	if prevFn == "" {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "syscall executing outside known code"}
 	}

@@ -138,6 +138,7 @@ func (m *Monitor) applyGeneration(p *kernel.Process) error {
 		return fmt.Errorf("monitor: applying generation %d: %w", g.ID, err)
 	}
 	m.Meta = g.Meta
+	m.funcs = metadata.NewFuncIndex(g.Meta)
 	m.Cfg.Contexts = g.Contexts
 	m.Cfg.ExtendFS = g.ExtendFS
 	m.Cfg.TreeFilter = g.TreeFilter

@@ -247,6 +247,9 @@ type Function struct {
 	Base uint64
 
 	labels map[string]int // label -> instruction index (pre-Link)
+	// layout is the frame layout Link recorded: the offset of every slot,
+	// then the slot area's size.
+	layout []int64
 }
 
 // InstrAddr returns the code address of instruction index i.
@@ -273,26 +276,46 @@ func (f *Function) FrameSlots() []Slot {
 }
 
 // SlotOffset returns the byte offset of frame slot i from the frame's local
-// area base, and the total local area size. Slots are laid out in order,
-// 8-byte aligned.
+// area base. Slots are laid out in FrameSlots order, 8-byte aligned: the
+// NumParams word-sized parameter spill slots first, then the declared
+// Locals.
 func (f *Function) SlotOffset(i int) int64 {
-	var off int64
-	for j, s := range f.FrameSlots() {
-		if j == i {
-			return off
-		}
-		off += align8(s.Size)
+	if i < 0 || i >= f.NumParams+len(f.Locals) {
+		panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
 	}
-	panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
+	return f.slotLayout()[i]
 }
 
 // FrameLocalSize is the total size of the frame's slot area.
 func (f *Function) FrameLocalSize() int64 {
+	layout := f.slotLayout()
+	return layout[len(layout)-1]
+}
+
+// slotLayout returns the layout Link recorded, so the interpreter's hot
+// path neither walks the slots nor formats their names. A function that
+// was never linked, or whose slots changed since, gets it computed afresh.
+func (f *Function) slotLayout() []int64 {
+	if len(f.layout) == f.NumParams+len(f.Locals)+1 {
+		return f.layout
+	}
+	return f.frameLayout()
+}
+
+// frameLayout computes the offset of every frame slot, then the slot
+// area's size.
+func (f *Function) frameLayout() []int64 {
+	layout := make([]int64, 0, f.NumParams+len(f.Locals)+1)
 	var off int64
-	for _, s := range f.FrameSlots() {
+	for i := 0; i < f.NumParams; i++ {
+		layout = append(layout, off)
+		off += WordSize
+	}
+	for _, s := range f.Locals {
+		layout = append(layout, off)
 		off += align8(s.Size)
 	}
-	return off
+	return append(layout, off)
 }
 
 // SlotIndex returns the index of the named slot (parameter spill slots are
@@ -382,8 +405,9 @@ const (
 )
 
 // Link assigns code addresses to every function, data addresses to every
-// global, and resolves branch labels. It is idempotent and must run before
-// execution or analysis that needs addresses.
+// global, records each function's frame layout, and resolves branch
+// labels. It is idempotent and must run before execution or analysis that
+// needs addresses.
 func (p *Program) Link() error {
 	next := CodeBase
 	for _, f := range p.Funcs {
@@ -391,6 +415,7 @@ func (p *Program) Link() error {
 		sz := uint64(len(f.Code)) * InstrSize
 		next += (sz + 0xf) &^ 0xf
 		next += 16 // guard gap so gadget addresses never straddle functions
+		f.layout = f.frameLayout()
 		if err := resolveLabels(f); err != nil {
 			return err
 		}
@@ -426,15 +451,46 @@ func resolveLabels(f *Function) error {
 }
 
 // FuncAt returns the function containing code address a and the instruction
-// index within it, or (nil, 0) if a is not a code address.
+// index within it, or (nil, 0) if a is not a code address. On a linked
+// program it binary-searches Funcs, which Link lays out at ascending,
+// disjoint addresses; an unlinked program has no such order and is scanned.
 func (p *Program) FuncAt(a uint64) (*Function, int) {
-	for _, f := range p.Funcs {
-		end := f.Base + uint64(len(f.Code))*InstrSize
-		if a >= f.Base && a < end && (a-f.Base)%InstrSize == 0 {
-			return f, int((a - f.Base) / InstrSize)
+	if !p.linked {
+		for _, f := range p.Funcs {
+			if idx, ok := f.instrIndex(a); ok {
+				return f, idx
+			}
+		}
+		return nil, 0
+	}
+	// Find the last function whose Base is at or below a.
+	lo, hi := 0, len(p.Funcs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.Funcs[mid].Base <= a {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	if lo == 0 {
+		return nil, 0
+	}
+	f := p.Funcs[lo-1]
+	if idx, ok := f.instrIndex(a); ok {
+		return f, idx
+	}
 	return nil, 0
+}
+
+// instrIndex returns the index of the instruction at code address a, and
+// whether a is an instruction boundary inside f.
+func (f *Function) instrIndex(a uint64) (int, bool) {
+	end := f.Base + uint64(len(f.Code))*InstrSize
+	if a < f.Base || a >= end || (a-f.Base)%InstrSize != 0 {
+		return 0, false
+	}
+	return int((a - f.Base) / InstrSize), true
 }
 
 // SyscallNumber returns the syscall number of a wrapper function: the

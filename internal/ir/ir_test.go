@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -285,5 +287,131 @@ func TestOperandAndOpStrings(t *testing.T) {
 	}
 	if got := CtxWriteMem.String(); got != "ctx_write_mem" {
 		t.Fatalf("CtxWriteMem = %q", got)
+	}
+}
+
+// refSlotLayout is the reference frame layout: FrameSlots walked in order,
+// each slot 8-byte aligned.
+func refSlotLayout(f *Function) (offs []int64, size int64) {
+	for _, s := range f.FrameSlots() {
+		offs = append(offs, size)
+		size += (s.Size + 7) &^ 7
+	}
+	return offs, size
+}
+
+// TestSlotLayoutMatchesFrameSlots: SlotOffset and FrameLocalSize agree
+// with the FrameSlots-derived reference over random layouts (odd and zero
+// sizes, no parameters, no locals): on unlinked Function literals, with
+// the layout Link records, and after a local is added past Link. They
+// reject out-of-range slots.
+func TestSlotLayoutMatchesFrameSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randLocal := func() Slot { return Slot{Name: "l", Size: int64(rng.Intn(40))} }
+	for trial := 0; trial < 500; trial++ {
+		f := &Function{Name: "f", NumParams: rng.Intn(5)}
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			f.Locals = append(f.Locals, randLocal())
+		}
+		checkSlotLayout(t, f)
+		p := NewProgram()
+		p.AddFunc(f)
+		if err := p.Link(); err != nil {
+			t.Fatal(err)
+		}
+		checkSlotLayout(t, f)
+		f.Locals = append(f.Locals, randLocal())
+		checkSlotLayout(t, f)
+	}
+}
+
+// checkSlotLayout compares f's slot offsets and frame size with the
+// reference layout, and checks that out-of-range slots panic.
+func checkSlotLayout(t *testing.T, f *Function) {
+	t.Helper()
+	offs, size := refSlotLayout(f)
+	for i, want := range offs {
+		if got := f.SlotOffset(i); got != want {
+			t.Fatalf("params=%d locals=%+v: SlotOffset(%d) = %d, want %d", f.NumParams, f.Locals, i, got, want)
+		}
+	}
+	if got := f.FrameLocalSize(); got != size {
+		t.Fatalf("params=%d locals=%+v: FrameLocalSize = %d, want %d", f.NumParams, f.Locals, got, size)
+	}
+	for _, bad := range []int{-1, len(offs)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("params=%d locals=%+v: SlotOffset(%d) did not panic", f.NumParams, f.Locals, bad)
+				}
+			}()
+			f.SlotOffset(bad)
+		}()
+	}
+}
+
+// funcAtScan is the reference address lookup: a linear scan of Funcs.
+func funcAtScan(p *Program, a uint64) (*Function, int) {
+	for _, f := range p.Funcs {
+		end := f.Base + uint64(len(f.Code))*InstrSize
+		if a >= f.Base && a < end && (a-f.Base)%InstrSize == 0 {
+			return f, int((a - f.Base) / InstrSize)
+		}
+	}
+	return nil, 0
+}
+
+// TestFuncAtMatchesScan: the binary-search FuncAt of a linked program, and
+// the scan of an unlinked one, agree with the linear reference at every
+// instruction address, one byte either side, across the guard gaps, and
+// at the extremes of the address space.
+func TestFuncAtMatchesScan(t *testing.T) {
+	check := func(p *Program, a uint64) {
+		t.Helper()
+		gf, gi := p.FuncAt(a)
+		wf, wi := funcAtScan(p, a)
+		if gf != wf || gi != wi {
+			t.Fatalf("linked=%v FuncAt(%#x) = %v,%d, want %v,%d", p.Linked(), a, gf, gi, wf, wi)
+		}
+	}
+	sweep := func(p *Program) {
+		t.Helper()
+		for _, a := range []uint64{0, 1, CodeBase - 1, CodeBase, math.MaxUint64} {
+			check(p, a)
+		}
+		for _, f := range p.Funcs {
+			// From just before the function through its trailing guard gap.
+			start := f.Base - min(f.Base, InstrSize+1)
+			for a := start; a < f.Base+uint64(len(f.Code)+8)*InstrSize; a++ {
+				check(p, a)
+			}
+		}
+	}
+
+	p := buildTestProgram(t)
+	p.AddFunc(&Function{Name: "empty"}) // no code: contains no address
+	b := NewBuilder("tail", 1)
+	b.Ret(Imm(0))
+	p.AddFunc(b.Build())
+	if p.Linked() {
+		t.Fatal("AddFunc left the program linked")
+	}
+	sweep(p) // stale addresses from the earlier link: scanned
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	sweep(p)
+
+	// An unlinked program: every Base is zero and the ranges overlap.
+	u := NewProgram()
+	for _, name := range []string{"a", "b", "c"} {
+		b := NewBuilder(name, 0)
+		b.Const(1)
+		b.Ret(Imm(0))
+		u.AddFunc(b.Build())
+	}
+	sweep(u)
+	if f, idx := u.FuncAt(InstrSize); f != u.Funcs[0] || idx != 1 {
+		t.Fatalf("unlinked FuncAt(4) = %v,%d, want the first function", f, idx)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -307,10 +308,16 @@ func (fl *File) Write(buf []byte) (int, error) {
 		return 0, ErrPerm
 	}
 	end := fl.offset + int64(len(buf))
-	if int64(len(fl.n.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, fl.n.data)
-		fl.n.data = grown
+	if old := int64(len(fl.n.data)); old < end {
+		// Grow with amortized capacity, so an append loop copies the file
+		// O(log n) times rather than on every write.
+		fl.n.data = slices.Grow(fl.n.data, int(end-old))[:end]
+		// Capacity kept across O_TRUNC, or left over by a growth, may hold
+		// stale bytes: the hole between the old end and the write offset
+		// must read back as zeros.
+		if fl.offset > old {
+			clear(fl.n.data[old:fl.offset])
+		}
 	}
 	copy(fl.n.data[fl.offset:end], buf)
 	fl.offset = end

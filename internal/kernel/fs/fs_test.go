@@ -162,6 +162,76 @@ func TestWriteExtendsSparsely(t *testing.T) {
 	}
 }
 
+// TestTruncatedHoleReadsZeros: O_TRUNC keeps the file's capacity, which
+// still holds the old bytes. Seeking past the end and writing must leave
+// the hole reading back as zeros, whether the write fits the kept capacity
+// or grows past it.
+func TestTruncatedHoleReadsZeros(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  int64
+	}{
+		{"within-capacity", 40},
+		{"past-capacity", 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New()
+			fl, err := f.Open("/a", OCreat|ORdwr, ModeRead|ModeWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl.Write(bytes.Repeat([]byte{'A'}, 100))
+			tr, err := f.Open("/a", OTrunc|ORdwr, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Size() != 0 {
+				t.Fatalf("size after O_TRUNC = %d", tr.Size())
+			}
+			if _, err := tr.Seek(tc.off, SeekSet); err != nil {
+				t.Fatal(err)
+			}
+			tr.Write([]byte("xy"))
+			got, _ := f.ReadFile("/a")
+			want := append(make([]byte, tc.off), 'x', 'y')
+			if !bytes.Equal(got, want) {
+				t.Fatalf("got %q, want %d zeros then \"xy\"", got, tc.off)
+			}
+		})
+	}
+}
+
+// TestAppendGrowsAmortized: an append loop reallocates the file O(log n)
+// times, not once per write. Eight times the appends may cost only a
+// handful more allocations.
+func TestAppendGrowsAmortized(t *testing.T) {
+	rec := bytes.Repeat([]byte{'j'}, 64)
+	appendAllocs := func(n int) float64 {
+		var size int64
+		allocs := testing.AllocsPerRun(3, func() {
+			f := New()
+			fl, err := f.Open("/journal", OCreat|OWronly|OAppend, ModeRead|ModeWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := fl.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			size = fl.Size()
+		})
+		if want := int64(n * len(rec)); size != want {
+			t.Fatalf("%d appends left %d bytes, want %d", n, size, want)
+		}
+		return allocs
+	}
+	small, large := appendAllocs(1000), appendAllocs(8000)
+	if large-small > 24 {
+		t.Fatalf("1000 appends: %.0f allocs, 8000 appends: %.0f; growth is not amortized", small, large)
+	}
+}
+
 func TestDirOperations(t *testing.T) {
 	f := New()
 	if err := f.MkdirAll("/etc/nginx", ModeRead|ModeWrite|ModeExec); err != nil {

@@ -163,3 +163,129 @@ func TestUnwindStopsOnCorruptChain(t *testing.T) {
 		t.Fatalf("unwound %d frames, want the 1 readable frame", len(unwound))
 	}
 }
+
+// allRegs allocates the builder's whole register file, in order.
+func allRegs(b *ir.Builder) []ir.Reg {
+	regs := make([]ir.Reg, MaxRegsPerFrame)
+	for i := range regs {
+		regs[i] = b.Reg()
+	}
+	return regs
+}
+
+// addDirty adds a function that writes 0xdead into every register, then
+// (unless callee is "") calls callee, and returns 0.
+func addDirty(p *ir.Program, name, callee string) {
+	b := ir.NewBuilder(name, 0)
+	regs := allRegs(b)
+	for _, r := range regs {
+		b.ConstInto(r, 0xdead)
+	}
+	if callee != "" {
+		b.Emit(ir.Instr{Kind: ir.Call, Dst: regs[0], Sym: callee})
+	}
+	b.Ret(ir.Imm(0))
+	p.AddFunc(b.Build())
+}
+
+// addProbe adds a function that ORs together every register before
+// writing any, then (unless callee is "") ORs in callee's result, and
+// returns the accumulation: nonzero iff it inherited a stale register.
+func addProbe(p *ir.Program, name, callee string) {
+	b := ir.NewBuilder(name, 0)
+	regs := allRegs(b)
+	acc := regs[len(regs)-1] // read before its first write
+	for _, r := range regs[:len(regs)-1] {
+		b.BinInto(acc, ir.OpOr, ir.R(acc), ir.R(r))
+	}
+	if callee != "" {
+		b.Emit(ir.Instr{Kind: ir.Call, Dst: regs[0], Sym: callee})
+		b.BinInto(acc, ir.OpOr, ir.R(acc), ir.R(regs[0]))
+	}
+	b.Ret(ir.R(acc))
+	p.AddFunc(b.Build())
+}
+
+// topFrame records the executing register frame when a hook fires.
+func topFrame(dst **frame) Hook {
+	return func(m *Machine) error {
+		*dst = m.frames[len(m.frames)-1]
+		return nil
+	}
+}
+
+// TestReusedFramesStartZeroed is the inverse of
+// TestRegisterIsolationAcrossFrames: after deeper callees filled their
+// register files with 0xdead and returned, new callees at the same depths
+// run in the same (reused) register frames and still read 0 from every
+// register they have not written.
+func TestReusedFramesStartZeroed(t *testing.T) {
+	p := ir.NewProgram()
+	addDirty(p, "dirty", "")
+	addDirty(p, "deep", "dirty")
+	addProbe(p, "probe", "")
+	addProbe(p, "probeDeep", "probe")
+	b := ir.NewBuilder("main", 0)
+	b.Call("deep")
+	r := b.Call("probeDeep")
+	b.Ret(ir.R(r))
+	p.AddFunc(b.Build())
+
+	m := mustMachine(t, p)
+	var dirtyFr, probeFr *frame
+	if err := m.HookFunc("dirty", 0, topFrame(&dirtyFr)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HookFunc("probe", 0, topFrame(&probeFr)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.CallFunction("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("callee inherited stale registers: OR = %#x", got)
+	}
+	if dirtyFr == nil || dirtyFr != probeFr {
+		t.Fatal("probe did not run in the register frame dirty returned")
+	}
+}
+
+// TestFabricatedFrameStartsZeroed covers the hijacked-bottom-frame path:
+// the bottom frame fills its registers with 0xdead, then returns into a
+// gadget through a corrupted return address. The fabricated frame reuses
+// the popped one and must read 0 from every register.
+func TestFabricatedFrameStartsZeroed(t *testing.T) {
+	p := ir.NewProgram()
+	addDirty(p, "victim", "")
+	addProbe(p, "gadget", "")
+	p.Entry = "victim"
+	m := mustMachine(t, p)
+
+	victim, gadget := p.Func("victim"), p.Func("gadget")
+	var victimFr, gadgetFr *frame
+	if err := m.HookFunc("victim", 0, topFrame(&victimFr)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HookFunc("gadget", 0, topFrame(&gadgetFr)); err != nil {
+		t.Fatal(err)
+	}
+	ret := len(victim.Code) - 1
+	if err := m.HookFunc("victim", ret, func(mm *Machine) error {
+		return mm.Mem.WriteUint(mm.RBP()+8, gadget.Base, 8)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The gadget returns through the sentinel frame, ending the run with
+	// its accumulation in the return-value register.
+	got, err := m.CallFunction("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("fabricated frame inherited stale registers: OR = %#x", got)
+	}
+	if victimFr == nil || victimFr != gadgetFr {
+		t.Fatal("the fabricated frame did not reuse the popped bottom frame")
+	}
+}

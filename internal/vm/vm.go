@@ -316,6 +316,16 @@ func (m *Machine) HookFunc(name string, idx int, h Hook) error {
 	return nil
 }
 
+// hook returns the breakpoint at addr, skipping the map probe when no
+// breakpoint is installed (the common case on the per-instruction path).
+func (m *Machine) hook(addr uint64) (Hook, bool) {
+	if len(m.hooks) == 0 {
+		return nil, false
+	}
+	h, ok := m.hooks[addr]
+	return h, ok
+}
+
 // ClearHooks removes all breakpoints.
 func (m *Machine) ClearHooks() { m.hooks = map[uint64]Hook{} }
 
@@ -427,14 +437,33 @@ func (m *Machine) pushCall(fn *ir.Function, args []uint64, retaddr uint64) error
 	}
 	m.rbp = newRbp
 	m.rsp = newRbp - localSize
+	// Parameter spill slots open the slot area, one word each.
 	for i, a := range args {
-		if err := m.Mem.WriteUint(m.slotAddr(fn, i), a, 8); err != nil {
+		if err := m.Mem.WriteUint(m.rsp+uint64(i)*ir.WordSize, a, 8); err != nil {
 			return err
 		}
 	}
-	m.frames = append(m.frames, &frame{fn: fn})
-	m.CallDepth = len(m.frames)
+	m.pushFrame(fn, 0)
 	return nil
+}
+
+// pushFrame makes a register frame for fn, resuming at instruction idx, the
+// new top of the frame stack. It reuses the frame a doRet parked just past
+// the top of m.frames, zeroing it whole, so the callee reads exactly what a
+// freshly allocated frame would give it. Reuse is sound because nothing
+// holds a *frame once doRet has popped it.
+func (m *Machine) pushFrame(fn *ir.Function, idx int) {
+	n := len(m.frames)
+	if n < cap(m.frames) {
+		if f := m.frames[:n+1][n]; f != nil {
+			*f = frame{fn: fn, idx: idx}
+			m.frames = m.frames[:n+1]
+			m.CallDepth = n + 1
+			return
+		}
+	}
+	m.frames = append(m.frames, &frame{fn: fn, idx: idx})
+	m.CallDepth = len(m.frames)
 }
 
 func (m *Machine) slotAddr(fn *ir.Function, slot int) uint64 {
@@ -474,7 +503,7 @@ func (m *Machine) step() error {
 		return &ControlFault{Addr: fn.InstrAddr(fr.idx), Why: "execution ran off function end"}
 	}
 	addr := fn.InstrAddr(fr.idx)
-	if h, ok := m.hooks[addr]; ok {
+	if h, ok := m.hook(addr); ok {
 		if err := h(m); err != nil {
 			return err
 		}
@@ -584,7 +613,14 @@ func (m *Machine) doCall(fr *frame, fn *ir.Function, in *ir.Instr, callee *ir.Fu
 	if strict && len(in.Args) != callee.NumParams {
 		return fmt.Errorf("vm: call %s with %d args, want %d", callee.Name, len(in.Args), callee.NumParams)
 	}
-	args := make([]uint64, callee.NumParams)
+	// Stage the arguments on the Go stack: pushCall only reads them.
+	var staged [8]uint64
+	var args []uint64
+	if callee.NumParams <= len(staged) {
+		args = staged[:callee.NumParams]
+	} else {
+		args = make([]uint64, callee.NumParams)
+	}
 	for i := 0; i < len(in.Args) && i < callee.NumParams; i++ {
 		args[i] = m.val(fr, in.Args[i])
 	}
@@ -624,8 +660,7 @@ func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 	if len(m.frames) == 0 {
 		// A hijacked bottom frame: fabricate a register frame so gadget
 		// execution can proceed (registers are scratch at this point).
-		m.frames = append(m.frames, &frame{fn: tf, idx: idx})
-		m.CallDepth = len(m.frames)
+		m.pushFrame(tf, idx)
 		return nil
 	}
 	top := m.frames[len(m.frames)-1]

@@ -24,27 +24,9 @@ func buildSpinner(n int64) *ir.Program {
 	return p
 }
 
-// BenchmarkInterpreterALU measures raw interpreter throughput.
-func BenchmarkInterpreterALU(b *testing.B) {
-	p := buildSpinner(1000)
-	if err := p.Link(); err != nil {
-		b.Fatal(err)
-	}
-	m, err := New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.MaxSteps = 0
-	b.SetBytes(1000 * 5) // ~5 instructions per iteration
-	for i := 0; i < b.N; i++ {
-		if _, err := m.CallFunction("main"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCallReturn measures memory-realized frame push/pop cost.
-func BenchmarkCallReturn(b *testing.B) {
+// buildCallChain returns a program whose main makes 20 chained calls to a
+// two-parameter leaf that reads a spilled parameter back from its frame.
+func buildCallChain() *ir.Program {
 	p := ir.NewProgram()
 	leaf := ir.NewBuilder("leaf", 2)
 	v := leaf.LoadLocal("p0")
@@ -58,14 +40,39 @@ func BenchmarkCallReturn(b *testing.B) {
 	}
 	mb.Ret(ir.R(r))
 	p.AddFunc(mb.Build())
+	return p
+}
+
+// benchMachine links p and returns an unbounded machine for it.
+func benchMachine(tb testing.TB, p *ir.Program) *Machine {
+	tb.Helper()
 	if err := p.Link(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := New(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m.MaxSteps = 0
+	return m
+}
+
+// BenchmarkInterpreterALU measures raw interpreter throughput.
+func BenchmarkInterpreterALU(b *testing.B) {
+	m := benchMachine(b, buildSpinner(1000))
+	b.ReportAllocs()
+	b.SetBytes(1000 * 5) // ~5 instructions per iteration
+	for i := 0; i < b.N; i++ {
+		if _, err := m.CallFunction("main"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCallReturn measures memory-realized frame push/pop cost.
+func BenchmarkCallReturn(b *testing.B) {
+	m := benchMachine(b, buildCallChain())
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.CallFunction("main"); err != nil {
 			b.Fatal(err)
@@ -92,17 +99,40 @@ func BenchmarkGuestMemoryAccess(b *testing.B) {
 	mb.Label("end")
 	mb.Ret(ir.Imm(0))
 	p.AddFunc(mb.Build())
-	if err := p.Link(); err != nil {
-		b.Fatal(err)
-	}
-	m, err := New(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.MaxSteps = 0
+	m := benchMachine(b, p)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.CallFunction("main"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestHotPathAllocationFree pins the interpreter's per-instruction and
+// per-call path at zero allocations: once the first call has grown the
+// frame stack, a spinner and a 20-call chain run on reused register
+// frames and a stack-staged argument buffer.
+func TestHotPathAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		prog *ir.Program
+	}{
+		{"spinner", buildSpinner(1000)},
+		{"call-chain", buildCallChain()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := benchMachine(t, tc.prog)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := m.CallFunction("main"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("CallFunction allocates %.2f objects per run, want 0", allocs)
+			}
+		})
 	}
 }

@@ -142,6 +142,10 @@ type Process struct {
 	brk        uint64
 	mmapCursor uint64
 
+	// stage is the staging buffer read, write, sendfile and mremap copy
+	// through, reused across calls (see staging).
+	stage []byte
+
 	// Stdout collects writes to fds 1 and 2.
 	Stdout bytes.Buffer
 
@@ -495,12 +499,23 @@ func (p *Process) fd(n int) *FD { return p.fds[n] }
 
 // --- file syscalls ---
 
-func (p *Process) sysRead(fd int, buf uint64, count uint64) (int64, error) {
-	if count > 1<<20 {
-		count = 1 << 20
+// maxIO clamps the byte count of one read, write or sendfile.
+const maxIO = 1 << 20
+
+// staging returns the process's staging buffer sized to count, clamped to
+// maxIO. It holds stale bytes from earlier calls: a caller passes on only
+// the prefix that a read or a Peek has just filled, never more.
+func (p *Process) staging(count uint64) []byte {
+	count = min(count, maxIO)
+	if uint64(cap(p.stage)) < count {
+		p.stage = make([]byte, count)
 	}
+	return p.stage[:count]
+}
+
+func (p *Process) sysRead(fd int, buf uint64, count uint64) (int64, error) {
 	d := p.fd(fd)
-	tmp := make([]byte, count)
+	tmp := p.staging(count)
 	var n int
 	var err error
 	switch {
@@ -531,10 +546,8 @@ func (p *Process) sysRead(fd int, buf uint64, count uint64) (int64, error) {
 }
 
 func (p *Process) sysWrite(fd int, buf uint64, count uint64) (int64, error) {
-	if count > 1<<20 {
-		count = 1 << 20
-	}
-	tmp := make([]byte, count)
+	tmp := p.staging(count)
+	count = uint64(len(tmp))
 	if err := p.M.Mem.Peek(buf, tmp); err != nil {
 		return -int64(EFAULT), nil
 	}
@@ -643,10 +656,7 @@ func (p *Process) sysSendfile(outFD, inFD int, offPtr, count uint64) (int64, err
 	if out == nil || in == nil || in.File == nil {
 		return -int64(EBADF), nil
 	}
-	if count > 1<<20 {
-		count = 1 << 20
-	}
-	tmp := make([]byte, count)
+	tmp := p.staging(count)
 	n, err := in.File.Read(tmp)
 	if err != nil {
 		return -int64(EACCES), nil
@@ -706,9 +716,9 @@ func (p *Process) sysMmap(addr, length, prot, flags uint64, fd int, off uint64) 
 		return -int64(ENOSYS), nil // file-backed mappings unimplemented
 	}
 	length = mem.RoundUp(length)
-	if addr == 0 || flags&MapFixed == 0 {
+	fixed := addr != 0 && flags&MapFixed != 0
+	if !fixed {
 		addr = p.mmapCursor
-		p.mmapCursor += length + mem.PageSize // guard gap
 	}
 	if addr%mem.PageSize != 0 {
 		return -int64(EINVAL), nil
@@ -719,6 +729,9 @@ func (p *Process) sysMmap(addr, length, prot, flags uint64, fd int, off uint64) 
 	}
 	if err := p.M.Mem.Map(addr, length, protToPerm(prot)); err != nil {
 		return -int64(ENOMEM), nil
+	}
+	if !fixed {
+		p.mmapCursor += length + mem.PageSize // guard gap
 	}
 	if prot&ProtWrite != 0 && prot&ProtExec != 0 {
 		p.event(EventMemExec, SysMmap, fmt.Sprintf("mmap W+X at %#x (+%d)", addr, length))
@@ -755,10 +768,10 @@ func (p *Process) sysBrk(addr uint64) (int64, error) {
 	if addr == 0 {
 		return int64(p.brk), nil
 	}
-	if addr < heapStart {
+	newBrk := mem.RoundUp(addr)
+	if addr < heapStart || newBrk < addr { // below the heap, or wraps
 		return int64(p.brk), nil
 	}
-	newBrk := mem.RoundUp(addr)
 	if newBrk > p.brk {
 		if err := p.M.Mem.Map(p.brk, newBrk-p.brk, mem.PermRW); err != nil {
 			return int64(p.brk), nil
@@ -778,20 +791,22 @@ func (p *Process) sysMremap(oldAddr, oldSize, newSize uint64) (int64, error) {
 		return -int64(EFAULT), nil
 	}
 	newAddr := p.mmapCursor
-	p.mmapCursor += newSize + mem.PageSize
 	if err := p.M.Mem.Map(newAddr, newSize, perm); err != nil {
 		return -int64(ENOMEM), nil
 	}
-	n := oldSize
-	if newSize < n {
-		n = newSize
-	}
-	buf := make([]byte, n)
-	if err := p.M.Mem.Peek(oldAddr, buf); err != nil {
-		return -int64(EFAULT), nil
-	}
-	if err := p.M.Mem.Poke(newAddr, buf); err != nil {
-		return -int64(EFAULT), nil
+	p.mmapCursor += newSize + mem.PageSize
+	// Copy through the staging buffer, at most maxIO bytes at a time, so a
+	// guest-chosen oldSize cannot size a host allocation.
+	n := min(oldSize, newSize)
+	for done := uint64(0); done < n; {
+		tmp := p.staging(n - done)
+		if err := p.M.Mem.Peek(oldAddr+done, tmp); err != nil {
+			return -int64(EFAULT), nil
+		}
+		if err := p.M.Mem.Poke(newAddr+done, tmp); err != nil {
+			return -int64(EFAULT), nil
+		}
+		done += uint64(len(tmp))
 	}
 	if err := p.M.Mem.Unmap(oldAddr, oldSize); err != nil {
 		return -int64(EINVAL), nil

@@ -83,7 +83,20 @@ func (c *Conn) ClientRead(buf []byte) (int, error) {
 	return n, nil
 }
 
-// ClientReadAll drains and returns everything the guest has written.
+// SetRecvBuffer hands the connection a receive buffer: the guest's writes
+// from now on append into buf[:0], after any bytes still pending. The
+// connection owns buf until ClientReadAll hands it back, so a client can
+// reuse one buffer across connections instead of growing a fresh one per
+// response.
+func (c *Conn) SetRecvBuffer(buf []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.toClient = append(buf[:0], c.toClient...)
+}
+
+// ClientReadAll drains and returns everything the guest has written. The
+// returned slice is the caller's: the connection drops its reference, so a
+// buffer given with SetRecvBuffer comes back here, grown as needed.
 func (c *Conn) ClientReadAll() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

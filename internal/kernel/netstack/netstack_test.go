@@ -157,3 +157,42 @@ func TestGuestConnect(t *testing.T) {
 		t.Fatal("connection not queued at listener")
 	}
 }
+
+func TestRecvBufferReusedAndHandedBack(t *testing.T) {
+	s := NewStack()
+	listen(t, s, 80)
+	buf := make([]byte, 0, 64)
+	for round := 0; round < 3; round++ {
+		c, err := s.Dial(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bytes the guest wrote before the buffer arrived stay in front.
+		if _, err := ServerWrite(c, []byte("head:")); err != nil {
+			t.Fatal(err)
+		}
+		c.SetRecvBuffer(buf)
+		if _, err := ServerWrite(c, []byte("body")); err != nil {
+			t.Fatal(err)
+		}
+		got := c.ClientReadAll()
+		if string(got) != "head:body" {
+			t.Fatalf("round %d: ClientReadAll = %q", round, got)
+		}
+		if &got[:1][0] != &buf[:1][0] {
+			t.Fatalf("round %d: response not in the given buffer", round)
+		}
+		// The connection dropped its reference: later writes do not land
+		// in the handed-back buffer.
+		if _, err := ServerWrite(c, []byte("late")); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "head:body" {
+			t.Fatalf("round %d: handed-back buffer changed to %q", round, got)
+		}
+		if late := c.ClientReadAll(); string(late) != "late" || &late[:1][0] == &buf[:1][0] {
+			t.Fatalf("round %d: late write = %q, in the handed-back buffer", round, late)
+		}
+		buf = got
+	}
+}

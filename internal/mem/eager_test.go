@@ -1,0 +1,252 @@
+package mem
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// eagerSpace is the reference model for the demand-zero Space: the
+// implementation it replaced, which allocated and zeroed every page at Map.
+// Data, faults and regions must match it for every operation sequence that
+// stays below MaxMapped.
+type eagerSpace struct {
+	pages map[uint64]*eagerPage
+}
+
+type eagerPage struct {
+	data [PageSize]byte
+	perm Perm
+}
+
+func newEager() *eagerSpace { return &eagerSpace{pages: map[uint64]*eagerPage{}} }
+
+func (s *eagerSpace) Map(addr, length uint64, perm Perm) error {
+	if addr%PageSize != 0 {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned mapping"}
+	}
+	if length == 0 {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "zero-length mapping"}
+	}
+	for a := addr; a < addr+RoundUp(length); a += PageSize {
+		if pg, ok := s.pages[a]; ok {
+			pg.perm = perm
+		} else {
+			s.pages[a] = &eagerPage{perm: perm}
+		}
+	}
+	return nil
+}
+
+func (s *eagerSpace) Unmap(addr, length uint64) error {
+	if addr%PageSize != 0 {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned unmap"}
+	}
+	for a := addr; a < addr+RoundUp(length); a += PageSize {
+		delete(s.pages, a)
+	}
+	return nil
+}
+
+func (s *eagerSpace) Protect(addr, length uint64, perm Perm) error {
+	if addr%PageSize != 0 {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned mprotect"}
+	}
+	end := addr + RoundUp(length)
+	for a := addr; a < end; a += PageSize {
+		if _, ok := s.pages[a]; !ok {
+			return &Fault{Addr: a, Kind: AccessMap, Why: "mprotect of unmapped page"}
+		}
+	}
+	for a := addr; a < end; a += PageSize {
+		s.pages[a].perm = perm
+	}
+	return nil
+}
+
+func (s *eagerSpace) access(addr uint64, buf []byte, write, checkPerm bool) error {
+	n := uint64(len(buf))
+	var done uint64
+	for done < n {
+		a := addr + done
+		pa := pageAddr(a)
+		pg, ok := s.pages[pa]
+		if !ok {
+			k := AccessRead
+			if write {
+				k = AccessWrite
+			}
+			return &Fault{Addr: a, Kind: k, Why: "unmapped page"}
+		}
+		if checkPerm {
+			if write && pg.perm&PermWrite == 0 {
+				return &Fault{Addr: a, Kind: AccessWrite, Why: "page is " + pg.perm.String()}
+			}
+			if !write && pg.perm&PermRead == 0 {
+				return &Fault{Addr: a, Kind: AccessRead, Why: "page is " + pg.perm.String()}
+			}
+		}
+		off := a - pa
+		chunk := min(PageSize-off, n-done)
+		if write {
+			copy(pg.data[off:off+chunk], buf[done:done+chunk])
+		} else {
+			copy(buf[done:done+chunk], pg.data[off:off+chunk])
+		}
+		done += chunk
+	}
+	return nil
+}
+
+func (s *eagerSpace) ReadCString(addr uint64, max int) (string, error) {
+	var out []byte
+	var b [1]byte
+	for i := 0; i < max; i++ {
+		if err := s.access(addr+uint64(i), b[:], false, true); err != nil {
+			return "", err
+		}
+		if b[0] == 0 {
+			return string(out), nil
+		}
+		out = append(out, b[0])
+	}
+	return "", &Fault{Addr: addr, Kind: AccessRead, Why: "unterminated string"}
+}
+
+func (s *eagerSpace) Regions() []Region {
+	addrs := make([]uint64, 0, len(s.pages))
+	for a := range s.pages {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	var out []Region
+	for _, a := range addrs {
+		p := s.pages[a].perm
+		if n := len(out); n > 0 && out[n-1].Addr+out[n-1].Size == a && out[n-1].Perm == p {
+			out[n-1].Size += PageSize
+			continue
+		}
+		out = append(out, Region{Addr: a, Size: PageSize, Perm: p})
+	}
+	return out
+}
+
+// The fuzzed operations work in a window of fuzzPages pages at fuzzBase,
+// and may run one page past either end of it to reach unmapped memory.
+const (
+	fuzzBase  = 0x40_0000
+	fuzzPages = 12
+)
+
+// sameErr reports whether two operation results agree: both nil, or equal
+// *Fault values.
+func sameErr(got, want error) bool {
+	var gf, wf *Fault
+	if got == nil || want == nil {
+		return got == nil && want == nil
+	}
+	return errors.As(got, &gf) && errors.As(want, &wf) && *gf == *wf
+}
+
+// FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
+// model through the same random sequence of Map, Unmap, Protect, Read,
+// Write, Peek, Poke and ReadCString, and checks byte-identical data,
+// identical *Fault values and identical Regions after every step. Read and
+// Peek destinations start as non-zero garbage, so a read of a page without
+// backing that fails to clear the caller's chunk is caught.
+func FuzzSpaceMatchesEager(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 3, 4, 1, 0, 200, 0, 5, 2, 2, 60, 9, 1, 6, 1, 0, 3, 8})
+	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})
+	f.Add([]byte{0, 0, 12, 3, 6, 2, 0, 255, 255, 7, 0, 0, 1, 4, 0, 3, 2, 1, 9, 5, 0, 10, 64, 2, 3, 0, 1})
+	f.Add([]byte{8, 1, 3, 0, 1, 0, 2, 5, 1, 1, 17, 3, 3, 1, 0, 5, 0, 3, 250, 6, 3, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		got, want := NewSpace(), newEager()
+		next := func() uint64 {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return uint64(b)
+		}
+		perms := []Perm{PermNone, PermRead, PermRW, PermRX, PermRWX, PermWrite}
+		for step := 0; len(prog) > 0 && step < 64; step++ {
+			op := next() % 9
+			// A page-aligned address, one page either side of the window;
+			// 1 in 8 Map/Unmap/Protect calls is deliberately misaligned.
+			page := fuzzBase + (next()%(fuzzPages+2))*PageSize - PageSize
+			if next()%8 == 0 {
+				page += 8
+			}
+			// A byte address anywhere in the same span, for accesses.
+			addr := page + next()*16%PageSize
+			// Lengths: whole or partial pages, up to five pages.
+			length := next()%6*PageSize - next()%3*100
+			if length > 5*PageSize {
+				length = 0
+			}
+			size := next()*33 + next()%3*PageSize
+			perm := perms[next()%uint64(len(perms))]
+
+			var gErr, wErr error
+			switch op {
+			case 0:
+				gErr, wErr = got.Map(page, length, perm), want.Map(page, length, perm)
+			case 1:
+				gErr, wErr = got.Unmap(page, length), want.Unmap(page, length)
+			case 2:
+				gErr, wErr = got.Protect(page, length, perm), want.Protect(page, length, perm)
+			case 3, 4:
+				data := make([]byte, size)
+				for i := range data {
+					data[i] = byte(step*7 + i)
+				}
+				if op == 3 {
+					gErr, wErr = got.Write(addr, data), want.access(addr, data, true, true)
+				} else {
+					gErr, wErr = got.Poke(addr, data), want.access(addr, data, true, false)
+				}
+			case 5, 6:
+				gBuf, wBuf := bytes.Repeat([]byte{0xa5}, int(size)), bytes.Repeat([]byte{0xa5}, int(size))
+				if op == 5 {
+					gErr, wErr = got.Read(addr, gBuf), want.access(addr, wBuf, false, true)
+				} else {
+					gErr, wErr = got.Peek(addr, gBuf), want.access(addr, wBuf, false, false)
+				}
+				if !bytes.Equal(gBuf, wBuf) {
+					t.Fatalf("step %d: op %d at %#x+%d: data differs from the eager model", step, op, addr, size)
+				}
+			case 7:
+				max := int(size%300) + 1
+				gs, ge := got.ReadCString(addr, max)
+				ws, we := want.ReadCString(addr, max)
+				gErr, wErr = ge, we
+				if gs != ws {
+					t.Fatalf("step %d: ReadCString(%#x, %d) = %q, eager model %q", step, addr, max, gs, ws)
+				}
+			case 8:
+				// A word-sized write, as every guest store is.
+				var w [8]byte
+				binary.LittleEndian.PutUint64(w[:], uint64(step)<<32|0xfeed)
+				gErr, wErr = got.WriteUint(addr, uint64(step)<<32|0xfeed, 8), want.access(addr, w[:], true, true)
+			}
+			if !sameErr(gErr, wErr) {
+				t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)
+			}
+			if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)
+			}
+		}
+		// Every mapped byte of the window must match, backed or not.
+		for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+1)*PageSize; a += PageSize {
+			g, w := bytes.Repeat([]byte{0x5a}, PageSize), bytes.Repeat([]byte{0x5a}, PageSize)
+			gErr, wErr := got.Peek(a, g), want.access(a, w, false, false)
+			if !sameErr(gErr, wErr) || !bytes.Equal(g, w) {
+				t.Fatalf("final page %#x differs from the eager model (%v vs %v)", a, gErr, wErr)
+			}
+		}
+	})
+}

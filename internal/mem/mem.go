@@ -76,10 +76,23 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: fault: %s at %#x: %s", f.Kind, f.Addr, f.Why)
 }
 
+// page is one mapped page. Pages are demand-zero: data stays nil until the
+// first Write or Poke into the page, and a read of a page without data
+// sees zeros. Mapping the 4 MiB shadow region or the stack therefore costs
+// a map entry per page, not 4 KiB of host memory per page.
 type page struct {
-	data [PageSize]byte
+	data *[PageSize]byte
 	perm Perm
 }
+
+// MaxMapped is the most address space, in bytes, one Space maps at a time:
+// 1 GiB, or 262,144 pages. The simulated guests map a few MiB (the 4 MiB
+// shadow region, the 1 MiB stack, heap and anonymous regions). The cap
+// keeps a guest-chosen mmap, brk or mremap length from driving the host
+// through billions of page entries: Map fails with a *Fault instead.
+const MaxMapped = 1 << 30
+
+const maxPages = MaxMapped / PageSize
 
 // Space is a sparse virtual address space. The zero value is not usable;
 // call NewSpace.
@@ -100,10 +113,19 @@ func pageAddr(a uint64) uint64 { return a &^ (PageSize - 1) }
 // RoundUp rounds a length up to a whole number of pages.
 func RoundUp(n uint64) uint64 { return (n + PageSize - 1) &^ (PageSize - 1) }
 
+// span returns the page-aligned end of [addr, addr+length); ok is false
+// when the rounded range wraps past the top of the address space.
+func span(addr, length uint64) (end uint64, ok bool) {
+	n := RoundUp(length)
+	end = addr + n
+	return end, n >= length && end >= addr
+}
+
 // Map maps [addr, addr+length) with the given permissions. addr must be
 // page-aligned. Mapping over an existing page replaces its permissions and
 // keeps its contents (MAP_FIXED-over-existing semantics); callers that need
-// fresh zero pages should Unmap first.
+// fresh zero pages should Unmap first. A mapping that would take the space
+// past MaxMapped fails before any page changes.
 func (s *Space) Map(addr, length uint64, perm Perm) error {
 	if addr%PageSize != 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned mapping"}
@@ -111,7 +133,16 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	if length == 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "zero-length mapping"}
 	}
-	for a := addr; a < addr+RoundUp(length); a += PageSize {
+	end, ok := span(addr, length)
+	if !ok {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "mapping wraps the address space"}
+	}
+	// Count the range's fresh pages only when it could reach the cap.
+	n, have := (end-addr)/PageSize, uint64(len(s.pages))
+	if n > maxPages || have+n > maxPages && have+s.unmappedIn(addr, end) > maxPages {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "mapping exceeds the address-space cap"}
+	}
+	for a := addr; a < end; a += PageSize {
 		if pg, ok := s.pages[a]; ok {
 			pg.perm = perm
 		} else {
@@ -121,12 +152,36 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	return nil
 }
 
-// Unmap removes the pages covering [addr, addr+length).
+// unmappedIn counts the pages of [addr, end) that are not mapped.
+func (s *Space) unmappedIn(addr, end uint64) uint64 {
+	var n uint64
+	for a := addr; a < end; a += PageSize {
+		if _, ok := s.pages[a]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// Unmap removes the pages covering [addr, addr+length). Its cost is bounded
+// by the smaller of the range and the pages mapped.
 func (s *Space) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned unmap"}
 	}
-	for a := addr; a < addr+RoundUp(length); a += PageSize {
+	end, ok := span(addr, length)
+	if !ok {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "unmap wraps the address space"}
+	}
+	if (end-addr)/PageSize > uint64(len(s.pages)) {
+		for a := range s.pages {
+			if a >= addr && a < end {
+				delete(s.pages, a)
+			}
+		}
+		return nil
+	}
+	for a := addr; a < end; a += PageSize {
 		delete(s.pages, a)
 	}
 	return nil
@@ -134,12 +189,16 @@ func (s *Space) Unmap(addr, length uint64) error {
 
 // Protect changes the permissions of the already-mapped range
 // [addr, addr+length). It fails on any unmapped page in the range without
-// applying a partial change.
+// applying a partial change. The scan stops at the first unmapped page, so
+// its cost is bounded by the pages mapped.
 func (s *Space) Protect(addr, length uint64, perm Perm) error {
 	if addr%PageSize != 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned mprotect"}
 	}
-	end := addr + RoundUp(length)
+	end, ok := span(addr, length)
+	if !ok {
+		return &Fault{Addr: addr, Kind: AccessMap, Why: "mprotect wraps the address space"}
+	}
 	for a := addr; a < end; a += PageSize {
 		if _, ok := s.pages[a]; !ok {
 			return &Fault{Addr: a, Kind: AccessMap, Why: "mprotect of unmapped page"}
@@ -214,9 +273,15 @@ func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		if write {
+		switch {
+		case write:
+			if pg.data == nil {
+				pg.data = new([PageSize]byte)
+			}
 			copy(pg.data[off:off+chunk], buf[done:done+chunk])
-		} else {
+		case pg.data == nil:
+			clear(buf[done : done+chunk])
+		default:
 			copy(buf[done:done+chunk], pg.data[off:off+chunk])
 		}
 		done += chunk

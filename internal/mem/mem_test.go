@@ -240,3 +240,138 @@ func TestUintProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// backed counts the pages that have host memory behind them.
+func (s *Space) backed() int {
+	n := 0
+	for _, pg := range s.pages {
+		if pg.data != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestSpaceDemandZero(t *testing.T) {
+	s := NewSpace()
+	if err := s.Map(0x100000, 1<<22, PermRW); err != nil { // a shadow-sized region
+		t.Fatal(err)
+	}
+	if n := s.backed(); n != 0 {
+		t.Fatalf("Map backed %d pages, want 0", n)
+	}
+	// Reads of untouched pages clear the caller's buffer and back nothing.
+	buf := bytes.Repeat([]byte{0xee}, 3*PageSize)
+	if err := s.Read(0x100800, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatal("read of untouched pages is not zero")
+	}
+	if err := s.Peek(0x180000, buf[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.backed(); n != 0 {
+		t.Fatalf("reads backed %d pages, want 0", n)
+	}
+	// A write straddling a boundary backs exactly the two pages it touches;
+	// the rest of each page still reads as zero.
+	if err := s.Write(0x101ffc, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Poke(0x1ff000, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.backed(); n != 3 {
+		t.Fatalf("writes backed %d pages, want 3", n)
+	}
+	got := make([]byte, 16)
+	if err := s.Read(0x101ff8, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("read back %v, want %v", got, want)
+	}
+	// Mapping over backed pages keeps their contents; unmapping and mapping
+	// again gives fresh zero pages.
+	if err := s.Map(0x101000, 2*PageSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Read(0x101ffc, got[:4]); err != nil || !bytes.Equal(got[:4], []byte{1, 2, 3, 4}) {
+		t.Fatalf("contents after remap: %v, %v", got[:4], err)
+	}
+	if err := s.Unmap(0x101000, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Map(0x101000, PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Read(0x101ffc, got[:4]); err != nil || !bytes.Equal(got[:4], make([]byte, 4)) {
+		t.Fatalf("contents after unmap+map: %v, %v", got[:4], err)
+	}
+}
+
+func TestSpaceMapCap(t *testing.T) {
+	s := NewSpace()
+	capFault := func(err error, addr uint64) {
+		t.Helper()
+		var f *Fault
+		if !errors.As(err, &f) || f.Kind != AccessMap || f.Addr != addr {
+			t.Fatalf("err = %v, want an AccessMap fault at %#x", err, addr)
+		}
+	}
+	// A guest-sized length past the cap fails at once, mapping nothing.
+	capFault(s.Map(0x7f00_0000_0000, 1<<40, PermRW), 0x7f00_0000_0000)
+	if len(s.Regions()) != 0 {
+		t.Fatalf("failed Map left %v", s.Regions())
+	}
+	// Fill the space to one page below the cap.
+	if err := s.Map(0, MaxMapped-PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	// Two more pages cross the cap; the one page that fits is not applied
+	// by the failed call.
+	capFault(s.Map(MaxMapped, 2*PageSize, PermRW), MaxMapped)
+	if s.Mapped(MaxMapped) {
+		t.Fatal("failed Map mapped a page")
+	}
+	// Mapping over pages already counted adds nothing and succeeds.
+	if err := s.Map(PageSize, 1<<20, PermRead); err != nil {
+		t.Fatalf("remap at the cap: %v", err)
+	}
+	// Overlapping one fresh page still fits.
+	if err := s.Map(MaxMapped-2*PageSize, 2*PageSize, PermRW); err != nil {
+		t.Fatalf("map of the last page: %v", err)
+	}
+	capFault(s.Map(MaxMapped+PageSize, PageSize, PermRW), MaxMapped+PageSize)
+	// Ranges that wrap the top of the address space fail too.
+	top := uint64(1<<64 - PageSize)
+	capFault(s.Map(top, 2*PageSize, PermRW), top)
+	capFault(s.Unmap(top, 2*PageSize), top)
+	capFault(s.Protect(top, 2*PageSize, PermRW), top)
+}
+
+func TestSpaceHugeUnmapAndProtect(t *testing.T) {
+	s := NewSpace()
+	for _, a := range []uint64{0x1000, 0x2000, 1 << 50} {
+		if err := s.Map(a, PageSize, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Guest-sized lengths: both calls cost the pages mapped, not 2^28
+	// iterations over the range.
+	err := s.Protect(0x1000, 1<<40, PermRead)
+	var f *Fault
+	if !errors.As(err, &f) || f.Addr != 0x3000 {
+		t.Fatalf("Protect = %v, want a fault at the first unmapped page 0x3000", err)
+	}
+	if p, _ := s.PermAt(0x1000); p != PermRW {
+		t.Fatalf("failed Protect changed perm to %v", p)
+	}
+	if err := s.Unmap(0, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if s.Mapped(0x1000) || s.Mapped(0x2000) || !s.Mapped(1<<50) {
+		t.Fatalf("after Unmap(0, 1<<40): %v", s.Regions())
+	}
+}

@@ -154,6 +154,9 @@ type Nginx struct {
 	Think uint64
 
 	lfd uint64
+	// recv is the response buffer every request's connection reuses, as
+	// wrk reuses its read buffer.
+	recv []byte
 }
 
 // NewNginx returns the paper-configured NGINX target.
@@ -210,6 +213,8 @@ func (t *Nginx) Unit(p *core.Protected, i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	conn.SetRecvBuffer(t.recv)
+	t.recv = nil
 	if _, err := conn.ClientWrite([]byte("GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n")); err != nil {
 		return 0, err
 	}
@@ -218,6 +223,7 @@ func (t *Nginx) Unit(p *core.Protected, i int) (int64, error) {
 		return 0, err
 	}
 	body := conn.ClientReadAll()
+	t.recv = body
 	if int64(len(body)) != int64(n) || int64(n) != PageSize {
 		return int64(n), fmt.Errorf("nginx served %d bytes (driver saw %d), want %d", int64(n), len(body), PageSize)
 	}
@@ -338,6 +344,9 @@ type Vsftpd struct {
 	ctrl *netstack.Conn
 	cfd  uint64
 	port uint64
+	// recv is the download buffer every data connection reuses, as
+	// dkftpbench reuses its read buffer.
+	recv []byte
 }
 
 // NewVsftpd returns the paper-configured vsFTPd target (dkftpbench runs
@@ -406,11 +415,14 @@ func (t *Vsftpd) Unit(p *core.Protected, i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	data.SetRecvBuffer(t.recv)
+	t.recv = nil
 	n, err := p.Machine.CallFunction(vsftpd.FnRetr, t.cfd)
 	if err != nil {
 		return 0, err
 	}
 	got := data.ClientReadAll()
+	t.recv = got
 	if int64(len(got)) != int64(n) || int64(n) != FTPFileSize {
 		return int64(n), fmt.Errorf("transfer %d moved %d bytes (driver saw %d)", i, int64(n), len(got))
 	}

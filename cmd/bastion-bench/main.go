@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bastion-bench [-exp all|fig3|table3|table4|table5|table6|table7|filter|cache|sf|offload|refine|bside|obs|fleet|shard|extras] [-units N]
+//	bastion-bench [-exp all|fig3|table3|table4|table5|table6|table7|filter|sf|offload|refine|bside|obs|fleet|shard|extras] [-units N]
 //	bastion-bench -report out.md [-parallel] [-workers N]
 //	bastion-bench -format json -out BENCH_<label>.json [-label L] [-parallel]
 //	bastion-bench -baseline old.json [-tolerance 5] [-format json -out new.json]
@@ -38,7 +38,7 @@ import (
 // errors instead of silently running nothing.
 var experiments = []string{
 	"all", "fig3", "table3", "table4", "table5", "table6", "table7",
-	"filter", "cache", "sf", "offload", "refine", "bside", "obs",
+	"filter", "sf", "offload", "refine", "bside", "obs",
 	"fleet", "shard", "extras",
 }
 
@@ -276,18 +276,6 @@ func main() {
 			rows = append(rows, r)
 		}
 		fmt.Println(bench.RenderFilterAblation(rows))
-		return nil
-	})
-	run("cache", func() error {
-		var rows []*bench.CacheAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.CacheAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderCacheAblation(rows))
 		return nil
 	})
 	run("sf", func() error {

@@ -49,7 +49,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			o.format = "json"
 			o.out = "a.json"
 		}, "full report"},
-		{"partial gate", func(o *options) { o.exp = "cache"; o.baseline = "b.json" }, "full report"},
+		{"partial gate", func(o *options) { o.exp = "sf"; o.baseline = "b.json" }, "full report"},
 	}
 	for _, tc := range cases {
 		o := defaults()

@@ -8,7 +8,7 @@
 //	bastion-fleet [-tenants N] [-app nginx,sqlite,vsftpd] [-units N]
 //	              [-mode full|fetch-only|hook-only] [-contexts ct,cf,ai,sf]
 //	              [-restarts N] [-seed N]
-//	              [-det] [-workers N] [-share=false] [-cache] [-extendfs]
+//	              [-det] [-workers N] [-share=false] [-extendfs]
 //	              [-offload] [-tree] [-malicious IDX] [-attack ID] [-md]
 //	              [-shards N] [-reload-at N] [-reload-to SPEC]
 //	              [-trace out.jsonl] [-trace-format jsonl|chrome]
@@ -22,10 +22,10 @@
 //
 // Example: run 256 tenants under an 8-shard control plane (consistent-hash
 // placement, per-shard admission with backpressure) and hot-reload every
-// tenant onto a tree-filter + verdict-cache policy after its 10th unit,
-// with zero guest downtime:
+// tenant onto a tree-filter policy after its 10th unit, with zero guest
+// downtime:
 //
-//	bastion-fleet -tenants 256 -units 20 -shards 8 -reload-at 10 -reload-to cache,tree -md
+//	bastion-fleet -tenants 256 -units 20 -shards 8 -reload-at 10 -reload-to tree -md
 //
 // Example: score every shard against service budgets (p99 trap latency
 // 16k cycles, one violation per thousand units, half an admission reject
@@ -150,7 +150,7 @@ func parseContexts(s string) (monitor.Context, error) {
 }
 
 // parseReloadSpec turns a comma list of policy tokens into the hot-reload
-// generation's PolicySpec: cache, tree, extendfs, offload toggle the
+// generation's PolicySpec: tree, extendfs, offload toggle the
 // corresponding knobs on (everything unlisted is off), and any of
 // ct/cf/ai/sf narrows the context mask (omit them all to keep every
 // context enforced).
@@ -158,8 +158,6 @@ func parseReloadSpec(s string) (*fleet.PolicySpec, error) {
 	spec := &fleet.PolicySpec{}
 	for _, tok := range strings.Split(strings.ToLower(strings.ReplaceAll(s, " ", "")), ",") {
 		switch tok {
-		case "cache":
-			spec.VerdictCache = true
 		case "tree":
 			spec.TreeFilter = true
 		case "extendfs":
@@ -180,7 +178,7 @@ func parseReloadSpec(s string) (*fleet.PolicySpec, error) {
 			spec.UseContexts = true
 		case "":
 		default:
-			return nil, fmt.Errorf("unknown reload token %q (want cache, tree, extendfs, offload, ct, cf, ai, sf)", tok)
+			return nil, fmt.Errorf("unknown reload token %q (want tree, extendfs, offload, ct, cf, ai, sf)", tok)
 		}
 	}
 	return spec, nil
@@ -207,7 +205,6 @@ func main() {
 	det := flag.Bool("det", false, "deterministic mode: run tenants serially in schedule order")
 	workers := flag.Int("workers", 0, "goroutine pool size for concurrent dispatch (0 = NumCPU)")
 	share := flag.Bool("share", true, "compile artifacts once per app and share across tenants")
-	cache := flag.Bool("cache", true, "enable the monitor verdict cache")
 	extendFS := flag.Bool("extendfs", false, "extend protection to file-system syscalls (Table 7)")
 	offload := flag.Bool("offload", false, "answer in-filter-decidable verdicts inside the seccomp program (requires -extendfs, full mode, no control-flow context)")
 	tree := flag.Bool("tree", false, "binary-search seccomp filter compilation")
@@ -216,7 +213,7 @@ func main() {
 	md := flag.Bool("md", false, "print the full markdown report instead of the summary line")
 	shards := flag.Int("shards", 0, "shard-supervisor count for the sharded control plane (0 = flat supervisor)")
 	reloadAt := flag.Int("reload-at", 0, "hot-reload every tenant's policy after this many units (0 = off; needs -reload-to)")
-	reloadTo := flag.String("reload-to", "", "policy to hot-reload to: comma list of cache,tree,extendfs,offload,ct,cf,ai,sf")
+	reloadTo := flag.String("reload-to", "", "policy to hot-reload to: comma list of tree,extendfs,offload,ct,cf,ai,sf")
 	traceOut := flag.String("trace", "", "write the fleet-wide decision trace (tenant-stamped) to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace format: jsonl | chrome")
 	metricsOut := flag.String("metrics", "", "write the merged metrics registry to this file")
@@ -297,7 +294,6 @@ func main() {
 		UseContexts:    useCtx,
 		ExtendFS:       *extendFS,
 		Offload:        *offload,
-		VerdictCache:   *cache,
 		TreeFilter:     *tree,
 		ShareArtifacts: *share,
 		MaxRestarts:    *restarts,

@@ -40,12 +40,10 @@ type Defense struct {
 	// Mode selects the monitor mode (ModeFull by default); the
 	// differential suite sweeps it.
 	Mode monitor.Mode
-	// VerdictCache enables the monitor's verdict cache, which must be
-	// observationally invisible (the differential suite's contract).
-	VerdictCache bool
 	// CoarsePolicies runs the monitor on the pre-refinement
-	// AllowedIndirect sets; the refinement replay suite asserts verdicts
-	// are byte-identical either way.
+	// AllowedIndirect sets (metadata.CoarseIndirect, applied before
+	// attach); the refinement replay suite asserts verdicts are
+	// byte-identical either way.
 	CoarsePolicies bool
 	// ExtendFS traps the file-system syscall set as well — the §11.2
 	// extension; the offload differential suite sweeps it so the offloaded
@@ -353,13 +351,17 @@ func LaunchArtifact(app string, art *core.Artifact, d Defense) (*Env, error) {
 		cfg := monitor.DefaultConfig()
 		cfg.Contexts = d.Contexts
 		cfg.Mode = d.Mode
-		cfg.VerdictCache = d.VerdictCache
-		cfg.CoarsePolicies = d.CoarsePolicies
 		cfg.ExtendFS = d.ExtendFS
 		cfg.Offload = d.Offload
 		cfg.Sink = d.Sink
 		cfg.FlightN = d.FlightN
-		prot, err = core.Launch(art, k, cfg, vmOpts...)
+		launched := art
+		if d.CoarsePolicies {
+			coarse := *art
+			coarse.Meta = art.Meta.CoarseIndirect()
+			launched = &coarse
+		}
+		prot, err = core.Launch(launched, k, cfg, vmOpts...)
 	} else {
 		prot, err = core.LaunchUnprotected(art, k, vmOpts...)
 	}
@@ -422,7 +424,7 @@ func Execute(s Scenario, d Defense) (Outcome, error) {
 
 // ExecuteEnv runs one scenario under one defense and also returns the
 // attack environment, giving callers (the differential test suite) access
-// to the monitor's recorded violations and cache statistics.
+// to the monitor's recorded violations.
 func ExecuteEnv(s Scenario, d Defense) (Outcome, *Env, error) {
 	env, err := Launch(s.App, d)
 	if err != nil {

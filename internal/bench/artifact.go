@@ -45,7 +45,7 @@ func b01(v bool) float64 {
 //
 //   - overheads, cycles/unit, instruction counts, init latency, trace
 //     bytes: LowerIsBetter;
-//   - throughput, raw MB/s / NOTPM rates, cache hit rates: HigherIsBetter
+//   - throughput, raw MB/s / NOTPM rates: HigherIsBetter
 //     (except vsftpd's Table 3 row, whose "sec" unit is a completion time
 //     and therefore LowerIsBetter);
 //   - everything the deterministic simulator pins bit-for-bit — syscall
@@ -147,20 +147,6 @@ func (r *Report) PerfArtifact(label string) *perf.Artifact {
 		a.Add(stem+"linear_overhead_pct", fr.LinearOverhead, perf.LowerIsBetter)
 		a.Add(stem+"tree_overhead_pct", fr.TreeOverhead, perf.LowerIsBetter)
 	}
-	for _, cr := range r.Cache {
-		stem := "cache." + cr.App + "."
-		a.Add(stem+"off_mon_cyc_unit", cr.OffMonPerUnit, perf.LowerIsBetter)
-		a.Add(stem+"on_mon_cyc_unit", cr.OnMonPerUnit, perf.LowerIsBetter)
-		a.Add(stem+"off_overhead_pct", cr.OffOverhead, perf.LowerIsBetter)
-		a.Add(stem+"on_overhead_pct", cr.OnOverhead, perf.LowerIsBetter)
-		a.Add(stem+"hit_rate", cr.HitRate(), perf.HigherIsBetter)
-		a.Add(stem+"hits", float64(cr.Hits), perf.Exact)
-		a.Add(stem+"misses", float64(cr.Misses), perf.Exact)
-		a.Add(stem+"inserts", float64(cr.Inserts), perf.Exact)
-		a.Add(stem+"evictions", float64(cr.Evictions), perf.Exact)
-		a.Add(stem+"off_violations", float64(cr.OffViolations), perf.Exact)
-		a.Add(stem+"on_violations", float64(cr.OnViolations), perf.Exact)
-	}
 	for _, sr := range r.SF {
 		stem := "sf." + sr.App + "."
 		a.Add(stem+"off_mon_cyc_unit", sr.OffMonPerUnit, perf.LowerIsBetter)
@@ -197,8 +183,6 @@ func (r *Report) PerfArtifact(label string) *perf.Artifact {
 		a.Add(stem+"refined_mon_cyc_unit", rr.RefinedMonPerUnit, perf.LowerIsBetter)
 		a.Add(stem+"coarse_overhead_pct", rr.CoarseOverhead, perf.LowerIsBetter)
 		a.Add(stem+"refined_overhead_pct", rr.RefinedOverhead, perf.LowerIsBetter)
-		a.Add(stem+"coarse_cache_inserts", float64(rr.CoarseCacheInserts), perf.Exact)
-		a.Add(stem+"refined_cache_inserts", float64(rr.RefinedCacheInserts), perf.Exact)
 		a.Add(stem+"coarse_violations", float64(rr.CoarseViolations), perf.Exact)
 		a.Add(stem+"refined_violations", float64(rr.RefinedViolations), perf.Exact)
 	}
@@ -221,7 +205,6 @@ func (r *Report) PerfArtifact(label string) *perf.Artifact {
 			a.Add(stem+"per_tenant_filters", float64(row.PerTenantFilters), perf.Exact)
 			a.Add(stem+"throughput", row.Throughput, perf.HigherIsBetter)
 			a.Add(stem+"mon_cyc_unit", row.MonPerUnit, perf.LowerIsBetter)
-			a.Add(stem+"cache_hit_rate", row.CacheHit, perf.HigherIsBetter)
 		}
 	}
 	return a

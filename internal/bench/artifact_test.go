@@ -50,7 +50,7 @@ func TestPerfArtifact(t *testing.T) {
 		a := seq.PerfArtifact("ci")
 		stems := []string{
 			"fig3.", "table3.", "table4.", "table5.", "table6.", "table7.",
-			"init.", "accept.", "inkernel.", "filter.", "cache.", "sf.",
+			"init.", "accept.", "inkernel.", "filter.", "sf.",
 			"offload.", "refine.", "obs.", "fleet.",
 		}
 		for _, stem := range stems {

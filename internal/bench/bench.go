@@ -119,11 +119,9 @@ type RunSpec struct {
 	// TreeFilter selects the binary-search seccomp compilation (the
 	// linear-vs-tree filter ablation).
 	TreeFilter bool
-	// VerdictCache enables the monitor's verdict cache (the cache
-	// ablation).
-	VerdictCache bool
 	// CoarsePolicies enforces the pre-refinement AllowedIndirect sets
-	// (the points-to refinement ablation).
+	// (the points-to refinement ablation) by launching on the
+	// metadata.CoarseIndirect projection.
 	CoarsePolicies bool
 	// Offload answers in-filter-decidable verdicts inside the seccomp
 	// program (the verdict-offload ablation).
@@ -203,8 +201,6 @@ func Run(spec RunSpec) (*RunResult, error) {
 		cfg.AcceptFastPath = !spec.DisableAcceptFastPath
 		cfg.InKernel = spec.InKernel
 		cfg.TreeFilter = spec.TreeFilter
-		cfg.VerdictCache = spec.VerdictCache
-		cfg.CoarsePolicies = spec.CoarsePolicies
 		cfg.Offload = spec.Offload
 		cfg, err = arts.Config(spec.App, cfg)
 		if err != nil {
@@ -214,7 +210,13 @@ func Run(spec RunSpec) (*RunResult, error) {
 		// shared artifact cache key.
 		cfg.Sink = spec.Sink
 		cfg.FlightN = spec.FlightN
-		prot, err := core.Launch(art, k, cfg, vmOpts...)
+		launched := art
+		if spec.CoarsePolicies {
+			coarse := *art
+			coarse.Meta = art.Meta.CoarseIndirect()
+			launched = &coarse
+		}
+		prot, err := core.Launch(launched, k, cfg, vmOpts...)
 		if err != nil {
 			return nil, err
 		}

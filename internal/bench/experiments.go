@@ -533,84 +533,6 @@ func RenderFilterAblation(rows []*FilterAblationResult) string {
 	return b.String()
 }
 
-// --- Ablation: verdict cache ---
-
-// CacheAblationResult compares full protection with the verdict cache off
-// and on for one application, under the file-system extension with the
-// monitor in full mode — the trap-heaviest loop, where the same call
-// paths reach the same syscalls every unit and the cache should converge
-// to near-total hit rate.
-type CacheAblationResult struct {
-	App string
-	// OffOverhead / OnOverhead are throughput overheads vs vanilla.
-	OffOverhead float64
-	OnOverhead  float64
-	// OffMonPerUnit / OnMonPerUnit are modeled monitor cycles per work
-	// unit — the serialized share the queueing model caps throughput on.
-	OffMonPerUnit float64
-	OnMonPerUnit  float64
-	// Steady-state cache statistics.
-	Hits, Misses, Inserts, Evictions uint64
-	// OffViolations / OnViolations must both be zero on the benign
-	// workload; the differential suite proves the general case.
-	OffViolations int
-	OnViolations  int
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no lookups.
-func (r *CacheAblationResult) HitRate() float64 {
-	if total := r.Hits + r.Misses; total > 0 {
-		return float64(r.Hits) / float64(total)
-	}
-	return 0
-}
-
-// CacheAblation measures the verdict-cache ablation for one application.
-func CacheAblation(app string, units int) (*CacheAblationResult, error) {
-	base, err := Run(RunSpec{App: app, Mitigation: MitVanilla, Units: units})
-	if err != nil {
-		return nil, err
-	}
-	spec := RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true}
-	off, err := Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	spec.VerdictCache = true
-	on, err := Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	mon := on.Protected.Monitor
-	return &CacheAblationResult{
-		App:           app,
-		OffOverhead:   Overhead(base, off),
-		OnOverhead:    Overhead(base, on),
-		OffMonPerUnit: off.Workload.PerUnitMonitor(),
-		OnMonPerUnit:  on.Workload.PerUnitMonitor(),
-		Hits:          mon.CacheHits,
-		Misses:        mon.CacheMisses,
-		Inserts:       mon.CacheInserts,
-		Evictions:     mon.CacheEvictions,
-		OffViolations: len(off.Protected.Monitor.Violations),
-		OnViolations:  len(on.Protected.Monitor.Violations),
-	}, nil
-}
-
-// RenderCacheAblation formats the cache ablation rows.
-func RenderCacheAblation(rows []*CacheAblationResult) string {
-	var b strings.Builder
-	b.WriteString("Verdict cache ablation: full protection, fs extension (monitor cycles per unit)\n")
-	fmt.Fprintf(&b, "%-8s %16s %16s %10s %13s %13s\n", "app",
-		"off mon cyc/unit", "on mon cyc/unit", "hit rate", "off ovh %", "on ovh %")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %16.0f %16.0f %9.1f%% %13.2f %13.2f\n", r.App,
-			r.OffMonPerUnit, r.OnMonPerUnit, r.HitRate()*100,
-			r.OffOverhead, r.OnOverhead)
-	}
-	return b.String()
-}
-
 // --- Ablation: syscall-flow context ---
 
 // SFAblationResult compares full protection with the syscall-flow context
@@ -781,17 +703,13 @@ func RenderOffloadAblation(rows []*OffloadAblationResult) string {
 type RefineAblationResult struct {
 	App string
 	// CoarseOverhead / RefinedOverhead are percent vs vanilla under full
-	// protection with the fs extension and the verdict cache on.
+	// protection with the fs extension.
 	CoarseOverhead  float64
 	RefinedOverhead float64
 	// Monitor cycles per work unit — the CF walk terminates at the
 	// indirect-callsite policy lookup, so any set-size effect lands here.
 	CoarseMonPerUnit  float64
 	RefinedMonPerUnit float64
-	// Cache-key population: inserts measure how many distinct verdict keys
-	// the policy precision induces on the benign workload.
-	CoarseCacheInserts  uint64
-	RefinedCacheInserts uint64
 	// Static policy sizes from the compiler's refinement statistics.
 	EdgesCoarse  int // Σ per-site candidate targets, address-taken
 	EdgesRefined int // Σ per-site candidate targets, points-to–refined
@@ -813,7 +731,7 @@ func RefineAblation(app string, units int) (*RefineAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, VerdictCache: true}
+	spec := RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true}
 	spec.CoarsePolicies = true
 	coarse, err := Run(spec)
 	if err != nil {
@@ -826,28 +744,26 @@ func RefineAblation(app string, units int) (*RefineAblationResult, error) {
 	}
 	st := refined.Stats.Stats
 	return &RefineAblationResult{
-		App:                 app,
-		CoarseOverhead:      Overhead(base, coarse),
-		RefinedOverhead:     Overhead(base, refined),
-		CoarseMonPerUnit:    coarse.Workload.PerUnitMonitor(),
-		RefinedMonPerUnit:   refined.Workload.PerUnitMonitor(),
-		CoarseCacheInserts:  coarse.Protected.Monitor.CacheInserts,
-		RefinedCacheInserts: refined.Protected.Monitor.CacheInserts,
-		EdgesCoarse:         st.IndirectEdgesCoarse,
-		EdgesRefined:        st.IndirectEdgesRefined,
-		PairsCoarse:         st.AllowedPairsCoarse,
-		PairsRefined:        st.AllowedPairsRefined,
-		ExactSites:          st.ExactIndirectSites,
-		EscapedSites:        st.EscapedIndirectSites,
-		CoarseViolations:    len(coarse.Protected.Monitor.Violations),
-		RefinedViolations:   len(refined.Protected.Monitor.Violations),
+		App:               app,
+		CoarseOverhead:    Overhead(base, coarse),
+		RefinedOverhead:   Overhead(base, refined),
+		CoarseMonPerUnit:  coarse.Workload.PerUnitMonitor(),
+		RefinedMonPerUnit: refined.Workload.PerUnitMonitor(),
+		EdgesCoarse:       st.IndirectEdgesCoarse,
+		EdgesRefined:      st.IndirectEdgesRefined,
+		PairsCoarse:       st.AllowedPairsCoarse,
+		PairsRefined:      st.AllowedPairsRefined,
+		ExactSites:        st.ExactIndirectSites,
+		EscapedSites:      st.EscapedIndirectSites,
+		CoarseViolations:  len(coarse.Protected.Monitor.Violations),
+		RefinedViolations: len(refined.Protected.Monitor.Violations),
 	}, nil
 }
 
 // RenderRefineAblation formats the refinement ablation rows.
 func RenderRefineAblation(rows []*RefineAblationResult) string {
 	var b strings.Builder
-	b.WriteString("Points-to refinement ablation: full protection, fs extension, verdict cache\n")
+	b.WriteString("Points-to refinement ablation: full protection, fs extension\n")
 	fmt.Fprintf(&b, "%-8s %11s %12s %16s %16s %13s %13s %6s %7s\n", "app",
 		"edges c->r", "pairs c->r", "coarse cyc/unit", "refined cyc/unit",
 		"coarse ovh %", "refined ovh %", "exact", "escaped")
@@ -886,10 +802,10 @@ type ObsAblationResult struct {
 }
 
 // ObsAblation measures the observability ablation for one application:
-// full protection with the fs extension and verdict cache, telemetry off
-// versus a buffered trace sink plus a 32-deep flight recorder.
+// full protection with the fs extension, telemetry off versus a buffered
+// trace sink plus a 32-deep flight recorder.
 func ObsAblation(app string, units int) (*ObsAblationResult, error) {
-	spec := RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, VerdictCache: true}
+	spec := RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true}
 	off, err := Run(spec)
 	if err != nil {
 		return nil, err
@@ -920,7 +836,7 @@ func ObsAblation(app string, units int) (*ObsAblationResult, error) {
 // RenderObsAblation formats the observability ablation rows.
 func RenderObsAblation(rows []*ObsAblationResult) string {
 	var b strings.Builder
-	b.WriteString("Observability ablation: full protection, fs extension, verdict cache; trace sink + flight recorder on vs off\n")
+	b.WriteString("Observability ablation: full protection, fs extension; trace sink + flight recorder on vs off\n")
 	fmt.Fprintf(&b, "%-8s %16s %15s %8s %8s %11s %9s\n", "app",
 		"off mon cyc/unit", "on mon cyc/unit", "traps", "events", "trace bytes", "identical")
 	for _, r := range rows {
@@ -987,7 +903,7 @@ func SortedSensitiveNames() []string {
 type BsideAblationResult struct {
 	App string
 	// TracedOverhead / BsideOverhead are percent vs vanilla, full
-	// contexts with the fs extension and verdict cache on. The b-side run
+	// contexts with the fs extension. The b-side run
 	// executes the raw (intrinsic-free) binary, so its guest does less
 	// work per unit while its monitor checks the same trap stream.
 	TracedOverhead float64
@@ -1024,7 +940,7 @@ func BsideAblation(app string, units int) (*BsideAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	traced, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, VerdictCache: true})
+	traced, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true})
 	if err != nil {
 		return nil, err
 	}
@@ -1051,7 +967,6 @@ func BsideAblation(app string, units int) (*BsideAblationResult, error) {
 	}
 	cfg := monitor.DefaultConfig()
 	cfg.ExtendFS = true
-	cfg.VerdictCache = true
 	prot, err := core.Launch(&core.Artifact{Prog: prog, Meta: ext.Meta}, k, cfg,
 		vm.WithMitigations(cet.New()), vm.WithMaxSteps(1<<34))
 	if err != nil {

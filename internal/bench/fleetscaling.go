@@ -27,7 +27,6 @@ type FleetScalingRow struct {
 	// Fleet-wide measurements (identical across both regimes; enforced).
 	Throughput float64 // units per simulated second
 	MonPerUnit float64 // monitor cycles per unit
-	CacheHit   float64 // fleet verdict-cache hit rate
 }
 
 // SharedCompilesPerTenant is the amortized setup-cost measure: with
@@ -58,7 +57,6 @@ func FleetScaling(units int) (*FleetScalingResult, error) {
 	res := &FleetScalingResult{Apps: Apps, Units: units}
 	for _, tenants := range FleetTenantCounts {
 		cfg := fleet.DefaultConfig(tenants, units, Apps...)
-		cfg.VerdictCache = true
 		cfg.Seed = 42
 
 		shared, err := fleet.Run(cfg)
@@ -82,7 +80,6 @@ func FleetScaling(units int) (*FleetScalingResult, error) {
 			PerTenantFilters:  private.FilterCompiles,
 			Throughput:        shared.Throughput(),
 			MonPerUnit:        shared.MonitorCyclesPerUnit(),
-			CacheHit:          shared.CacheHitRate(),
 		})
 	}
 	return res, nil
@@ -91,14 +88,14 @@ func FleetScaling(units int) (*FleetScalingResult, error) {
 // RenderFleetScaling formats the scaling ablation.
 func RenderFleetScaling(r *FleetScalingResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet scaling (%s round-robin, %d units/tenant, full protection + cache):\n",
+	fmt.Fprintf(&b, "fleet scaling (%s round-robin, %d units/tenant, full protection):\n",
 		strings.Join(r.Apps, ","), r.Units)
-	b.WriteString("tenants | shared compiles (/tenant) | per-tenant compiles (/tenant) | units/s | mon cyc/unit | cache hit\n")
+	b.WriteString("tenants | shared compiles (/tenant) | per-tenant compiles (/tenant) | units/s | mon cyc/unit\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%7d | %7d (%.3f) | %7d (%.3f) | %10.0f | %7.0f | %.2f\n",
+		fmt.Fprintf(&b, "%7d | %7d (%.3f) | %7d (%.3f) | %10.0f | %7.0f\n",
 			row.Tenants, row.SharedCompiles, row.SharedCompilesPerTenant(),
 			row.PerTenantCompiles, row.PerTenantCompilesPerTenant(),
-			row.Throughput, row.MonPerUnit, row.CacheHit)
+			row.Throughput, row.MonPerUnit)
 	}
 	return b.String()
 }

@@ -23,7 +23,6 @@ type Report struct {
 	Accept  *AblationResult
 	InK     []*InKernelResult
 	Filter  []*FilterAblationResult
-	Cache   []*CacheAblationResult
 	SF      []*SFAblationResult
 	Offload []*OffloadAblationResult
 	Refine  []*RefineAblationResult
@@ -63,7 +62,6 @@ func CollectReportParallel(units, workers int) (*Report, error) {
 		Init:    make([]*InitDepthStats, len(Apps)),
 		InK:     make([]*InKernelResult, len(Apps)),
 		Filter:  make([]*FilterAblationResult, len(Apps)),
-		Cache:   make([]*CacheAblationResult, len(Apps)),
 		SF:      make([]*SFAblationResult, len(Apps)),
 		Offload: make([]*OffloadAblationResult, len(Apps)),
 		Refine:  make([]*RefineAblationResult, len(Apps)),
@@ -89,7 +87,6 @@ func CollectReportParallel(units, workers int) (*Report, error) {
 			task{"init/depth " + app, func() (err error) { r.Init[i], err = InitAndDepth(app, units); return }},
 			task{"in-kernel " + app, func() (err error) { r.InK[i], err = InKernelAblation(app, units); return }},
 			task{"filter ablation " + app, func() (err error) { r.Filter[i], err = FilterAblation(app, units); return }},
-			task{"cache ablation " + app, func() (err error) { r.Cache[i], err = CacheAblation(app, units); return }},
 			task{"sf ablation " + app, func() (err error) { r.SF[i], err = SFAblation(app, units); return }},
 			task{"offload ablation " + app, func() (err error) { r.Offload[i], err = OffloadAblation(app, units); return }},
 			task{"refine ablation " + app, func() (err error) { r.Refine[i], err = RefineAblation(app, units); return }},
@@ -243,15 +240,6 @@ func (r *Report) Markdown() string {
 			fr.LinearOverhead, fr.TreeOverhead)
 	}
 
-	b.WriteString("\n## Verdict cache ablation — full protection, fs extension\n\n")
-	b.WriteString("Monitor cycles per work unit with the verdict cache off vs on; hits skip the CT/CF checks and constant-argument verification, while memory-backed and pointee arguments are always re-verified against shadow memory.\n\n")
-	b.WriteString("| app | off mon cyc/unit | on mon cyc/unit | hit rate | off overhead | on overhead |\n|---|---|---|---|---|---|\n")
-	for _, cr := range r.Cache {
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %.1f%% | %.2f%% | %.2f%% |\n", cr.App,
-			cr.OffMonPerUnit, cr.OnMonPerUnit, cr.HitRate()*100,
-			cr.OffOverhead, cr.OnOverhead)
-	}
-
 	b.WriteString("\n## Syscall-flow ablation — SF context off vs on\n\n")
 	b.WriteString("Full protection with the syscall-flow context disabled (ct,cf,ai — the pre-SF configuration) and enabled. SF charges one transition-table lookup per full-mode trap; both runs must stay violation-free, since the flow graph is derived from the program's own CFG.\n\n")
 	b.WriteString("| app | off mon cyc/unit | on mon cyc/unit | flow checks | traps | off overhead | on overhead |\n|---|---|---|---|---|---|---|\n")
@@ -272,7 +260,7 @@ func (r *Report) Markdown() string {
 	}
 
 	b.WriteString("\n## Points-to refinement ablation — coarse vs refined indirect-call policies\n\n")
-	b.WriteString("Static policy sizes (indirect-call edges and per-syscall allowed callsite pairs) before and after the points-to refinement, and the runtime cost of enforcing each under full protection with the fs extension and verdict cache. Verdicts are asserted identical by the attack replay suite; only policy size and lookup cost may differ.\n\n")
+	b.WriteString("Static policy sizes (indirect-call edges and per-syscall allowed callsite pairs) before and after the points-to refinement, and the runtime cost of enforcing each under full protection with the fs extension. Verdicts are asserted identical by the attack replay suite; only policy size and lookup cost may differ.\n\n")
 	b.WriteString("| app | edges coarse→refined | pairs coarse→refined | exact sites | escaped sites | coarse mon cyc/unit | refined mon cyc/unit | coarse overhead | refined overhead |\n|---|---|---|---|---|---|---|---|---|\n")
 	for _, rr := range r.Refine {
 		fmt.Fprintf(&b, "| %s | %d→%d | %d→%d | %d | %d | %.0f | %.0f | %.2f%% | %.2f%% |\n", rr.App,
@@ -283,7 +271,7 @@ func (r *Report) Markdown() string {
 	}
 
 	b.WriteString("\n## Observability ablation — trace sink and flight recorder on vs off\n\n")
-	b.WriteString("Full protection with the fs extension and verdict cache, rerun with a buffered decision-trace sink and a 32-deep flight recorder attached. Telemetry reads the simulated clock but never advances it, so the cycle accounts must be bit-identical — the trace's cost is its bytes, off the simulated timeline.\n\n")
+	b.WriteString("Full protection with the fs extension, rerun with a buffered decision-trace sink and a 32-deep flight recorder attached. Telemetry reads the simulated clock but never advances it, so the cycle accounts must be bit-identical — the trace's cost is its bytes, off the simulated timeline.\n\n")
 	b.WriteString("| app | off mon cyc/unit | on mon cyc/unit | traps | events | trace bytes | identical |\n|---|---|---|---|---|---|---|\n")
 	for _, or := range r.Obs {
 		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %d | %d | %d | %s |\n", or.App,
@@ -292,13 +280,13 @@ func (r *Report) Markdown() string {
 	}
 
 	b.WriteString("\n## Fleet scaling — shared vs per-tenant compilation\n\n")
-	b.WriteString("Multi-tenant supervisor (internal/fleet) running the three apps round-robin under full protection with the verdict cache on. Tenant-visible results are asserted identical across the two compilation regimes; only setup cost differs.\n\n")
-	b.WriteString("| tenants | shared compiles (/tenant) | per-tenant compiles (/tenant) | units/s | mon cyc/unit | cache hit |\n|---|---|---|---|---|---|\n")
+	b.WriteString("Multi-tenant supervisor (internal/fleet) running the three apps round-robin under full protection. Tenant-visible results are asserted identical across the two compilation regimes; only setup cost differs.\n\n")
+	b.WriteString("| tenants | shared compiles (/tenant) | per-tenant compiles (/tenant) | units/s | mon cyc/unit |\n|---|---|---|---|---|\n")
 	for _, row := range r.Fleet.Rows {
-		fmt.Fprintf(&b, "| %d | %d (%.3f) | %d (%.3f) | %.0f | %.0f | %.2f |\n",
+		fmt.Fprintf(&b, "| %d | %d (%.3f) | %d (%.3f) | %.0f | %.0f |\n",
 			row.Tenants, row.SharedCompiles, row.SharedCompilesPerTenant(),
 			row.PerTenantCompiles, row.PerTenantCompilesPerTenant(),
-			row.Throughput, row.MonPerUnit, row.CacheHit)
+			row.Throughput, row.MonPerUnit)
 	}
 
 	b.WriteString("\n## §9.2 / §11.2 extras\n\n")

@@ -78,13 +78,12 @@ func ShardScaling(units int, tenantCounts, shardCounts []int) (*ShardScalingResu
 	for _, tenants := range tenantCounts {
 		for _, shards := range shardCounts {
 			cfg := fleet.DefaultConfig(tenants, units, Apps...)
-			cfg.VerdictCache = true
 			cfg.Seed = 42
 			cfg.Shards = shards
 			cfg.Admission = shardBenchAdmission()
 			if res.ReloadAt > 0 {
 				cfg.ReloadAt = res.ReloadAt
-				cfg.ReloadSpec = &fleet.PolicySpec{VerdictCache: true, TreeFilter: true}
+				cfg.ReloadSpec = &fleet.PolicySpec{TreeFilter: true}
 			}
 
 			rep, err := fleet.Run(cfg)

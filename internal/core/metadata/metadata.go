@@ -309,15 +309,19 @@ func New() *Metadata {
 	}
 }
 
-// EffectiveAllowedIndirect returns the indirect-callsite policy for the
-// requested precision: the refined sets by default, the coarse baseline
-// when coarse is true (the refinement ablation). Metadata predating the
-// refinement has no coarse sets; the refined map doubles as both.
-func (m *Metadata) EffectiveAllowedIndirect(coarse bool) NrAddrSets {
-	if coarse && m.AllowedIndirectCoarse != nil {
-		return m.AllowedIndirectCoarse
+// CoarseIndirect projects the metadata onto the pre-refinement
+// indirect-callsite policy, for the refinement ablation: it returns a
+// shallow copy whose AllowedIndirect is AllowedIndirectCoarse. Metadata
+// predating the refinement has no coarse sets, and the receiver itself is
+// returned. The copy shares every other map with the receiver, so neither
+// may be mutated afterwards.
+func (m *Metadata) CoarseIndirect() *Metadata {
+	if m.AllowedIndirectCoarse == nil {
+		return m
 	}
-	return m.AllowedIndirect
+	c := *m
+	c.AllowedIndirect = m.AllowedIndirectCoarse
+	return &c
 }
 
 // FuncAt returns the function whose code range contains addr, or "". It

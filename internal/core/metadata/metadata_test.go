@@ -71,6 +71,33 @@ func TestCallerAllowed(t *testing.T) {
 	}
 }
 
+// TestCoarseIndirect: the projection swaps in the coarse indirect-call
+// sets on a copy, leaves the receiver untouched, validates, and is the
+// identity on metadata that has no coarse sets.
+func TestCoarseIndirect(t *testing.T) {
+	m := sampleMeta()
+	if got := m.CoarseIndirect(); got != m {
+		t.Fatal("metadata without coarse sets must project onto itself")
+	}
+	m.AllowedIndirectCoarse = NrAddrSets{59: AddrSet{0x400200: true, 0x400204: true}}
+	c := m.CoarseIndirect()
+	if c == m {
+		t.Fatal("projection returned the receiver")
+	}
+	if !c.AllowedIndirect[59][0x400204] || len(c.AllowedIndirect[59]) != 2 {
+		t.Fatalf("projected AllowedIndirect = %v, want the coarse set", c.AllowedIndirect)
+	}
+	if len(m.AllowedIndirect[59]) != 1 {
+		t.Fatalf("receiver mutated: AllowedIndirect = %v", m.AllowedIndirect)
+	}
+	if len(c.Callsites) != len(m.Callsites) || c.Entry != m.Entry {
+		t.Fatal("projection dropped non-indirect facts")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("projection does not validate: %v", err)
+	}
+}
+
 func TestSerializationPreservesEverything(t *testing.T) {
 	m := sampleMeta()
 	data, err := m.Marshal()

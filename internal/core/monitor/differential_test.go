@@ -1,19 +1,29 @@
 package monitor_test
 
-// Differential attack-matrix suite: the verdict cache must be
-// observationally invisible. For every attack in the Table 6 catalog and
-// every benchmark workload, a cache-on monitor and a cache-off monitor
+// Differential attack-matrix suite: the on-disk artifact path must be
+// observationally invisible. Policy artifacts reach a monitor as JSON
+// sidecars (bastion-exec, bastion-extract output, hot reload), so for
+// every attack in the Table 6 catalog and every benchmark workload, a
+// monitor judging from metadata that went through Marshal and Unmarshal
 // must report byte-identical violation sets, identical kill decisions,
-// and identical ViolatedContexts — across every context set and monitor
-// mode. The cache may only change cycle accounting, never verdicts.
+// identical ViolatedContexts and identical cycle accounts to one judging
+// from the compiler's in-memory metadata — across every context set and
+// monitor mode.
 
 import (
 	"fmt"
 	"testing"
 
 	"bastion/internal/attacks"
+	"bastion/internal/baseline/cet"
 	"bastion/internal/bench"
+	"bastion/internal/core"
+	"bastion/internal/core/metadata"
 	"bastion/internal/core/monitor"
+	"bastion/internal/fleet"
+	"bastion/internal/kernel"
+	"bastion/internal/vm"
+	"bastion/internal/workload"
 )
 
 // observation is everything externally visible about one monitored run.
@@ -53,6 +63,11 @@ func observe(t *testing.T, s attacks.Scenario, d attacks.Defense) (observation, 
 	if err != nil {
 		t.Fatalf("%s under %s: %v", s.ID, d.Name, err)
 	}
+	return observationOf(out, env), env
+}
+
+// observationOf captures a finished scenario's observable outcome.
+func observationOf(out attacks.Outcome, env *attacks.Env) observation {
 	o := observation{
 		completed: out.Completed,
 		killed:    out.Killed,
@@ -64,12 +79,29 @@ func observe(t *testing.T, s attacks.Scenario, d attacks.Defense) (observation, 
 	for _, v := range mon.Violations {
 		o.violations = append(o.violations, v.String())
 	}
-	return o, env
+	return o
+}
+
+// roundTrip returns a copy of the artifact whose metadata went through
+// the JSON sidecar format and back.
+func roundTrip(t *testing.T, art *core.Artifact) *core.Artifact {
+	t.Helper()
+	data, err := art.Meta.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := metadata.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := *art
+	rt.Meta = meta
+	return &rt
 }
 
 // differentialCases is the monitor-configuration matrix: every context in
 // isolation and combined under full mode, plus the reduced modes (where
-// checking is disabled, so the cache must stay entirely silent).
+// checking is disabled, so policy precision must stay entirely silent).
 var differentialCases = []struct {
 	name     string
 	contexts monitor.Context
@@ -86,50 +118,54 @@ var differentialCases = []struct {
 }
 
 // TestDifferentialAttackMatrix runs the complete Table 6 catalog through
-// every monitor configuration twice — verdict cache off and on — and
-// requires identical observations.
+// every monitor configuration twice — from the in-memory and from the
+// round-tripped metadata — and requires identical observations.
 func TestDifferentialAttackMatrix(t *testing.T) {
-	var lookups, hits uint64
 	for _, s := range attacks.Catalog() {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
+			prog, err := attacks.BuildApp(s.App)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := core.Compile(prog, core.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := roundTrip(t, art)
 			for _, c := range differentialCases {
 				d := attacks.Defense{
 					Name: "diff/" + c.name, UseMonitor: true,
 					Contexts: c.contexts, Mode: c.mode,
 				}
-				off, _ := observe(t, s, d)
-				d.VerdictCache = true
-				on, onEnv := observe(t, s, d)
-				if !off.equal(on) {
-					t.Errorf("%s: cache changed the observable outcome\n  off: %s\n  on:  %s",
-						c.name, off, on)
+				var obs [2]observation
+				var cycles [2]uint64
+				for i, a := range []*core.Artifact{art, rt} {
+					env, err := attacks.LaunchArtifact(s.App, a, d)
+					if err != nil {
+						t.Fatalf("%s under %s: %v", s.ID, d.Name, err)
+					}
+					obs[i] = observationOf(attacks.Replay(s, env), env)
+					cycles[i] = env.P.Kernel.Clock.Cycles
 				}
-				mon := onEnv.P.Monitor
-				lookups += mon.CacheHits + mon.CacheMisses
-				hits += mon.CacheHits
-				if c.mode != monitor.ModeFull && mon.CacheHits+mon.CacheMisses+mon.CacheInserts != 0 {
-					t.Errorf("%s: cache active outside full mode (hits=%d misses=%d inserts=%d)",
-						c.name, mon.CacheHits, mon.CacheMisses, mon.CacheInserts)
+				if !obs[0].equal(obs[1]) {
+					t.Errorf("%s: the sidecar round trip changed the observable outcome\n  in-memory:    %s\n  round-tripped: %s",
+						c.name, obs[0], obs[1])
+				}
+				if cycles[0] != cycles[1] {
+					t.Errorf("%s: the sidecar round trip changed the cycle account: %d vs %d", c.name, cycles[0], cycles[1])
 				}
 			}
 		})
 	}
-	// The attack corpus is cold-start by construction (one fresh monitor
-	// per launch, few traps each): the cache should be exercised but far
-	// from the loop-workload hit rates.
-	if lookups == 0 {
-		t.Fatal("verdict cache never consulted across the attack matrix")
-	}
-	t.Logf("attack-corpus cache hit rate: %d/%d (%.1f%%)",
-		hits, lookups, float64(hits)/float64(lookups)*100)
 }
 
 // TestDifferentialWorkloads drives the three benchmark workloads under
-// cache-off and cache-on full protection (with and without the fs
-// extension) and requires identical detection results — and, for the
-// trap-heavy fs-extension runs, an actually-exercised cache.
+// full protection (with and without the fs extension) from the in-memory
+// and from the round-tripped metadata, and requires identical workload
+// measurements, violation-free on both sides.
 func TestDifferentialWorkloads(t *testing.T) {
+	arts := fleet.NewArtifacts()
 	for _, app := range bench.Apps {
 		for _, extendFS := range []bool{false, true} {
 			name := app
@@ -137,39 +173,45 @@ func TestDifferentialWorkloads(t *testing.T) {
 				name += "/fs"
 			}
 			t.Run(name, func(t *testing.T) {
-				spec := bench.RunSpec{App: app, Mitigation: bench.MitFull, Units: 25, ExtendFS: extendFS}
-				off, err := bench.Run(spec)
+				art, err := arts.Compiled(app)
 				if err != nil {
-					t.Fatalf("cache-off run: %v", err)
+					t.Fatal(err)
 				}
-				spec.VerdictCache = true
-				on, err := bench.Run(spec)
-				if err != nil {
-					t.Fatalf("cache-on run: %v", err)
+				cfg := monitor.DefaultConfig()
+				cfg.ExtendFS = extendFS
+				mem, memMon := runWorkload(t, app, art, cfg)
+				rt, rtMon := runWorkload(t, app, roundTrip(t, art), cfg)
+				if len(memMon.Violations) != 0 || len(rtMon.Violations) != 0 {
+					t.Fatalf("benign workload flagged: in-memory=%v round-tripped=%v", memMon.Violations, rtMon.Violations)
 				}
-				offMon, onMon := off.Protected.Monitor, on.Protected.Monitor
-				if len(offMon.Violations) != 0 || len(onMon.Violations) != 0 {
-					t.Fatalf("benign workload flagged: off=%v on=%v", offMon.Violations, onMon.Violations)
-				}
-				if got, want := onMon.ViolatedContexts(), offMon.ViolatedContexts(); got != want {
-					t.Fatalf("ViolatedContexts diverged: %v vs %v", got, want)
-				}
-				if off.Workload.Units != on.Workload.Units || off.Workload.Bytes != on.Workload.Bytes {
-					t.Fatalf("workload results diverged: off=%+v on=%+v", off.Workload, on.Workload)
-				}
-				if off.Workload.Traps != on.Workload.Traps {
-					t.Fatalf("trap counts diverged: %d vs %d", off.Workload.Traps, on.Workload.Traps)
-				}
-				if extendFS {
-					if onMon.CacheHits == 0 {
-						t.Fatal("fs-extension workload produced no cache hits")
-					}
-					if on.Workload.MonitorCycles >= off.Workload.MonitorCycles {
-						t.Errorf("cache-on monitor cycles %d not below cache-off %d",
-							on.Workload.MonitorCycles, off.Workload.MonitorCycles)
-					}
+				if mem != rt {
+					t.Fatalf("workload results diverged: in-memory=%+v round-tripped=%+v", mem, rt)
 				}
 			})
 		}
 	}
+}
+
+// runWorkload runs 25 units of an application's benchmark workload on a
+// fresh kernel, protected by the monitor and CET as bench.MitFull is.
+func runWorkload(t *testing.T, app string, art *core.Artifact, cfg monitor.Config) (workload.Result, *monitor.Monitor) {
+	t.Helper()
+	target, err := workload.NewTarget(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(nil)
+	k.Costs.IOPerByte = workload.IOPerByte(app)
+	if err := target.Fixture(k); err != nil {
+		t.Fatal(err)
+	}
+	prot, err := core.Launch(art, k, cfg, vm.WithMitigations(cet.New()), vm.WithMaxSteps(1<<34))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := workload.Run(target, prot, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, prot.Monitor
 }

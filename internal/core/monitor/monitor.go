@@ -36,8 +36,8 @@ const (
 	// legal successor of the previously trapped one under the statically
 	// derived transition graph (metadata.FlowGraph), projected at attach
 	// time onto the set of syscalls the policy actually traps. It is the
-	// only context with cross-trap state, so its verdict is never cached
-	// and it disqualifies verdict offload (see DeriveOffload).
+	// only context with cross-trap state, so it disqualifies verdict
+	// offload (see DeriveOffload).
 	SyscallFlow
 
 	AllContexts = CallType | ControlFlow | ArgIntegrity | SyscallFlow
@@ -107,19 +107,13 @@ type Costs struct {
 	// SFCheck is the syscall-flow transition check: one edge-set membership
 	// probe per trap, cheaper than CTCheck because no stack is consulted.
 	SFCheck uint64
-	// CacheLookup / CacheInsert are the verdict-cache charges: every
-	// cache-enabled trap pays one lookup; a passing miss also pays one
-	// insert. A hit then skips the CT, CF, and constant-argument charges,
-	// which is the hit/miss asymmetry the performance model measures.
-	CacheLookup uint64
-	CacheInsert uint64
 }
 
 // DefaultCosts returns the calibrated monitor cost model.
 func DefaultCosts() Costs {
 	return Costs{
 		TrapRoundTrip: 2600, CTCheck: 60, CFPerFrame: 35, AIPerArg: 90, PointeePerByte: 2,
-		SFCheck: 25, CacheLookup: 18, CacheInsert: 45,
+		SFCheck: 25,
 	}
 }
 
@@ -155,21 +149,6 @@ type Config struct {
 	// non-sensitive ExtendFS syscalls with uniform register-constant
 	// argument sites).
 	Offload bool
-	// VerdictCache memoizes the trace-dependent verdicts (CT, CF, and the
-	// constant-argument portion of AI) keyed on the syscall number and the
-	// unwound stack trace; memory-backed and pointee arguments are always
-	// re-verified against shadow memory (see cache.go). Off by default.
-	VerdictCache bool
-	// VerdictCacheCap bounds the cache; 0 selects DefaultVerdictCacheCap.
-	// The oldest entry is evicted when full.
-	VerdictCacheCap int
-	// CoarsePolicies makes the control-flow context enforce the
-	// pre-refinement AllowedIndirect sets (address-taken, signature-
-	// matched) instead of the points-to–refined ones. Refinement only
-	// removes statically impossible edges, so flipping this must never
-	// change a verdict on legitimate traffic — the refinement ablation
-	// and the attack-replay suite check exactly that.
-	CoarsePolicies bool
 	// Filter, when non-nil, is a precompiled seccomp program installed
 	// verbatim instead of compiling one from metadata at attach time. It
 	// must equal what BuildFilter produces for the same metadata and
@@ -193,11 +172,6 @@ type Config struct {
 	MaxUnwindDepth int
 	Costs          Costs
 }
-
-// DefaultVerdictCacheCap is the default verdict-cache capacity: distinct
-// (syscall, trace) pairs are bounded by the static callsite structure, so
-// a few thousand entries hold every workload's steady state.
-const DefaultVerdictCacheCap = 4096
 
 // DefaultConfig enables everything with the fast path on.
 func DefaultConfig() Config {
@@ -249,15 +223,8 @@ type Monitor struct {
 	// symbol recovery, seccomp installation).
 	InitCycles uint64
 
-	// Verdict-cache statistics (zero when the cache is disabled).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheInserts   uint64
-	CacheEvictions uint64
-
 	// FlowChecks counts syscall-flow transition checks: every ModeFull
-	// trap while the context is enforced, cache hits included (the SF
-	// verdict is never cached).
+	// trap while the context is enforced.
 	FlowChecks uint64
 
 	// Offload is the in-filter verdict plan derived at attach time (empty
@@ -282,8 +249,6 @@ type Monitor struct {
 	// Recorder is the flight recorder (nil unless Config.FlightN > 0).
 	Recorder *obs.FlightRecorder
 
-	cache *verdictCache
-
 	// Policy hot-reload state: gen is the enforced artifact generation (0
 	// at launch), staged the armed-but-unapplied bundle a trap boundary
 	// will swap in (see swap.go).
@@ -295,7 +260,7 @@ type Monitor struct {
 	// graph onto the trapped syscall set; sfPrev/sfActive are the
 	// per-process transition state — the only cross-trap enforcement state
 	// the monitor keeps, which is why syscall-flow verdicts are never
-	// cached and never offloaded. sfEnforce is false when the context is
+	// offloaded. sfEnforce is false when the context is
 	// disabled or the metadata carries no (or an empty) flow graph.
 	sfEnforce bool
 	sfStart   map[uint32]struct{}
@@ -310,9 +275,9 @@ type Monitor struct {
 	frameScratch []stackFrame
 	histByNr     map[uint32]*obs.Histogram
 
-	violCounter                                                *obs.Counter
-	cycFetch, cycUnwind, cycLookup, cycCT, cycCF, cycAI, cycSF *obs.Counter
-	histTrap, histDepth, histPointee                           *obs.Histogram
+	violCounter                                     *obs.Counter
+	cycFetch, cycUnwind, cycCT, cycCF, cycAI, cycSF *obs.Counter
+	histTrap, histDepth, histPointee                *obs.Histogram
 }
 
 // trapStat accumulates one trap's telemetry while it executes. Stage
@@ -324,10 +289,9 @@ type trapStat struct {
 	nr      uint32
 	fetched bool
 
-	fetch, unwind, lookup, ct, cf, ai, sf uint64
+	fetch, unwind, ct, cf, ai, sf uint64
 
 	vCT, vCF, vAI, vSF obs.Verdict
-	cache              obs.CacheOutcome
 	depth              int
 	pointee            uint64
 }
@@ -346,9 +310,6 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 	if err := meta.Validate(); err != nil {
 		return nil, fmt.Errorf("monitor: %w", err)
 	}
-	if cfg.VerdictCacheCap <= 0 {
-		cfg.VerdictCacheCap = DefaultVerdictCacheCap
-	}
 	m := &Monitor{
 		Meta:       meta,
 		Cfg:        cfg,
@@ -356,9 +317,6 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		proc:       proc,
 		ChecksByNr: map[uint32]uint64{},
 		Offload:    DeriveOffload(meta, cfg),
-	}
-	if cfg.VerdictCache {
-		m.cache = newVerdictCache(cfg.VerdictCacheCap)
 	}
 	m.buildFlowProjection()
 	m.initTelemetry()
@@ -469,10 +427,6 @@ func setKeys(s metadata.NrSet) []uint32 {
 func (m *Monitor) initTelemetry() {
 	r := obs.NewRegistry()
 	r.BindCounter("monitor_hooks_total", &m.Hooks)
-	r.BindCounter("monitor_cache_hits_total", &m.CacheHits)
-	r.BindCounter("monitor_cache_misses_total", &m.CacheMisses)
-	r.BindCounter("monitor_cache_inserts_total", &m.CacheInserts)
-	r.BindCounter("monitor_cache_evictions_total", &m.CacheEvictions)
 	r.BindCounter("monitor_flow_checks_total", &m.FlowChecks)
 	r.BindCounterMap("monitor_checks_total", m.ChecksByNr, kernel.Name)
 	if m.proc != nil {
@@ -483,7 +437,6 @@ func (m *Monitor) initTelemetry() {
 	m.violCounter = r.Counter("monitor_violations_total")
 	m.cycFetch = r.Counter("monitor_cycles_fetch_total")
 	m.cycUnwind = r.Counter("monitor_cycles_unwind_total")
-	m.cycLookup = r.Counter("monitor_cycles_cache_lookup_total")
 	m.cycCT = r.Counter("monitor_cycles_ct_total")
 	m.cycCF = r.Counter("monitor_cycles_cf_total")
 	m.cycAI = r.Counter("monitor_cycles_ai_total")
@@ -645,12 +598,9 @@ func (m *Monitor) trap(p *kernel.Process) error {
 	if m.Cfg.Mode == ModeFetchOnly {
 		return nil
 	}
-	violated := false
 
-	// Syscall-flow context: the transition check runs before the verdict
-	// cache and on every ModeFull trap (including the accept fast path)
-	// because its verdict depends on sfPrev — cross-trap state no
-	// (nr, trace, regs) cache key captures — and because the state machine
+	// Syscall-flow context: the transition check runs on every ModeFull
+	// trap (including the accept fast path) because the state machine
 	// must advance on every observed syscall, violations and report-only
 	// runs included, to keep judging later transitions from the syscall
 	// that actually executed.
@@ -672,7 +622,6 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		st.sf = *clk - c
 		if v != nil {
 			st.vSF = obs.VerdictViolation
-			violated = true
 			if err := m.flag(*v); err != nil {
 				return err
 			}
@@ -681,47 +630,18 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		}
 	}
 
-	// Verdict cache: the key must be computed over the full fetched state
-	// (trace, clean bit, const-arg registers), so lookup happens after the
-	// unwind. The fast path is already minimal and stays uncached.
-	hit := false
-	var key cacheKey
-	useCache := m.cache != nil && !fast
-	if m.cache != nil && fast {
-		st.cache = obs.CacheBypass
-	}
-	if useCache {
-		c = *clk
-		p.K.Clock.Add(m.Cfg.Costs.CacheLookup)
-		key = m.verdictKey(nr, regs, trace, clean)
-		if m.cache.contains(key) {
-			m.CacheHits++
-			hit = true
-			st.cache = obs.CacheHit
-		} else {
-			m.CacheMisses++
-			st.cache = obs.CacheMiss
-		}
-		st.lookup = *clk - c
-	}
-
 	if m.Cfg.Contexts&CallType != 0 {
-		if hit {
-			st.vCT = obs.VerdictCached
-		} else {
-			c = *clk
-			p.K.Clock.Add(m.Cfg.Costs.CTCheck)
-			v := m.checkCallType(nr, trace)
-			st.ct = *clk - c
-			if v != nil {
-				st.vCT = obs.VerdictViolation
-				violated = true
-				if err := m.flag(*v); err != nil {
-					return err
-				}
-			} else {
-				st.vCT = obs.VerdictPass
+		c = *clk
+		p.K.Clock.Add(m.Cfg.Costs.CTCheck)
+		v := m.checkCallType(nr, trace)
+		st.ct = *clk - c
+		if v != nil {
+			st.vCT = obs.VerdictViolation
+			if err := m.flag(*v); err != nil {
+				return err
 			}
+		} else {
+			st.vCT = obs.VerdictPass
 		}
 	}
 	if fast {
@@ -768,52 +688,30 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		return nil
 	}
 	if m.Cfg.Contexts&ControlFlow != 0 {
-		if hit {
-			st.vCF = obs.VerdictCached
-		} else {
-			c = *clk
-			v := m.checkControlFlow(nr, regs, trace, clean)
-			st.cf = *clk - c
-			if v != nil {
-				st.vCF = obs.VerdictViolation
-				violated = true
-				if err := m.flag(*v); err != nil {
-					return err
-				}
-			} else {
-				st.vCF = obs.VerdictPass
+		c = *clk
+		v := m.checkControlFlow(nr, regs, trace, clean)
+		st.cf = *clk - c
+		if v != nil {
+			st.vCF = obs.VerdictViolation
+			if err := m.flag(*v); err != nil {
+				return err
 			}
+		} else {
+			st.vCF = obs.VerdictPass
 		}
 	}
 	if m.Cfg.Contexts&ArgIntegrity != 0 {
-		// On a hit the constant-argument verdict is covered by the cache
-		// key; memory-backed and pointee arguments are re-verified always.
 		c = *clk
-		v := m.checkArgIntegrity(nr, regs, trace, hit)
+		v := m.checkArgIntegrity(nr, regs, trace)
 		st.ai = *clk - c
 		if v != nil {
 			st.vAI = obs.VerdictViolation
-			violated = true
 			if err := m.flag(*v); err != nil {
 				return err
 			}
 		} else {
 			st.vAI = obs.VerdictPass
 		}
-	}
-	// Only clean passes are cached: report-only mode must re-record a
-	// recurring violation on every trap, exactly as an uncached monitor
-	// does.
-	if useCache && !hit && !violated {
-		c = *clk
-		p.K.Clock.Add(m.Cfg.Costs.CacheInsert)
-		if m.cache.insert(key) {
-			m.CacheEvictions++
-		}
-		m.CacheInserts++
-		// The insert charge is cache maintenance; attribute it to the
-		// cache stage so the breakdown still sums to the trap total.
-		st.lookup += *clk - c
 	}
 	return nil
 }
@@ -828,7 +726,6 @@ func (m *Monitor) observe(p *kernel.Process, seq uint64, nViol int) {
 	end := p.K.Clock.Cycles
 	m.cycFetch.Add(st.fetch)
 	m.cycUnwind.Add(st.unwind)
-	m.cycLookup.Add(st.lookup)
 	m.cycCT.Add(st.ct)
 	m.cycCF.Add(st.cf)
 	m.cycAI.Add(st.ai)
@@ -863,9 +760,8 @@ func (m *Monitor) observe(p *kernel.Process, seq uint64, nViol int) {
 		CF:     st.vCF,
 		AI:     st.vAI,
 		SF:     st.vSF,
-		Cache:  st.cache,
 		Cycles: obs.CycleBreakdown{
-			Fetch: st.fetch, Unwind: st.unwind, CacheLookup: st.lookup,
+			Fetch: st.fetch, Unwind: st.unwind,
 			CT: st.ct, CF: st.cf, AI: st.ai, SF: st.sf,
 		},
 		UnwindDepth:  st.depth,
@@ -931,14 +827,14 @@ func (m *Monitor) OffloadAvoided() uint64 {
 
 // FlowState returns the syscall-flow transition state: the last trapped
 // syscall number and whether any syscall has been observed yet. Exposed
-// for the cache-soundness and fault-injection suites.
+// for the flow and fault-injection suites.
 func (m *Monitor) FlowState() (nr uint32, active bool) {
 	return m.sfPrev, m.sfActive
 }
 
 // SetFlowState overwrites the syscall-flow transition state. It exists so
-// the soundness suites can corrupt the cross-trap state between two
-// otherwise identical traps and prove the verdict cache never masks the
+// the flow and fault-injection suites can corrupt the cross-trap state
+// between two otherwise identical traps and prove the monitor flags the
 // resulting violation.
 func (m *Monitor) SetFlowState(nr uint32, active bool) {
 	m.sfPrev, m.sfActive = nr, active
@@ -1065,7 +961,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 			// A syscall with an AllowedIndirect entry is constrained to the
 			// recorded callsites; a present-but-empty set therefore rejects
 			// every indirect path. Unconstrained syscalls have no entry.
-			if allowed, ok := m.Meta.EffectiveAllowedIndirect(m.Cfg.CoarsePolicies)[nr]; ok && !allowed[cs.Addr] {
+			if allowed, ok := m.Meta.AllowedIndirect[nr]; ok && !allowed[cs.Addr] {
 				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", cs.Addr, kernel.Name(nr))}
 			}
 			return nil
@@ -1132,16 +1028,7 @@ func extendedRule(nr uint32, pos int) extendedKind {
 // checkArgIntegrity enforces §7.4: the syscall frame's arguments are
 // verified against bindings and shadow copies; outer frames' bound
 // sensitive variables are verified shadow-vs-memory.
-//
-// The argument set splits in two for the verdict cache:
-//   - constant arguments (metadata.ArgConst) depend only on the trapping
-//     registers folded into the cache key, so constArgsCached skips them
-//     after a hit;
-//   - memory-backed and pointee arguments (metadata.ArgMem, extended
-//     rules, outer-frame sensitive variables) depend on guest memory that
-//     can change between two invocations with an identical stack, so they
-//     are verified unconditionally.
-func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame, constArgsCached bool) *Violation {
+func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame) *Violation {
 	if len(trace) == 0 {
 		return nil
 	}
@@ -1166,7 +1053,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame,
 		}
 		return nil
 	}
-	if v := m.checkSyscallFrameArgs(nr, regs, site, constArgsCached); v != nil {
+	if v := m.checkSyscallFrameArgs(nr, regs, site); v != nil {
 		return v
 	}
 	// Outer frames: verify bound sensitive variables shadow-vs-memory.
@@ -1211,14 +1098,8 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame,
 }
 
 // checkSyscallFrameArgs verifies the trapping syscall's own arguments.
-// constArgsCached skips ArgConst specs (and their per-arg charge): a
-// verdict-cache hit has already proven them against the key's register
-// values.
-func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.ArgSite, constArgsCached bool) *Violation {
+func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.ArgSite) *Violation {
 	for _, spec := range site.Args {
-		if spec.Kind == metadata.ArgConst && constArgsCached {
-			continue
-		}
 		m.proc.K.Clock.Add(m.Cfg.Costs.AIPerArg)
 		actual := regs.Arg(spec.Pos)
 		switch spec.Kind {
@@ -1471,14 +1352,6 @@ func (m *Monitor) Report() string {
 	}
 	fmt.Fprintf(&b, "BASTION monitor: contexts=%s mode=%s hooks=%d\n",
 		m.Cfg.Contexts, m.Cfg.Mode, reg.Counter("monitor_hooks_total").Value())
-	if m.cache != nil {
-		fmt.Fprintf(&b, "  verdict cache: %d hits, %d misses, %d inserts, %d evictions, %d resident (cap %d)\n",
-			reg.Counter("monitor_cache_hits_total").Value(),
-			reg.Counter("monitor_cache_misses_total").Value(),
-			reg.Counter("monitor_cache_inserts_total").Value(),
-			reg.Counter("monitor_cache_evictions_total").Value(),
-			m.cache.resident(), m.Cfg.VerdictCacheCap)
-	}
 	if m.Offload != nil && len(m.Offload.Rules) > 0 {
 		fmt.Fprintf(&b, "  verdict offload: %d syscalls in-filter, %d traps avoided\n",
 			len(m.Offload.Rules), m.OffloadAvoided())

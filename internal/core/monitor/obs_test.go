@@ -28,7 +28,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func tracedRun(t *testing.T, sink obs.Sink, flightN int) (*monitor.Monitor, uint64) {
 	t.Helper()
 	cfg := monitor.DefaultConfig()
-	cfg.VerdictCache = true
 	cfg.Sink = sink
 	cfg.FlightN = flightN
 	prot := launch(t, cfg)
@@ -59,9 +58,6 @@ func TestTracingIsCycleNeutral(t *testing.T) {
 	if monOff.Hooks != monOn.Hooks || len(monOff.Violations) != len(monOn.Violations) {
 		t.Fatalf("tracing changed enforcement: hooks %d/%d violations %d/%d",
 			monOff.Hooks, monOn.Hooks, len(monOff.Violations), len(monOn.Violations))
-	}
-	if monOff.CacheHits != monOn.CacheHits || monOff.CacheMisses != monOn.CacheMisses {
-		t.Fatalf("tracing changed cache behavior")
 	}
 	if uint64(len(sink.Events)) != monOn.Hooks {
 		t.Fatalf("trace has %d events for %d hooks", len(sink.Events), monOn.Hooks)

@@ -4,9 +4,8 @@ package monitor_test
 // observationally invisible. An offloaded filter plus the residual ptrace
 // monitor must report byte-identical violation sets, kill decisions, and
 // ViolatedContexts as the pure-monitor configuration — across the complete
-// Table 6 attack catalog, every monitor mode, and with the verdict cache
-// both off and on. The offload may only change which side of the seccomp
-// boundary answers, never the answer.
+// Table 6 attack catalog and every monitor mode. The offload may only
+// change which side of the seccomp boundary answers, never the answer.
 
 import (
 	"testing"
@@ -38,38 +37,36 @@ var offloadCases = []struct {
 }
 
 // TestOffloadDifferentialAttackMatrix runs the complete attack catalog
-// through every monitor configuration and both cache settings twice —
-// offload off and on, always with the fs extension so the offloadable set
-// is non-trivial — and requires identical observations.
+// through every monitor configuration twice — offload off and on, always
+// with the fs extension so the offloadable set is non-trivial — and
+// requires identical observations.
 func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 	for _, s := range attacks.Catalog() {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for _, c := range offloadCases {
-				for _, cache := range []bool{false, true} {
-					d := attacks.Defense{
-						Name: "offdiff/" + c.name, UseMonitor: true,
-						Contexts: c.contexts, Mode: c.mode,
-						VerdictCache: cache, ExtendFS: true,
-					}
-					off, _ := observe(t, s, d)
-					d.Offload = true
-					on, onEnv := observe(t, s, d)
-					if !off.equal(on) {
-						t.Errorf("%s cache=%v: offload changed the observable outcome\n  off: %s\n  on:  %s",
-							c.name, cache, off, on)
-					}
-					mon := onEnv.P.Monitor
-					rules := 0
-					if mon.Offload != nil {
-						rules = len(mon.Offload.Rules)
-					}
-					if c.eligible && rules == 0 {
-						t.Errorf("%s: eligible config derived an empty offload plan", c.name)
-					}
-					if !c.eligible && rules != 0 {
-						t.Errorf("%s: ineligible config offloaded %d syscalls", c.name, rules)
-					}
+				d := attacks.Defense{
+					Name: "offdiff/" + c.name, UseMonitor: true,
+					Contexts: c.contexts, Mode: c.mode,
+					ExtendFS: true,
+				}
+				off, _ := observe(t, s, d)
+				d.Offload = true
+				on, onEnv := observe(t, s, d)
+				if !off.equal(on) {
+					t.Errorf("%s: offload changed the observable outcome\n  off: %s\n  on:  %s",
+						c.name, off, on)
+				}
+				mon := onEnv.P.Monitor
+				rules := 0
+				if mon.Offload != nil {
+					rules = len(mon.Offload.Rules)
+				}
+				if c.eligible && rules == 0 {
+					t.Errorf("%s: eligible config derived an empty offload plan", c.name)
+				}
+				if !c.eligible && rules != 0 {
+					t.Errorf("%s: ineligible config offloaded %d syscalls", c.name, rules)
 				}
 			}
 		})
@@ -83,53 +80,47 @@ func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 // reduce monitor cycles.
 func TestOffloadDifferentialWorkloads(t *testing.T) {
 	for _, app := range bench.Apps {
-		for _, cache := range []bool{false, true} {
-			name := app
-			if cache {
-				name += "/cache"
+		t.Run(app, func(t *testing.T) {
+			spec := bench.RunSpec{
+				App: app, Mitigation: bench.MitFull, Units: 25,
+				ExtendFS:    true,
+				UseContexts: true,
+				Contexts:    monitor.CallType | monitor.ArgIntegrity,
 			}
-			t.Run(name, func(t *testing.T) {
-				spec := bench.RunSpec{
-					App: app, Mitigation: bench.MitFull, Units: 25,
-					ExtendFS: true, VerdictCache: cache,
-					UseContexts: true,
-					Contexts:    monitor.CallType | monitor.ArgIntegrity,
-				}
-				off, err := bench.Run(spec)
-				if err != nil {
-					t.Fatalf("offload-off run: %v", err)
-				}
-				spec.Offload = true
-				on, err := bench.Run(spec)
-				if err != nil {
-					t.Fatalf("offload-on run: %v", err)
-				}
-				offMon, onMon := off.Protected.Monitor, on.Protected.Monitor
-				if len(offMon.Violations) != 0 || len(onMon.Violations) != 0 {
-					t.Fatalf("benign workload flagged: off=%v on=%v", offMon.Violations, onMon.Violations)
-				}
-				if got, want := onMon.ViolatedContexts(), offMon.ViolatedContexts(); got != want {
-					t.Fatalf("ViolatedContexts diverged: %v vs %v", got, want)
-				}
-				if off.Workload.Units != on.Workload.Units || off.Workload.Bytes != on.Workload.Bytes {
-					t.Fatalf("workload results diverged: off=%+v on=%+v", off.Workload, on.Workload)
-				}
-				avoided := onMon.OffloadAvoided()
-				if avoided == 0 {
-					t.Fatal("offload-on run avoided no traps")
-				}
-				// Workload.Traps is steady-state only; LogVerdicts spans the
-				// whole process lifetime, so conservation holds on the
-				// process-level trap counter.
-				if on.Protected.Proc.TrapCount+avoided != off.Protected.Proc.TrapCount {
-					t.Errorf("trap accounting broken: on traps %d + avoided %d != off traps %d",
-						on.Protected.Proc.TrapCount, avoided, off.Protected.Proc.TrapCount)
-				}
-				if on.Workload.MonitorCycles >= off.Workload.MonitorCycles {
-					t.Errorf("offload-on monitor cycles %d not below offload-off %d",
-						on.Workload.MonitorCycles, off.Workload.MonitorCycles)
-				}
-			})
-		}
+			off, err := bench.Run(spec)
+			if err != nil {
+				t.Fatalf("offload-off run: %v", err)
+			}
+			spec.Offload = true
+			on, err := bench.Run(spec)
+			if err != nil {
+				t.Fatalf("offload-on run: %v", err)
+			}
+			offMon, onMon := off.Protected.Monitor, on.Protected.Monitor
+			if len(offMon.Violations) != 0 || len(onMon.Violations) != 0 {
+				t.Fatalf("benign workload flagged: off=%v on=%v", offMon.Violations, onMon.Violations)
+			}
+			if got, want := onMon.ViolatedContexts(), offMon.ViolatedContexts(); got != want {
+				t.Fatalf("ViolatedContexts diverged: %v vs %v", got, want)
+			}
+			if off.Workload.Units != on.Workload.Units || off.Workload.Bytes != on.Workload.Bytes {
+				t.Fatalf("workload results diverged: off=%+v on=%+v", off.Workload, on.Workload)
+			}
+			avoided := onMon.OffloadAvoided()
+			if avoided == 0 {
+				t.Fatal("offload-on run avoided no traps")
+			}
+			// Workload.Traps is steady-state only; LogVerdicts spans the
+			// whole process lifetime, so conservation holds on the
+			// process-level trap counter.
+			if on.Protected.Proc.TrapCount+avoided != off.Protected.Proc.TrapCount {
+				t.Errorf("trap accounting broken: on traps %d + avoided %d != off traps %d",
+					on.Protected.Proc.TrapCount, avoided, off.Protected.Proc.TrapCount)
+			}
+			if on.Workload.MonitorCycles >= off.Workload.MonitorCycles {
+				t.Errorf("offload-on monitor cycles %d not below offload-off %d",
+					on.Workload.MonitorCycles, off.Workload.MonitorCycles)
+			}
+		})
 	}
 }

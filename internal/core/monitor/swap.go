@@ -25,15 +25,14 @@ type Generation struct {
 	ID uint64
 	// Meta is the context metadata verdicts are judged against.
 	Meta *metadata.Metadata
-	// Policy-relevant configuration (the filterKey subset plus the verdict
-	// cache): these replace the corresponding Config fields atomically with
-	// the filter, so a tenant can never observe the new filter with the old
-	// metadata or vice versa.
-	Contexts     Context
-	ExtendFS     bool
-	TreeFilter   bool
-	VerdictCache bool
-	Offload      bool
+	// Policy-relevant configuration (the filterKey subset): these replace
+	// the corresponding Config fields atomically with the filter, so a
+	// tenant can never observe the new filter with the old metadata or vice
+	// versa.
+	Contexts   Context
+	ExtendFS   bool
+	TreeFilter bool
+	Offload    bool
 	// Filter is the compiled seccomp program. It must equal what
 	// BuildFilter produces for (Meta, config above) — NewGeneration
 	// guarantees that by compiling it itself when none is supplied.
@@ -65,15 +64,14 @@ func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config, filter []secc
 		}
 	}
 	return &Generation{
-		ID:           id,
-		Meta:         meta,
-		Contexts:     cfg.Contexts,
-		ExtendFS:     cfg.ExtendFS,
-		TreeFilter:   cfg.TreeFilter,
-		VerdictCache: cfg.VerdictCache,
-		Offload:      cfg.Offload,
-		Filter:       filter,
-		FilterID:     seccomp.FilterID(filter),
+		ID:         id,
+		Meta:       meta,
+		Contexts:   cfg.Contexts,
+		ExtendFS:   cfg.ExtendFS,
+		TreeFilter: cfg.TreeFilter,
+		Offload:    cfg.Offload,
+		Filter:     filter,
+		FilterID:   seccomp.FilterID(filter),
 	}, nil
 }
 
@@ -126,11 +124,10 @@ func reloadCycles(meta *metadata.Metadata) uint64 {
 //
 // Side effects, in order: the kernel filter is replaced, the
 // policy-relevant Config fields and metadata switch together, the offload
-// plan and the syscall-flow projection are re-derived from the new pair,
-// and the verdict cache is flushed — its entries were proven under the old
-// metadata and must not answer for the new one. The syscall-flow runtime
-// state (last trapped syscall) survives: it records what the guest
-// actually executed, which no policy change rewrites.
+// plan and the syscall-flow projection are re-derived from the new pair.
+// The syscall-flow runtime state (last trapped syscall) survives: it
+// records what the guest actually executed, which no policy change
+// rewrites.
 func (m *Monitor) applyGeneration(p *kernel.Process) error {
 	g := m.staged
 	m.staged = nil
@@ -142,7 +139,6 @@ func (m *Monitor) applyGeneration(p *kernel.Process) error {
 	m.Cfg.Contexts = g.Contexts
 	m.Cfg.ExtendFS = g.ExtendFS
 	m.Cfg.TreeFilter = g.TreeFilter
-	m.Cfg.VerdictCache = g.VerdictCache
 	m.Cfg.Offload = g.Offload
 	m.Cfg.Filter = g.Filter
 	m.Offload = DeriveOffload(g.Meta, m.Cfg)
@@ -151,12 +147,6 @@ func (m *Monitor) applyGeneration(p *kernel.Process) error {
 	m.sfStart = nil
 	m.sfEdges = nil
 	m.buildFlowProjection()
-
-	if m.Cfg.VerdictCache {
-		m.cache = newVerdictCache(m.Cfg.VerdictCacheCap)
-	} else {
-		m.cache = nil
-	}
 
 	reload := reloadCycles(g.Meta)
 	p.K.Clock.Add(reload)

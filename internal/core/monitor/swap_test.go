@@ -155,44 +155,6 @@ func TestSwapNeverTearsPolicy(t *testing.T) {
 	}
 }
 
-// TestSwapFlushesVerdictCache proves cached verdicts do not survive a
-// generation swap: they were proven under the old metadata and must be
-// re-derived under the new one.
-func TestSwapFlushesVerdictCache(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.VerdictCache = true
-	prot := launch(t, cfg)
-	if _, err := prot.Machine.CallFunction("setup"); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache on the repeated trap.
-	for i := 0; i < 3; i++ {
-		if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if prot.Monitor.CacheHits == 0 {
-		t.Fatal("cache never warmed")
-	}
-
-	stageGen(t, prot, 1, nil) // same policy knobs: a pure re-generation
-	// Boundary trap applies the swap at its end (it may still hit the old
-	// cache — it is judged under gen 0, which is exactly the point).
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Fatal(err)
-	}
-	missesAtSwap := prot.Monitor.CacheMisses
-	// First post-swap trap: identical call, but the flushed cache must
-	// miss and re-derive.
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Fatal(err)
-	}
-	if prot.Monitor.CacheMisses != missesAtSwap+1 {
-		t.Fatalf("post-swap trap did not miss the flushed cache (misses %d -> %d)",
-			missesAtSwap, prot.Monitor.CacheMisses)
-	}
-}
-
 // TestSwapRestagesAndValidates covers the staging API's edges: nil and
 // incomplete generations are rejected, zero IDs are rejected, and staging
 // twice before a trap keeps only the newest bundle.

@@ -1,6 +1,6 @@
 // Package fleet implements the BASTION fleet supervisor: it runs many
 // independent protected guest instances (tenants) concurrently, each with
-// its own kernel, clock, machine, monitor, and verdict cache, while the
+// its own kernel, clock, machine, and monitor, while the
 // expensive per-workload artifacts — the instrumented IR program, its
 // context metadata, and the compiled seccomp filter — are compiled once
 // and shared immutably across every tenant that runs the same workload.
@@ -67,12 +67,10 @@ type filterEntry struct {
 }
 
 // genKey identifies a hot-reload generation bundle: the filter key plus
-// the verdict-cache knob (which shapes verdicts but not the filter) and
 // the generation ID.
 type genKey struct {
 	filterKey
-	verdictCache bool
-	id           uint64
+	id uint64
 }
 
 type genEntry struct {
@@ -200,8 +198,7 @@ func (a *Artifacts) Generation(id uint64, app string, cfg monitor.Config) (*moni
 			treeFilter: cfg.TreeFilter,
 			offload:    cfg.Offload,
 		},
-		verdictCache: cfg.VerdictCache,
-		id:           id,
+		id: id,
 	}
 	a.mu.Lock()
 	e := a.gens[key]

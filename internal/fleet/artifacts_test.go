@@ -15,7 +15,6 @@ func TestArtifactsSingleflight(t *testing.T) {
 	const n = 32
 	arts := NewArtifacts()
 	mcfg := monitor.DefaultConfig()
-	mcfg.VerdictCache = true
 
 	var wg sync.WaitGroup
 	compiled := make([]*core.Artifact, n)

@@ -42,12 +42,11 @@ type Config struct {
 	// with UseContexts=false; set UseContexts to enforce an explicit mask.
 	Contexts    monitor.Context
 	UseContexts bool
-	// Mode, ExtendFS, VerdictCache, TreeFilter, and Offload select the
-	// monitor configuration every tenant runs under.
-	Mode         monitor.Mode
-	ExtendFS     bool
-	VerdictCache bool
-	TreeFilter   bool
+	// Mode, ExtendFS, TreeFilter, and Offload select the monitor
+	// configuration every tenant runs under.
+	Mode       monitor.Mode
+	ExtendFS   bool
+	TreeFilter bool
 	// Offload answers call-type and constant-argument verdicts inside the
 	// shared seccomp filter (monitor.Config.Offload); qualifying syscalls
 	// never trap.
@@ -234,7 +233,6 @@ func (c *Config) monitorConfig() monitor.Config {
 	mcfg.Mode = c.Mode
 	mcfg.ExtendFS = c.ExtendFS
 	mcfg.TreeFilter = c.TreeFilter
-	mcfg.VerdictCache = c.VerdictCache
 	mcfg.Offload = c.Offload
 	return mcfg
 }
@@ -291,10 +289,6 @@ type TenantResult struct {
 	BackoffCycles uint64
 	Traps         uint64
 
-	// Verdict-cache statistics, summed across incarnations.
-	CacheHits   uint64
-	CacheMisses uint64
-
 	// FlowChecks counts syscall-flow transition checks, summed across
 	// incarnations. Each incarnation starts a fresh monitor, so its flow
 	// state (and first-trap requirement) resets with the restart.
@@ -349,14 +343,6 @@ func (t *TenantResult) PerUnitMonitor() float64 {
 	return float64(t.MonitorCycles) / float64(t.Units)
 }
 
-// CacheHitRate returns hits/(hits+misses), or 0 with no lookups.
-func (t *TenantResult) CacheHitRate() float64 {
-	if total := t.CacheHits + t.CacheMisses; total > 0 {
-		return float64(t.CacheHits) / float64(total)
-	}
-	return 0
-}
-
 // ElapsedCycles is the tenant's full simulated timeline: admission +
 // setup + init + steady state + restart backoff.
 func (t *TenantResult) ElapsedCycles() uint64 {
@@ -403,10 +389,15 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
+	workers := cfg.Workers
+	if cfg.Deterministic {
+		workers = 1
+	}
 	if cfg.Shards > 0 {
 		// Sharded control plane: placement and admission are computed up
 		// front as pure functions of (config, schedule), then each shard
-		// supervises its members with its own goroutine pool. Results are
+		// supervises its members with its own worker pool, all shards at
+		// once (one after another when deterministic). Results are
 		// byte-identical to a serial run because nothing about a tenant
 		// depends on when its shard's pool got to it.
 		adm := shard.DefaultAdmission()
@@ -414,47 +405,19 @@ func Run(cfg Config) (*Report, error) {
 			adm = *cfg.Admission
 		}
 		rep.Shards = shard.Build(cfg.Shards, cfg.ShardVnodes, adm, schedule)
-		if cfg.Deterministic {
-			for _, s := range rep.Shards {
-				for _, idx := range s.Members {
-					runOne(idx)
-				}
+		var wg sync.WaitGroup
+		for _, s := range rep.Shards {
+			if cfg.Deterministic {
+				dispatch(s.Members, workers, runOne)
+				continue
 			}
-		} else {
-			var wg sync.WaitGroup
-			for _, s := range rep.Shards {
-				if len(s.Members) == 0 {
-					continue
-				}
-				workers := cfg.Workers
-				if workers <= 0 {
-					workers = runtime.NumCPU()
-				}
-				if workers > len(s.Members) {
-					workers = len(s.Members)
-				}
-				ch := make(chan int)
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for idx := range ch {
-							runOne(idx)
-						}
-					}()
-				}
-				members := s.Members
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for _, idx := range members {
-						ch <- idx
-					}
-					close(ch)
-				}()
-			}
-			wg.Wait()
+			wg.Add(1)
+			go func(members []int) {
+				defer wg.Done()
+				dispatch(members, workers, runOne)
+			}(s.Members)
 		}
+		wg.Wait()
 		// Stamp each tenant with its shard's placement and admission
 		// outcome (deterministic post-pass; runTenant never sees them).
 		for _, s := range rep.Shards {
@@ -465,34 +428,8 @@ func Run(cfg Config) (*Report, error) {
 				rep.Results[idx].AdmitRejects = g.Rejects
 			}
 		}
-	} else if cfg.Deterministic {
-		for _, idx := range schedule {
-			runOne(idx)
-		}
 	} else {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > cfg.Tenants {
-			workers = cfg.Tenants
-		}
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range ch {
-					runOne(idx)
-				}
-			}()
-		}
-		for _, idx := range schedule {
-			ch <- idx
-		}
-		close(ch)
-		wg.Wait()
+		dispatch(schedule, workers, runOne)
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -500,6 +437,41 @@ func Run(cfg Config) (*Report, error) {
 	rep.Compiles = shared.Compiles() + privN
 	rep.FilterCompiles = shared.FilterCompiles() + privF
 	return rep, nil
+}
+
+// dispatch runs runOne over members, in order, on a pool of workers
+// goroutines (0 = NumCPU, capped at len(members)), and returns when every
+// member is done. A single worker runs the members serially on the
+// calling goroutine.
+func dispatch(members []int, workers int, runOne func(int)) {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > len(members) {
+		workers = len(members)
+	}
+	if workers <= 1 {
+		for _, idx := range members {
+			runOne(idx)
+		}
+		return
+	}
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range ch {
+				runOne(idx)
+			}
+		}()
+	}
+	for _, idx := range members {
+		ch <- idx
+	}
+	close(ch)
+	wg.Wait()
 }
 
 // faultyTarget injects one unit failure at a global unit index.
@@ -595,7 +567,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifact
 
 		if runErr != nil {
 			// A killed incarnation's monitor still holds its violations,
-			// cache statistics, and flight recorder — drain before
+			// statistics, and flight recorder — drain before
 			// retiring, or a security kill's evidence is lost.
 			drainMonitor(&res, prot, true)
 			retire(cfg, &res, &attempt, classifyKill(runErr))
@@ -768,8 +740,6 @@ func accumulate(res *TenantResult, wl workload.Result, prot *core.Protected) {
 // recorder is worth keeping.
 func drainMonitor(res *TenantResult, prot *core.Protected, crashed bool) {
 	mon := prot.Monitor
-	res.CacheHits += mon.CacheHits
-	res.CacheMisses += mon.CacheMisses
 	res.FlowChecks += mon.FlowChecks
 	res.OffloadAvoided += mon.OffloadAvoided()
 	res.Reloads += mon.Reloads

@@ -59,7 +59,6 @@ func TestConfigValidate(t *testing.T) {
 // cannot leak into results.
 func TestFleetDeterminism(t *testing.T) {
 	cfg := DefaultConfig(6, 6)
-	cfg.VerdictCache = true
 	cfg.Seed = 1234
 
 	r1, err := Run(cfg)
@@ -108,7 +107,6 @@ func TestFleetDeterminism(t *testing.T) {
 func TestFleetStandaloneEquivalence(t *testing.T) {
 	const units = 6
 	cfg := DefaultConfig(3, units)
-	cfg.VerdictCache = true
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +126,6 @@ func TestFleetStandaloneEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		mcfg := monitor.DefaultConfig()
-		mcfg.VerdictCache = true
 		prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(defaultMaxSteps))
 		if err != nil {
 			t.Fatal(err)
@@ -152,10 +149,6 @@ func TestFleetStandaloneEquivalence(t *testing.T) {
 		if tr.SetupCycles != prot.Monitor.InitCycles {
 			t.Errorf("%s: setup cycles %d != standalone attach cost %d", app, tr.SetupCycles, prot.Monitor.InitCycles)
 		}
-		if tr.CacheHits != prot.Monitor.CacheHits || tr.CacheMisses != prot.Monitor.CacheMisses {
-			t.Errorf("%s: cache %d/%d != standalone %d/%d", app,
-				tr.CacheHits, tr.CacheMisses, prot.Monitor.CacheHits, prot.Monitor.CacheMisses)
-		}
 		if len(tr.Violations) != len(prot.Monitor.Violations) {
 			t.Errorf("%s: violation counts differ", app)
 		}
@@ -166,7 +159,6 @@ func TestFleetStandaloneEquivalence(t *testing.T) {
 // the compilation counts, never any tenant-visible result.
 func TestSharedVsPerTenantIdentical(t *testing.T) {
 	cfg := DefaultConfig(6, 5)
-	cfg.VerdictCache = true
 	cfg.Seed = 3
 
 	shared, err := Run(cfg)

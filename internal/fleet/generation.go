@@ -15,10 +15,9 @@ type PolicySpec struct {
 	Contexts    monitor.Context
 	UseContexts bool
 
-	ExtendFS     bool
-	VerdictCache bool
-	TreeFilter   bool
-	Offload      bool
+	ExtendFS   bool
+	TreeFilter bool
+	Offload    bool
 }
 
 func (s *PolicySpec) contexts() monitor.Context {
@@ -34,7 +33,6 @@ func (s *PolicySpec) contexts() monitor.Context {
 func (s *PolicySpec) apply(cfg monitor.Config) monitor.Config {
 	cfg.Contexts = s.contexts()
 	cfg.ExtendFS = s.ExtendFS
-	cfg.VerdictCache = s.VerdictCache
 	cfg.TreeFilter = s.TreeFilter
 	cfg.Offload = s.Offload
 	cfg.Filter = nil

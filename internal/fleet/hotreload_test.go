@@ -9,18 +9,8 @@ import (
 	"bastion/internal/obs"
 )
 
-// normVerdict folds the verdict cache out of a verdict: a cached answer
-// is by construction the same answer a fresh judgment would give, so the
-// differential comparison treats them as equal.
-func normVerdict(v obs.Verdict) obs.Verdict {
-	if v == obs.VerdictCached {
-		return obs.VerdictPass
-	}
-	return v
-}
-
 // verdictTuple is the policy-visible outcome of one trap, independent of
-// cycle timing and cache temperature.
+// cycle timing.
 type verdictTuple struct {
 	nr             uint32
 	name           string
@@ -30,12 +20,12 @@ type verdictTuple struct {
 
 func tupleOf(e obs.TrapEvent) verdictTuple {
 	return verdictTuple{
-		nr:   e.Nr,
-		name: e.Name,
-		ct:   normVerdict(e.CT),
-		cf:   normVerdict(e.CF),
-		ai:   normVerdict(e.AI),
-		sf:   normVerdict(e.SF),
+		nr:        e.Nr,
+		name:      e.Name,
+		ct:        e.CT,
+		cf:        e.CF,
+		ai:        e.AI,
+		sf:        e.SF,
 		violation: e.Violation,
 	}
 }
@@ -50,17 +40,17 @@ func tupleOf(e obs.TrapEvent) verdictTuple {
 //     generation-0 run's event at the same position: staging a reload
 //     perturbs nothing before it applies.
 //   - Every generation-1 event's verdict tuple matches the pinned
-//     generation-1 run's event at the same position (cache temperature
-//     normalized): after the swap, verdicts are exactly what a fleet
-//     launched under the new policy would issue.
+//     generation-1 run's event at the same position: after the swap,
+//     verdicts are exactly what a fleet launched under the new policy
+//     would issue.
 //   - Generations are monotone per tenant — no event under the old
 //     generation after the first event under the new one, which together
 //     with the monitor's torn-policy test rules out mixed-generation
 //     judgments.
 //
 // The reload spec keeps the trapped syscall set identical (it toggles
-// tree filter + verdict cache and drops the SF context, none of which
-// change which syscalls trap), so events align position-by-position.
+// the tree filter and drops the SF context, neither of which changes
+// which syscalls trap), so events align position-by-position.
 func TestHotReloadDifferential(t *testing.T) {
 	const units, reloadAt = 8, 4
 	base := DefaultConfig(3, units)
@@ -69,10 +59,9 @@ func TestHotReloadDifferential(t *testing.T) {
 	base.Deterministic = true
 
 	spec := &PolicySpec{
-		Contexts:     monitor.CallType | monitor.ControlFlow | monitor.ArgIntegrity,
-		UseContexts:  true,
-		VerdictCache: true,
-		TreeFilter:   true,
+		Contexts:    monitor.CallType | monitor.ControlFlow | monitor.ArgIntegrity,
+		UseContexts: true,
+		TreeFilter:  true,
 	}
 
 	reloaded := base
@@ -91,7 +80,6 @@ func TestHotReloadDifferential(t *testing.T) {
 	pin1cfg := base // reload policy, end to end
 	pin1cfg.Contexts = spec.Contexts
 	pin1cfg.UseContexts = true
-	pin1cfg.VerdictCache = spec.VerdictCache
 	pin1cfg.TreeFilter = spec.TreeFilter
 	pin1, err := Run(pin1cfg)
 	if err != nil {
@@ -163,7 +151,7 @@ func TestHotReloadDeterministic(t *testing.T) {
 	cfg.Seed = 33
 	cfg.Trace = true
 	cfg.ReloadAt = 3
-	cfg.ReloadSpec = &PolicySpec{VerdictCache: true, TreeFilter: true}
+	cfg.ReloadSpec = &PolicySpec{TreeFilter: true}
 	cfg.Shards = 2
 
 	r1, err := Run(cfg)
@@ -196,7 +184,7 @@ func TestHotReloadSurvivesRestart(t *testing.T) {
 	cfg := DefaultConfig(1, 8, "nginx")
 	cfg.Deterministic = true
 	cfg.ReloadAt = 4
-	cfg.ReloadSpec = &PolicySpec{VerdictCache: true}
+	cfg.ReloadSpec = &PolicySpec{}
 	cfg.FaultAt = map[int]int{0: 6}
 
 	rep, err := Run(cfg)

@@ -201,19 +201,6 @@ func mustMerge(dst, src *obs.Registry) {
 	}
 }
 
-// CacheHitRate is the fleet-wide verdict-cache hit rate.
-func (r *Report) CacheHitRate() float64 {
-	var hits, misses uint64
-	for i := range r.Results {
-		hits += r.Results[i].CacheHits
-		misses += r.Results[i].CacheMisses
-	}
-	if total := hits + misses; total > 0 {
-		return float64(hits) / float64(total)
-	}
-	return 0
-}
-
 // ViolationsByContext rolls up recorded violations by their context mask
 // contribution: one count per violating context across all tenants.
 func (r *Report) ViolationsByContext() map[monitor.Context]int {
@@ -309,13 +296,13 @@ func (r *Report) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Fleet report: %d tenants × %d units (%s)\n\n",
 		r.Cfg.Tenants, r.Cfg.Units, strings.Join(r.Cfg.Apps, ","))
-	fmt.Fprintf(&b, "Mode %s, contexts %s, cache %s, tree filter %s, offload %s, shared artifacts %s, seed %d.\n",
-		r.Cfg.Mode, r.Cfg.contexts(), yn(r.Cfg.VerdictCache), yn(r.Cfg.TreeFilter),
+	fmt.Fprintf(&b, "Mode %s, contexts %s, tree filter %s, offload %s, shared artifacts %s, seed %d.\n",
+		r.Cfg.Mode, r.Cfg.contexts(), yn(r.Cfg.TreeFilter),
 		yn(r.Cfg.Offload), yn(r.Cfg.ShareArtifacts), r.Cfg.Seed)
 	fmt.Fprintf(&b, "Dispatch schedule: %v\n\n", r.Schedule)
 
-	b.WriteString("| tenant | app | units | restarts | kills | faults | dead | mon cyc/unit | cache hit | violations | backoff cyc |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| tenant | app | units | restarts | kills | faults | dead | mon cyc/unit | violations | backoff cyc |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
 	for i := range r.Results {
 		t := &r.Results[i]
 		state := ""
@@ -325,13 +312,13 @@ func (r *Report) Markdown() string {
 				state = "compromised"
 			}
 		}
-		fmt.Fprintf(&b, "| %d | %s | %d | %d | %d | %d | %s | %.0f | %.2f | %d | %d |\n",
+		fmt.Fprintf(&b, "| %d | %s | %d | %d | %d | %d | %s | %.0f | %d | %d |\n",
 			t.Index, t.App, t.Units, t.Restarts, t.Kills, t.Faults, state,
-			t.PerUnitMonitor(), t.CacheHitRate(), len(t.Violations), t.BackoffCycles)
+			t.PerUnitMonitor(), len(t.Violations), t.BackoffCycles)
 	}
 
-	fmt.Fprintf(&b, "\nFleet: %d units, %.0f units/s, %.0f monitor cyc/unit, cache hit %.2f.\n",
-		r.TotalUnits(), r.Throughput(), r.MonitorCyclesPerUnit(), r.CacheHitRate())
+	fmt.Fprintf(&b, "\nFleet: %d units, %.0f units/s, %.0f monitor cyc/unit.\n",
+		r.TotalUnits(), r.Throughput(), r.MonitorCyclesPerUnit())
 	if r.Cfg.Offload {
 		fmt.Fprintf(&b, "Verdict offload: %d traps avoided in-filter.\n", r.OffloadAvoided())
 	}

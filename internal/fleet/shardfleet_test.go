@@ -14,7 +14,6 @@ import (
 // any tenant starts, so pool interleaving cannot leak into the report.
 func TestShardedFleetDeterminism(t *testing.T) {
 	cfg := DefaultConfig(24, 3)
-	cfg.VerdictCache = true
 	cfg.Seed = 7
 	cfg.Shards = 4
 
@@ -47,7 +46,6 @@ func TestShardedFleetDeterminism(t *testing.T) {
 // flat supervisor's, with only the placement/admission stamps added.
 func TestShardedMatchesFlat(t *testing.T) {
 	cfg := DefaultConfig(12, 4)
-	cfg.VerdictCache = true
 	cfg.Seed = 5
 	flat, err := Run(cfg)
 	if err != nil {
@@ -153,7 +151,6 @@ func TestShardedFleetScalesAcceptance(t *testing.T) {
 		t.Skip("4k-tenant acceptance run skipped in -short")
 	}
 	cfg := DefaultConfig(4096, 1)
-	cfg.VerdictCache = true
 	cfg.Seed = 4096
 	cfg.Shards = 16
 

@@ -7,16 +7,14 @@ import (
 )
 
 // TestFleetSoakRace is the fleet's -race soak: a real multi-tenant mix
-// (all three apps, full monitoring, verdict cache on) running concurrently
-// from one shared artifact cache. The race detector guards the sharing
-// claims; the assertions guard the aggregate report's determinism under a
-// fixed seed.
+// (all three apps, full monitoring) running concurrently from one shared
+// artifact cache. The race detector guards the sharing claims; the
+// assertions guard the aggregate report's determinism under a fixed seed.
 func TestFleetSoakRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short")
 	}
 	cfg := DefaultConfig(18, 6)
-	cfg.VerdictCache = true
 	cfg.Seed = 77
 	cfg.Workers = 8
 
@@ -32,9 +30,6 @@ func TestFleetSoakRace(t *testing.T) {
 	}
 	if r1.Compiles != len(cfg.Apps) {
 		t.Errorf("shared cache compiled %d programs for %d tenants, want %d", r1.Compiles, cfg.Tenants, len(cfg.Apps))
-	}
-	if r1.CacheHitRate() <= 0 {
-		t.Error("verdict cache saw no hits across the fleet")
 	}
 
 	r2, err := Run(cfg)
@@ -56,7 +51,6 @@ func TestMaliciousTenantIsolation(t *testing.T) {
 	for _, mode := range []monitor.Mode{monitor.ModeFull, monitor.ModeFetchOnly, monitor.ModeHookOnly} {
 		cfg := DefaultConfig(6, 6)
 		cfg.Mode = mode
-		cfg.VerdictCache = true
 		cfg.Malicious = map[int]string{evil: "cve-2012-0809"}
 		rep, err := Run(cfg)
 		if err != nil {
@@ -97,7 +91,6 @@ func TestMaliciousTenantIsolation(t *testing.T) {
 // tenant in one fleet and checks all are blocked with the rest unharmed.
 func TestMaliciousAllApps(t *testing.T) {
 	cfg := DefaultConfig(6, 6)
-	cfg.VerdictCache = true
 	cfg.Malicious = map[int]string{
 		0: "direct-cscfi",  // nginx
 		1: "cve-2014-1912", // sqlite

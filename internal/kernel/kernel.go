@@ -30,7 +30,6 @@ type Costs struct {
 	SyscallEntry   uint64 // ring transition + dispatch
 	KernelOp       uint64 // baseline work of a syscall body
 	BPFInsn        uint64 // one cBPF instruction in the seccomp filter
-	TrapRoundTrip  uint64 // SIGTRAP stop + schedule tracer + resume
 	GetRegs        uint64 // PTRACE_GETREGS
 	ReadMemBase    uint64 // process_vm_readv fixed cost
 	ReadMemPerWord uint64 // process_vm_readv per 8 copied bytes
@@ -43,7 +42,6 @@ func DefaultCosts() Costs {
 		SyscallEntry:   150,
 		KernelOp:       220,
 		BPFInsn:        2,
-		TrapRoundTrip:  2600,
 		GetRegs:        700,
 		ReadMemBase:    2500,
 		ReadMemPerWord: 2,

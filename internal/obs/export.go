@@ -72,10 +72,10 @@ func (s *ChromeSink) Emit(ev *TrapEvent) {
 	dur := ev.End - ev.Start
 	fmt.Fprintf(&b, `{"name":%s,"cat":"trap","ph":"X","pid":%d,"tid":1,"ts":%s,"dur":%s`,
 		strconv.Quote(ev.Name), ev.Tenant, micros(ev.Start), micros(dur))
-	fmt.Fprintf(&b, `,"args":{"seq":%d,"nr":%d,"cache":%q,"ct":%q,"cf":%q,"ai":%q,"sf":%q`,
-		ev.Seq, ev.Nr, ev.Cache, ev.CT, ev.CF, ev.AI, ev.SF)
-	fmt.Fprintf(&b, `,"fetch":%d,"unwind":%d,"lookup":%d,"ct_cyc":%d,"cf_cyc":%d,"ai_cyc":%d,"sf_cyc":%d,"depth":%d,"pointee":%d`,
-		ev.Cycles.Fetch, ev.Cycles.Unwind, ev.Cycles.CacheLookup,
+	fmt.Fprintf(&b, `,"args":{"seq":%d,"nr":%d,"ct":%q,"cf":%q,"ai":%q,"sf":%q`,
+		ev.Seq, ev.Nr, ev.CT, ev.CF, ev.AI, ev.SF)
+	fmt.Fprintf(&b, `,"fetch":%d,"unwind":%d,"ct_cyc":%d,"cf_cyc":%d,"ai_cyc":%d,"sf_cyc":%d,"depth":%d,"pointee":%d`,
+		ev.Cycles.Fetch, ev.Cycles.Unwind,
 		ev.Cycles.CT, ev.Cycles.CF, ev.Cycles.AI, ev.Cycles.SF, ev.UnwindDepth, ev.PointeeBytes)
 	if ev.Violation != "" {
 		fmt.Fprintf(&b, `,"violation":%s`, strconv.Quote(ev.Violation))

@@ -29,9 +29,6 @@ const (
 	VerdictSkip Verdict = iota
 	// VerdictPass means the context ran and accepted the trap.
 	VerdictPass
-	// VerdictCached means the context's decision was served by the
-	// verdict cache without re-deriving it.
-	VerdictCached
 	// VerdictViolation means the context rejected the trap.
 	VerdictViolation
 )
@@ -42,61 +39,29 @@ func (v Verdict) String() string {
 		return "skip"
 	case VerdictPass:
 		return "pass"
-	case VerdictCached:
-		return "cached"
 	case VerdictViolation:
 		return "violation"
 	}
 	return fmt.Sprintf("verdict(%d)", uint8(v))
 }
 
-// CacheOutcome describes the verdict cache's involvement in one trap.
-type CacheOutcome uint8
-
-// Cache outcomes.
-const (
-	// CacheOff means the monitor runs without a verdict cache.
-	CacheOff CacheOutcome = iota
-	// CacheBypass means the cache exists but this trap is uncached (the
-	// accept fast path).
-	CacheBypass
-	// CacheHit / CacheMiss are lookup outcomes.
-	CacheHit
-	CacheMiss
-)
-
-func (c CacheOutcome) String() string {
-	switch c {
-	case CacheOff:
-		return "off"
-	case CacheBypass:
-		return "bypass"
-	case CacheHit:
-		return "hit"
-	case CacheMiss:
-		return "miss"
-	}
-	return fmt.Sprintf("cache(%d)", uint8(c))
-}
-
 // CycleBreakdown attributes one trap's monitor cycles to its stages, in
 // pipeline order: state fetch (trap round trip + register read), stack
-// unwind, syscall-flow transition check, verdict-cache lookup, and the
-// three per-trap context checks. The sum of the fields equals End-Start
+// unwind, syscall-flow transition check, and the three per-trap context
+// checks. The sum of the fields equals End-Start
 // on the owning TrapEvent.
 type CycleBreakdown struct {
-	Fetch       uint64
-	Unwind      uint64
-	CacheLookup uint64
-	CT          uint64
-	CF          uint64
-	AI          uint64
-	SF          uint64
+	Fetch  uint64
+	Unwind uint64
+	CT     uint64
+	CF     uint64
+	AI     uint64
+	SF     uint64
 }
 
 // Total sums the per-stage charges.
 func (c CycleBreakdown) Total() uint64 {
-	return c.Fetch + c.Unwind + c.CacheLookup + c.CT + c.CF + c.AI + c.SF
+	return c.Fetch + c.Unwind + c.CT + c.CF + c.AI + c.SF
 }
 
 // TrapEvent is one structured decision-trace record: everything the
@@ -114,8 +79,6 @@ type TrapEvent struct {
 	Start, End uint64
 	// CT, CF, AI, SF are the per-context verdicts.
 	CT, CF, AI, SF Verdict
-	// Cache is the verdict cache's involvement.
-	Cache CacheOutcome
 	// Cycles attributes End-Start to the monitor's stages.
 	Cycles CycleBreakdown
 	// UnwindDepth is the number of stack frames fetched.
@@ -144,9 +107,9 @@ func (e *TrapEvent) Violated() bool {
 func (e *TrapEvent) appendJSON(b *strings.Builder) {
 	fmt.Fprintf(b, `{"seq":%d,"tenant":%d,"nr":%d,"name":%s,"start":%d,"end":%d`,
 		e.Seq, e.Tenant, e.Nr, strconv.Quote(e.Name), e.Start, e.End)
-	fmt.Fprintf(b, `,"cache":%q,"ct":%q,"cf":%q,"ai":%q,"sf":%q`, e.Cache, e.CT, e.CF, e.AI, e.SF)
-	fmt.Fprintf(b, `,"cycles":{"fetch":%d,"unwind":%d,"lookup":%d,"ct":%d,"cf":%d,"ai":%d,"sf":%d}`,
-		e.Cycles.Fetch, e.Cycles.Unwind, e.Cycles.CacheLookup, e.Cycles.CT, e.Cycles.CF, e.Cycles.AI, e.Cycles.SF)
+	fmt.Fprintf(b, `,"ct":%q,"cf":%q,"ai":%q,"sf":%q`, e.CT, e.CF, e.AI, e.SF)
+	fmt.Fprintf(b, `,"cycles":{"fetch":%d,"unwind":%d,"ct":%d,"cf":%d,"ai":%d,"sf":%d}`,
+		e.Cycles.Fetch, e.Cycles.Unwind, e.Cycles.CT, e.Cycles.CF, e.Cycles.AI, e.Cycles.SF)
 	fmt.Fprintf(b, `,"depth":%d,"pointee":%d`, e.UnwindDepth, e.PointeeBytes)
 	if e.Violation != "" {
 		fmt.Fprintf(b, `,"violation":%s`, strconv.Quote(e.Violation))

@@ -11,33 +11,32 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureEvents is a small, fixed decision trace exercising every field:
-// a cached pass, a cold miss with pointee bytes, a fast-path bypass, and
-// a violation.
+// a pass, a pass with pointee bytes, a fast-path pass, and a violation.
 func fixtureEvents() []TrapEvent {
 	return []TrapEvent{
 		{
-			Seq: 0, Tenant: 0, Nr: 9, Name: "mmap", Start: 1000, End: 4810,
-			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass, Cache: CacheMiss,
-			Cycles:      CycleBreakdown{Fetch: 2700, Unwind: 640, CacheLookup: 18, CT: 60, CF: 210, AI: 182},
+			Seq: 0, Tenant: 0, Nr: 9, Name: "mmap", Start: 1000, End: 4792,
+			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass,
+			Cycles:      CycleBreakdown{Fetch: 2700, Unwind: 640, CT: 60, CF: 210, AI: 182},
 			UnwindDepth: 3,
 		},
 		{
-			Seq: 1, Tenant: 0, Nr: 59, Name: "execve", Start: 6000, End: 11304,
-			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass, Cache: CacheMiss,
-			Cycles:       CycleBreakdown{Fetch: 2700, Unwind: 860, CacheLookup: 18, CT: 60, CF: 280, AI: 1386},
+			Seq: 1, Tenant: 0, Nr: 59, Name: "execve", Start: 6000, End: 11286,
+			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass,
+			Cycles:       CycleBreakdown{Fetch: 2700, Unwind: 860, CT: 60, CF: 280, AI: 1386},
 			UnwindDepth:  4,
 			PointeeBytes: 9,
 		},
 		{
 			Seq: 2, Tenant: 1, Nr: 288, Name: "accept4", Start: 15000, End: 17925,
-			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass, Cache: CacheBypass,
+			CT: VerdictPass, CF: VerdictPass, AI: VerdictPass,
 			Cycles:      CycleBreakdown{Fetch: 2700, Unwind: 100, CT: 60, CF: 35, AI: 30},
 			UnwindDepth: 1,
 		},
 		{
-			Seq: 3, Tenant: 1, Nr: 10, Name: "mprotect", Start: 21000, End: 24438,
-			CT: VerdictPass, CF: VerdictViolation, AI: VerdictSkip, Cache: CacheHit,
-			Cycles:      CycleBreakdown{Fetch: 2700, Unwind: 640, CacheLookup: 18, CT: 0, CF: 80, AI: 0},
+			Seq: 3, Tenant: 1, Nr: 10, Name: "mprotect", Start: 21000, End: 24480,
+			CT: VerdictPass, CF: VerdictViolation, AI: VerdictSkip,
+			Cycles:      CycleBreakdown{Fetch: 2700, Unwind: 640, CT: 60, CF: 80, AI: 0},
 			UnwindDepth: 3,
 			Violation:   "control-flow violation on mprotect: return address 0x999 is not a callsite",
 		},
@@ -132,16 +131,12 @@ func TestFlightRecorderPartial(t *testing.T) {
 	}
 }
 
-func TestVerdictAndCacheStrings(t *testing.T) {
+func TestVerdictStrings(t *testing.T) {
 	if VerdictSkip.String() != "skip" || VerdictPass.String() != "pass" ||
-		VerdictCached.String() != "cached" || VerdictViolation.String() != "violation" {
+		VerdictViolation.String() != "violation" {
 		t.Fatal("verdict strings")
 	}
-	if CacheOff.String() != "off" || CacheBypass.String() != "bypass" ||
-		CacheHit.String() != "hit" || CacheMiss.String() != "miss" {
-		t.Fatal("cache outcome strings")
-	}
-	if Verdict(9).String() != "verdict(9)" || CacheOutcome(9).String() != "cache(9)" {
+	if Verdict(9).String() != "verdict(9)" {
 		t.Fatal("unknown enum strings")
 	}
 }

@@ -1,11 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark performs one full experiment per iteration
-// and reports the headline numbers as custom metrics, printing the
-// rendered table once. Run:
+// evaluation: one sub-benchmark per bench.Experiments entry, each
+// performing the full experiment per iteration and logging its report
+// section once. Every headline number is a named metric in that section's
+// table, so the perf artifact (bastion-bench -format json) carries them.
+// Run:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/bastion-bench produces the same outputs with larger unit counts.
+// cmd/bastion-bench produces the same sections with larger unit counts.
 package bastion_test
 
 import (
@@ -19,138 +21,19 @@ import (
 // benchUnits keeps -bench runs quick; cmd/bastion-bench uses more.
 const benchUnits = 40
 
-var printOnce sync.Map
-
-func logOnce(b *testing.B, key, out string) {
-	if _, dup := printOnce.LoadOrStore(key, true); !dup {
-		b.Log("\n" + out)
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3: per-mitigation overhead for the
-// three applications.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Figure3(benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "fig3", bench.RenderFigure3(rows))
-			for _, r := range rows {
-				b.ReportMetric(r.Overheads[bench.MitFull], r.App+"_full_overhead_%")
-			}
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3: raw throughput numbers.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table3(benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "t3", bench.RenderTable3(rows))
-			for _, r := range rows {
-				b.ReportMetric(r.Cells[0].Value, r.App+"_vanilla_"+r.Unit)
-			}
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4: sensitive syscall usage counts.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Table4(benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "t4", bench.RenderTable4(res, benchUnits))
-			b.ReportMetric(float64(res.Hooks["nginx"]), "nginx_monitor_hooks")
-		}
-	}
-}
-
-// BenchmarkTable5 regenerates Table 5: instrumentation statistics.
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "t5", bench.RenderTable5(rows))
-			for _, r := range rows {
-				b.ReportMetric(float64(r.Total), r.App+"_instr_sites")
-			}
-		}
-	}
-}
-
-// BenchmarkTable6 regenerates Table 6: the 32 security case studies.
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "t6", bench.RenderTable6(rows))
-			blocked := 0
-			for _, r := range rows {
-				if r.Verdict.FullBlocked {
-					blocked++
+// BenchmarkExperiments runs each registered experiment.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments {
+		var logOnce sync.Once
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run(benchUnits)
+				if err != nil {
+					b.Fatal(err)
 				}
+				logOnce.Do(func() { b.Log("\n" + t.Markdown()) })
 			}
-			b.ReportMetric(float64(blocked), "attacks_blocked_of_32")
-		}
-	}
-}
-
-// BenchmarkTable7 regenerates Table 7: the file-system syscall extension.
-func BenchmarkTable7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table7(benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logOnce(b, "t7", bench.RenderTable7(rows))
-			b.ReportMetric(rows[2].Overheads["nginx"], "nginx_fs_overhead_%")
-		}
-	}
-}
-
-// BenchmarkInitAndDepth regenerates the §9.2 prose statistics: monitor
-// initialization latency and syscall call-depth distribution.
-func BenchmarkInitAndDepth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		st, err := bench.InitAndDepth("nginx", benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(st.InitMillis, "init_ms")
-			b.ReportMetric(st.AvgDepth, "avg_call_depth")
-		}
-	}
-}
-
-// BenchmarkAblationAcceptFastPath measures the §9.2 accept/accept4
-// optimization.
-func BenchmarkAblationAcceptFastPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationAcceptFastPath("nginx", benchUnits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.FastPathOverhead, "fastpath_overhead_%")
-			b.ReportMetric(res.FullWalkOverhead, "fullwalk_overhead_%")
-		}
+		})
 	}
 }
 

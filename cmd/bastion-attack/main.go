@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bastion-attack              # whole catalog, Table 6 layout
+//	bastion-attack              # whole catalog, the report's Table 6 section
 //	bastion-attack -id rop-exec-01 -v
 package main
 
@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"bastion/internal/attacks"
 	"bastion/internal/bench"
@@ -33,19 +34,20 @@ func main() {
 		return
 	}
 
-	rows, err := bench.Table6()
+	exp, _ := bench.Lookup("table6")
+	t, err := exp.Run(0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bastion-attack: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(bench.RenderTable6(rows))
+	fmt.Println(t.Markdown())
 	blocked := 0
-	for _, r := range rows {
-		if r.Verdict.FullBlocked {
+	for _, m := range t.Metrics() {
+		if strings.HasSuffix(m.Name, ".full") && m.Value == 1 {
 			blocked++
 		}
 	}
-	fmt.Printf("full BASTION blocked %d/%d attacks\n", blocked, len(rows))
+	fmt.Printf("full BASTION blocked %d/%d attacks\n", blocked, len(t.Rows))
 }
 
 func runOne(s attacks.Scenario, verbose bool) {

@@ -1,19 +1,21 @@
 // bastion-bench regenerates the paper's evaluation artifacts: Figure 3 and
-// Tables 3-7, plus the §9.2 extras (monitor init latency, call-depth
-// statistics, the accept fast-path ablation, and the linear-vs-tree
-// seccomp filter ablation).
+// Tables 3-7, plus the ablations and §9.2 / §11.2 extras that
+// bench.Experiments lists.
 //
 // Usage:
 //
-//	bastion-bench [-exp all|fig3|table3|table4|table5|table6|table7|filter|sf|offload|refine|bside|obs|fleet|shard|extras] [-units N]
+//	bastion-bench [-exp all|NAME|shard] [-units N] [-parallel] [-workers N]
 //	bastion-bench -report out.md [-parallel] [-workers N]
 //	bastion-bench -format json -out BENCH_<label>.json [-label L] [-parallel]
 //	bastion-bench -baseline old.json [-tolerance 5] [-format json -out new.json]
 //	bastion-bench -baseline old.json -compare new.json [-tolerance 5]
 //
-// The shard experiment sweeps the sharded control plane across 256/1k/4k
-// tenants × shard counts; it defaults to bench.ShardScalingUnits per
-// tenant (control-plane cost dominates) unless -units is set explicitly.
+// -exp NAME prints one experiment's report section; -exp all (the
+// default) prints the whole report. NAME is any bench.Experiments name, or
+// shard: the sharded control plane sweep across 256/1k/4k tenants × shard
+// counts, which stays out of the report and defaults to
+// bench.ShardScalingUnits per tenant (control-plane cost dominates) unless
+// -units is set explicitly.
 //
 // -format json renders the full report as a deterministic perf artifact
 // (the repo's performance trajectory; see DESIGN.md). -baseline gates the
@@ -33,13 +35,15 @@ import (
 	"bastion/internal/obs/perf"
 )
 
-// experiments is the authoritative -exp value list ("all" plus each
-// single experiment). validate rejects anything else by name so a typo
-// errors instead of silently running nothing.
-var experiments = []string{
-	"all", "fig3", "table3", "table4", "table5", "table6", "table7",
-	"filter", "sf", "offload", "refine", "bside", "obs",
-	"fleet", "shard", "extras",
+// experimentNames is the valid -exp value list: "all", every report
+// experiment, and the out-of-report shard sweep. validate rejects anything
+// else by name so a typo errors instead of silently running nothing.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
+	return append(names, "shard")
 }
 
 // options carries the parsed flag set; validate holds every
@@ -68,6 +72,7 @@ func (o *options) validate() error {
 	if o.workersSet && o.workers < 1 {
 		return fmt.Errorf("-workers must be at least 1 when set, got %d", o.workers)
 	}
+	experiments := experimentNames()
 	known := false
 	for _, name := range experiments {
 		if o.exp == name {
@@ -119,7 +124,7 @@ func (o *options) workerCount() int {
 
 func main() {
 	var o options
-	flag.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experiments, " | "))
+	flag.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experimentNames(), " | "))
 	flag.IntVar(&o.units, "units", bench.DefaultUnits, "work units per measurement")
 	flag.StringVar(&o.report, "report", "", "write a complete markdown report to this file")
 	flag.BoolVar(&o.parallel, "parallel", false, "fan report experiments out across CPU cores (same output, less wall clock)")
@@ -164,12 +169,30 @@ func main() {
 		return
 	}
 
-	// Artifact emission and/or gating: collect the full report once.
-	if o.format == "json" || o.baseline != "" {
-		rep, err := bench.CollectReportParallel(o.units, o.workerCount())
-		if err != nil {
-			fatal("report: %v", err)
+	if o.exp == "shard" && o.report == "" {
+		u := bench.ShardScalingUnits
+		if o.unitsSet {
+			u = o.units
 		}
+		t, err := bench.ShardScaling(u)
+		if err != nil {
+			fatal("shard: %v", err)
+		}
+		fmt.Print(t.Markdown())
+		return
+	}
+	exps := bench.Experiments
+	if o.exp != "all" && o.report == "" {
+		e, _ := bench.Lookup(o.exp)
+		exps = []bench.Experiment{e}
+	}
+	rep, err := bench.CollectReport(exps, o.units, o.workerCount())
+	if err != nil {
+		fatal("%v", err)
+	}
+
+	switch {
+	case o.format == "json" || o.baseline != "":
 		artifact := rep.PerfArtifact(o.label)
 		if o.out != "" {
 			if err := os.WriteFile(o.out, []byte(artifact.JSON()), 0o644); err != nil {
@@ -192,189 +215,17 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		return
-	}
-
-	if o.report != "" {
-		n := o.workerCount()
-		rep, err := bench.CollectReportParallel(o.units, n)
-		if err != nil {
-			fatal("report: %v", err)
-		}
+	case o.report != "":
 		if err := os.WriteFile(o.report, []byte(rep.Markdown()), 0o644); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("report written to %s (%d worker(s))\n", o.report, n)
+		fmt.Printf("report written to %s (%d worker(s))\n", o.report, o.workerCount())
 		fmt.Print(rep.TimingSummary())
-		return
+	case o.exp == "all":
+		fmt.Print(rep.Markdown())
+	default:
+		fmt.Print(rep.Tables[0].Markdown())
 	}
-
-	run := func(name string, f func() error) {
-		if o.exp != "all" && o.exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fatal("%s: %v", name, err)
-		}
-	}
-
-	run("fig3", func() error {
-		rows, err := bench.Figure3(o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderFigure3(rows))
-		return nil
-	})
-	run("table3", func() error {
-		rows, err := bench.Table3(o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderTable3(rows))
-		return nil
-	})
-	run("table4", func() error {
-		res, err := bench.Table4(o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderTable4(res, o.units))
-		return nil
-	})
-	run("table5", func() error {
-		rows, err := bench.Table5()
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderTable5(rows))
-		return nil
-	})
-	run("table6", func() error {
-		rows, err := bench.Table6()
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderTable6(rows))
-		return nil
-	})
-	run("table7", func() error {
-		rows, err := bench.Table7(o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderTable7(rows))
-		return nil
-	})
-	run("filter", func() error {
-		var rows []*bench.FilterAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.FilterAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderFilterAblation(rows))
-		return nil
-	})
-	run("sf", func() error {
-		var rows []*bench.SFAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.SFAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderSFAblation(rows))
-		return nil
-	})
-	run("offload", func() error {
-		var rows []*bench.OffloadAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.OffloadAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderOffloadAblation(rows))
-		return nil
-	})
-	run("refine", func() error {
-		var rows []*bench.RefineAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.RefineAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderRefineAblation(rows))
-		return nil
-	})
-	run("bside", func() error {
-		var rows []*bench.BsideAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.BsideAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderBsideAblation(rows))
-		return nil
-	})
-	run("obs", func() error {
-		var rows []*bench.ObsAblationResult
-		for _, app := range bench.Apps {
-			r, err := bench.ObsAblation(app, o.units)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, r)
-		}
-		fmt.Println(bench.RenderObsAblation(rows))
-		return nil
-	})
-	run("fleet", func() error {
-		res, err := bench.FleetScaling(o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderFleetScaling(res))
-		return nil
-	})
-	run("shard", func() error {
-		u := bench.ShardScalingUnits
-		if o.unitsSet {
-			u = o.units
-		}
-		res, err := bench.DefaultShardScaling(u)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderShardScaling(res))
-		return nil
-	})
-	run("extras", func() error {
-		for _, app := range bench.Apps {
-			st, err := bench.InitAndDepth(app, o.units)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s: monitor init %.2f ms; syscall depth avg %.1f min %d max %d\n",
-				st.App, st.InitMillis, st.AvgDepth, st.MinDepth, st.MaxDepth)
-		}
-		res, err := bench.AblationAcceptFastPath("nginx", o.units)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("accept4 fast-path ablation (nginx): %.2f%% with fast path, %.2f%% with full walk\n",
-			res.FastPathOverhead, res.FullWalkOverhead)
-		return nil
-	})
 }
 
 // loadArtifact reads and parses one perf artifact file.

@@ -83,21 +83,6 @@ func TestExpTypoNamesValidSet(t *testing.T) {
 	}
 }
 
-// TestExperimentListMatchesRunner: every name in the experiments list
-// (beyond "all") must be a name main's run() dispatch knows, and vice
-// versa — kept in lockstep by grepping main.go for run("name", ...).
-func TestExperimentListMatchesRunner(t *testing.T) {
-	src, err := os.ReadFile("main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range experiments[1:] {
-		if !strings.Contains(string(src), `run("`+name+`"`) {
-			t.Errorf("experiment %q in the valid list has no run(%q, ...) dispatch", name, name)
-		}
-	}
-}
-
 func TestWorkerCount(t *testing.T) {
 	o := defaults()
 	if o.workerCount() != 1 {

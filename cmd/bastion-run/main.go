@@ -63,7 +63,6 @@ func main() {
 			// ct,cf,ai for pre-SF behavior, sf alone for the flow ablation)
 			// runs full mode with an explicit context mask.
 			spec.Mitigation = bench.MitFull
-			spec.UseContexts = true
 			spec.Contexts = ctx
 		}
 	}

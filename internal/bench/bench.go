@@ -83,6 +83,26 @@ func (m Mitigation) String() string {
 	return fmt.Sprintf("mitigation(%d)", int(m))
 }
 
+// mitSlug maps a mitigation stack onto the artifact's metric-name
+// alphabet (lowercase, no spaces or '+').
+func mitSlug(m Mitigation) string {
+	switch m {
+	case MitVanilla:
+		return "vanilla"
+	case MitCFI:
+		return "cfi"
+	case MitCET:
+		return "cet"
+	case MitCETCT:
+		return "cet_ct"
+	case MitCETCTCF:
+		return "cet_ct_cf"
+	case MitFull:
+		return "full"
+	}
+	return "unknown"
+}
+
 // contexts returns the monitor contexts a mitigation enables (0 = no
 // monitor).
 func (m Mitigation) contexts() monitor.Context {
@@ -126,11 +146,10 @@ type RunSpec struct {
 	// Offload answers in-filter-decidable verdicts inside the seccomp
 	// program (the verdict-offload ablation).
 	Offload bool
-	// Contexts overrides the mitigation's context mask when UseContexts is
-	// set — the offload ablation needs call-type + argument-integrity
-	// without control-flow, a combination no Mitigation level selects.
-	Contexts    monitor.Context
-	UseContexts bool
+	// Contexts, when nonzero, overrides the mitigation's context mask — the
+	// offload ablation needs call-type + argument-integrity without
+	// control-flow, a combination no Mitigation level selects.
+	Contexts monitor.Context
 	// Artifacts selects the shared compilation cache backing the run
 	// (nil = the package-wide cache). Supply a fresh fleet.NewArtifacts()
 	// to measure compilation dedup in isolation.
@@ -186,7 +205,7 @@ func Run(spec RunSpec) (*RunResult, error) {
 
 	res := &RunResult{Spec: spec, Target: target}
 	ctx := spec.Mitigation.contexts()
-	if spec.UseContexts {
+	if spec.Contexts != 0 {
 		ctx = spec.Contexts
 	}
 	if ctx != 0 {

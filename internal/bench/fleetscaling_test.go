@@ -70,38 +70,32 @@ func TestFleetScalingAmortization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling ablation skipped in -short")
 	}
-	res, err := FleetScaling(4)
-	if err != nil {
-		t.Fatal(err)
+	tab, m := measure(t, "fleet", 4)
+	if len(tab.Rows) != len(FleetTenantCounts) {
+		t.Fatalf("got %d rows, want %d", len(tab.Rows), len(FleetTenantCounts))
 	}
-	if len(res.Rows) != len(FleetTenantCounts) {
-		t.Fatalf("got %d rows, want %d", len(res.Rows), len(FleetTenantCounts))
+	perTenant := func(tenants int, regime string) float64 {
+		return get(t, m, fleetStem(tenants)+regime+"_compiles") / float64(tenants)
 	}
-	var one FleetScalingRow
-	for _, row := range res.Rows {
-		if row.Tenants == 1 {
-			one = row
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Tenants < 16 {
+	for _, tenants := range FleetTenantCounts {
+		if tenants < 16 {
 			continue
 		}
-		if got := row.SharedCompilesPerTenant(); got >= one.SharedCompilesPerTenant() {
+		if got, one := perTenant(tenants, "shared"), perTenant(1, "shared"); got >= one {
 			t.Errorf("%d tenants: shared setup %.3f compiles/tenant not below 1-tenant %.3f",
-				row.Tenants, got, one.SharedCompilesPerTenant())
+				tenants, got, one)
 		}
-		if got := row.PerTenantCompilesPerTenant(); got < 1 {
-			t.Errorf("%d tenants: per-tenant regime %.3f compiles/tenant, want ≥ 1", row.Tenants, got)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Throughput <= 0 {
-			t.Errorf("%d tenants: non-positive fleet throughput", row.Tenants)
-		}
-		if row.SharedCompiles > len(Apps) {
-			t.Errorf("%d tenants: shared regime compiled %d programs, want ≤ %d", row.Tenants, row.SharedCompiles, len(Apps))
+		if got := perTenant(tenants, "per_tenant"); got < 1 {
+			t.Errorf("%d tenants: per-tenant regime %.3f compiles/tenant, want ≥ 1", tenants, got)
 		}
 	}
-	t.Logf("\n%s", RenderFleetScaling(res))
+	for _, tenants := range FleetTenantCounts {
+		if get(t, m, fleetStem(tenants)+"throughput") <= 0 {
+			t.Errorf("%d tenants: non-positive fleet throughput", tenants)
+		}
+		if n := get(t, m, fleetStem(tenants)+"shared_compiles"); n > float64(len(Apps)) {
+			t.Errorf("%d tenants: shared regime compiled %.0f programs, want ≤ %d", tenants, n, len(Apps))
+		}
+	}
+	t.Logf("\n%s", tab.Markdown())
 }

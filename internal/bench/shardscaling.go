@@ -7,6 +7,7 @@ import (
 
 	"bastion/internal/fleet"
 	"bastion/internal/fleet/shard"
+	"bastion/internal/obs/perf"
 )
 
 // ShardTenantCounts is the sharded control plane ablation's fleet axis.
@@ -36,44 +37,30 @@ func shardBenchAdmission() *shard.AdmissionConfig {
 	}
 }
 
-// ShardScalingRow is one (tenants, shards) point.
-type ShardScalingRow struct {
-	Tenants int
-	Shards  int
-
-	// Makespan is the fleet's simulated completion time (admission
-	// included); Throughput the completed units per simulated second.
-	Makespan   uint64
-	Throughput float64
-
-	// Admission outcomes: total full-queue rejections and the worst
-	// admission latency any tenant absorbed.
-	Rejects int
-	MaxWait uint64
-
-	// Hot-reload outcomes (0 when the point runs without a reload):
-	// applied swaps and mean swap latency in cycles.
-	Reloads    uint64
-	ReloadMean float64
+// shardStem names one (tenants, shards) point's metrics.
+func shardStem(tenants, shards int) string {
+	return fmt.Sprintf("shard.t%04d.s%02d.", tenants, shards)
 }
 
-// ShardScalingResult is the full control-plane ablation.
-type ShardScalingResult struct {
-	Apps     []string
-	Units    int
-	ReloadAt int // 0 = no mid-run reload
-	Rows     []ShardScalingRow
-}
-
-// ShardScaling sweeps tenant count × shard count under a tight admission
+// shardScaling sweeps tenant count × shard count under a tight admission
 // config, hot-reloading the policy halfway through each tenant's units
-// when units permit (≥ 2). Points at or below 256 tenants are run twice —
-// concurrent per-shard pools and fully serial — with tenant results
-// asserted identical, so the table doubles as a determinism check.
-func ShardScaling(units int, tenantCounts, shardCounts []int) (*ShardScalingResult, error) {
-	res := &ShardScalingResult{Apps: Apps, Units: units}
+// when units permit (≥ 2). Each point reports the fleet's simulated
+// makespan (admission included), completed units per simulated second,
+// full-queue rejections, the worst admission wait any tenant absorbed,
+// and the applied reloads with their mean latency. Points at or below 256
+// tenants are run twice — concurrent per-shard pools and fully serial —
+// with tenant results asserted identical, so the table doubles as a
+// determinism check.
+func shardScaling(units int, tenantCounts, shardCounts []int) (*Table, error) {
+	reload, reloadAt := "no mid-run reload", 0
 	if units >= 2 {
-		res.ReloadAt = units / 2
+		reloadAt = units / 2
+		reload = fmt.Sprintf("hot reload at unit %d", reloadAt)
+	}
+	t := &Table{
+		Heading: "Shard scaling — sharded control plane",
+		Note:    fmt.Sprintf("%s round-robin, %d units/tenant, %s.", strings.Join(Apps, ","), units, reload),
+		Header:  []string{"tenants", "shards", "makespan cyc", "units/s", "rejects", "max admit wait", "reloads", "mean reload cyc"},
 	}
 	for _, tenants := range tenantCounts {
 		for _, shards := range shardCounts {
@@ -81,61 +68,46 @@ func ShardScaling(units int, tenantCounts, shardCounts []int) (*ShardScalingResu
 			cfg.Seed = 42
 			cfg.Shards = shards
 			cfg.Admission = shardBenchAdmission()
-			if res.ReloadAt > 0 {
-				cfg.ReloadAt = res.ReloadAt
+			if reloadAt > 0 {
+				cfg.ReloadAt = reloadAt
 				cfg.ReloadSpec = &fleet.PolicySpec{TreeFilter: true}
 			}
 
 			rep, err := fleet.Run(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("shard scaling %d×%d: %w", tenants, shards, err)
+				return nil, fmt.Errorf("%d×%d: %w", tenants, shards, err)
 			}
 			if tenants <= 256 {
 				det := cfg
 				det.Deterministic = true
 				serial, err := fleet.Run(det)
 				if err != nil {
-					return nil, fmt.Errorf("shard scaling %d×%d (serial): %w", tenants, shards, err)
+					return nil, fmt.Errorf("%d×%d (serial): %w", tenants, shards, err)
 				}
 				if !reflect.DeepEqual(rep.Results, serial.Results) {
-					return nil, fmt.Errorf("shard scaling %d×%d: concurrent and serial dispatch diverged", tenants, shards)
+					return nil, fmt.Errorf("%d×%d: concurrent and serial dispatch diverged", tenants, shards)
 				}
 			}
 
-			res.Rows = append(res.Rows, ShardScalingRow{
-				Tenants:    tenants,
-				Shards:     shards,
-				Makespan:   rep.WallCycles(),
-				Throughput: rep.Throughput(),
-				Rejects:    rep.AdmitRejects(),
-				MaxWait:    rep.MaxAdmitWait(),
-				Reloads:    rep.Reloads(),
-				ReloadMean: rep.MeanReloadCycles(),
-			})
+			m := shardStem(tenants, shards)
+			t.Rows = append(t.Rows, Row{Cells: []Cell{
+				cell("%d", show(tenants)),
+				cell("%d", show(shards)),
+				cell("%d", count(m+"makespan_cycles", rep.WallCycles(), perf.LowerIsBetter)),
+				cell("%.0f", num(m+"throughput", rep.Throughput(), perf.HigherIsBetter)),
+				cell("%d", count(m+"rejects", rep.AdmitRejects(), perf.LowerIsBetter)),
+				cell("%d", count(m+"max_admit_wait_cycles", rep.MaxAdmitWait(), perf.LowerIsBetter)),
+				cell("%d", count(m+"reloads", rep.Reloads(), perf.Exact)),
+				cell("%.0f", num(m+"mean_reload_cycles", rep.MeanReloadCycles(), perf.LowerIsBetter)),
+			}})
 		}
 	}
-	return res, nil
+	return t, nil
 }
 
-// DefaultShardScaling runs the full 256/1k/4k × shard-count sweep.
-func DefaultShardScaling(units int) (*ShardScalingResult, error) {
-	return ShardScaling(units, ShardTenantCounts, ShardCounts)
-}
-
-// RenderShardScaling formats the control-plane ablation.
-func RenderShardScaling(r *ShardScalingResult) string {
-	var b strings.Builder
-	reload := "no mid-run reload"
-	if r.ReloadAt > 0 {
-		reload = fmt.Sprintf("hot reload at unit %d", r.ReloadAt)
-	}
-	fmt.Fprintf(&b, "shard scaling (%s round-robin, %d units/tenant, %s):\n",
-		strings.Join(r.Apps, ","), r.Units, reload)
-	b.WriteString("tenants | shards | makespan cyc | units/s | rejects | max admit wait | reloads | mean reload cyc\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%7d | %6d | %12d | %10.0f | %7d | %14d | %7d | %.0f\n",
-			row.Tenants, row.Shards, row.Makespan, row.Throughput,
-			row.Rejects, row.MaxWait, row.Reloads, row.ReloadMean)
-	}
-	return b.String()
+// ShardScaling runs the full 256/1k/4k × shard-count sweep. It stays out
+// of the report: at its default ShardScalingUnits it takes tens of
+// seconds.
+func ShardScaling(units int) (*Table, error) {
+	return shardScaling(units, ShardTenantCounts, ShardCounts)
 }

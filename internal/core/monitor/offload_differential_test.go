@@ -83,9 +83,8 @@ func TestOffloadDifferentialWorkloads(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			spec := bench.RunSpec{
 				App: app, Mitigation: bench.MitFull, Units: 25,
-				ExtendFS:    true,
-				UseContexts: true,
-				Contexts:    monitor.CallType | monitor.ArgIntegrity,
+				ExtendFS: true,
+				Contexts: monitor.CallType | monitor.ArgIntegrity,
 			}
 			off, err := bench.Run(spec)
 			if err != nil {

@@ -36,7 +36,7 @@ func TestStageCountersSumToMonitorCycles(t *testing.T) {
 			t.Run(app+"/"+c.name, func(t *testing.T) {
 				res, err := bench.Run(bench.RunSpec{
 					App: app, Mitigation: bench.MitFull, Units: 10, ExtendFS: true,
-					UseContexts: true, Contexts: c.contexts, Offload: c.offload,
+					Contexts: c.contexts, Offload: c.offload,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -22,6 +22,8 @@ type eagerPage struct {
 	perm Perm
 }
 
+func pageAddr(a uint64) uint64 { return a &^ (PageSize - 1) }
+
 func newEager() *eagerSpace { return &eagerSpace{pages: map[uint64]*eagerPage{}} }
 
 func (s *eagerSpace) Map(addr, length uint64, perm Perm) error {
@@ -135,7 +137,8 @@ func (s *eagerSpace) Regions() []Region {
 }
 
 // The fuzzed operations work in a window of fuzzPages pages at fuzzBase,
-// and may run one page past either end of it to reach unmapped memory.
+// and may run one page past either end of it to reach unmapped memory; a
+// mapping that starts at the window's end may reach four pages further.
 const (
 	fuzzBase  = 0x40_0000
 	fuzzPages = 12
@@ -153,10 +156,11 @@ func sameErr(got, want error) bool {
 
 // FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
 // model through the same random sequence of Map, Unmap, Protect, Read,
-// Write, Peek, Poke and ReadCString, and checks byte-identical data,
-// identical *Fault values and identical Regions after every step. Read and
-// Peek destinations start as non-zero garbage, so a read of a page without
-// backing that fails to clear the caller's chunk is caught.
+// Write, Peek, Poke and ReadCString. After every step it checks
+// byte-identical data, identical *Fault values, identical Regions, and
+// identical Mapped and PermAt answers for every page the operations can
+// reach. Read and Peek destinations start as non-zero garbage, so a read of
+// a page without backing that fails to clear the caller's chunk is caught.
 func FuzzSpaceMatchesEager(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 4, 1, 0, 200, 0, 5, 2, 2, 60, 9, 1, 6, 1, 0, 3, 8})
 	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})
@@ -238,6 +242,17 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 			}
 			if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)
+			}
+			// Mapped and PermAt go through the lookup hint, which Regions
+			// does not use: a stale hint would answer for a page the eager
+			// model no longer maps.
+			for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+5)*PageSize; a += PageSize {
+				probe := a + uint64(step)*8%PageSize
+				wp, wok := want.pages[a]
+				gp, gok := got.PermAt(probe)
+				if m := got.Mapped(probe); m != wok || gok != wok || wok && gp != wp.perm {
+					t.Fatalf("step %d: op %d: page %#x: Mapped %v, PermAt %v/%v; eager model mapped %v", step, op, a, m, gp, gok, wok)
+				}
 			}
 		}
 		// Every mapped byte of the window must match, backed or not.

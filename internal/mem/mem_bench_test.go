@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"bastion/internal/ir"
+)
 
 // BenchmarkGuestWord measures the checked word access on the guest's hot
 // path (every IR load/store lands here).
@@ -16,6 +20,52 @@ func BenchmarkGuestWord(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := s.ReadUint(addr, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGuestWordRegions measures word accesses that alternate between
+// a guest's stack, data, heap and shadow regions, as the interpreter's loads
+// and stores do, so consecutive accesses rarely hit the same region.
+func BenchmarkGuestWordRegions(b *testing.B) {
+	s := NewSpace()
+	bases := []uint64{ir.StackTop - ir.StackSize, ir.DataBase, ir.HeapBase, ir.ShadowBase}
+	for _, a := range bases {
+		if err := s.Map(a, 1<<16, PermRW); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i%8000) * 8
+		if err := s.WriteUint(bases[i%4]+off, uint64(i), 8); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.ReadUint(bases[(i+1)%4]+off, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMapShadow measures mapping the 4 MiB shadow region, touching it
+// with 1,024 scattered word stores (the hashed shadow table's first-touch
+// pattern) and unmapping it again.
+func BenchmarkMapShadow(b *testing.B) {
+	s := NewSpace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := s.Map(ir.ShadowBase, ir.ShadowSize, PermRW); err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(0); k < 1024; k++ {
+			off := k * 2654435761 % (ir.ShadowSize / 8) * 8
+			if err := s.PokeUint(ir.ShadowBase+off, k, 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Unmap(ir.ShadowBase, ir.ShadowSize); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -188,6 +188,7 @@ func (ik IntrinsicKind) String() string {
 // interface) keeps the interpreter loop allocation-free.
 type Instr struct {
 	Kind Kind
+	IK   IntrinsicKind // Intrinsic; beside Kind so the two bytes share a word
 
 	Dst  Reg     // Const, Mov, Bin, Load, LocalAddr, GlobalAddr, FuncAddr, Call, CallInd, Syscall
 	Src  Operand // Mov, Store, BranchNZ, Ret
@@ -201,6 +202,12 @@ type Instr struct {
 	Slot int    // LocalAddr slot index
 	Sym  string // GlobalAddr, FuncAddr, Call target name
 
+	// Callee and Global are Sym resolved by Link: Callee for Call and
+	// FuncAddr, Global for GlobalAddr. They stay nil for a name the program
+	// does not define.
+	Callee *Function
+	Global *Global
+
 	Target Reg       // CallInd target register
 	Args   []Operand // Call, CallInd, Syscall arguments
 
@@ -209,10 +216,9 @@ type Instr struct {
 
 	TypeSig string // CallInd expected signature (LLVM-CFI baseline)
 
-	IK       IntrinsicKind // Intrinsic
-	Pos      int           // Intrinsic argument position (1-based)
-	Imm      int64         // Const value; CtxBindConst constant
-	BindSite int           // Intrinsic: instruction index of the bound callsite
+	Pos      int   // Intrinsic argument position (1-based)
+	Imm      int64 // Const value; CtxBindConst constant
+	BindSite int   // Intrinsic: instruction index of the bound callsite
 
 	// Comment is an optional annotation carried through printing; analyses
 	// ignore it.
@@ -406,8 +412,10 @@ const (
 
 // Link assigns code addresses to every function, data addresses to every
 // global, records each function's frame layout, and resolves branch
-// labels. It is idempotent and must run before execution or analysis that
-// needs addresses.
+// labels and the Call, FuncAddr and GlobalAddr symbols. It is idempotent
+// and must run before execution or analysis that needs addresses. An
+// undefined symbol is not a link error: it resolves to nil, and executing
+// the instruction fails.
 func (p *Program) Link() error {
 	next := CodeBase
 	for _, f := range p.Funcs {
@@ -419,6 +427,7 @@ func (p *Program) Link() error {
 		if err := resolveLabels(f); err != nil {
 			return err
 		}
+		p.resolveSymbols(f)
 	}
 	daddr := DataBase
 	for _, g := range p.Globals {
@@ -448,6 +457,18 @@ func resolveLabels(f *Function) error {
 		in.ToIndex = idx
 	}
 	return nil
+}
+
+func (p *Program) resolveSymbols(f *Function) {
+	for i := range f.Code {
+		in := &f.Code[i]
+		switch in.Kind {
+		case Call, FuncAddr:
+			in.Callee = p.funcByName[in.Sym]
+		case GlobalAddr:
+			in.Global = p.globalByName[in.Sym]
+		}
+	}
 }
 
 // FuncAt returns the function containing code address a and the instruction

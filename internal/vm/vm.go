@@ -551,21 +551,21 @@ func (m *Machine) step() error {
 		fr.regs[in.Dst] = m.slotAddr(fn, in.Slot) + uint64(in.Off)
 	case ir.GlobalAddr:
 		m.Clock.Add(m.Costs.Instr)
-		g := m.Prog.GlobalByName(in.Sym)
+		g := in.Global
 		if g == nil {
 			return fmt.Errorf("vm: undefined global %q", in.Sym)
 		}
 		fr.regs[in.Dst] = g.Addr + uint64(in.Off)
 	case ir.FuncAddr:
 		m.Clock.Add(m.Costs.Instr)
-		f := m.Prog.Func(in.Sym)
+		f := in.Callee
 		if f == nil {
 			return fmt.Errorf("vm: undefined function %q", in.Sym)
 		}
 		fr.regs[in.Dst] = f.Base
 	case ir.Call:
 		m.Clock.Add(m.Costs.Call)
-		callee := m.Prog.Func(in.Sym)
+		callee := in.Callee
 		if callee == nil {
 			return fmt.Errorf("vm: undefined function %q", in.Sym)
 		}

@@ -602,3 +602,50 @@ func TestSlotAddrAndHookFuncErrors(t *testing.T) {
 		t.Fatal("SlotAddr outside a frame succeeded")
 	}
 }
+
+// Link resolves Call, FuncAddr and GlobalAddr symbols to pointers but does
+// not reject a program that names an undefined one: executing such an
+// instruction fails with the same error the name lookup gave.
+func TestUnresolvedSymbolFailsAtRun(t *testing.T) {
+	for _, tc := range []struct {
+		emit func(b *ir.Builder)
+		want string
+	}{
+		{func(b *ir.Builder) { b.Call("ghost") }, `vm: undefined function "ghost"`},
+		{func(b *ir.Builder) { b.FuncAddr("ghost") }, `vm: undefined function "ghost"`},
+		{func(b *ir.Builder) { b.GlobalLea("ghost", 0) }, `vm: undefined global "ghost"`},
+	} {
+		p := ir.NewProgram()
+		b := ir.NewBuilder("main", 0)
+		tc.emit(b)
+		b.Ret(ir.Imm(0))
+		p.AddFunc(b.Build())
+		if err := p.Link(); err != nil {
+			t.Fatalf("Link rejected an undefined symbol: %v", err)
+		}
+		m, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.CallFunction("main"); err == nil || err.Error() != tc.want {
+			t.Fatalf("run: %v, want %q", err, tc.want)
+		}
+	}
+	// Defining the symbols and linking again resolves them.
+	p := ir.NewProgram()
+	p.AddGlobal(&ir.Global{Name: "g", Size: 8})
+	cb := ir.NewBuilder("callee", 0)
+	cb.Ret(ir.Imm(7))
+	p.AddFunc(cb.Build())
+	b := ir.NewBuilder("main", 0)
+	b.Call("callee")
+	b.FuncAddr("callee")
+	b.GlobalLea("g", 0)
+	b.Ret(ir.Imm(0))
+	p.AddFunc(b.Build())
+	mustMachine(t, p)
+	code := p.Func("main").Code
+	if code[0].Callee != p.Func("callee") || code[1].Callee != p.Func("callee") || code[2].Global != p.GlobalByName("g") {
+		t.Fatalf("Link left symbols unresolved: %+v", code[:3])
+	}
+}

@@ -211,7 +211,7 @@ func main() {
 	malicious := flag.Int("malicious", -1, "tenant index to inject an attack into (-1 = none)")
 	attackID := flag.String("attack", "", "attack scenario ID for -malicious (must match the tenant's app)")
 	md := flag.Bool("md", false, "print the full markdown report instead of the summary line")
-	shards := flag.Int("shards", 0, "shard-supervisor count for the sharded control plane (0 = flat supervisor)")
+	shards := flag.Int("shards", 0, "shard-supervisor count for the control plane (0 = one shard, admission off)")
 	reloadAt := flag.Int("reload-at", 0, "hot-reload every tenant's policy after this many units (0 = off; needs -reload-to)")
 	reloadTo := flag.String("reload-to", "", "policy to hot-reload to: comma list of tree,extendfs,offload,ct,cf,ai,sf")
 	traceOut := flag.String("trace", "", "write the fleet-wide decision trace (tenant-stamped) to this file")

@@ -203,18 +203,6 @@ func (e *Env) EventSince(kind kernel.EventKind, substr string) bool {
 	return false
 }
 
-// FakeFrame writes a forged stack frame at bp: saved-rbp, return address,
-// and param-slot words below it (params[i] lands at bp-8*(n-i)), matching
-// the VM frame layout for a function with n word parameters and no locals.
-func (e *Env) FakeFrame(bp, savedRBP, retaddr uint64, params ...uint64) {
-	e.W(bp, savedRBP)
-	e.W(bp+8, retaddr)
-	n := uint64(len(params))
-	for i, p := range params {
-		e.W(bp-8*(n-uint64(i)), p)
-	}
-}
-
 // HijackReturn overwrites the *current* frame's saved rbp / return address
 // from inside a hook: the memory-corruption step of a ROP chain.
 func HijackReturn(m *vm.Machine, newRBP, newRet uint64) error {

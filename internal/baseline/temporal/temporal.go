@@ -11,7 +11,6 @@ package temporal
 
 import (
 	"fmt"
-	"sort"
 
 	"bastion/internal/kernel"
 	"bastion/internal/seccomp"
@@ -37,16 +36,6 @@ func (p Profile) Observe(counts map[uint32]uint64) {
 			p[nr] = true
 		}
 	}
-}
-
-// Syscalls returns the profile's numbers, sorted.
-func (p Profile) Syscalls() []uint32 {
-	out := make([]uint32, 0, len(p))
-	for nr := range p {
-		out = append(out, nr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Filter is a two-phase temporal allowlist.

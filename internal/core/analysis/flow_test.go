@@ -57,10 +57,10 @@ func TestFlowGraphLinear(t *testing.T) {
 		}
 	}
 	for _, e := range [][2]uint32{
-		{kernel.SysSocket, kernel.SysMmap},     // replaying setup after serve
-		{kernel.SysMmap, kernel.SysSocket},     // skipping mprotect
-		{kernel.SysMprotect, kernel.SysMmap},   // running setup backwards
-		{kernel.SysSocket, kernel.SysSocket},   // serve is not a loop here
+		{kernel.SysSocket, kernel.SysMmap},   // replaying setup after serve
+		{kernel.SysMmap, kernel.SysSocket},   // skipping mprotect
+		{kernel.SysMprotect, kernel.SysMmap}, // running setup backwards
+		{kernel.SysSocket, kernel.SysSocket}, // serve is not a loop here
 		{kernel.SysMprotect, kernel.SysMprotect},
 	} {
 		if g.Allows(e[0], e[1]) {

@@ -169,13 +169,3 @@ func (p *Projection) AdmitsDirectEdge(callee, caller string) bool {
 func (p *Projection) AdmitsIndirectTarget(fn string) bool {
 	return p.IndirectTargets[fn]
 }
-
-// AdmitsStart reports whether nr may be a process's first syscall.
-func (p *Projection) AdmitsStart(nr uint32) bool {
-	return p.Flow.AllowsStart(nr)
-}
-
-// AdmitsTransition reports whether next may follow prev.
-func (p *Projection) AdmitsTransition(prev, next uint32) bool {
-	return p.Flow.Allows(prev, next)
-}

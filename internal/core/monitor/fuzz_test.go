@@ -35,10 +35,10 @@ func newMemMonitor(tb testing.TB, inKernel bool) (*Monitor, *mem.Space) {
 	return &Monitor{Cfg: cfg, proc: proc}, sp
 }
 
-// FuzzReadCString is differential: the in-kernel chunked reader and the
-// ptrace reader must agree on every (content, offset) — same success,
-// same string — and any returned string must be exactly the bytes up to
-// the first NUL.
+// FuzzReadCString is differential: the reader must agree with itself over
+// the in-kernel and ptrace access paths on every (content, offset) — same
+// success, same string — and any returned string must be exactly the
+// bytes up to the first NUL.
 func FuzzReadCString(f *testing.F) {
 	f.Add([]byte("hello\x00world"), uint16(0))
 	f.Add([]byte("/bin/app\x00"), uint16(100))
@@ -193,43 +193,72 @@ func TestWalkPointeeCoverage(t *testing.T) {
 	}
 }
 
-// TestReadCStringChunkBoundaries drives both readers' 64-byte chunk
-// loops at every terminator position around chunk edges, where an
-// off-by-one would silently truncate or over-read.
+// TestReadCStringChunkBoundaries drives the reader's 64-byte chunk loop
+// over both access paths at every terminator position around chunk
+// edges, where an off-by-one would silently truncate or over-read, and
+// pins the charge: one read per chunk up to the terminator's, at the
+// path's own cost.
 func TestReadCStringChunkBoundaries(t *testing.T) {
-	for _, termAt := range []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 254, 255} {
-		ptMon, psp := newMemMonitor(t, false)
-		ikMon, ksp := newMemMonitor(t, true)
-		content := append(bytes.Repeat([]byte{'b'}, termAt), 0)
-		if err := psp.Poke(fuzzBase, content); err != nil {
+	for _, inKernel := range []bool{false, true} {
+		for _, termAt := range []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 254, 255} {
+			m, sp := newMemMonitor(t, inKernel)
+			if err := sp.Poke(fuzzBase, append(bytes.Repeat([]byte{'b'}, termAt), 0)); err != nil {
+				t.Fatal(err)
+			}
+			k := m.proc.K
+			before := k.Clock.Cycles
+			s, err := m.readCString(fuzzBase, 256)
+			if err != nil || len(s) != termAt {
+				t.Fatalf("inKernel=%v termAt=%d: got %d bytes, %v", inKernel, termAt, len(s), err)
+			}
+			chunk := 8 * k.Costs.ReadMemPerWord
+			if !inKernel {
+				chunk += k.Costs.ReadMemBase
+			}
+			if got, want := k.Clock.Cycles-before, uint64(termAt/64+1)*chunk; got != want {
+				t.Fatalf("inKernel=%v termAt=%d: charged %d, want %d", inKernel, termAt, got, want)
+			}
+		}
+		// max reached with no terminator: must error.
+		m, sp := newMemMonitor(t, inKernel)
+		if err := sp.Poke(fuzzBase, bytes.Repeat([]byte{'c'}, 256)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ksp.Poke(fuzzBase, content); err != nil {
+		if _, err := m.readCString(fuzzBase, 256); err == nil {
+			t.Fatalf("inKernel=%v: accepted an unterminated max-length string", inKernel)
+		}
+	}
+}
+
+// TestGuestReadersBothPaths: readWord decodes little-endian words at the
+// path's charge (ptrace pays the fixed process_vm_readv cost, the
+// in-kernel path only the per-word copy), and both readers fail on
+// unmapped guest memory.
+func TestGuestReadersBothPaths(t *testing.T) {
+	for _, inKernel := range []bool{false, true} {
+		m, sp := newMemMonitor(t, inKernel)
+		if err := sp.Poke(fuzzBase, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 			t.Fatal(err)
 		}
-		sPt, errPt := ptMon.readCString(fuzzBase, 256)
-		sIK, errIK := ikMon.readCString(fuzzBase, 256)
-		if errPt != nil || errIK != nil {
-			t.Fatalf("termAt=%d: errors %v / %v", termAt, errPt, errIK)
+		k := m.proc.K
+		before := k.Clock.Cycles
+		v, err := m.readWord(fuzzBase)
+		if err != nil || v != 0x0807060504030201 {
+			t.Fatalf("inKernel=%v: readWord = %#x, %v", inKernel, v, err)
 		}
-		if len(sPt) != termAt || sPt != sIK {
-			t.Fatalf("termAt=%d: got %d / %d bytes", termAt, len(sPt), len(sIK))
+		want := k.Costs.ReadMemPerWord
+		if !inKernel {
+			want += k.Costs.ReadMemBase
 		}
-	}
-	// max reached with no terminator: both must error.
-	ptMon, psp := newMemMonitor(t, false)
-	ikMon, ksp := newMemMonitor(t, true)
-	long := bytes.Repeat([]byte{'c'}, 256)
-	if err := psp.Poke(fuzzBase, long); err != nil {
-		t.Fatal(err)
-	}
-	if err := ksp.Poke(fuzzBase, long); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ptMon.readCString(fuzzBase, 256); err == nil {
-		t.Fatal("ptrace path accepted an unterminated max-length string")
-	}
-	if _, err := ikMon.readCString(fuzzBase, 256); err == nil {
-		t.Fatal("in-kernel path accepted an unterminated max-length string")
+		if got := k.Clock.Cycles - before; got != want {
+			t.Fatalf("inKernel=%v: readWord charged %d, want %d", inKernel, got, want)
+		}
+		unmapped := fuzzBase + 2*mem.PageSize
+		if _, err := m.readWord(unmapped); err == nil {
+			t.Fatalf("inKernel=%v: readWord of unmapped memory succeeded", inKernel)
+		}
+		if _, err := m.readCString(unmapped, 16); err == nil {
+			t.Fatalf("inKernel=%v: readCString of unmapped memory succeeded", inKernel)
+		}
 	}
 }

@@ -12,6 +12,8 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -324,11 +326,7 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		return nil, fmt.Errorf("monitor: mapping shadow region: %w", err)
 	}
 	proc.M.Runtime = shadow.NewRuntime(proc.M.Mem)
-	if cfg.InKernel {
-		m.shadow = shadow.NewReader(m.readWord)
-	} else {
-		m.shadow = shadow.NewReader(proc.ReadWord)
-	}
+	m.shadow = shadow.NewReader(m.readWord)
 
 	prog := cfg.Filter
 	if prog == nil {
@@ -1200,24 +1198,18 @@ func (m *Monitor) checkPointee(nr uint32, spec metadata.ArgSpec, ptr uint64) *Vi
 	return nil
 }
 
-// readCString reads a guest string via the configured access path.
+// readCString reads a NUL-terminated guest string of at most max bytes.
+// It reads 64-byte chunks, so a string that ends right before a mapping
+// boundary is still readable.
 func (m *Monitor) readCString(ptr uint64, max int) (string, error) {
-	if !m.Cfg.InKernel {
-		return m.proc.ReadCString(ptr, max)
-	}
 	buf := make([]byte, max)
 	for i := 0; i < max; i += 64 {
-		end := i + 64
-		if end > max {
-			end = max
-		}
-		if err := m.proc.ReadMemInKernel(ptr+uint64(i), buf[i:end]); err != nil {
+		end := min(i+64, max)
+		if err := m.readMem(ptr+uint64(i), buf[i:end]); err != nil {
 			return "", err
 		}
-		for j := i; j < end; j++ {
-			if buf[j] == 0 {
-				return string(buf[:j]), nil
-			}
+		if j := bytes.IndexByte(buf[i:end], 0); j >= 0 {
+			return string(buf[:i+j]), nil
 		}
 	}
 	return "", fmt.Errorf("monitor: unterminated string at %#x", ptr)
@@ -1303,28 +1295,22 @@ func (m *Monitor) verifyBytes(nr uint32, pos int, base uint64, data []byte, requ
 	return nil
 }
 
-// readWord and readMem route guest access through ptrace or the in-kernel
-// facility per configuration.
-func (m *Monitor) readWord(addr uint64) (uint64, error) {
-	if m.Cfg.InKernel {
-		var b [8]byte
-		if err := m.proc.ReadMemInKernel(addr, b[:]); err != nil {
-			return 0, err
-		}
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(b[i])
-		}
-		return v, nil
-	}
-	return m.proc.ReadWord(addr)
-}
-
+// readMem routes guest access through ptrace or the in-kernel facility
+// per configuration; every other guest reader is built on it.
 func (m *Monitor) readMem(addr uint64, buf []byte) error {
 	if m.Cfg.InKernel {
 		return m.proc.ReadMemInKernel(addr, buf)
 	}
 	return m.proc.ReadMem(addr, buf)
+}
+
+// readWord reads one little-endian 64-bit guest word.
+func (m *Monitor) readWord(addr uint64) (uint64, error) {
+	var b [8]byte
+	if err := m.readMem(addr, b[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 func (m *Monitor) readGuestUint(addr uint64, size int64) (uint64, error) {

@@ -21,13 +21,22 @@ import (
 // calibration.
 const SimHz = 1e9
 
-// Default restart-backoff parameters, in simulated cycles: 1 ms base,
-// doubling per consecutive failure, capped at 64 ms.
+// Restart backoff, in simulated cycles: 1 ms base, doubling per
+// consecutive failure, capped at 64 ms.
 const (
-	DefaultBackoffBase uint64 = 1_000_000
-	DefaultBackoffCap  uint64 = 64_000_000
-	defaultMaxSteps    uint64 = 1 << 34
+	BackoffBase uint64 = 1_000_000
+	BackoffCap  uint64 = 64_000_000
 )
+
+// maxSteps bounds each incarnation's guest execution.
+const maxSteps uint64 = 1 << 34
+
+// backoff is the restart penalty charged before the n-th restart (n ≥ 1):
+// BackoffBase doubled per earlier consecutive failure, capped at
+// BackoffCap.
+func backoff(n int) uint64 {
+	return min(BackoffBase<<min(n-1, 30), BackoffCap)
+}
 
 // Config describes one fleet run.
 type Config struct {
@@ -58,12 +67,10 @@ type Config struct {
 	ShareArtifacts bool
 
 	// MaxRestarts caps restarts per tenant; a failure beyond the cap
-	// leaves the tenant dead with its partial progress recorded.
+	// leaves the tenant dead with its partial progress recorded. Each
+	// restart charges the capped exponential backoff (BackoffBase up to
+	// BackoffCap).
 	MaxRestarts int
-	// BackoffBase / BackoffCap shape the capped exponential restart
-	// backoff, in simulated cycles (0 selects the defaults).
-	BackoffBase uint64
-	BackoffCap  uint64
 
 	// Seed fixes the tenant-interleaving schedule; Deterministic runs
 	// tenants serially in that schedule order, making a fleet run fully
@@ -82,17 +89,16 @@ type Config struct {
 	// one-shot unit failure (restart-path testing).
 	FaultAt map[int]int
 
-	// Shards > 0 runs the sharded control plane: tenants are placed onto
-	// that many shard supervisors by consistent hashing, each shard owns
-	// its own goroutine pool and admission control, and per-shard
-	// statistics land in the report. 0 keeps the flat supervisor.
+	// Shards is the control plane's shard-supervisor count: tenants are
+	// placed onto the shards by consistent hashing, each shard owns its
+	// own goroutine pool and admission control, and per-shard statistics
+	// land in the report. 0 runs the whole fleet as one shard with
+	// admission off.
 	Shards int
-	// ShardVnodes is the placement ring's virtual-node count per shard
-	// (0 = shard.DefaultVnodes).
-	ShardVnodes int
 	// Admission overrides the per-shard admission control (nil =
-	// shard.DefaultAdmission). Admission latency and rejections are
-	// charged to each tenant's elapsed timeline deterministically.
+	// shard.DefaultAdmission); it needs Shards > 0. Admission latency and
+	// rejections are charged to each tenant's elapsed timeline
+	// deterministically.
 	Admission *shard.AdmissionConfig
 
 	// ReloadAt > 0 hot-reloads every tenant's policy after it completes
@@ -102,9 +108,6 @@ type Config struct {
 	ReloadAt int
 	// ReloadSpec is the policy the fleet swaps to (generation 1).
 	ReloadSpec *PolicySpec
-
-	// MaxSteps bounds each incarnation's guest execution (0 = default).
-	MaxSteps uint64
 
 	// Trace enables the telemetry plane: every incarnation's monitor gets
 	// a per-tenant buffer sink, and each tenant's decision trace and
@@ -144,16 +147,6 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("fleet: workers must be non-negative, got %d", c.Workers)
 	}
-	base, bcap := c.BackoffBase, c.BackoffCap
-	if base == 0 {
-		base = DefaultBackoffBase
-	}
-	if bcap == 0 {
-		bcap = DefaultBackoffCap
-	}
-	if base > bcap {
-		return fmt.Errorf("fleet: backoff base %d exceeds cap %d", base, bcap)
-	}
 	for idx, unit := range c.FaultAt {
 		if idx < 0 || idx >= c.Tenants {
 			return fmt.Errorf("fleet: fault tenant %d outside fleet of %d", idx, c.Tenants)
@@ -165,8 +158,8 @@ func (c *Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("fleet: shards must be non-negative, got %d", c.Shards)
 	}
-	if c.ShardVnodes < 0 {
-		return fmt.Errorf("fleet: shard vnodes must be non-negative, got %d", c.ShardVnodes)
+	if c.Admission != nil && c.Shards == 0 {
+		return errors.New("fleet: admission control needs shards > 0")
 	}
 	if c.ReloadAt < 0 {
 		return fmt.Errorf("fleet: reload unit must be non-negative, got %d", c.ReloadAt)
@@ -201,8 +194,7 @@ func (c *Config) Validate() error {
 }
 
 // DefaultConfig returns a full-protection fleet configuration: all
-// contexts, full mode, shared artifacts, three restarts with default
-// backoff.
+// contexts, full mode, shared artifacts, three restarts.
 func DefaultConfig(tenants, units int, apps ...string) Config {
 	if len(apps) == 0 {
 		apps = []string{"nginx", "sqlite", "vsftpd"}
@@ -252,12 +244,11 @@ type TenantResult struct {
 	Index int
 	App   string
 
-	// Shard is the control-plane shard that ran the tenant, -1 under the
-	// flat supervisor. AdmitCycles is the fleet-clock cycle at which the
-	// shard granted the tenant's launch (arrival offset plus queueing); it
-	// front-pads the tenant's elapsed timeline so WallCycles is a true
-	// makespan. AdmitRejects counts full-queue rejections absorbed before
-	// admission.
+	// Shard is the control-plane shard that ran the tenant. AdmitCycles
+	// is the fleet-clock cycle at which the shard granted the tenant's
+	// launch (arrival offset plus queueing); it front-pads the tenant's
+	// elapsed timeline so WallCycles is a true makespan. AdmitRejects
+	// counts full-queue rejections absorbed before admission.
 	Shard        int
 	AdmitCycles  uint64
 	AdmitRejects int
@@ -393,43 +384,43 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Deterministic {
 		workers = 1
 	}
-	if cfg.Shards > 0 {
-		// Sharded control plane: placement and admission are computed up
-		// front as pure functions of (config, schedule), then each shard
-		// supervises its members with its own worker pool, all shards at
-		// once (one after another when deterministic). Results are
-		// byte-identical to a serial run because nothing about a tenant
-		// depends on when its shard's pool got to it.
-		adm := shard.DefaultAdmission()
-		if cfg.Admission != nil {
-			adm = *cfg.Admission
+	// Placement and admission are computed up front as pure functions of
+	// (config, schedule), then each shard supervises its members with its
+	// own worker pool, all shards at once (one after another when
+	// deterministic). Results are byte-identical to a serial run because
+	// nothing about a tenant depends on when its shard's pool got to it.
+	// An unsharded fleet is one shard with admission off: its plan is the
+	// schedule itself, every grant at cycle 0.
+	var adm shard.AdmissionConfig
+	switch {
+	case cfg.Admission != nil:
+		adm = *cfg.Admission
+	case cfg.Shards > 0:
+		adm = shard.DefaultAdmission()
+	}
+	rep.Shards = shard.Build(cfg.Shards, adm, schedule)
+	var wg sync.WaitGroup
+	for _, s := range rep.Shards {
+		if cfg.Deterministic {
+			dispatch(s.Members, workers, runOne)
+			continue
 		}
-		rep.Shards = shard.Build(cfg.Shards, cfg.ShardVnodes, adm, schedule)
-		var wg sync.WaitGroup
-		for _, s := range rep.Shards {
-			if cfg.Deterministic {
-				dispatch(s.Members, workers, runOne)
-				continue
-			}
-			wg.Add(1)
-			go func(members []int) {
-				defer wg.Done()
-				dispatch(members, workers, runOne)
-			}(s.Members)
+		wg.Add(1)
+		go func(members []int) {
+			defer wg.Done()
+			dispatch(members, workers, runOne)
+		}(s.Members)
+	}
+	wg.Wait()
+	// Stamp each tenant with its shard's placement and admission outcome
+	// (deterministic post-pass; runTenant never sees them).
+	for _, s := range rep.Shards {
+		for i, idx := range s.Members {
+			g := s.Grants[i]
+			rep.Results[idx].Shard = s.ID
+			rep.Results[idx].AdmitCycles = g.Admit
+			rep.Results[idx].AdmitRejects = g.Rejects
 		}
-		wg.Wait()
-		// Stamp each tenant with its shard's placement and admission
-		// outcome (deterministic post-pass; runTenant never sees them).
-		for _, s := range rep.Shards {
-			for i, idx := range s.Members {
-				g := s.Grants[i]
-				rep.Results[idx].Shard = s.ID
-				rep.Results[idx].AdmitCycles = g.Admit
-				rep.Results[idx].AdmitRejects = g.Rejects
-			}
-		}
-	} else {
-		dispatch(schedule, workers, runOne)
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -496,7 +487,7 @@ func (f *faultyTarget) Unit(p *core.Protected, i int) (int64, error) {
 // configuration, not guest behavior — are returned as errors.
 func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifacts, error) {
 	app := cfg.appOf(idx)
-	res := TenantResult{Index: idx, App: app, Shard: -1}
+	res := TenantResult{Index: idx, App: app}
 	if cfg.Trace {
 		res.Metrics = obs.NewRegistry()
 	}
@@ -516,23 +507,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifact
 
 	for res.Units < cfg.Units && !res.Dead {
 		if attempt > 0 {
-			shift := attempt - 1
-			if shift > 30 {
-				shift = 30
-			}
-			backoff := cfg.BackoffBase
-			if backoff == 0 {
-				backoff = DefaultBackoffBase
-			}
-			backoff <<= shift
-			cap := cfg.BackoffCap
-			if cap == 0 {
-				cap = DefaultBackoffCap
-			}
-			if backoff > cap {
-				backoff = cap
-			}
-			res.BackoffCycles += backoff
+			res.BackoffCycles += backoff(attempt)
 		}
 
 		// When sharing is off, every incarnation recompiles from scratch,
@@ -562,8 +537,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifact
 			driver = &faultyTarget{Target: target, base: res.Units, faultAt: faultAt, fired: &faultFired}
 		}
 
-		wl, runErr := runSlice(cfg, app, arts, prot, driver, res.Units, runUnits)
-		accumulate(&res, wl, prot)
+		runErr := runSlice(cfg, &res, app, arts, prot, driver, runUnits)
 
 		if runErr != nil {
 			// A killed incarnation's monitor still holds its violations,
@@ -608,45 +582,46 @@ func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifact
 	return res, priv, nil
 }
 
-// runSlice drives one incarnation through a slice of units, staging the
-// fleet's policy hot reload where the tenant's cumulative unit count
-// crosses cfg.ReloadAt. done is the tenant's progress before this slice.
+// runSlice drives one incarnation through a slice of units, folding each
+// measured segment into res and staging the fleet's policy hot reload
+// where the tenant's cumulative unit count crosses cfg.ReloadAt.
 //
 // The generation is staged, not applied: the monitor swaps it in at its
 // next trap boundary, so the guest keeps running throughout and every
 // trap is judged under exactly one generation. An incarnation launched
 // after the reload point (post-restart) stages the generation before its
 // first unit, bringing the fresh monitor up to fleet policy immediately.
-func runSlice(cfg *Config, app string, arts *Artifacts, prot *core.Protected, driver workload.Target, done, units int) (workload.Result, error) {
+func runSlice(cfg *Config, res *TenantResult, app string, arts *Artifacts, prot *core.Protected, driver workload.Target, units int) error {
+	done := res.Units
 	if cfg.ReloadAt == 0 || done+units <= cfg.ReloadAt {
-		return workload.Run(driver, prot, units)
+		wl, err := workload.Run(driver, prot, units)
+		accumulate(res, wl)
+		return err
 	}
 	gen, err := reloadGeneration(cfg, app, arts)
 	if err != nil {
-		return workload.Result{}, err
+		return err
 	}
 	cut := cfg.ReloadAt - done
 	if cut <= 0 {
 		if err := prot.Monitor.StageGeneration(gen); err != nil {
-			return workload.Result{}, err
+			return err
 		}
-		return workload.Run(driver, prot, units)
+		wl, err := workload.Run(driver, prot, units)
+		accumulate(res, wl)
+		return err
 	}
 	head, err := workload.Run(driver, prot, cut)
+	accumulate(res, head)
 	if err != nil {
-		return head, err
+		return err
 	}
 	if err := prot.Monitor.StageGeneration(gen); err != nil {
-		return head, err
+		return err
 	}
 	tail, err := workload.Continue(driver, prot, cut, units-cut)
-	head.Units += tail.Units
-	head.Bytes += tail.Bytes
-	head.InitCycles += tail.InitCycles
-	head.TotalCycles += tail.TotalCycles
-	head.MonitorCycles += tail.MonitorCycles
-	head.Traps += tail.Traps
-	return head, err
+	accumulate(res, tail)
+	return err
 }
 
 // launchTenant builds one incarnation: fresh kernel and clock, fixtures,
@@ -684,10 +659,6 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	mcfg.FlightN = cfg.FlightN
 	mcfg.Tenant = idx
 
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
-	}
 	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps))
 	if err != nil {
 		return nil, nil, err
@@ -721,16 +692,14 @@ func replayAttack(cfg *Config, app, id string, prot *core.Protected, target work
 	}
 }
 
-// accumulate folds one incarnation's workload measurement into the tenant
-// totals.
-func accumulate(res *TenantResult, wl workload.Result, prot *core.Protected) {
+// accumulate folds one workload measurement into the tenant totals.
+func accumulate(res *TenantResult, wl workload.Result) {
 	res.Units += wl.Units
 	res.Bytes += wl.Bytes
 	res.InitCycles += wl.InitCycles
 	res.TotalCycles += wl.TotalCycles
 	res.MonitorCycles += wl.MonitorCycles
 	res.Traps += wl.Traps
-	_ = prot
 }
 
 // drainMonitor folds the incarnation's monitor-side statistics into the

@@ -8,6 +8,7 @@ import (
 	"bastion/internal/attacks"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
+	"bastion/internal/fleet/shard"
 	"bastion/internal/kernel"
 	"bastion/internal/vm"
 	"bastion/internal/workload"
@@ -29,13 +30,11 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown attack", func(c *Config) { c.Malicious = map[int]string{0: "nope"} }, "unknown attack"},
 		{"attack app mismatch", func(c *Config) { c.Malicious = map[int]string{1: "direct-cscfi"} }, "targets nginx"},
 		{"negative workers", func(c *Config) { c.Workers = -2 }, "workers must be non-negative"},
-		{"backoff base over cap", func(c *Config) { c.BackoffBase = 100; c.BackoffCap = 50 }, "exceeds cap"},
-		{"backoff base over default cap", func(c *Config) { c.BackoffBase = DefaultBackoffCap + 1 }, "exceeds cap"},
 		{"fault tenant out of range", func(c *Config) { c.FaultAt = map[int]int{7: 2} }, "fault tenant 7 outside fleet"},
 		{"negative fault tenant", func(c *Config) { c.FaultAt = map[int]int{-1: 2} }, "outside fleet"},
 		{"negative fault unit", func(c *Config) { c.FaultAt = map[int]int{1: -3} }, "fault unit must be non-negative"},
 		{"negative shards", func(c *Config) { c.Shards = -1 }, "shards must be non-negative"},
-		{"negative vnodes", func(c *Config) { c.Shards = 2; c.ShardVnodes = -4 }, "vnodes must be non-negative"},
+		{"admission without shards", func(c *Config) { c.Admission = &shard.AdmissionConfig{} }, "admission control needs shards"},
 		{"negative reload unit", func(c *Config) { c.ReloadAt = -1 }, "reload unit must be non-negative"},
 		{"reload without spec", func(c *Config) { c.ReloadAt = 3 }, "needs a reload policy spec"},
 		{"reload past units", func(c *Config) { c.ReloadAt = 6; c.ReloadSpec = &PolicySpec{} }, "needs more than"},
@@ -126,7 +125,7 @@ func TestFleetStandaloneEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		mcfg := monitor.DefaultConfig()
-		prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(defaultMaxSteps))
+		prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,8 +204,8 @@ func TestRestartBackoff(t *testing.T) {
 		t.Errorf("faulted tenant: faults=%d kills=%d restarts=%d, want 1/0/1",
 			faulted.Faults, faulted.Kills, faulted.Restarts)
 	}
-	if faulted.BackoffCycles != DefaultBackoffBase {
-		t.Errorf("backoff = %d, want base %d", faulted.BackoffCycles, DefaultBackoffBase)
+	if faulted.BackoffCycles != BackoffBase {
+		t.Errorf("backoff = %d, want base %d", faulted.BackoffCycles, BackoffBase)
 	}
 	if faulted.Dead {
 		t.Error("faulted tenant marked dead despite restart budget")
@@ -246,34 +245,27 @@ func TestRestartBackoff(t *testing.T) {
 	}
 }
 
-// TestBackoffCap: consecutive failures escalate exponentially up to the
-// cap. Exercised through the exported policy by forcing repeated faults
-// via a tiny MaxSteps budget... kept simple: verify the arithmetic the
-// supervisor applies.
+// TestBackoffCap: the restart penalty doubles per consecutive failure
+// from BackoffBase and saturates at BackoffCap, including restart counts
+// far past the point where the doubling would overflow.
 func TestBackoffCap(t *testing.T) {
-	cfg := DefaultConfig(1, 4, "nginx")
-	cfg.BackoffBase = 1000
-	cfg.BackoffCap = 3000
-	res := TenantResult{}
-	attempt := 0
-	// Simulate 4 consecutive retirements through the supervisor's policy.
-	for i := 0; i < 4; i++ {
-		retire(&cfg, &res, &attempt, false)
-		if !res.Dead {
-			shift := attempt - 1
-			backoff := cfg.BackoffBase << shift
-			if backoff > cfg.BackoffCap {
-				backoff = cfg.BackoffCap
-			}
-			res.BackoffCycles += backoff
+	for _, tc := range []struct {
+		n    int
+		want uint64
+	}{
+		{1, BackoffBase},
+		{2, 2 * BackoffBase},
+		{3, 4 * BackoffBase},
+		{6, 32 * BackoffBase},
+		{7, BackoffCap},
+		{8, BackoffCap},
+		{31, BackoffCap},
+		{64, BackoffCap},
+		{1000, BackoffCap},
+	} {
+		if got := backoff(tc.n); got != tc.want {
+			t.Errorf("backoff(%d) = %d, want %d", tc.n, got, tc.want)
 		}
-	}
-	// attempts 1..3 before the budget (MaxRestarts=3) dies: 1000+2000+3000.
-	if res.BackoffCycles != 6000 {
-		t.Errorf("backoff sequence total %d, want 6000 (1000+2000+capped 3000)", res.BackoffCycles)
-	}
-	if !res.Dead || res.Faults != 4 {
-		t.Errorf("after 4 faults with budget 3: dead=%v faults=%d", res.Dead, res.Faults)
 	}
 }
 
@@ -305,7 +297,7 @@ func TestMaliciousReplayMatchesManualAdoption(t *testing.T) {
 	if err := target.Fixture(k); err != nil {
 		t.Fatal(err)
 	}
-	prot, err := core.Launch(art, k, monitor.DefaultConfig(), vm.WithMaxSteps(defaultMaxSteps))
+	prot, err := core.Launch(art, k, monitor.DefaultConfig(), vm.WithMaxSteps(maxSteps))
 	if err != nil {
 		t.Fatal(err)
 	}

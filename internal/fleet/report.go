@@ -19,9 +19,9 @@ type Report struct {
 	Schedule []int
 	Results  []TenantResult
 
-	// Shards is the sharded control plane's static plan — placement ring
-	// assignment and admission grants per shard — nil under the flat
-	// supervisor. It is computed before any tenant runs, so it is part of
+	// Shards is the control plane's static plan — placement ring
+	// assignment and admission grants per shard; an unsharded fleet is
+	// one shard. It is computed before any tenant runs, so it is part of
 	// the report's deterministic surface.
 	Shards []*shard.Shard
 
@@ -37,15 +37,6 @@ func (r *Report) TotalUnits() int {
 	n := 0
 	for i := range r.Results {
 		n += r.Results[i].Units
-	}
-	return n
-}
-
-// TotalBytes sums application bytes moved across tenants.
-func (r *Report) TotalBytes() int64 {
-	var n int64
-	for i := range r.Results {
-		n += r.Results[i].Bytes
 	}
 	return n
 }
@@ -124,13 +115,13 @@ func (r *Report) OffloadAvoided() uint64 {
 }
 
 // AdmitRejects sums full-queue admission rejections across tenants — the
-// sharded control plane's backpressure signal (0 on the flat supervisor).
+// control plane's backpressure signal (0 with admission off).
 func (r *Report) AdmitRejects() int {
 	return r.sum(func(t *TenantResult) int { return t.AdmitRejects })
 }
 
 // MaxAdmitWait is the fleet's worst admission latency in cycles, taken
-// over the shard plans (0 on the flat supervisor).
+// over the shard plans (0 with admission off).
 func (r *Report) MaxAdmitWait() uint64 {
 	var m uint64
 	for _, s := range r.Shards {
@@ -176,7 +167,7 @@ func (r *Report) ShardMakespan(s *shard.Shard) uint64 {
 
 // ShardMetrics merges each shard's members' registries (member order)
 // into one registry per shard; MergedMetrics folds these shard registries
-// in shard order, so a sharded fleet's metrics roll up shard-by-shard.
+// in shard order, so a fleet's metrics roll up shard-by-shard.
 func (r *Report) ShardMetrics() []*obs.Registry {
 	out := make([]*obs.Registry, len(r.Shards))
 	for i, s := range r.Shards {
@@ -256,20 +247,13 @@ func (r *Report) CompilesPerTenant() float64 {
 }
 
 // MergedMetrics folds every tenant's metrics registry into one fleet-wide
-// registry. Tenants without a registry (Trace off) contribute nothing; the
-// result is deterministic because Merge and the renderers sort by name.
+// registry, through the per-shard registries. Tenants without a registry
+// (Trace off) contribute nothing; the result is deterministic because
+// Merge and the renderers sort by name.
 func (r *Report) MergedMetrics() *obs.Registry {
 	merged := obs.NewRegistry()
-	if len(r.Shards) > 0 {
-		for _, reg := range r.ShardMetrics() {
-			mustMerge(merged, reg)
-		}
-		return merged
-	}
-	for i := range r.Results {
-		if m := r.Results[i].Metrics; m != nil {
-			mustMerge(merged, m)
-		}
+	for _, reg := range r.ShardMetrics() {
+		mustMerge(merged, reg)
 	}
 	return merged
 }
@@ -327,10 +311,8 @@ func (r *Report) Markdown() string {
 	fmt.Fprintf(&b, "Setup: %d program compiles (%.2f/tenant), %d filter compiles, %.0f attach cyc/tenant.\n",
 		r.Compiles, r.CompilesPerTenant(), r.FilterCompiles, r.SetupCyclesPerTenant())
 
-	if len(r.Shards) > 0 {
-		fmt.Fprintf(&b, "Admission: %d rejections, max wait %d cyc, makespan %d cyc.\n",
-			r.AdmitRejects(), r.MaxAdmitWait(), r.WallCycles())
-	}
+	fmt.Fprintf(&b, "Admission: %d rejections, max wait %d cyc, makespan %d cyc.\n",
+		r.AdmitRejects(), r.MaxAdmitWait(), r.WallCycles())
 	if r.Cfg.ReloadAt > 0 {
 		fmt.Fprintf(&b, "Hot reload: staged at unit %d, %d swaps applied, mean %.0f cyc/swap.\n",
 			r.Cfg.ReloadAt, r.Reloads(), r.MeanReloadCycles())
@@ -349,14 +331,12 @@ func (r *Report) Markdown() string {
 		fmt.Fprintf(&b, "Violations by context: %s.\n", strings.Join(parts, ", "))
 	}
 
-	if len(r.Shards) > 0 {
-		b.WriteString("\n### Shards\n\n")
-		b.WriteString("| shard | tenants | rejects | max admit wait | makespan cyc |\n")
-		b.WriteString("|---|---|---|---|---|\n")
-		for _, s := range r.Shards {
-			fmt.Fprintf(&b, "| %d | %d | %d | %d | %d |\n",
-				s.ID, len(s.Members), s.Rejects(), s.MaxWait(), r.ShardMakespan(s))
-		}
+	b.WriteString("\n### Shards\n\n")
+	b.WriteString("| shard | tenants | rejects | max admit wait | makespan cyc |\n")
+	b.WriteString("|---|---|---|---|---|\n")
+	for _, s := range r.Shards {
+		fmt.Fprintf(&b, "| %d | %d | %d | %d | %d |\n",
+			s.ID, len(s.Members), s.Rejects(), s.MaxWait(), r.ShardMakespan(s))
 	}
 
 	if r.Cfg.SLO != nil {
@@ -392,12 +372,10 @@ func (r *Report) Markdown() string {
 
 // String returns a one-line fleet summary.
 func (r *Report) String() string {
-	s := fmt.Sprintf("fleet %d×%d [%s] mode=%s: %d units, %.0f units/s, %d restarts, %d kills, %d dead, %d compiles",
+	s := fmt.Sprintf("fleet %d×%d [%s] mode=%s: %d units, %.0f units/s, %d restarts, %d kills, %d dead, %d compiles, %d shards (%d rejections)",
 		r.Cfg.Tenants, r.Cfg.Units, strings.Join(r.Cfg.Apps, ","), r.Cfg.Mode,
-		r.TotalUnits(), r.Throughput(), r.Restarts(), r.Kills(), r.Dead(), r.Compiles)
-	if len(r.Shards) > 0 {
-		s += fmt.Sprintf(", %d shards (%d rejections)", len(r.Shards), r.AdmitRejects())
-	}
+		r.TotalUnits(), r.Throughput(), r.Restarts(), r.Kills(), r.Dead(), r.Compiles,
+		len(r.Shards), r.AdmitRejects())
 	if r.Cfg.ReloadAt > 0 {
 		s += fmt.Sprintf(", %d reloads", r.Reloads())
 	}

@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func members(n int) []int {
 	m := make([]int, n)
@@ -114,7 +117,7 @@ func TestBuildPartitionsFleet(t *testing.T) {
 	for i := range schedule {
 		schedule[i] = 511 - i
 	}
-	shards := Build(8, 0, DefaultAdmission(), schedule)
+	shards := Build(8, DefaultAdmission(), schedule)
 	if len(shards) != 8 {
 		t.Fatalf("built %d shards, want 8", len(shards))
 	}
@@ -135,5 +138,25 @@ func TestBuildPartitionsFleet(t *testing.T) {
 	}
 	if len(seen) != len(schedule) {
 		t.Fatalf("shards cover %d tenants, want %d", len(seen), len(schedule))
+	}
+}
+
+// TestBuildUnshardedIsOneOpenShard pins what an unsharded fleet runs on:
+// zero shards build one shard holding the whole schedule in order, and
+// admission off grants every member at cycle 0 with no rejections.
+func TestBuildUnshardedIsOneOpenShard(t *testing.T) {
+	schedule := []int{5, 2, 9, 0, 7, 3, 1, 8, 6, 4}
+	shards := Build(0, AdmissionConfig{}, schedule)
+	if len(shards) != 1 || shards[0].ID != 0 {
+		t.Fatalf("built %d shards, want one shard 0", len(shards))
+	}
+	s := shards[0]
+	if !slices.Equal(s.Members, schedule) {
+		t.Fatalf("members %v, want the schedule %v", s.Members, schedule)
+	}
+	for i, g := range s.Grants {
+		if g.Tenant != schedule[i] || g.Arrival != 0 || g.Admit != 0 || g.Rejects != 0 {
+			t.Fatalf("grant %d = %+v, want tenant %d granted at cycle 0", i, g, schedule[i])
+		}
 	}
 }

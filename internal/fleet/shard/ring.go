@@ -12,12 +12,12 @@
 // whether the shards run serially or in parallel.
 package shard
 
-// Ring is a consistent-hash placement ring: each shard projects Vnodes
-// virtual points onto the hash circle, and a tenant lands on the first
-// point clockwise from its own hash. Consistent hashing keeps placement
-// stable as the shard count changes — growing K moves only ~1/K of the
-// tenants — which is what lets a production fleet resize its control
-// plane without a mass migration.
+// Ring is a consistent-hash placement ring: each shard projects
+// DefaultVnodes virtual points onto the hash circle, and a tenant lands
+// on the first point clockwise from its own hash. Consistent hashing
+// keeps placement stable as the shard count changes — growing K moves
+// only ~1/K of the tenants — which is what lets a production fleet
+// resize its control plane without a mass migration.
 type Ring struct {
 	shards int
 	points []point // sorted by hash
@@ -48,18 +48,14 @@ func hash64(parts ...uint64) uint64 {
 	return h
 }
 
-// NewRing builds a ring of the given shard count; vnodes <= 0 selects
-// DefaultVnodes.
-func NewRing(shards, vnodes int) *Ring {
+// NewRing builds a ring of the given shard count (at least one).
+func NewRing(shards int) *Ring {
 	if shards < 1 {
 		shards = 1
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{shards: shards, points: make([]point, 0, shards*vnodes)}
+	r := &Ring{shards: shards, points: make([]point, 0, shards*DefaultVnodes)}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			r.points = append(r.points, point{hash: hash64(uint64(s), uint64(v), 0x9e3779b97f4a7c15), shard: s})
 		}
 	}

@@ -3,8 +3,8 @@ package shard
 import "testing"
 
 func TestRingPlacementDeterministic(t *testing.T) {
-	a := NewRing(8, 0)
-	b := NewRing(8, 0)
+	a := NewRing(8)
+	b := NewRing(8)
 	for tenant := 0; tenant < 1000; tenant++ {
 		if a.Place(tenant) != b.Place(tenant) {
 			t.Fatalf("tenant %d placed differently by identical rings", tenant)
@@ -14,7 +14,7 @@ func TestRingPlacementDeterministic(t *testing.T) {
 
 func TestRingCoversAllShards(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 16} {
-		r := NewRing(shards, 0)
+		r := NewRing(shards)
 		seen := make([]int, shards)
 		for tenant := 0; tenant < 4096; tenant++ {
 			s := r.Place(tenant)
@@ -35,7 +35,7 @@ func TestRingBalance(t *testing.T) {
 	// With 64 vnodes per shard, 4096 tenants over 16 shards should land
 	// within a loose factor of the 256-per-shard ideal: consistent
 	// hashing is not perfectly uniform, but it must not collapse.
-	r := NewRing(16, 0)
+	r := NewRing(16)
 	counts := make([]int, 16)
 	for tenant := 0; tenant < 4096; tenant++ {
 		counts[r.Place(tenant)]++
@@ -51,7 +51,7 @@ func TestRingStabilityAcrossGrowth(t *testing.T) {
 	// Consistent hashing's point: growing the shard count moves only a
 	// fraction of the tenants. Going 8 -> 9 shards must move well under
 	// half the fleet (1/9 ≈ 11% ideally).
-	small, big := NewRing(8, 0), NewRing(9, 0)
+	small, big := NewRing(8), NewRing(9)
 	moved := 0
 	const tenants = 4096
 	for tenant := 0; tenant < tenants; tenant++ {
@@ -65,7 +65,7 @@ func TestRingStabilityAcrossGrowth(t *testing.T) {
 }
 
 func TestMembersPreserveScheduleOrder(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	schedule := []int{5, 2, 9, 0, 7, 3, 1, 8, 6, 4}
 	members := r.Members(schedule)
 	pos := map[int]int{}

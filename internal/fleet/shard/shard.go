@@ -20,11 +20,11 @@ func (s *Shard) MaxWait() uint64 { return MaxWait(s.Grants) }
 
 // Build computes the whole control plane: places the scheduled tenants
 // onto shards with a consistent-hash ring and runs each shard's admission
-// plan. The result depends only on (shards, vnodes, cfg, schedule), so a
-// sharded fleet run is reproducible no matter how the shards' goroutine
-// pools interleave.
-func Build(shards, vnodes int, cfg AdmissionConfig, schedule []int) []*Shard {
-	ring := NewRing(shards, vnodes)
+// plan. The result depends only on (shards, cfg, schedule), so a fleet
+// run is reproducible no matter how the shards' goroutine pools
+// interleave. shards < 1 builds one shard holding the whole schedule.
+func Build(shards int, cfg AdmissionConfig, schedule []int) []*Shard {
+	ring := NewRing(shards)
 	members := ring.Members(schedule)
 	out := make([]*Shard, ring.Shards())
 	for id := range out {

@@ -41,15 +41,28 @@ func TestShardedFleetDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesFlat: the control plane is pure bookkeeping — every
-// tenant's execution under the sharded supervisor is identical to the
-// flat supervisor's, with only the placement/admission stamps added.
-func TestShardedMatchesFlat(t *testing.T) {
+// TestFlatIsOneOpenShard: an unsharded fleet is literally one shard with
+// admission off — its report renders byte-identical to an explicit
+// one-shard, admission-off run — and the control plane is pure
+// bookkeeping: a 3-shard run executes every tenant exactly as the
+// unsharded run does, differing only in the placement/admission stamps.
+func TestFlatIsOneOpenShard(t *testing.T) {
 	cfg := DefaultConfig(12, 4)
 	cfg.Seed = 5
 	flat, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	one := cfg
+	one.Shards = 1
+	one.Admission = &shard.AdmissionConfig{}
+	open, err := Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Markdown() != open.Markdown() {
+		t.Fatalf("unsharded report differs from one open shard:\n%s\n---\n%s",
+			flat.Markdown(), open.Markdown())
 	}
 
 	sh := cfg
@@ -66,17 +79,10 @@ func TestShardedMatchesFlat(t *testing.T) {
 		if got.Shard < 0 || got.Shard >= sh.Shards {
 			t.Fatalf("tenant %d stamped with shard %d", i, got.Shard)
 		}
-		got.Shard = -1
-		got.AdmitCycles = 0
-		got.AdmitRejects = 0
+		got.Shard, got.AdmitCycles, got.AdmitRejects = 0, 0, 0
 		if !reflect.DeepEqual(got, flat.Results[i]) {
-			t.Errorf("tenant %d diverges from flat run:\nsharded %+v\nflat    %+v",
+			t.Errorf("tenant %d diverges from the unsharded run:\nsharded   %+v\nunsharded %+v",
 				i, got, flat.Results[i])
-		}
-	}
-	for i := range flat.Results {
-		if flat.Results[i].Shard != -1 {
-			t.Fatalf("flat tenant %d stamped with shard %d, want -1", i, flat.Results[i].Shard)
 		}
 	}
 }

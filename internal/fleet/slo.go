@@ -129,7 +129,7 @@ func (r *SLORow) RejectsPerTenant() float64 {
 }
 
 // EvaluateSLO computes the report's SLO rows: one per shard in shard
-// order (sharded runs), then the fleet-wide row. Returns nil when the
+// order, then the fleet-wide row. Returns nil when the
 // run declared no SLO. Quantiles come from the merged telemetry
 // registries, so evaluation needs Trace (Run enables it whenever SLO is
 // set).
@@ -139,18 +139,15 @@ func (r *Report) EvaluateSLO() []SLORow {
 		return nil
 	}
 	var rows []SLORow
-	if len(r.Shards) > 0 {
-		regs := r.ShardMetrics()
-		for i, s := range r.Shards {
-			rows = append(rows, r.evaluateScope(cfg, s.ID, s.Members, regs[i]))
-		}
+	regs := r.ShardMetrics()
+	for i, s := range r.Shards {
+		rows = append(rows, r.evaluateScope(cfg, s.ID, s.Members, regs[i]))
 	}
 	all := make([]int, len(r.Results))
 	for i := range all {
 		all[i] = i
 	}
-	rows = append(rows, r.evaluateScope(cfg, -1, all, r.MergedMetrics()))
-	return rows
+	return append(rows, r.evaluateScope(cfg, -1, all, r.MergedMetrics()))
 }
 
 // evaluateScope scores one member set against the budgets.

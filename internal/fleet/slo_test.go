@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -304,11 +305,18 @@ func TestSLOImpliesTrace(t *testing.T) {
 			t.Fatalf("tenant %d has no metrics despite SLO implying trace", i)
 		}
 	}
+	// An unsharded fleet is one shard: its row and the fleet-wide row
+	// score the same tenants from the same histogram.
 	rows := rep.EvaluateSLO()
-	if len(rows) != 1 || rows[0].Shard != -1 {
-		t.Fatalf("flat fleet rows %+v, want single fleet-wide row", rows)
+	if len(rows) != 2 || rows[0].Shard != 0 || rows[1].Shard != -1 {
+		t.Fatalf("unsharded fleet rows %+v, want shard 0 then fleet-wide", rows)
 	}
-	if rows[0].P99 == 0 {
+	if rows[1].P99 == 0 {
 		t.Fatal("fleet-wide p99 is zero; trap histogram not populated")
+	}
+	shard0, fleetRow := rows[0], rows[1]
+	shard0.Shard = -1
+	if !reflect.DeepEqual(shard0, fleetRow) {
+		t.Fatalf("shard 0 row %+v differs from fleet row %+v", rows[0], fleetRow)
 	}
 }

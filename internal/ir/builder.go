@@ -138,11 +138,6 @@ func (b *Builder) Load(addr Reg, off, size int64) Reg {
 	return dst
 }
 
-// LoadInto emits dst = mem[addr+off].
-func (b *Builder) LoadInto(dst, addr Reg, off, size int64) {
-	b.emit(Instr{Kind: Load, Dst: dst, Addr: addr, Off: off, Size: size})
-}
-
 // Store emits mem[addr+off] = src of the given width. It returns the
 // instruction index so instrumentation can anchor to it.
 func (b *Builder) Store(addr Reg, off int64, src Operand, size int64) int {

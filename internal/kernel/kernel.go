@@ -273,39 +273,6 @@ func (p *Process) GetRegsInKernel() vm.Regs {
 	return p.M.SysRegs
 }
 
-// ReadWord reads one 64-bit guest word.
-func (p *Process) ReadWord(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := p.ReadMem(addr, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
-}
-
-// ReadCString reads a NUL-terminated guest string of at most max bytes
-// through the ptrace facility (one bulk read, as a real monitor would).
-func (p *Process) ReadCString(addr uint64, max int) (string, error) {
-	buf := make([]byte, max)
-	// Strings may end right at a mapping boundary: read byte-wise chunks.
-	for i := 0; i < max; i += 64 {
-		end := i + 64
-		if end > max {
-			end = max
-		}
-		if err := p.ReadMem(addr+uint64(i), buf[i:end]); err != nil {
-			return "", err
-		}
-		if j := bytes.IndexByte(buf[i:end], 0); j >= 0 {
-			return string(buf[:i+j]), nil
-		}
-	}
-	return "", fmt.Errorf("kernel: unterminated string at %#x", addr)
-}
-
 // --- syscall dispatch ---
 
 // Syscall implements vm.SyscallHandler: seccomp filtering, optional tracer

@@ -73,16 +73,6 @@ func (c *Conn) ClientWrite(buf []byte) (int, error) {
 	return len(buf), nil
 }
 
-// ClientRead drains response bytes (workload-generator side). It returns
-// what is available immediately; 0 bytes with nil error means none yet.
-func (c *Conn) ClientRead(buf []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := copy(buf, c.toClient)
-	c.toClient = c.toClient[n:]
-	return n, nil
-}
-
 // SetRecvBuffer hands the connection a receive buffer: the guest's writes
 // from now on append into buf[:0], after any bytes still pending. The
 // connection owns buf until ClientReadAll hands it back, so a client can

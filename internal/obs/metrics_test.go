@@ -152,15 +152,15 @@ func TestHistogramQuantile(t *testing.T) {
 		q    float64
 		want uint64
 	}{
-		{0.10, 10}, // rank 1
-		{0.50, 10}, // rank 5, cumulative le10 = 5
-		{0.51, 20}, // rank 6 crosses into le20
-		{0.80, 20}, // rank 8, cumulative le20 = 8
-		{0.90, 40}, // rank 9
+		{0.10, 10},               // rank 1
+		{0.50, 10},               // rank 5, cumulative le10 = 5
+		{0.51, 20},               // rank 6 crosses into le20
+		{0.80, 20},               // rank 8, cumulative le20 = 8
+		{0.90, 40},               // rank 9
 		{0.99, QuantileOverflow}, // rank 10 lands in overflow
 		{1.00, QuantileOverflow},
-		{-1, 10},  // clamped to rank 1
-		{0, 10},   // clamped to rank 1
+		{-1, 10},                // clamped to rank 1
+		{0, 10},                 // clamped to rank 1
 		{2.0, QuantileOverflow}, // clamped to rank count
 	}
 	for _, tc := range cases {

@@ -38,7 +38,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	src.Add("edge.nan", math.NaN(), Info)
 	src.Add("edge.pinf", math.Inf(1), Info)
 	src.Add("edge.ninf", math.Inf(-1), Info)
-	src.Add("edge.tiny", 1.0 / 3.0, LowerIsBetter)
+	src.Add("edge.tiny", 1.0/3.0, LowerIsBetter)
 	blob := src.JSON()
 	got, err := Parse([]byte(blob))
 	if err != nil {
@@ -120,10 +120,10 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		}
 		t.Fatalf("no metric %q", name)
 	}
-	set(cur, "fig3.nginx.full.overhead_pct", 2.7)  // +8% cost, beyond 5%
-	set(cur, "cache.nginx.hit_rate", 0.90)         // -7.2% capacity, beyond 5%
-	set(cur, "table5.nginx.ct_rules", 125)         // Exact drift
-	set(cur, "init.nginx.avg_depth", 9)            // Info: changed, never gates
+	set(cur, "fig3.nginx.full.overhead_pct", 2.7) // +8% cost, beyond 5%
+	set(cur, "cache.nginx.hit_rate", 0.90)        // -7.2% capacity, beyond 5%
+	set(cur, "table5.nginx.ct_rules", 125)        // Exact drift
+	set(cur, "init.nginx.avg_depth", 9)           // Info: changed, never gates
 	res, err := Compare(base, cur, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -217,9 +217,6 @@ type Option func(*Machine)
 // WithOS installs the kernel syscall handler.
 func WithOS(os SyscallHandler) Option { return func(m *Machine) { m.OS = os } }
 
-// WithRuntime installs the BASTION runtime-library hooks.
-func WithRuntime(rt RuntimeHooks) Option { return func(m *Machine) { m.Runtime = rt } }
-
 // WithMitigations appends VM-enforced mitigations.
 func WithMitigations(ms ...Mitigation) Option {
 	return func(m *Machine) { m.Mitigations = append(m.Mitigations, ms...) }
@@ -325,9 +322,6 @@ func (m *Machine) hook(addr uint64) (Hook, bool) {
 	h, ok := m.hooks[addr]
 	return h, ok
 }
-
-// ClearHooks removes all breakpoints.
-func (m *Machine) ClearHooks() { m.hooks = map[uint64]Hook{} }
 
 // Halted reports whether the guest has stopped (exit, kill, or fault).
 func (m *Machine) Halted() bool { return m.halted }

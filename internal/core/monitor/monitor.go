@@ -1313,16 +1313,14 @@ func (m *Monitor) readWord(addr uint64) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
+// readGuestUint reads one little-endian guest integer of size bytes (1 to
+// 8); only those bytes are read, and charged.
 func (m *Monitor) readGuestUint(addr uint64, size int64) (uint64, error) {
-	buf := make([]byte, size)
-	if err := m.readMem(addr, buf); err != nil {
+	var b [8]byte
+	if err := m.readMem(addr, b[:size]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := len(buf) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(buf[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Report renders a human-readable enforcement summary: hook counts per

@@ -281,15 +281,19 @@ func (f *Function) FrameSlots() []Slot {
 	return append(slots, f.Locals...)
 }
 
-// SlotOffset returns the byte offset of frame slot i from the frame's local
-// area base. Slots are laid out in FrameSlots order, 8-byte aligned: the
-// NumParams word-sized parameter spill slots first, then the declared
-// Locals.
-func (f *Function) SlotOffset(i int) int64 {
-	if i < 0 || i >= f.NumParams+len(f.Locals) {
+// SlotDisp returns the displacement of frame slot i from the frame
+// pointer. The slot area lies directly below the frame pointer, and its
+// slots are laid out in FrameSlots order, 8-byte aligned: the NumParams
+// word-sized parameter spill slots first, then the declared Locals. So
+// slot i starts SlotDisp(i) + FrameLocalSize() bytes into the area, and
+// SlotDisp is never positive.
+func (f *Function) SlotDisp(i int) int64 {
+	layout := f.slotLayout()
+	last := len(layout) - 1
+	if i < 0 || i >= last {
 		panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
 	}
-	return f.slotLayout()[i]
+	return layout[i] - layout[last]
 }
 
 // FrameLocalSize is the total size of the frame's slot area.

@@ -90,17 +90,17 @@ func TestSlotLayout(t *testing.T) {
 	b.Ret(Imm(0))
 	f := b.Build()
 
-	if got := f.SlotOffset(0); got != 0 {
-		t.Fatalf("p0 offset = %d", got)
+	if got := f.SlotDisp(0); got != -40 {
+		t.Fatalf("p0 disp = %d", got)
 	}
-	if got := f.SlotOffset(1); got != 8 {
-		t.Fatalf("p1 offset = %d", got)
+	if got := f.SlotDisp(1); got != -32 {
+		t.Fatalf("p1 disp = %d", got)
 	}
-	if got := f.SlotOffset(2); got != 16 {
-		t.Fatalf("small offset = %d", got)
+	if got := f.SlotDisp(2); got != -24 {
+		t.Fatalf("small disp = %d", got)
 	}
-	if got := f.SlotOffset(3); got != 24 {
-		t.Fatalf("buf offset = %d", got)
+	if got := f.SlotDisp(3); got != -16 {
+		t.Fatalf("buf disp = %d", got)
 	}
 	if got := f.FrameLocalSize(); got != 40 {
 		t.Fatalf("frame size = %d, want 40", got)
@@ -300,7 +300,7 @@ func refSlotLayout(f *Function) (offs []int64, size int64) {
 	return offs, size
 }
 
-// TestSlotLayoutMatchesFrameSlots: SlotOffset and FrameLocalSize agree
+// TestSlotLayoutMatchesFrameSlots: SlotDisp and FrameLocalSize agree
 // with the FrameSlots-derived reference over random layouts (odd and zero
 // sizes, no parameters, no locals): on unlinked Function literals, with
 // the layout Link records, and after a local is added past Link. They
@@ -325,14 +325,14 @@ func TestSlotLayoutMatchesFrameSlots(t *testing.T) {
 	}
 }
 
-// checkSlotLayout compares f's slot offsets and frame size with the
+// checkSlotLayout compares f's slot displacements and frame size with the
 // reference layout, and checks that out-of-range slots panic.
 func checkSlotLayout(t *testing.T, f *Function) {
 	t.Helper()
 	offs, size := refSlotLayout(f)
 	for i, want := range offs {
-		if got := f.SlotOffset(i); got != want {
-			t.Fatalf("params=%d locals=%+v: SlotOffset(%d) = %d, want %d", f.NumParams, f.Locals, i, got, want)
+		if got := f.SlotDisp(i); got != want-size {
+			t.Fatalf("params=%d locals=%+v: SlotDisp(%d) = %d, want %d", f.NumParams, f.Locals, i, got, want-size)
 		}
 	}
 	if got := f.FrameLocalSize(); got != size {
@@ -342,10 +342,10 @@ func checkSlotLayout(t *testing.T, f *Function) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("params=%d locals=%+v: SlotOffset(%d) did not panic", f.NumParams, f.Locals, bad)
+					t.Fatalf("params=%d locals=%+v: SlotDisp(%d) did not panic", f.NumParams, f.Locals, bad)
 				}
 			}()
-			f.SlotOffset(bad)
+			f.SlotDisp(bad)
 		}()
 	}
 }

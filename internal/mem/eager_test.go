@@ -154,9 +154,42 @@ func sameErr(got, want error) bool {
 	return errors.As(got, &gf) && errors.As(want, &wf) && *gf == *wf
 }
 
+// wordOp runs one word accessor (0 ReadUint, 1 WriteUint, 2 PeekUint,
+// 3 PokeUint) on got and the same access on the eager model, requires
+// equal values from reads, and returns both errors for comparison.
+func wordOp(t *testing.T, got *Space, want *eagerSpace, acc, addr uint64, width int64, v uint64) (gErr, wErr error) {
+	t.Helper()
+	var w [8]byte
+	write, checkPerm := acc%2 == 1, acc < 2
+	if write {
+		binary.LittleEndian.PutUint64(w[:], v)
+		if checkPerm {
+			gErr = got.WriteUint(addr, v, width)
+		} else {
+			gErr = got.PokeUint(addr, v, width)
+		}
+		return gErr, want.access(addr, w[:width], true, checkPerm)
+	}
+	var g uint64
+	if checkPerm {
+		g, gErr = got.ReadUint(addr, width)
+	} else {
+		g, gErr = got.PeekUint(addr, width)
+	}
+	var wv uint64
+	if wErr = want.access(addr, w[:width], false, checkPerm); wErr == nil {
+		wv = binary.LittleEndian.Uint64(w[:])
+	}
+	if g != wv {
+		t.Fatalf("word accessor %d at %#x width %d = %#x, eager model %#x", acc, addr, width, g, wv)
+	}
+	return gErr, wErr
+}
+
 // FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
 // model through the same random sequence of Map, Unmap, Protect, Read,
-// Write, Peek, Poke and ReadCString. After every step it checks
+// Write, Peek, Poke, ReadCString and the word accessors (ReadUint,
+// WriteUint, PeekUint, PokeUint at widths 1, 2, 4 and 8). After every step it checks
 // byte-identical data, identical *Fault values, identical Regions, and
 // identical Mapped and PermAt answers for every page the operations can
 // reach. Read and Peek destinations start as non-zero garbage, so a read of
@@ -166,6 +199,26 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})
 	f.Add([]byte{0, 0, 12, 3, 6, 2, 0, 255, 255, 7, 0, 0, 1, 4, 0, 3, 2, 1, 9, 5, 0, 10, 64, 2, 3, 0, 1})
 	f.Add([]byte{8, 1, 3, 0, 1, 0, 2, 5, 1, 1, 17, 3, 3, 1, 0, 5, 0, 3, 250, 6, 3, 2})
+	// Word accesses that cross from a mapped page into an unmapped one:
+	// map one RW page, then WriteUint and ReadUint 8 bytes 4 bytes before
+	// its end, and PokeUint 4 bytes 2 bytes before it.
+	f.Add([]byte{
+		0, 1, 1, 0, 1, 0, 0, 0, 2,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 1, 3, 3,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 0, 3, 3,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 3, 2, 1,
+	})
+	// Word accesses that cross from an RW page into a read-only one: the
+	// write faults on the second page after storing into the first, the
+	// read, the peek and the poke succeed.
+	f.Add([]byte{
+		0, 1, 1, 0, 1, 0, 0, 0, 2,
+		0, 2, 1, 0, 1, 0, 0, 0, 1,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 1, 3, 1,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 0, 3, 1,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 3, 3, 5,
+		8, 1, 1, 0, 0, 0, 0, 0, 0, 2, 3, 5,
+	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		got, want := NewSpace(), newEager()
 		next := func() uint64 {
@@ -232,10 +285,14 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 					t.Fatalf("step %d: ReadCString(%#x, %d) = %q, eager model %q", step, addr, max, gs, ws)
 				}
 			case 8:
-				// A word-sized write, as every guest store is.
-				var w [8]byte
-				binary.LittleEndian.PutUint64(w[:], uint64(step)<<32|0xfeed)
-				gErr, wErr = got.WriteUint(addr, uint64(step)<<32|0xfeed, 8), want.access(addr, w[:], true, true)
+				// A word access through one of the four word accessors, at
+				// width 1, 2, 4 or 8, at addr or 1 to 7 bytes before the end
+				// of its page, so a wide word crosses into the next page.
+				acc, width := next()%4, int64(1)<<(next()%4)
+				if k := next() % 16; k < 7 {
+					addr = pageAddr(addr) + PageSize - 1 - k
+				}
+				gErr, wErr = wordOp(t, got, want, acc, addr, width, 0xa1b2c3d4e5f60718+uint64(step))
 			}
 			if !sameErr(gErr, wErr) {
 				t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)

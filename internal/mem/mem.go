@@ -6,6 +6,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -330,11 +331,11 @@ func (s *Space) Mapped(addr uint64) bool { return s.lookup(addr) != nil }
 // PermAt returns the permissions of the page containing addr; ok is false
 // for unmapped addresses.
 func (s *Space) PermAt(addr uint64) (Perm, bool) {
-	r := s.lookup(addr)
-	if r == nil {
+	pg := s.pageAt(addr, PermNone)
+	if pg == nil {
 		return PermNone, false
 	}
-	return r.pages[(addr-r.addr)/PageSize].perm, true
+	return pg.perm, true
 }
 
 // Read copies len(buf) bytes from addr into buf, requiring PermRead on every
@@ -411,18 +412,25 @@ func (s *Space) fault(addr uint64, write bool) error {
 }
 
 // ReadUint reads an unsigned little-endian integer of the given width
-// (1, 2, 4, or 8 bytes) with permission checks.
+// (1 to 8 bytes) with permission checks.
 func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
+	if pg := s.wordPage(addr, size, PermRead); pg != nil {
+		return pg.load(addr, size), nil
+	}
 	var buf [8]byte
 	if err := s.Read(addr, buf[:size]); err != nil {
 		return 0, err
 	}
-	return decodeUint(buf[:size]), nil
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // WriteUint writes an unsigned little-endian integer of the given width
 // with permission checks.
 func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
+	if pg := s.wordPage(addr, size, PermWrite); pg != nil {
+		pg.store(addr, v, size)
+		return nil
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Write(addr, buf[:size])
@@ -430,41 +438,125 @@ func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 
 // PeekUint reads an integer without permission checks.
 func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
+	if pg := s.wordPage(addr, size, PermNone); pg != nil {
+		return pg.load(addr, size), nil
+	}
 	var buf [8]byte
 	if err := s.Peek(addr, buf[:size]); err != nil {
 		return 0, err
 	}
-	return decodeUint(buf[:size]), nil
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // PokeUint writes an integer without permission checks.
 func (s *Space) PokeUint(addr uint64, v uint64, size int64) error {
+	if pg := s.wordPage(addr, size, PermNone); pg != nil {
+		pg.store(addr, v, size)
+		return nil
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Poke(addr, buf[:size])
 }
 
-func decodeUint(b []byte) uint64 {
-	var v uint64
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
+// wordPage is the word accessors' fast path: it returns the page that
+// holds all size bytes at addr when size is 1 to 8, that page is mapped
+// and its permissions include need. Otherwise it returns nil and the
+// caller takes the general access path, which raises every fault, so a
+// word that crosses a page or lands on an unmapped or forbidden page
+// faults exactly as a byte-slice access does.
+func (s *Space) wordPage(addr uint64, size int64, need Perm) *page {
+	if size < 1 || size > 8 || addr%PageSize+uint64(size) > PageSize {
+		return nil
 	}
-	return v
+	return s.pageAt(addr, need)
+}
+
+// pageAt returns the mapped page holding addr if its permissions include
+// need, or nil.
+func (s *Space) pageAt(addr uint64, need Perm) *page {
+	r := s.lookup(addr)
+	if r == nil {
+		return nil
+	}
+	pg := &r.pages[(addr-r.addr)/PageSize]
+	if pg.perm&need != need {
+		return nil
+	}
+	return pg
+}
+
+// load decodes the size-byte little-endian word at addr, which lies in
+// pg. A page without backing reads as zero and stays without backing.
+func (pg *page) load(addr uint64, size int64) uint64 {
+	if pg.data == nil {
+		return 0
+	}
+	b := pg.data[addr%PageSize:]
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	var buf [8]byte
+	copy(buf[:size], b)
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// store encodes the low size bytes of v at addr, which lies in pg,
+// backing the page on its first write.
+func (pg *page) store(addr uint64, v uint64, size int64) {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	b := pg.data[addr%PageSize:]
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		copy(b[:size], buf[:size])
+	}
 }
 
 // ReadCString reads a NUL-terminated string of at most max bytes starting at
-// addr, with permission checks.
+// addr, with permission checks. It scans each page's backing for the NUL
+// with one lookup per page; the first byte it cannot read faults through
+// Read, at the same address a byte-at-a-time reader would.
 func (s *Space) ReadCString(addr uint64, max int) (string, error) {
-	out := make([]byte, 0, 64)
-	var b [1]byte
-	for i := 0; i < max; i++ {
-		if err := s.Read(addr+uint64(i), b[:]); err != nil {
-			return "", err
+	var out []byte
+	for n := 0; n < max; {
+		a := addr + uint64(n)
+		pg := s.pageAt(a, PermRead)
+		if pg == nil {
+			var b [1]byte
+			return "", s.Read(a, b[:])
 		}
-		if b[0] == 0 {
+		if pg.data == nil {
 			return string(out), nil
 		}
-		out = append(out, b[0])
+		off := a % PageSize
+		seg := pg.data[off : off+min(PageSize-off, uint64(max-n))]
+		if k := bytes.IndexByte(seg, 0); k >= 0 {
+			if out == nil {
+				return string(seg[:k]), nil
+			}
+			return string(append(out, seg[:k]...)), nil
+		}
+		out = append(out, seg...)
+		n += len(seg)
 	}
 	return "", &Fault{Addr: addr, Kind: AccessRead, Why: "unterminated string"}
 }

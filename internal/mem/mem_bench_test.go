@@ -49,6 +49,27 @@ func BenchmarkGuestWordRegions(b *testing.B) {
 	}
 }
 
+// BenchmarkGuestWordCrossPage measures word accesses that straddle a page
+// boundary, which leave the single-page fast path for the general
+// byte-slice access.
+func BenchmarkGuestWordCrossPage(b *testing.B) {
+	s := NewSpace()
+	if err := s.Map(0x10000, 1<<16, PermRW); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := 0x10000 + uint64(i%15+1)*PageSize - 4
+		if err := s.WriteUint(addr, uint64(i), 8); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.ReadUint(addr, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMapShadow measures mapping the 4 MiB shadow region, touching it
 // with 1,024 scattered word stores (the hashed shadow table's first-touch
 // pattern) and unmapping it again.

@@ -114,22 +114,25 @@ func TestMapAlignmentAndRemap(t *testing.T) {
 	}
 }
 
+// TestUintRoundTrip: every width from 1 to 8 round-trips inside a page,
+// at its last bytes and across into the next page, and only the low size
+// bytes of the value are stored.
 func TestUintRoundTrip(t *testing.T) {
 	s := NewSpace()
-	if err := s.Map(0x1000, PageSize, PermRW); err != nil {
+	if err := s.Map(0x1000, 2*PageSize, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int64{1, 2, 4, 8} {
-		v := uint64(0x1122334455667788) & (1<<(8*size) - 1)
-		if size == 8 {
-			v = 0x1122334455667788
-		}
-		if err := s.WriteUint(0x1010, v, size); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.ReadUint(0x1010, size)
-		if err != nil || got != v {
-			t.Fatalf("size %d: got %#x err %v, want %#x", size, got, err, v)
+	for size := int64(1); size <= 8; size++ {
+		v := uint64(0x8877665544332211) >> (64 - 8*size)
+		high := ^uint64(0) << (8*size - 1) << 1 // the bits above the width
+		for _, addr := range []uint64{0x1010, 0x2000 - uint64(size), 0x2000 - uint64(size) + 1} {
+			if err := s.WriteUint(addr, v|high, size); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.ReadUint(addr, size)
+			if err != nil || got != v {
+				t.Fatalf("size %d at %#x: got %#x err %v, want %#x", size, addr, got, err, v)
+			}
 		}
 	}
 }
@@ -312,6 +315,46 @@ func TestSpaceDemandZero(t *testing.T) {
 	}
 	if err := s.Read(0x101ffc, got[:4]); err != nil || !bytes.Equal(got[:4], make([]byte, 4)) {
 		t.Fatalf("contents after unmap+map: %v, %v", got[:4], err)
+	}
+}
+
+// TestWordAccessFastPath: a word read of a demand-zero page returns 0 and
+// leaves the page without backing, and on a page that has backing the
+// four word accessors allocate nothing.
+func TestWordAccessFastPath(t *testing.T) {
+	s := NewSpace()
+	if err := s.Map(0x1000, 2*PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for size := int64(1); size <= 8; size++ {
+		if v, err := s.ReadUint(0x1ffc, size); err != nil || v != 0 {
+			t.Fatalf("size %d: ReadUint of a demand-zero page = %#x, %v", size, v, err)
+		}
+		if v, err := s.PeekUint(0x2000, size); err != nil || v != 0 {
+			t.Fatalf("size %d: PeekUint of a demand-zero page = %#x, %v", size, v, err)
+		}
+	}
+	if n := s.backed(); n != 0 {
+		t.Fatalf("word reads backed %d pages, want 0", n)
+	}
+	if err := s.WriteUint(0x1000, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for size := int64(1); size <= 8; size++ {
+			if s.WriteUint(0x1100, 1, size) != nil || s.PokeUint(0x1200, 2, size) != nil {
+				t.Fatal("word write failed")
+			}
+			if _, err := s.ReadUint(0x1100, size); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PeekUint(0x1200, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("word accesses on a backed page: %v allocations per run, want 0", allocs)
 	}
 }
 

@@ -313,14 +313,23 @@ func (m *Machine) HookFunc(name string, idx int, h Hook) error {
 	return nil
 }
 
-// hook returns the breakpoint at addr, skipping the map probe when no
-// breakpoint is installed (the common case on the per-instruction path).
-func (m *Machine) hook(addr uint64) (Hook, bool) {
-	if len(m.hooks) == 0 {
-		return nil, false
+// runHook runs the breakpoint at the instruction fr is about to execute,
+// if one is installed, and returns the frame to execute next: a hook may
+// redirect control. step calls it only when some hook is installed, so a
+// machine without hooks neither computes the address nor probes the map.
+func (m *Machine) runHook(fr *frame) (*frame, error) {
+	h, ok := m.hooks[fr.fn.InstrAddr(fr.idx)]
+	if !ok {
+		return fr, nil
 	}
-	h, ok := m.hooks[addr]
-	return h, ok
+	if err := h(m); err != nil {
+		return nil, err
+	}
+	fr = m.frames[len(m.frames)-1]
+	if fr.idx >= len(fr.fn.Code) {
+		return nil, &ControlFault{Addr: fr.fn.InstrAddr(fr.idx), Why: "hook left pc past function end"}
+	}
+	return fr, nil
 }
 
 // Halted reports whether the guest has stopped (exit, kill, or fault).
@@ -461,7 +470,7 @@ func (m *Machine) pushFrame(fn *ir.Function, idx int) {
 }
 
 func (m *Machine) slotAddr(fn *ir.Function, slot int) uint64 {
-	return m.rbp - uint64(fn.FrameLocalSize()) + uint64(fn.SlotOffset(slot))
+	return m.rbp + uint64(fn.SlotDisp(slot))
 }
 
 // SlotAddr resolves the address of the named slot in the *current* frame.
@@ -496,21 +505,16 @@ func (m *Machine) step() error {
 	if fr.idx >= len(fn.Code) {
 		return &ControlFault{Addr: fn.InstrAddr(fr.idx), Why: "execution ran off function end"}
 	}
-	addr := fn.InstrAddr(fr.idx)
-	if h, ok := m.hook(addr); ok {
-		if err := h(m); err != nil {
+	if len(m.hooks) != 0 {
+		var err error
+		if fr, err = m.runHook(fr); err != nil {
 			return err
 		}
-		// A hook may redirect control; reload the frame state.
-		fr = m.frames[len(m.frames)-1]
 		fn = fr.fn
-		if fr.idx >= len(fn.Code) {
-			return &ControlFault{Addr: fn.InstrAddr(fr.idx), Why: "hook left pc past function end"}
-		}
 	}
 	in := &fn.Code[fr.idx]
 	if m.trace != nil && (m.traceLimit == 0 || m.Steps <= m.traceLimit) {
-		fmt.Fprintf(m.trace, "%#x %s+%d: %s\n", addr, fn.Name, fr.idx, in.String())
+		fmt.Fprintf(m.trace, "%#x %s+%d: %s\n", fn.InstrAddr(fr.idx), fn.Name, fr.idx, in.String())
 	}
 	fr.idx++
 

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,7 +31,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bastion-attack: no scenario %q\n", *id)
 			os.Exit(2)
 		}
-		runOne(s, *verbose)
+		if err := runOne(os.Stdout, s, *verbose); err != nil {
+			fmt.Fprintf(os.Stderr, "bastion-attack: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -50,16 +54,14 @@ func main() {
 	fmt.Printf("full BASTION blocked %d/%d attacks\n", blocked, len(t.Rows))
 }
 
-func runOne(s attacks.Scenario, verbose bool) {
-	fmt.Printf("%s — %s (%s, %s)\n", s.ID, s.Name, s.Category, s.App)
-	for _, d := range []attacks.Defense{
-		attacks.DefNone, attacks.DefCT, attacks.DefCF, attacks.DefAI,
-		attacks.DefAll, attacks.DefCET, attacks.DefCFI,
-	} {
+// runOne prints one scenario's outcome under every defense in
+// attacks.Defenses.
+func runOne(w io.Writer, s attacks.Scenario, verbose bool) error {
+	fmt.Fprintf(w, "%s — %s (%s, %s)\n", s.ID, s.Name, s.Category, s.App)
+	for _, d := range attacks.Defenses {
 		out, err := attacks.Execute(s, d)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bastion-attack: %s under %s: %v\n", s.ID, d.Name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s under %s: %w", s.ID, d.Name, err)
 		}
 		status := "COMPLETED"
 		if out.Blocked() {
@@ -67,10 +69,11 @@ func runOne(s attacks.Scenario, verbose bool) {
 		} else if !out.Completed {
 			status = "failed"
 		}
-		fmt.Printf("  %-12s %s", d.Name, status)
+		fmt.Fprintf(w, "  %-12s %s", d.Name, status)
 		if verbose && out.Reason != "" {
-			fmt.Printf("  (%s)", out.Reason)
+			fmt.Fprintf(w, "  (%s)", out.Reason)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

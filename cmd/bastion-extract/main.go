@@ -65,7 +65,7 @@ func main() {
 	var report strings.Builder
 	failed := false
 	for _, name := range apps {
-		res, err := binscan.Extract(builders[name](), binscan.Options{})
+		res, err := binscan.Extract(builders[name]())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bastion-extract: %s: %v\n", name, err)
 			os.Exit(1)

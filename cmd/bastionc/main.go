@@ -54,7 +54,7 @@ func main() {
 
 	var art *core.Artifact
 	if *binaryOnly {
-		res, err := binscan.Extract(prog, binscan.Options{})
+		res, err := binscan.Extract(prog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bastionc: extract: %v\n", err)
 			os.Exit(1)

@@ -73,6 +73,10 @@ var (
 	DefCFI  = Defense{Name: "LLVM-CFI", CFI: true}
 )
 
+// Defenses is the standard defense set in report order: unprotected, each
+// context in isolation, full BASTION, CET and CFI.
+var Defenses = []Defense{DefNone, DefCT, DefCF, DefAI, DefSF, DefAll, DefCET, DefCFI}
+
 // ClientConn is the client half of a guest connection, as attack payload
 // delivery needs it.
 type ClientConn interface {
@@ -490,10 +494,9 @@ type ComparisonRow struct {
 	KilledBy map[string]string
 }
 
-// CompareDefenses runs the given scenarios against the standard defense
-// set (unprotected, each context, full BASTION, CET, CFI).
+// CompareDefenses runs the given scenarios against every defense in
+// Defenses.
 func CompareDefenses(ids []string) ([]ComparisonRow, error) {
-	defs := []Defense{DefNone, DefCT, DefCF, DefAI, DefSF, DefAll, DefCET, DefCFI}
 	var rows []ComparisonRow
 	for _, id := range ids {
 		s, ok := ByID(id)
@@ -501,7 +504,7 @@ func CompareDefenses(ids []string) ([]ComparisonRow, error) {
 			return nil, fmt.Errorf("attacks: unknown scenario %q", id)
 		}
 		row := ComparisonRow{Scenario: s, Blocked: map[string]bool{}, KilledBy: map[string]string{}}
-		for _, d := range defs {
+		for _, d := range Defenses {
 			out, err := Execute(s, d)
 			if err != nil {
 				return nil, fmt.Errorf("%s under %s: %w", id, d.Name, err)

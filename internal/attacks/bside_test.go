@@ -31,7 +31,7 @@ func bsideArtifact(t *testing.T, app string) *core.Artifact {
 	if err != nil {
 		t.Fatalf("%s: compile: %v", app, err)
 	}
-	res, err := binscan.Extract(art.Prog, binscan.Options{})
+	res, err := binscan.Extract(art.Prog)
 	if err != nil {
 		t.Fatalf("%s: extract: %v", app, err)
 	}

@@ -31,7 +31,7 @@ func diffApp(t *testing.T, app string) *ExtractReport {
 	if err != nil {
 		t.Fatalf("%s: %v", app, err)
 	}
-	res, err := binscan.Extract(target2.Build(), binscan.Options{})
+	res, err := binscan.Extract(target2.Build())
 	if err != nil {
 		t.Fatalf("%s: extract: %v", app, err)
 	}

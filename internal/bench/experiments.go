@@ -619,7 +619,7 @@ func runExtracted(app string, units int) (*RunResult, *binscan.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ext, err := binscan.Extract(prog, binscan.Options{})
+	ext, err := binscan.Extract(prog)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,7 +16,9 @@
 // The pass runs on an unlinked program, plans instrumentation, rewrites the
 // functions, links the result, and only then materializes address-keyed
 // metadata, so all callsite addresses in the metadata refer to the final
-// instrumented binary.
+// instrumented binary. The structure-only half of that metadata (CT, CF
+// and the syscall-flow graph) is Structure, which the B-Side extractor
+// (internal/core/binscan) calls too.
 package analysis
 
 import (
@@ -32,9 +34,14 @@ type Options struct {
 	// Sensitive is the set of syscall numbers receiving full context
 	// protection (defaults to Table 1's 20 via the caller).
 	Sensitive []uint32
-	// MaxUseDefDepth bounds inter-procedural parameter tracing.
+	// MaxUseDefDepth bounds inter-procedural parameter tracing
+	// (DefaultUseDefDepth when zero).
 	MaxUseDefDepth int
 }
+
+// DefaultUseDefDepth is the default bound on inter-procedural parameter
+// tracing, shared with the B-Side extractor's constant-argument dataflow.
+const DefaultUseDefDepth = 6
 
 // Stats are the Table 5 instrumentation statistics.
 type Stats struct {
@@ -84,8 +91,6 @@ type pass struct {
 
 	// wrapperNr maps wrapper function name -> syscall number.
 	wrapperNr map[string]int64
-	// wrapperOf maps syscall number -> wrapper name.
-	wrapperOf map[int64]string
 
 	stats Stats
 
@@ -160,14 +165,13 @@ func (p *pass) recordUntraced(fn string, idx, pos int, target, reason string) {
 // linked. The program is mutated in place (instrumented and linked).
 func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.MaxUseDefDepth == 0 {
-		opts.MaxUseDefDepth = 6
+		opts.MaxUseDefDepth = DefaultUseDefDepth
 	}
 	p := &pass{
 		prog:          prog,
 		opts:          opts,
 		sensitive:     map[uint32]bool{},
-		wrapperNr:     map[string]int64{},
-		wrapperOf:     map[int64]string{},
+		wrapperNr:     findWrappers(prog),
 		plan:          map[string][]insertion{},
 		sensVars:      map[varKey]bool{},
 		sensParams:    map[paramKey]bool{},
@@ -178,7 +182,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	for _, nr := range opts.Sensitive {
 		p.sensitive[uint32(nr)] = true
 	}
-	p.findWrappers()
 	p.analyzeArguments()
 	if err := p.instrument(); err != nil {
 		return nil, err
@@ -193,16 +196,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	return &Result{Prog: prog, Meta: meta, Stats: p.stats}, nil
 }
 
-// findWrappers locates syscall wrapper functions.
-func (p *pass) findWrappers() {
-	for _, f := range p.prog.Funcs {
-		if nr, ok := ir.SyscallNumber(f); ok {
-			p.wrapperNr[f.Name] = nr
-			p.wrapperOf[nr] = f.Name
-		}
-	}
-}
-
 // isSensitiveWrapper reports whether fn wraps a sensitive syscall.
 func (p *pass) isSensitiveWrapper(fn string) (uint32, bool) {
 	nr, ok := p.wrapperNr[fn]
@@ -213,78 +206,15 @@ func (p *pass) isSensitiveWrapper(fn string) (uint32, bool) {
 }
 
 // buildMetadata constructs the address-keyed metadata from the linked,
-// instrumented program.
+// instrumented program: the shared structural builder, refined by the
+// points-to analysis, plus the argument sites and untraced arguments.
 func (p *pass) buildMetadata() (*metadata.Metadata, error) {
-	meta := metadata.New()
-	meta.Entry = p.prog.Entry
-
-	for _, f := range p.prog.Funcs {
-		meta.Funcs[f.Name] = metadata.FuncInfo{
-			Name:  f.Name,
-			Entry: f.Base,
-			End:   f.Base + uint64(len(f.Code))*ir.InstrSize,
-		}
-	}
-
-	// Call-type classification and the callsite map.
-	for _, f := range p.prog.Funcs {
-		for i := range f.Code {
-			in := &f.Code[i]
-			switch in.Kind {
-			case ir.Call:
-				p.stats.TotalCallsites++
-				p.stats.DirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteDirect,
-					Target:  in.Sym,
-				}
-				meta.Callsites[cs.RetAddr] = cs
-				if nr, ok := p.wrapperNr[in.Sym]; ok {
-					ct := meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Direct = true
-					meta.CallTypes[uint32(nr)] = ct
-					if p.sensitive[uint32(nr)] {
-						p.stats.SensitiveCallsites++
-					}
-				}
-			case ir.CallInd:
-				p.stats.TotalCallsites++
-				p.stats.IndirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteIndirect,
-					TypeSig: in.TypeSig,
-				}
-				meta.Callsites[cs.RetAddr] = cs
-			case ir.FuncAddr:
-				meta.IndirectTargets[in.Sym] = true
-				if nr, ok := p.wrapperNr[in.Sym]; ok {
-					ct := meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Indirect = true
-					meta.CallTypes[uint32(nr)] = ct
-					if p.sensitive[uint32(nr)] {
-						p.stats.SensitiveIndirect++
-					}
-				}
-			}
-		}
-	}
-	for nr, ct := range meta.CallTypes {
-		ct.Name = sysName(nr)
-		meta.CallTypes[nr] = ct
-	}
-
-	pt := p.buildCFG(meta)
-	p.buildFlowGraph(meta, pt)
+	meta, st := Structure(p.prog, p.sensitive, p.runPointsTo().refine)
+	st.CtxWriteMem = p.stats.CtxWriteMem
+	st.CtxBindMem = p.stats.CtxBindMem
+	st.CtxBindConst = p.stats.CtxBindConst
+	st.UntracedArgs = p.stats.UntracedArgs
+	p.stats = st
 
 	// Materialize argument sites with final addresses.
 	for key, draft := range p.argSites {
@@ -327,168 +257,4 @@ func (p *pass) buildMetadata() (*metadata.Metadata, error) {
 		return a.Pos < b.Pos
 	})
 	return meta, nil
-}
-
-// buildCFG computes callee→valid-caller relations for every function on a
-// path to a sensitive syscall wrapper (§6.2): reverse reachability from
-// the sensitive wrappers over direct call edges, stopping at main and not
-// crossing indirect callsites. It returns the points-to result so the
-// syscall-flow derivation can reuse the per-callsite target sets.
-func (p *pass) buildCFG(meta *metadata.Metadata) *pointsTo {
-	// Direct call graph: callee -> callers.
-	callers := map[string]map[string]bool{}
-	for _, f := range p.prog.Funcs {
-		for i := range f.Code {
-			in := &f.Code[i]
-			if in.Kind != ir.Call {
-				continue
-			}
-			if callers[in.Sym] == nil {
-				callers[in.Sym] = map[string]bool{}
-			}
-			callers[in.Sym][f.Name] = true
-		}
-	}
-	// Per-sensitive-syscall reverse reachability: which functions lie on a
-	// direct-call path to each sensitive wrapper. The union fills
-	// ValidCallers; the per-syscall sets drive AllowedIndirect.
-	reaches := map[uint32]map[string]bool{}
-	wrappers := make([]string, 0, len(p.wrapperNr))
-	for fn := range p.wrapperNr {
-		wrappers = append(wrappers, fn)
-	}
-	sort.Strings(wrappers) // determinism
-	for _, fn := range wrappers {
-		nr, sens := p.isSensitiveWrapper(fn)
-		if !sens {
-			continue
-		}
-		set := map[string]bool{fn: true}
-		work := []string{fn}
-		for len(work) > 0 {
-			callee := work[0]
-			work = work[1:]
-			cs := callers[callee]
-			if len(cs) == 0 {
-				continue
-			}
-			if meta.ValidCallers[callee] == nil {
-				meta.ValidCallers[callee] = map[string]bool{}
-			}
-			names := make([]string, 0, len(cs))
-			for c := range cs {
-				names = append(names, c)
-			}
-			sort.Strings(names)
-			for _, caller := range names {
-				meta.ValidCallers[callee][caller] = true
-				// Recursion stops at main; indirect reachability of the
-				// caller is recorded via IndirectTargets and ends monitor
-				// unwinding.
-				if caller == p.prog.Entry || set[caller] {
-					continue
-				}
-				set[caller] = true
-				work = append(work, caller)
-			}
-		}
-		reaches[nr] = set
-	}
-
-	// AllowedIndirect: an indirect callsite may start a path to syscall nr
-	// iff a function in its target set reaches nr (the statically expected
-	// partial traces of §7.3). The coarse baseline admits every
-	// address-taken function with the callsite's signature; the refined
-	// policy uses the points-to target sets, which shrink that to the
-	// functions whose address actually flows into the callsite.
-	pt := p.runPointsTo()
-	meta.AllowedIndirectCoarse = metadata.NrAddrSets{}
-	meta.IndirectSites = map[uint64]metadata.IndirectSite{}
-	for _, s := range pt.sites {
-		f := p.prog.Func(s.fn)
-		addr := f.InstrAddr(s.idx)
-		meta.IndirectSites[addr] = metadata.IndirectSite{
-			Addr:    addr,
-			Caller:  s.fn,
-			TypeSig: s.sig,
-			Targets: sortedNames(s.refined),
-			Coarse:  sortedNames(s.coarse),
-			Exact:   s.exact,
-		}
-		p.stats.IndirectEdgesCoarse += len(s.coarse)
-		p.stats.IndirectEdgesRefined += len(s.refined)
-		if s.exact {
-			p.stats.ExactIndirectSites++
-		} else {
-			p.stats.EscapedIndirectSites++
-		}
-		for nr, set := range reaches {
-			if reachesAny(set, s.coarse) {
-				if meta.AllowedIndirectCoarse[nr] == nil {
-					meta.AllowedIndirectCoarse[nr] = metadata.AddrSet{}
-				}
-				meta.AllowedIndirectCoarse[nr][addr] = true
-			}
-			if reachesAny(set, s.refined) {
-				if meta.AllowedIndirect[nr] == nil {
-					meta.AllowedIndirect[nr] = metadata.AddrSet{}
-				}
-				meta.AllowedIndirect[nr][addr] = true
-			}
-		}
-	}
-	// A syscall constrained under the coarse policy stays constrained when
-	// refinement empties its callsite set: a present-but-empty entry
-	// rejects every indirect path, an absent one would unconstrain it.
-	for nr, coarse := range meta.AllowedIndirectCoarse {
-		if meta.AllowedIndirect[nr] == nil {
-			meta.AllowedIndirect[nr] = metadata.AddrSet{}
-		}
-		p.stats.AllowedPairsCoarse += len(coarse)
-		p.stats.AllowedPairsRefined += len(meta.AllowedIndirect[nr])
-	}
-	p.stats.IndirectEdgesRemoved = p.stats.IndirectEdgesCoarse - p.stats.IndirectEdgesRefined
-	p.stats.AllowedPairsRemoved = p.stats.AllowedPairsCoarse - p.stats.AllowedPairsRefined
-	return pt
-}
-
-// reachesAny reports whether any function in targets is in the
-// reachability set.
-func reachesAny(set map[string]bool, targets map[string]bool) bool {
-	for t := range targets {
-		if set[t] {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedNames(set map[string]bool) []string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sysName(nr uint32) string {
-	if n, ok := syscallNames[nr]; ok {
-		return n
-	}
-	return fmt.Sprintf("sys_%d", nr)
-}
-
-// syscallNames duplicates the kernel's name table for the numbers that
-// matter to metadata rendering, avoiding an import cycle with packages
-// that build on both.
-var syscallNames = map[uint32]string{
-	0: "read", 1: "write", 2: "open", 3: "close", 4: "stat", 5: "fstat",
-	8: "lseek", 9: "mmap", 10: "mprotect", 11: "munmap", 12: "brk",
-	25: "mremap", 39: "getpid", 40: "sendfile", 41: "socket", 42: "connect",
-	43: "accept", 44: "sendto", 45: "recvfrom", 49: "bind", 50: "listen",
-	56: "clone", 57: "fork", 58: "vfork", 59: "execve", 60: "exit",
-	90: "chmod", 101: "ptrace", 105: "setuid", 106: "setgid",
-	113: "setreuid", 216: "remap_file_pages", 231: "exit_group",
-	257: "openat", 288: "accept4", 322: "execveat",
 }

@@ -11,9 +11,11 @@
 // nrs plus a TOP element meaning "nothing emitted yet since function
 // entry". A direct call to a wrapper is an emission point; a direct call
 // to any other function composes that function's summary; an indirect
-// call composes the union of the summaries of its points-to target set
-// (falling back to the coarse address-taken set exactly where the
-// points-to analysis does, so the flow graph inherits its soundness).
+// call composes the union of the summaries of its target set — the
+// refined set when Structure is given a refinement, the coarse
+// address-taken ∩ signature frontier when it is not (the B-Side
+// extractor) — so the flow graph inherits the target sets' soundness, and
+// the coarse graph is a superset of the refined one.
 //
 // The program graph unions the transition edges contributed by every
 // function body — so any function the harness invokes at top level has
@@ -79,33 +81,27 @@ func (s *flowState) join(o flowState) bool {
 
 // flowPass carries the derivation state.
 type flowPass struct {
-	p         *pass
+	s         *structure
 	summaries map[string]*flowSummary
-	// siteTargets maps (function, instruction index) of an indirect
-	// callsite to its points-to target set.
-	siteTargets map[siteKey]map[string]bool
-	changed     bool
+	changed   bool
 }
 
-// buildFlowGraph derives the transition graph from the linked, instrumented
-// program and stores it in meta.SyscallFlow.
-func (p *pass) buildFlowGraph(meta *metadata.Metadata, pt *pointsTo) {
+// buildFlowGraph derives the transition graph from the linked program and
+// stores it in meta.SyscallFlow.
+func (s *structure) buildFlowGraph() {
 	// A program without an entry function derives the empty graph: with no
 	// composition root there is no sound start set, and an empty Start
 	// would reject every first syscall. Empty constrains nothing instead
 	// (the pre-SF compatibility behavior).
-	meta.SyscallFlow = metadata.NewFlowGraph()
-	if p.prog.Entry == "" || p.prog.Func(p.prog.Entry) == nil {
+	s.meta.SyscallFlow = metadata.NewFlowGraph()
+	if s.prog.Entry == "" || s.prog.Func(s.prog.Entry) == nil {
 		return
 	}
-	fp := &flowPass{p: p, summaries: map[string]*flowSummary{}, siteTargets: map[siteKey]map[string]bool{}}
-	for _, s := range pt.sites {
-		fp.siteTargets[siteKey{fn: s.fn, idx: s.idx}] = s.refined
-	}
+	fp := &flowPass{s: s, summaries: map[string]*flowSummary{}}
 	// Deterministic function order for the fixpoint sweeps.
-	names := make([]string, 0, len(p.prog.Funcs))
-	for _, f := range p.prog.Funcs {
-		if _, isWrapper := ir.SyscallNumber(f); isWrapper {
+	names := make([]string, 0, len(s.prog.Funcs))
+	for _, f := range s.prog.Funcs {
+		if _, isWrapper := s.wrapperNr[f.Name]; isWrapper {
 			continue
 		}
 		names = append(names, f.Name)
@@ -118,7 +114,7 @@ func (p *pass) buildFlowGraph(meta *metadata.Metadata, pt *pointsTo) {
 	for {
 		fp.changed = false
 		for _, name := range names {
-			fp.analyze(p.prog.Func(name), nil)
+			fp.analyze(s.prog.Func(name), nil)
 		}
 		if !fp.changed {
 			break
@@ -128,9 +124,9 @@ func (p *pass) buildFlowGraph(meta *metadata.Metadata, pt *pointsTo) {
 	// Final pass with stable summaries accumulates the edges.
 	g := metadata.NewFlowGraph()
 	for _, name := range names {
-		fp.analyze(p.prog.Func(name), g)
+		fp.analyze(s.prog.Func(name), g)
 	}
-	if entry := fp.summaries[p.prog.Entry]; entry != nil {
+	if entry := fp.summaries[s.prog.Entry]; entry != nil {
 		starts := make([]uint32, 0, len(entry.first))
 		for nr := range entry.first {
 			starts = append(starts, nr)
@@ -140,10 +136,10 @@ func (p *pass) buildFlowGraph(meta *metadata.Metadata, pt *pointsTo) {
 			g.AddStart(nr)
 		}
 	}
-	meta.SyscallFlow = g
-	p.stats.FlowNodes = len(g.Nodes)
-	p.stats.FlowEdges = g.EdgeCount()
-	p.stats.FlowStarts = len(g.Start)
+	s.meta.SyscallFlow = g
+	s.stats.FlowNodes = len(g.Nodes)
+	s.stats.FlowEdges = g.EdgeCount()
+	s.stats.FlowStarts = len(g.Start)
 }
 
 // callEffect is the emission effect of one call instruction, composed from
@@ -162,8 +158,7 @@ func (fp *flowPass) effectOf(f *ir.Function, idx int) *callEffect {
 	case ir.Call:
 		return fp.calleeEffect(map[string]bool{in.Sym: true})
 	case ir.CallInd:
-		targets := fp.siteTargets[siteKey{fn: f.Name, idx: idx}]
-		return fp.calleeEffect(targets)
+		return fp.calleeEffect(fp.s.targets[siteKey{fn: f.Name, idx: idx}])
 	}
 	return nil
 }
@@ -178,7 +173,7 @@ func (fp *flowPass) calleeEffect(targets map[string]bool) *callEffect {
 		return eff
 	}
 	for t := range targets {
-		if nr, ok := fp.p.wrapperNr[t]; ok {
+		if nr, ok := fp.s.wrapperNr[t]; ok {
 			eff.first[uint32(nr)] = true
 			eff.last[uint32(nr)] = true
 			continue

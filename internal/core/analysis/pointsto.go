@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"bastion/internal/ir"
-)
+import "bastion/internal/ir"
 
 // This file implements the points-to refinement of the indirect-call
 // policies: a flow-insensitive, field-aware, Andersen-style propagation of
@@ -21,7 +17,8 @@ import (
 // memory, a call result) escape: the analysis falls back to the coarse
 // address-taken set for any read tainted by the escape, so refinement is
 // sound by construction — the refined set is always a subset of the coarse
-// set and always a superset of the dynamically realizable targets.
+// set (Structure intersects it with the frontier) and always a superset of
+// the dynamically realizable targets.
 
 // ptCell is one statically resolvable abstract memory cell.
 type ptCell struct {
@@ -30,22 +27,6 @@ type ptCell struct {
 	slot     int
 	global   string
 	off      int64
-}
-
-// ptSite is the computed policy for one indirect callsite.
-type ptSite struct {
-	fn  string // containing function
-	idx int    // instruction index in the instrumented function
-	sig string // callsite type signature
-
-	// coarse is the baseline target set: every address-taken function
-	// matching the callsite signature.
-	coarse map[string]bool
-	// refined is the points-to target set (always ⊆ coarse).
-	refined map[string]bool
-	// exact reports that the target register resolved through tracked
-	// cells only; when false, refined fell back to coarse.
-	exact bool
 }
 
 // pointsTo carries the fixpoint state.
@@ -68,11 +49,10 @@ type pointsTo struct {
 	poisoned bool
 
 	changed bool
-	sites   []*ptSite
 }
 
-// runPointsTo computes per-indirect-callsite target sets for the linked,
-// instrumented program.
+// runPointsTo runs the propagation to its fixpoint over the linked,
+// instrumented program; refine then answers per indirect callsite.
 func (p *pass) runPointsTo() *pointsTo {
 	pt := &pointsTo{
 		p:            p,
@@ -101,8 +81,6 @@ func (p *pass) runPointsTo() *pointsTo {
 			break
 		}
 	}
-
-	pt.collectSites()
 	return pt
 }
 
@@ -275,47 +253,11 @@ func (pt *pointsTo) funcSet(f *ir.Function, idx int, reg ir.Reg, depth int) (map
 	return nil, false
 }
 
-// collectSites materializes the per-callsite policies after the fixpoint.
-func (pt *pointsTo) collectSites() {
-	names := make([]string, 0, len(pt.p.prog.Funcs))
-	for _, f := range pt.p.prog.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := pt.p.prog.Func(name)
-		for i := range f.Code {
-			in := &f.Code[i]
-			if in.Kind != ir.CallInd {
-				continue
-			}
-			s := &ptSite{
-				fn: f.Name, idx: i, sig: in.TypeSig,
-				coarse:  map[string]bool{},
-				refined: map[string]bool{},
-			}
-			for t := range pt.addressTaken {
-				if in.TypeSig != "" && pt.sigOf[t] != in.TypeSig {
-					continue
-				}
-				s.coarse[t] = true
-			}
-			vals, exact := pt.funcSet(f, i, in.Target, 0)
-			s.exact = exact && !pt.poisoned
-			if s.exact {
-				for t := range vals {
-					if in.TypeSig != "" && pt.sigOf[t] != in.TypeSig {
-						continue
-					}
-					s.refined[t] = true
-				}
-			} else {
-				// Escape fallback: the coarse address-taken policy.
-				for t := range s.coarse {
-					s.refined[t] = true
-				}
-			}
-			pt.sites = append(pt.sites, s)
-		}
-	}
+// refine is the points-to Refinement: the function addresses the target
+// register of the indirect callsite f.Code[idx] may hold. It is exact
+// unless the register may also hold an escaped value, in which case
+// Structure falls back to the coarse address-taken set.
+func (pt *pointsTo) refine(f *ir.Function, idx int) (map[string]bool, bool) {
+	vals, exact := pt.funcSet(f, idx, f.Code[idx].Target, 0)
+	return vals, exact && !pt.poisoned
 }

@@ -9,23 +9,19 @@
 //   - syscall-site discovery: Syscall instructions and the wrapper idiom
 //     (a function whose single Syscall carries a constant number) locate
 //     every system call the binary can issue;
-//   - call-type classification (CT): a syscall is directly callable when
-//     some Call targets its wrapper, indirectly callable when the
-//     wrapper's address is materialized (FuncAddr);
-//   - control-flow recovery (CF): the direct call graph is rebuilt by
-//     scanning Call instructions, and callee→valid-caller relations are
-//     derived by reverse reachability from sensitive wrappers, exactly as
-//     §6.2 does — but indirect callsites stop at the *coarse* frontier
-//     (every address-taken, signature-compatible function), because the
-//     binary carries no points-to seed facts;
+//   - call-type classification (CT), control-flow recovery (CF) and
+//     syscall flow (SF) come from analysis.Structure, the compiler pass's
+//     structural builder, called with no refinement: the callee→caller
+//     relations are the exact §6.2 reverse reachability over the direct
+//     call graph, while indirect callsites stay at the *coarse* frontier
+//     (every address-taken, signature-compatible function, Exact=false),
+//     because the binary carries no points-to seed facts. The flow
+//     composition is monotone in those target sets, so the extracted
+//     transition graph is a superset of the traced one;
 //   - argument integrity (AI): constant arguments at sensitive callsites
 //     are recovered by a conservative reaching-definitions dataflow over
 //     registers and resolvable stack cells (see constarg.go), joining to ⊤
-//     whenever paths disagree or a value's origin cannot be modeled;
-//   - syscall flow (SF): the transition-graph projection of flow.go,
-//     identical in structure to the compiler's but composed over the
-//     coarse indirect target sets, so the extracted graph is a superset of
-//     the traced one.
+//     whenever paths disagree or a value's origin cannot be modeled.
 //
 // Every recovered or abandoned fact carries provenance: a Fact row with a
 // stable reason code (mirroring the metadata.Untraced vocabulary), so the
@@ -42,21 +38,11 @@ import (
 	"fmt"
 	"sort"
 
+	"bastion/internal/core/analysis"
 	"bastion/internal/core/metadata"
 	"bastion/internal/ir"
+	"bastion/internal/kernel"
 )
-
-// Options configures the extractor.
-type Options struct {
-	// Sensitive is the set of syscall numbers receiving full context
-	// protection. Defaults to the Table 1 set (DefaultSensitive), which
-	// matches the compiler default so extracted and traced artifacts are
-	// directly comparable.
-	Sensitive []uint32
-	// MaxUseDefDepth bounds inter-procedural parameter resolution in the
-	// constant-argument dataflow (default 6, matching the compiler pass).
-	MaxUseDefDepth int
-}
 
 // Stats summarizes one extraction.
 type Stats struct {
@@ -110,7 +96,7 @@ const (
 	// constants; the join is ⊤, never a stale pick.
 	ReasonJoinDivergent = "join-divergent"
 	// ReasonDepthLimit: inter-procedural parameter resolution exceeded
-	// MaxUseDefDepth.
+	// analysis.DefaultUseDefDepth.
 	ReasonDepthLimit = "depth-limit"
 	// ReasonIndirectCaller: the function is address-taken, so callers
 	// invisible to the static call graph may pass any value.
@@ -139,38 +125,9 @@ type Result struct {
 	Facts []Fact
 }
 
-// DefaultSensitive returns the Table 1 sensitive-syscall set. The values
-// duplicate kernel.SensitiveSyscalls (the extractor must not depend on the
-// kernel package: it models an offline tool run against a foreign binary).
-func DefaultSensitive() []uint32 {
-	return []uint32{
-		9,   // mmap
-		10,  // mprotect
-		25,  // mremap
-		41,  // socket
-		42,  // connect
-		43,  // accept
-		49,  // bind
-		50,  // listen
-		56,  // clone
-		57,  // fork
-		58,  // vfork
-		59,  // execve
-		90,  // chmod
-		101, // ptrace
-		105, // setuid
-		106, // setgid
-		113, // setreuid
-		216, // remap_file_pages
-		288, // accept4
-		322, // execveat
-	}
-}
-
 // scan carries extraction state.
 type scan struct {
 	prog *ir.Program
-	opts Options
 
 	sensitive map[uint32]bool
 	// wrapperNr maps wrapper function name -> syscall number.
@@ -178,15 +135,8 @@ type scan struct {
 	// positional marks wrappers that pass parameters straight through to
 	// the syscall instruction (position i -> syscall argument i).
 	positional map[string]bool
-	// callers maps callee -> set of direct callers.
-	callers map[string]map[string]bool
 	// callRefs maps callee -> direct call instructions, in program order.
 	callRefs map[string][]callRef
-	// addressTaken is the set of functions whose address is materialized.
-	addressTaken map[string]bool
-	sigOf        map[string]string
-
-	indirect []indSite
 
 	meta  *metadata.Metadata
 	stats Stats
@@ -200,26 +150,13 @@ type callRef struct {
 	idx int
 }
 
-// indSite is one indirect callsite with its coarse frontier.
-type indSite struct {
-	fn     string
-	idx    int
-	sig    string
-	coarse map[string]bool
-}
-
-// Extract reconstructs a policy artifact from the program alone. The
-// program must validate; it is linked in place if it is not already (the
-// artifact's addresses refer to the program as handed in, so extracting
-// from an instrumented binary yields instrumented addresses and extracting
-// from a raw binary yields raw ones).
-func Extract(prog *ir.Program, opts Options) (*Result, error) {
-	if len(opts.Sensitive) == 0 {
-		opts.Sensitive = DefaultSensitive()
-	}
-	if opts.MaxUseDefDepth == 0 {
-		opts.MaxUseDefDepth = 6
-	}
+// Extract reconstructs a policy artifact from the program alone, protecting
+// the Table 1 sensitive syscalls (kernel.SensitiveSyscalls) like the
+// compiler pass does by default. The program must validate; it is linked
+// in place if it is not already (the artifact's addresses refer to the
+// program as handed in, so extracting from an instrumented binary yields
+// instrumented addresses and extracting from a raw binary yields raw ones).
+func Extract(prog *ir.Program) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("binscan: %w", err)
 	}
@@ -228,28 +165,38 @@ func Extract(prog *ir.Program, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("binscan: %w", err)
 		}
 	}
-	s := &scan{
-		prog:         prog,
-		opts:         opts,
-		sensitive:    map[uint32]bool{},
-		wrapperNr:    map[string]int64{},
-		positional:   map[string]bool{},
-		callers:      map[string]map[string]bool{},
-		callRefs:     map[string][]callRef{},
-		addressTaken: map[string]bool{},
-		sigOf:        map[string]string{},
-		meta:         metadata.New(),
+	sensitive := map[uint32]bool{}
+	for _, nr := range kernel.SensitiveSyscalls {
+		sensitive[nr] = true
 	}
-	for _, nr := range opts.Sensitive {
-		s.sensitive[nr] = true
+	meta, st := analysis.Structure(prog, sensitive, nil)
+	s := &scan{
+		prog:       prog,
+		sensitive:  sensitive,
+		wrapperNr:  map[string]int64{},
+		positional: map[string]bool{},
+		callRefs:   map[string][]callRef{},
+		meta:       meta,
+		stats: Stats{
+			Funcs:              len(prog.Funcs),
+			TotalCallsites:     st.TotalCallsites,
+			DirectCallsites:    st.DirectCallsites,
+			IndirectCallsites:  st.IndirectCallsites,
+			SensitiveCallsites: st.SensitiveCallsites,
+			AddressTaken:       len(meta.IndirectTargets),
+			CoarseEdges:        st.IndirectEdgesCoarse,
+			AllowedPairs:       st.AllowedPairsRefined,
+			FlowNodes:          st.FlowNodes,
+			FlowEdges:          st.FlowEdges,
+			FlowStarts:         st.FlowStarts,
+		},
 	}
 	s.vals = newValuation(s)
 
 	s.findWrappers()
-	s.scanInstructions()
-	s.buildControlFlow()
+	s.structureFacts()
+	s.findCallRefs()
 	s.recoverArguments()
-	s.buildFlow()
 
 	sort.Slice(s.facts, func(i, j int) bool {
 		a, b := s.facts[i], s.facts[j]
@@ -292,7 +239,7 @@ func (s *scan) findWrappers() {
 			s.stats.SensitiveWrappers++
 		}
 		s.positional[f.Name] = wrapperPositional(f)
-		detail := fmt.Sprintf("nr=%d (%s)", nr, sysName(uint32(nr)))
+		detail := fmt.Sprintf("nr=%d (%s)", nr, kernel.Name(uint32(nr)))
 		if !s.positional[f.Name] {
 			detail += " non-positional"
 		}
@@ -355,87 +302,10 @@ func isParamLoad(f *ir.Function, reg ir.Reg, n int) bool {
 	return true
 }
 
-// scanInstructions walks every instruction once, building the callsite
-// map, call-type classification, direct call graph, address-taken set, and
-// indirect-site list.
-func (s *scan) scanInstructions() {
-	s.stats.Funcs = len(s.prog.Funcs)
-	s.meta.Entry = s.prog.Entry
-	for _, f := range s.prog.Funcs {
-		s.sigOf[f.Name] = f.TypeSig
-		s.meta.Funcs[f.Name] = metadata.FuncInfo{
-			Name:  f.Name,
-			Entry: f.Base,
-			End:   f.Base + uint64(len(f.Code))*ir.InstrSize,
-		}
-	}
-	for _, f := range s.prog.Funcs {
-		for i := range f.Code {
-			in := &f.Code[i]
-			switch in.Kind {
-			case ir.Call:
-				s.stats.TotalCallsites++
-				s.stats.DirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteDirect,
-					Target:  in.Sym,
-				}
-				s.meta.Callsites[cs.RetAddr] = cs
-				if s.callers[in.Sym] == nil {
-					s.callers[in.Sym] = map[string]bool{}
-				}
-				s.callers[in.Sym][f.Name] = true
-				s.callRefs[in.Sym] = append(s.callRefs[in.Sym], callRef{fn: f.Name, idx: i})
-				if nr, ok := s.wrapperNr[in.Sym]; ok {
-					ct := s.meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Direct = true
-					s.meta.CallTypes[uint32(nr)] = ct
-					if s.sensitive[uint32(nr)] {
-						s.stats.SensitiveCallsites++
-					}
-				}
-			case ir.CallInd:
-				s.stats.TotalCallsites++
-				s.stats.IndirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteIndirect,
-					TypeSig: in.TypeSig,
-				}
-				s.meta.Callsites[cs.RetAddr] = cs
-				s.indirect = append(s.indirect, indSite{fn: f.Name, idx: i, sig: in.TypeSig})
-			case ir.FuncAddr:
-				s.addressTaken[in.Sym] = true
-				s.meta.IndirectTargets[in.Sym] = true
-				if nr, ok := s.wrapperNr[in.Sym]; ok {
-					ct := s.meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Indirect = true
-					s.meta.CallTypes[uint32(nr)] = ct
-				}
-			}
-		}
-	}
-	s.stats.AddressTaken = len(s.addressTaken)
+// structureFacts logs the CT, CF and SF facts of the shared structural
+// builder's metadata. Extract sorts the facts, so map order is harmless.
+func (s *scan) structureFacts() {
 	for nr, ct := range s.meta.CallTypes {
-		ct.Name = sysName(nr)
-		s.meta.CallTypes[nr] = ct
-	}
-	nrs := make([]uint32, 0, len(s.meta.CallTypes))
-	for nr := range s.meta.CallTypes {
-		nrs = append(nrs, nr)
-	}
-	sort.Slice(nrs, func(i, j int) bool { return nrs[i] < nrs[j] })
-	for _, nr := range nrs {
-		ct := s.meta.CallTypes[nr]
 		mode := ""
 		if ct.Direct {
 			mode = "direct"
@@ -448,105 +318,38 @@ func (s *scan) scanInstructions() {
 		}
 		s.fact("CT", "callable", ct.Name, fmt.Sprintf("nr=%d %s via %s", nr, mode, ct.Wrapper))
 	}
-}
-
-// buildControlFlow derives callee→valid-caller relations by reverse
-// reachability from sensitive wrappers (the §6.2 algorithm on the
-// recovered call graph), then materializes the indirect-call policy at the
-// coarse frontier: with no instrumentation facts to seed a points-to
-// analysis, every address-taken, signature-compatible function is a
-// possible target, and refined == coarse (Exact=false everywhere).
-func (s *scan) buildControlFlow() {
-	reaches := map[uint32]map[string]bool{}
-	wrappers := make([]string, 0, len(s.wrapperNr))
-	for fn := range s.wrapperNr {
-		wrappers = append(wrappers, fn)
-	}
-	sort.Strings(wrappers)
-	for _, fn := range wrappers {
-		nr := uint32(s.wrapperNr[fn])
-		if !s.sensitive[nr] {
-			continue
-		}
-		set := map[string]bool{fn: true}
-		work := []string{fn}
-		for len(work) > 0 {
-			callee := work[0]
-			work = work[1:]
-			cs := s.callers[callee]
-			if len(cs) == 0 {
-				continue
-			}
-			if s.meta.ValidCallers[callee] == nil {
-				s.meta.ValidCallers[callee] = map[string]bool{}
-			}
-			names := make([]string, 0, len(cs))
-			for c := range cs {
-				names = append(names, c)
-			}
-			sort.Strings(names)
-			for _, caller := range names {
-				s.meta.ValidCallers[callee][caller] = true
-				if caller == s.prog.Entry || set[caller] {
-					continue
-				}
-				set[caller] = true
-				work = append(work, caller)
-			}
-		}
-		reaches[nr] = set
-	}
-	callees := make([]string, 0, len(s.meta.ValidCallers))
-	for callee := range s.meta.ValidCallers {
-		callees = append(callees, callee)
-	}
-	sort.Strings(callees)
-	for _, callee := range callees {
-		for _, caller := range sortedNames(s.meta.ValidCallers[callee]) {
+	for callee, callers := range s.meta.ValidCallers {
+		for caller := range callers {
 			s.fact("CF", "caller-edge", callee, "caller "+caller)
 		}
 	}
-
-	s.meta.AllowedIndirectCoarse = metadata.NrAddrSets{}
-	s.meta.IndirectSites = map[uint64]metadata.IndirectSite{}
-	for i := range s.indirect {
-		site := &s.indirect[i]
-		site.coarse = map[string]bool{}
-		for t := range s.addressTaken {
-			if site.sig != "" && s.sigOf[t] != site.sig {
-				continue
-			}
-			site.coarse[t] = true
-		}
-		f := s.prog.Func(site.fn)
-		addr := f.InstrAddr(site.idx)
-		names := sortedNames(site.coarse)
-		s.meta.IndirectSites[addr] = metadata.IndirectSite{
-			Addr:    addr,
-			Caller:  site.fn,
-			TypeSig: site.sig,
-			Targets: names,
-			Coarse:  names,
-			Exact:   false,
-		}
-		s.stats.CoarseEdges += len(site.coarse)
-		s.fact("CF", "indirect-frontier", loc(site.fn, addr),
-			fmt.Sprintf("sig=%q %d coarse targets", site.sig, len(site.coarse)))
-		for nr, set := range reaches {
-			if reachesAny(set, site.coarse) {
-				if s.meta.AllowedIndirectCoarse[nr] == nil {
-					s.meta.AllowedIndirectCoarse[nr] = metadata.AddrSet{}
-				}
-				s.meta.AllowedIndirectCoarse[nr][addr] = true
-				if s.meta.AllowedIndirect[nr] == nil {
-					s.meta.AllowedIndirect[nr] = metadata.AddrSet{}
-				}
-				s.meta.AllowedIndirect[nr][addr] = true
-			}
+	// With no points-to seed facts in a bare binary, every indirect site
+	// stays at the coarse frontier: every address-taken,
+	// signature-compatible function.
+	for addr, site := range s.meta.IndirectSites {
+		s.fact("CF", "indirect-frontier", loc(site.Caller, addr),
+			fmt.Sprintf("sig=%q %d coarse targets", site.TypeSig, len(site.Coarse)))
+	}
+	g := s.meta.SyscallFlow
+	for nr := range g.Start {
+		s.fact("SF", "start-nr", kernel.Name(nr), fmt.Sprintf("nr=%d may open a process", nr))
+	}
+	for a, tos := range g.Edges {
+		for b := range tos {
+			s.fact("SF", "transition-edge", kernel.Name(a), fmt.Sprintf("-> %s (nr %d->%d)", kernel.Name(b), a, b))
 		}
 	}
-	for _, set := range s.meta.AllowedIndirect {
-		s.stats.AllowedPairs += len(set)
+}
+
+// findCallRefs indexes every direct call instruction by callee for the
+// constant-argument dataflow's parameter resolution.
+func (s *scan) findCallRefs() {
+	for _, f := range s.prog.Funcs {
+		for i := range f.Code {
+			if in := &f.Code[i]; in.Kind == ir.Call {
+				s.callRefs[in.Sym] = append(s.callRefs[in.Sym], callRef{fn: f.Name, idx: i})
+			}
+		}
 	}
 }
 
@@ -623,45 +426,6 @@ func (s *scan) abandonArg(f *ir.Function, idx, pos int, target, reason string) {
 		Reason: reason,
 	})
 	s.fact("AI", reason, loc(f.Name, addr), fmt.Sprintf("%s p%d", target, pos))
-}
-
-func reachesAny(set map[string]bool, targets map[string]bool) bool {
-	for t := range targets {
-		if set[t] {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedNames(set map[string]bool) []string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sysName(nr uint32) string {
-	if n, ok := syscallNames[nr]; ok {
-		return n
-	}
-	return fmt.Sprintf("sys_%d", nr)
-}
-
-// syscallNames duplicates the kernel's name table (the extractor is an
-// offline tool and must not import the kernel), following the same
-// convention as the compiler pass.
-var syscallNames = map[uint32]string{
-	0: "read", 1: "write", 2: "open", 3: "close", 4: "stat", 5: "fstat",
-	8: "lseek", 9: "mmap", 10: "mprotect", 11: "munmap", 12: "brk",
-	25: "mremap", 39: "getpid", 40: "sendfile", 41: "socket", 42: "connect",
-	43: "accept", 44: "sendto", 45: "recvfrom", 49: "bind", 50: "listen",
-	56: "clone", 57: "fork", 58: "vfork", 59: "execve", 60: "exit",
-	90: "chmod", 101: "ptrace", 105: "setuid", 106: "setgid",
-	113: "setreuid", 216: "remap_file_pages", 231: "exit_group",
-	257: "openat", 288: "accept4", 322: "execveat",
 }
 
 // definesReg reports whether the instruction writes a destination register.

@@ -9,6 +9,7 @@ import (
 	"bastion/internal/core/analysis"
 	"bastion/internal/core/metadata"
 	"bastion/internal/ir"
+	"bastion/internal/kernel"
 )
 
 // buildDemo is the Figure 2 shape plus an indirect getpid call: enough
@@ -51,7 +52,7 @@ func buildDemo() *ir.Program {
 
 func extract(t *testing.T, p *ir.Program) *Result {
 	t.Helper()
-	res, err := Extract(p, Options{})
+	res, err := Extract(p)
 	if err != nil {
 		t.Fatalf("Extract: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestExtractCallTypes(t *testing.T) {
 }
 
 func TestExtractValidCallersMatchCompiler(t *testing.T) {
-	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: DefaultSensitive()})
+	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatalf("analysis.Run: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestEveryDirectSensitiveCallsiteHasArgSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	sensitive := map[uint32]bool{}
-	for _, nr := range DefaultSensitive() {
+	for _, nr := range kernel.SensitiveSyscalls {
 		sensitive[nr] = true
 	}
 	for _, f := range prog.Funcs {
@@ -331,7 +332,7 @@ func TestEscapedSlotIsTop(t *testing.T) {
 }
 
 func TestExtractedSFSupersetOfTraced(t *testing.T) {
-	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: DefaultSensitive()})
+	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatalf("analysis.Run: %v", err)
 	}
@@ -351,11 +352,11 @@ func TestExtractedSFSupersetOfTraced(t *testing.T) {
 // address-independent and intrinsics are invisible to the dataflow.
 func TestInstrumentationInvariance(t *testing.T) {
 	extRaw := extract(t, buildDemo())
-	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: DefaultSensitive()})
+	traced, err := analysis.Run(buildDemo(), analysis.Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatalf("analysis.Run: %v", err)
 	}
-	extIns, err := Extract(traced.Prog, Options{})
+	extIns, err := Extract(traced.Prog)
 	if err != nil {
 		t.Fatalf("Extract(instrumented): %v", err)
 	}

@@ -30,6 +30,7 @@
 package binscan
 
 import (
+	"bastion/internal/core/analysis"
 	"bastion/internal/ir"
 )
 
@@ -333,7 +334,7 @@ func (v *valuation) baseCell(f *ir.Function, idx int, reg ir.Reg, depth int, act
 
 // evalAddr evaluates an address-producing definition to a cell.
 func (v *valuation) evalAddr(f *ir.Function, d int, depth int, active map[valKey]bool) (cellRef, bool) {
-	if depth > v.s.opts.MaxUseDefDepth {
+	if depth > analysis.DefaultUseDefDepth {
 		return cellRef{}, false
 	}
 	in := &f.Code[d]
@@ -464,10 +465,10 @@ func (v *valuation) cellValueUncached(f *ir.Function, idx int, slot int, off, si
 // functions, caller-less entry points, and depth overruns are ⊤ — callers
 // the static call graph cannot see may pass anything.
 func (v *valuation) paramValue(f *ir.Function, slot int, depth int, active map[valKey]bool) cval {
-	if depth >= v.s.opts.MaxUseDefDepth {
+	if depth >= analysis.DefaultUseDefDepth {
 		return top(ReasonDepthLimit)
 	}
-	if v.s.addressTaken[f.Name] {
+	if v.s.meta.IndirectTargets[f.Name] {
 		return top(ReasonIndirectCaller)
 	}
 	refs := v.s.callRefs[f.Name]
@@ -630,7 +631,7 @@ func (v *valuation) globalBase(f *ir.Function, idx int, reg ir.Reg) bool {
 }
 
 func (v *valuation) globalAddrDef(f *ir.Function, d int, depth int) bool {
-	if depth > v.s.opts.MaxUseDefDepth {
+	if depth > analysis.DefaultUseDefDepth {
 		return false
 	}
 	in := &f.Code[d]
@@ -655,7 +656,7 @@ func (v *valuation) globalAddrDef(f *ir.Function, d int, depth int) bool {
 }
 
 func (v *valuation) globalBaseAll(f *ir.Function, idx int, reg ir.Reg, depth int) bool {
-	if depth > v.s.opts.MaxUseDefDepth {
+	if depth > analysis.DefaultUseDefDepth {
 		return false
 	}
 	var defs []int

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"bastion/internal/core/metadata"
+	"bastion/internal/kernel"
 )
 
 // Projection is the address-independent view of one policy artifact: one
@@ -86,11 +87,11 @@ func Project(m *metadata.Metadata) *Projection {
 	}
 	if g := m.SyscallFlow; !g.Empty() {
 		for nr := range g.Start {
-			p.SF["start "+sysName(nr)] = true
+			p.SF["start "+kernel.Name(nr)] = true
 		}
 		for a, set := range g.Edges {
 			for b := range set {
-				p.SF[fmt.Sprintf("%s -> %s", sysName(a), sysName(b))] = true
+				p.SF[fmt.Sprintf("%s -> %s", kernel.Name(a), kernel.Name(b))] = true
 			}
 		}
 	}

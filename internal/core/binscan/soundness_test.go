@@ -25,7 +25,7 @@ func extractApp(t *testing.T, app string) (*ir.Program, *Result) {
 		t.Fatalf("%s: %v", app, err)
 	}
 	raw := target.Build()
-	res, err := Extract(raw, Options{})
+	res, err := Extract(raw)
 	if err != nil {
 		t.Fatalf("%s: extract: %v", app, err)
 	}

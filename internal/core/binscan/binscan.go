@@ -62,9 +62,8 @@ type Stats struct {
 	ConstArgs int // argument positions recovered as constants
 	TopArgs   int // argument positions abandoned at ⊤
 
-	FlowNodes  int
-	FlowEdges  int
-	FlowStarts int
+	FlowNodes int
+	FlowEdges int
 }
 
 // Fact is one provenance row: which context a recovered (or abandoned)
@@ -188,7 +187,6 @@ func Extract(prog *ir.Program) (*Result, error) {
 			AllowedPairs:       st.AllowedPairsRefined,
 			FlowNodes:          st.FlowNodes,
 			FlowEdges:          st.FlowEdges,
-			FlowStarts:         st.FlowStarts,
 		},
 	}
 	s.vals = newValuation(s)

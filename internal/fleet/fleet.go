@@ -12,6 +12,7 @@ import (
 	"bastion/internal/core/monitor"
 	"bastion/internal/fleet/shard"
 	"bastion/internal/kernel"
+	"bastion/internal/mem"
 	"bastion/internal/obs"
 	"bastion/internal/vm"
 	"bastion/internal/workload"
@@ -366,8 +367,8 @@ func Run(cfg Config) (*Report, error) {
 		privN    int // compilations performed outside the shared cache
 		privF    int
 	)
-	runOne := func(idx int) {
-		res, priv, err := runTenant(&cfg, idx, shared)
+	runOne := func(idx int, free *mem.FreeList) {
+		res, priv, err := runTenant(&cfg, idx, shared, free)
 		mu.Lock()
 		defer mu.Unlock()
 		rep.Results[idx] = res
@@ -434,7 +435,12 @@ func Run(cfg Config) (*Report, error) {
 // goroutines (0 = NumCPU, capped at len(members)), and returns when every
 // member is done. A single worker runs the members serially on the
 // calling goroutine.
-func dispatch(members []int, workers int, runOne func(int)) {
+//
+// Each worker hands runOne its own page free list: the worker's tenants
+// run one after another, so each tenant's first writes reuse the pages
+// the tenant before it released. The lists die with dispatch; none is
+// shared between goroutines or outlives the run.
+func dispatch(members []int, workers int, runOne func(int, *mem.FreeList)) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -442,8 +448,9 @@ func dispatch(members []int, workers int, runOne func(int)) {
 		workers = len(members)
 	}
 	if workers <= 1 {
+		var free mem.FreeList
 		for _, idx := range members {
-			runOne(idx)
+			runOne(idx, &free)
 		}
 		return
 	}
@@ -453,8 +460,9 @@ func dispatch(members []int, workers int, runOne func(int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var free mem.FreeList
 			for idx := range ch {
-				runOne(idx)
+				runOne(idx, &free)
 			}
 		}()
 	}
@@ -484,8 +492,9 @@ func (f *faultyTarget) Unit(p *core.Protected, i int) (int64, error) {
 // runTenant drives one tenant to completion, restarting incarnations per
 // policy. It returns the tenant's private artifact cache when sharing is
 // disabled (for compile accounting). Only compile/launch errors — broken
-// configuration, not guest behavior — are returned as errors.
-func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifacts, error) {
+// configuration, not guest behavior — are returned as errors. Guest pages
+// come from and return to free.
+func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (TenantResult, *Artifacts, error) {
 	app := cfg.appOf(idx)
 	res := TenantResult{Index: idx, App: app}
 	if cfg.Trace {
@@ -517,7 +526,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts) (TenantResult, *Artifact
 			arts = priv
 		}
 
-		prot, target, err := launchTenant(cfg, idx, app, malicious && !attackDone, arts)
+		prot, target, err := launchTenant(cfg, idx, app, malicious && !attackDone, arts, free)
 		if err != nil {
 			return res, priv, err
 		}
@@ -625,8 +634,9 @@ func runSlice(cfg *Config, res *TenantResult, app string, arts *Artifacts, prot 
 }
 
 // launchTenant builds one incarnation: fresh kernel and clock, fixtures,
-// and a monitored launch from (possibly shared) artifacts.
-func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, arts *Artifacts) (*core.Protected, workload.Target, error) {
+// and a monitored launch from (possibly shared) artifacts, its guest pages
+// backed from free.
+func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, arts *Artifacts, free *mem.FreeList) (*core.Protected, workload.Target, error) {
 	target, err := workload.NewTarget(app)
 	if err != nil {
 		return nil, nil, err
@@ -659,7 +669,7 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	mcfg.FlightN = cfg.FlightN
 	mcfg.Tenant = idx
 
-	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps))
+	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithFreeList(free))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -703,10 +713,11 @@ func accumulate(res *TenantResult, wl workload.Result) {
 }
 
 // drainMonitor folds the incarnation's monitor-side statistics into the
-// tenant totals (called once per incarnation, after its last guest work).
-// crashed marks an incarnation that died rather than finished; together
-// with recorded violations it decides whether the incarnation's flight
-// recorder is worth keeping.
+// tenant totals (called once per incarnation, after its last guest work,
+// on every exit path). crashed marks an incarnation that died rather than
+// finished; together with recorded violations it decides whether the
+// incarnation's flight recorder is worth keeping. Last, it releases the
+// guest's pages to the worker's free list: nothing reads them after this.
 func drainMonitor(res *TenantResult, prot *core.Protected, crashed bool) {
 	mon := prot.Monitor
 	res.FlowChecks += mon.FlowChecks
@@ -734,6 +745,7 @@ func drainMonitor(res *TenantResult, prot *core.Protected, crashed bool) {
 	if mon.Recorder != nil && mon.Recorder.Len() > 0 && (crashed || len(mon.Violations) > 0) {
 		res.Flight = mon.Recorder.DumpJSONL()
 	}
+	prot.Machine.Mem.Release()
 }
 
 // retire ends an incarnation after a failure, charging the right counter

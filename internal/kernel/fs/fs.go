@@ -38,11 +38,24 @@ var (
 )
 
 type node struct {
-	name     string
-	mode     Mode
-	dir      bool
-	data     []byte
+	name string
+	mode Mode
+	dir  bool
+	data []byte
+	// borrowed marks data as the slice a WriteFile caller passed in. The
+	// filesystem never writes into a borrowed slice: the first change to
+	// the file's bytes copies them (own) or drops them (O_TRUNC).
+	borrowed bool
 	children map[string]*node
+}
+
+// own gives the node a private copy of a borrowed slice before its bytes
+// change in place.
+func (n *node) own() {
+	if n.borrowed {
+		n.data = slices.Clone(n.data)
+		n.borrowed = false
+	}
 }
 
 // FS is an in-memory filesystem. It is safe for concurrent use.
@@ -117,7 +130,11 @@ func (f *FS) MkdirAll(p string, mode Mode) error {
 }
 
 // WriteFile creates (or truncates) the file at p with the given contents
-// and mode, creating parent directories as needed.
+// and mode, creating parent directories as needed. The file keeps data
+// without copying it, so fixtures cost no second copy per kernel; the
+// caller must not modify data afterwards. The filesystem never writes
+// into data: writes to the file copy it first, and O_TRUNC drops it. One
+// slice may back files in any number of filesystems.
 func (f *FS) WriteFile(p string, data []byte, mode Mode) error {
 	if err := f.MkdirAll(path.Dir(p), ModeRead|ModeWrite|ModeExec); err != nil {
 		return err
@@ -137,7 +154,7 @@ func (f *FS) WriteFile(p string, data []byte, mode Mode) error {
 		n = &node{name: name, mode: mode}
 		dir.children[name] = n
 	}
-	n.data = append([]byte(nil), data...)
+	n.data, n.borrowed = data, true
 	n.mode = mode
 	return nil
 }
@@ -276,7 +293,11 @@ func (f *FS) Open(p string, flags int, mode Mode) (*File, error) {
 		return nil, ErrPerm
 	}
 	if flags&OTrunc != 0 && acc != ORdonly {
-		n.data = n.data[:0]
+		if n.borrowed {
+			n.data, n.borrowed = nil, false
+		} else {
+			n.data = n.data[:0]
+		}
 	}
 	file := &File{fs: f, n: n, flags: flags}
 	if flags&OAppend != 0 {
@@ -307,6 +328,7 @@ func (fl *File) Write(buf []byte) (int, error) {
 	if fl.flags&0x3 == ORdonly {
 		return 0, ErrPerm
 	}
+	fl.n.own()
 	end := fl.offset + int64(len(buf))
 	if old := int64(len(fl.n.data)); old < end {
 		// Grow with amortized capacity, so an append loop copies the file

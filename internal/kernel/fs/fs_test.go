@@ -308,3 +308,80 @@ func sanitize(s string) string {
 	}
 	return string(out)
 }
+
+// TestWriteFileNeverWritesCallerSlice: WriteFile keeps the caller's slice
+// without copying it, and no change to the file — a write in place, an
+// O_TRUNC rewrite, an O_APPEND extension, a write past the end — ever
+// writes into it, not even into its spare capacity.
+func TestWriteFileNeverWritesCallerSlice(t *testing.T) {
+	for _, op := range []struct {
+		name    string
+		flags   int
+		seek    int64
+		payload string
+		want    string
+	}{
+		{"write in place", ORdwr, 2, "XY", "heXYo"},
+		{"O_TRUNC", OWronly | OTrunc, 0, "new", "new"},
+		{"O_APPEND", OWronly | OAppend, 0, "!!", "hello!!"},
+		{"write past end", OWronly, 7, "Z", "hello\x00\x00Z"},
+		{"O_TRUNC, empty write", ORdwr | OTrunc, 0, "", ""},
+	} {
+		name := op.name
+		backing := make([]byte, 5, 64) // spare capacity an append could reuse
+		copy(backing, "hello")
+		before := bytes.Clone(backing[:cap(backing)])
+		f := New()
+		if err := f.WriteFile("/a", backing, ModeRead|ModeWrite); err != nil {
+			t.Fatal(err)
+		}
+		fl, err := f.Open("/a", op.flags, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if op.seek != 0 {
+			if _, err := fl.Seek(op.seek, SeekSet); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := fl.Write([]byte(op.payload)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, _ := f.ReadFile("/a"); string(got) != op.want {
+			t.Errorf("%s: file reads %q, want %q", name, got, op.want)
+		}
+		if !bytes.Equal(backing[:cap(backing)], before) {
+			t.Errorf("%s: the slice given to WriteFile changed: %q", name, backing[:cap(backing)])
+		}
+	}
+}
+
+// TestWriteFileSharedSliceIsolated: two filesystems given the same slice
+// stay independent, and ReadFile hands out a copy, not the shared bytes.
+func TestWriteFileSharedSliceIsolated(t *testing.T) {
+	blob := bytes.Repeat([]byte{0x5a}, 4096)
+	a, b := New(), New()
+	for _, f := range []*FS{a, b} {
+		if err := f.WriteFile("/pub/file.bin", blob, ModeRead|ModeWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fl, err := a.Open("/pub/file.bin", ORdwr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Write([]byte("changed")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.ReadFile("/pub/file.bin")
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("second filesystem reads %q…, %v; want its own unchanged copy", got[:8], err)
+	}
+	got[0] = 0
+	if again, _ := b.ReadFile("/pub/file.bin"); again[0] != 0x5a || blob[0] != 0x5a {
+		t.Fatal("ReadFile returned the stored bytes, not a copy")
+	}
+	if mine, _ := a.ReadFile("/pub/file.bin"); string(mine[:7]) != "changed" || blob[0] != 0x5a {
+		t.Fatalf("first filesystem reads %q…; caller's slice %q…", mine[:7], blob[:7])
+	}
+}

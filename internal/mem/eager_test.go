@@ -194,6 +194,9 @@ func wordOp(t *testing.T, got *Space, want *eagerSpace, acc, addr uint64, width 
 // identical Mapped and PermAt answers for every page the operations can
 // reach. Read and Peek destinations start as non-zero garbage, so a read of
 // a page without backing that fails to clear the caller's chunk is caught.
+// Each sequence runs twice: on a NewSpace, and on a Space whose FreeList
+// starts full of dirty pages, so a recycled page that is not cleared
+// before reuse is caught too.
 func FuzzSpaceMatchesEager(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 4, 1, 0, 200, 0, 5, 2, 2, 60, 9, 1, 6, 1, 0, 3, 8})
 	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})
@@ -220,105 +223,113 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 		8, 1, 1, 0, 0, 0, 0, 0, 0, 2, 3, 5,
 	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		got, want := NewSpace(), newEager()
-		next := func() uint64 {
-			if len(prog) == 0 {
-				return 0
-			}
-			b := prog[0]
-			prog = prog[1:]
-			return uint64(b)
-		}
-		perms := []Perm{PermNone, PermRead, PermRW, PermRX, PermRWX, PermWrite}
-		for step := 0; len(prog) > 0 && step < 64; step++ {
-			op := next() % 9
-			// A page-aligned address, one page either side of the window;
-			// 1 in 8 Map/Unmap/Protect calls is deliberately misaligned.
-			page := fuzzBase + (next()%(fuzzPages+2))*PageSize - PageSize
-			if next()%8 == 0 {
-				page += 8
-			}
-			// A byte address anywhere in the same span, for accesses.
-			addr := page + next()*16%PageSize
-			// Lengths: whole or partial pages, up to five pages.
-			length := next()%6*PageSize - next()%3*100
-			if length > 5*PageSize {
-				length = 0
-			}
-			size := next()*33 + next()%3*PageSize
-			perm := perms[next()%uint64(len(perms))]
-
-			var gErr, wErr error
-			switch op {
-			case 0:
-				gErr, wErr = got.Map(page, length, perm), want.Map(page, length, perm)
-			case 1:
-				gErr, wErr = got.Unmap(page, length), want.Unmap(page, length)
-			case 2:
-				gErr, wErr = got.Protect(page, length, perm), want.Protect(page, length, perm)
-			case 3, 4:
-				data := make([]byte, size)
-				for i := range data {
-					data[i] = byte(step*7 + i)
-				}
-				if op == 3 {
-					gErr, wErr = got.Write(addr, data), want.access(addr, data, true, true)
-				} else {
-					gErr, wErr = got.Poke(addr, data), want.access(addr, data, true, false)
-				}
-			case 5, 6:
-				gBuf, wBuf := bytes.Repeat([]byte{0xa5}, int(size)), bytes.Repeat([]byte{0xa5}, int(size))
-				if op == 5 {
-					gErr, wErr = got.Read(addr, gBuf), want.access(addr, wBuf, false, true)
-				} else {
-					gErr, wErr = got.Peek(addr, gBuf), want.access(addr, wBuf, false, false)
-				}
-				if !bytes.Equal(gBuf, wBuf) {
-					t.Fatalf("step %d: op %d at %#x+%d: data differs from the eager model", step, op, addr, size)
-				}
-			case 7:
-				max := int(size%300) + 1
-				gs, ge := got.ReadCString(addr, max)
-				ws, we := want.ReadCString(addr, max)
-				gErr, wErr = ge, we
-				if gs != ws {
-					t.Fatalf("step %d: ReadCString(%#x, %d) = %q, eager model %q", step, addr, max, gs, ws)
-				}
-			case 8:
-				// A word access through one of the four word accessors, at
-				// width 1, 2, 4 or 8, at addr or 1 to 7 bytes before the end
-				// of its page, so a wide word crosses into the next page.
-				acc, width := next()%4, int64(1)<<(next()%4)
-				if k := next() % 16; k < 7 {
-					addr = pageAddr(addr) + PageSize - 1 - k
-				}
-				gErr, wErr = wordOp(t, got, want, acc, addr, width, 0xa1b2c3d4e5f60718+uint64(step))
-			}
-			if !sameErr(gErr, wErr) {
-				t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)
-			}
-			if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)
-			}
-			// Mapped and PermAt go through the lookup hint, which Regions
-			// does not use: a stale hint would answer for a page the eager
-			// model no longer maps.
-			for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+5)*PageSize; a += PageSize {
-				probe := a + uint64(step)*8%PageSize
-				wp, wok := want.pages[a]
-				gp, gok := got.PermAt(probe)
-				if m := got.Mapped(probe); m != wok || gok != wok || wok && gp != wp.perm {
-					t.Fatalf("step %d: op %d: page %#x: Mapped %v, PermAt %v/%v; eager model mapped %v", step, op, a, m, gp, gok, wok)
-				}
-			}
-		}
-		// Every mapped byte of the window must match, backed or not.
-		for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+1)*PageSize; a += PageSize {
-			g, w := bytes.Repeat([]byte{0x5a}, PageSize), bytes.Repeat([]byte{0x5a}, PageSize)
-			gErr, wErr := got.Peek(a, g), want.access(a, w, false, false)
-			if !sameErr(gErr, wErr) || !bytes.Equal(g, w) {
-				t.Fatalf("final page %#x differs from the eager model (%v vs %v)", a, gErr, wErr)
-			}
-		}
+		runEagerOps(t, NewSpace(), prog)
+		runEagerOps(t, NewSpaceFrom(dirtyList(fuzzPages+6, 0xcc)), prog)
 	})
+}
+
+// runEagerOps runs the operation sequence prog encodes on got and on a
+// fresh eager model, and fails t at the first difference.
+func runEagerOps(t *testing.T, got *Space, prog []byte) {
+	t.Helper()
+	want := newEager()
+	next := func() uint64 {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return uint64(b)
+	}
+	perms := []Perm{PermNone, PermRead, PermRW, PermRX, PermRWX, PermWrite}
+	for step := 0; len(prog) > 0 && step < 64; step++ {
+		op := next() % 9
+		// A page-aligned address, one page either side of the window;
+		// 1 in 8 Map/Unmap/Protect calls is deliberately misaligned.
+		page := fuzzBase + (next()%(fuzzPages+2))*PageSize - PageSize
+		if next()%8 == 0 {
+			page += 8
+		}
+		// A byte address anywhere in the same span, for accesses.
+		addr := page + next()*16%PageSize
+		// Lengths: whole or partial pages, up to five pages.
+		length := next()%6*PageSize - next()%3*100
+		if length > 5*PageSize {
+			length = 0
+		}
+		size := next()*33 + next()%3*PageSize
+		perm := perms[next()%uint64(len(perms))]
+
+		var gErr, wErr error
+		switch op {
+		case 0:
+			gErr, wErr = got.Map(page, length, perm), want.Map(page, length, perm)
+		case 1:
+			gErr, wErr = got.Unmap(page, length), want.Unmap(page, length)
+		case 2:
+			gErr, wErr = got.Protect(page, length, perm), want.Protect(page, length, perm)
+		case 3, 4:
+			data := make([]byte, size)
+			for i := range data {
+				data[i] = byte(step*7 + i)
+			}
+			if op == 3 {
+				gErr, wErr = got.Write(addr, data), want.access(addr, data, true, true)
+			} else {
+				gErr, wErr = got.Poke(addr, data), want.access(addr, data, true, false)
+			}
+		case 5, 6:
+			gBuf, wBuf := bytes.Repeat([]byte{0xa5}, int(size)), bytes.Repeat([]byte{0xa5}, int(size))
+			if op == 5 {
+				gErr, wErr = got.Read(addr, gBuf), want.access(addr, wBuf, false, true)
+			} else {
+				gErr, wErr = got.Peek(addr, gBuf), want.access(addr, wBuf, false, false)
+			}
+			if !bytes.Equal(gBuf, wBuf) {
+				t.Fatalf("step %d: op %d at %#x+%d: data differs from the eager model", step, op, addr, size)
+			}
+		case 7:
+			max := int(size%300) + 1
+			gs, ge := got.ReadCString(addr, max)
+			ws, we := want.ReadCString(addr, max)
+			gErr, wErr = ge, we
+			if gs != ws {
+				t.Fatalf("step %d: ReadCString(%#x, %d) = %q, eager model %q", step, addr, max, gs, ws)
+			}
+		case 8:
+			// A word access through one of the four word accessors, at
+			// width 1, 2, 4 or 8, at addr or 1 to 7 bytes before the end
+			// of its page, so a wide word crosses into the next page.
+			acc, width := next()%4, int64(1)<<(next()%4)
+			if k := next() % 16; k < 7 {
+				addr = pageAddr(addr) + PageSize - 1 - k
+			}
+			gErr, wErr = wordOp(t, got, want, acc, addr, width, 0xa1b2c3d4e5f60718+uint64(step))
+		}
+		if !sameErr(gErr, wErr) {
+			t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)
+		}
+		if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)
+		}
+		// Mapped and PermAt go through the lookup hint, which Regions
+		// does not use: a stale hint would answer for a page the eager
+		// model no longer maps.
+		for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+5)*PageSize; a += PageSize {
+			probe := a + uint64(step)*8%PageSize
+			wp, wok := want.pages[a]
+			gp, gok := got.PermAt(probe)
+			if m := got.Mapped(probe); m != wok || gok != wok || wok && gp != wp.perm {
+				t.Fatalf("step %d: op %d: page %#x: Mapped %v, PermAt %v/%v; eager model mapped %v", step, op, a, m, gp, gok, wok)
+			}
+		}
+	}
+	// Every mapped byte of the window must match, backed or not.
+	for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+1)*PageSize; a += PageSize {
+		g, w := bytes.Repeat([]byte{0x5a}, PageSize), bytes.Repeat([]byte{0x5a}, PageSize)
+		gErr, wErr := got.Peek(a, g), want.access(a, w, false, false)
+		if !sameErr(gErr, wErr) || !bytes.Equal(g, w) {
+			t.Fatalf("final page %#x differs from the eager model (%v vs %v)", a, gErr, wErr)
+		}
+	}
 }

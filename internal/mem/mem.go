@@ -81,6 +81,13 @@ func (f *Fault) Error() string {
 // first Write or Poke into the page, and a read of a page without data
 // sees zeros. Mapping the 4 MiB shadow region or the stack therefore costs
 // a 16-byte page entry per page, not 4 KiB of host memory per page.
+//
+// A backing's lifecycle is demand-zero (nil) → backed on the first write
+// → released to the Space's FreeList by Release → cleared and backed
+// again on another Space's first write. No method hands out a slice that
+// aliases a backing: reads copy out and ReadCString copies into its
+// string. So once Release returns, nothing outside the FreeList refers to
+// the pages it took, and reuse cannot leak one guest's bytes to another.
 type page struct {
 	data *[PageSize]byte
 	perm Perm
@@ -104,8 +111,35 @@ const MaxMapped = 1 << 30
 
 const maxPages = MaxMapped / PageSize
 
+// FreeList holds released page backings for Spaces to back pages with
+// before they allocate new ones. Like a Space, it belongs to one goroutine
+// at a time and has no lock: give each goroutine that runs guests one
+// after another its own list, so the pages one guest releases back the
+// next guest's first writes. The zero value is an empty list. A list never
+// shrinks on its own; drop it to free its pages.
+type FreeList struct {
+	pages []*[PageSize]byte
+}
+
+// Len returns the number of pages the list holds.
+func (l *FreeList) Len() int { return len(l.pages) }
+
+// take returns a zeroed page backing: the last released one, cleared, or
+// a new one when l is nil or empty.
+func (l *FreeList) take() *[PageSize]byte {
+	if l == nil || len(l.pages) == 0 {
+		return new([PageSize]byte)
+	}
+	n := len(l.pages) - 1
+	p := l.pages[n]
+	l.pages[n] = nil
+	l.pages = l.pages[:n]
+	*p = [PageSize]byte{}
+	return p
+}
+
 // Space is a sparse virtual address space. The zero value is not usable;
-// call NewSpace.
+// call NewSpace or NewSpaceFrom.
 //
 // The mapped pages are kept as Linux keeps VMAs: a slice of regions sorted
 // by address, non-overlapping and never adjacent, so two runs of pages that
@@ -118,12 +152,35 @@ const maxPages = MaxMapped / PageSize
 // a time.
 type Space struct {
 	regions []region
-	hint    int    // index of the region the last lookup found
-	mapped  uint64 // pages mapped, for the MaxMapped cap
+	hint    int       // index of the region the last lookup found
+	mapped  uint64    // pages mapped, for the MaxMapped cap
+	free    *FreeList // recycled backings for first writes; nil allocates
 }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
+
+// NewSpaceFrom returns an empty address space that backs its pages from
+// free before it allocates, and returns them there on Release. free must
+// belong to the goroutine that uses the Space.
+func NewSpaceFrom(free *FreeList) *Space { return &Space{free: free} }
+
+// Release unmaps everything and moves every backed page to the Space's
+// FreeList (or drops it, without one). The Space is left empty, so every
+// later access faults. Call it once the guest is gone and nothing will
+// read its memory again.
+func (s *Space) Release() {
+	if s.free != nil {
+		for _, r := range s.regions {
+			for _, pg := range r.pages {
+				if pg.data != nil {
+					s.free.pages = append(s.free.pages, pg.data)
+				}
+			}
+		}
+	}
+	*s = Space{free: s.free}
+}
 
 // RoundUp rounds a length up to a whole number of pages.
 func RoundUp(n uint64) uint64 { return (n + PageSize - 1) &^ (PageSize - 1) }
@@ -390,7 +447,7 @@ func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {
 		switch {
 		case write:
 			if pg.data == nil {
-				pg.data = new([PageSize]byte)
+				pg.data = s.free.take()
 			}
 			copy(pg.data[off:off+chunk], buf[done:done+chunk])
 		case pg.data == nil:
@@ -428,6 +485,9 @@ func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
 // with permission checks.
 func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 	if pg := s.wordPage(addr, size, PermWrite); pg != nil {
+		if pg.data == nil {
+			pg.data = s.free.take()
+		}
 		pg.store(addr, v, size)
 		return nil
 	}
@@ -451,6 +511,9 @@ func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
 // PokeUint writes an integer without permission checks.
 func (s *Space) PokeUint(addr uint64, v uint64, size int64) error {
 	if pg := s.wordPage(addr, size, PermNone); pg != nil {
+		if pg.data == nil {
+			pg.data = s.free.take()
+		}
 		pg.store(addr, v, size)
 		return nil
 	}
@@ -508,12 +571,10 @@ func (pg *page) load(addr uint64, size int64) uint64 {
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// store encodes the low size bytes of v at addr, which lies in pg,
-// backing the page on its first write.
+// store encodes the low size bytes of v at addr, which lies in pg. The
+// caller backs the page first; backing it here would make store too large
+// to inline into the word writers.
 func (pg *page) store(addr uint64, v uint64, size int64) {
-	if pg.data == nil {
-		pg.data = new([PageSize]byte)
-	}
 	b := pg.data[addr%PageSize:]
 	switch size {
 	case 8:

@@ -92,6 +92,28 @@ func BenchmarkMapShadow(b *testing.B) {
 	}
 }
 
+// BenchmarkMapShadowRecycled is BenchmarkMapShadow for a guest whose
+// Space takes its pages from a free list and releases them when it is
+// done, as a fleet worker's tenants do one after another: after the first
+// round, every first touch reuses a released page.
+func BenchmarkMapShadowRecycled(b *testing.B) {
+	free := &FreeList{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSpaceFrom(free)
+		if err := s.Map(ir.ShadowBase, ir.ShadowSize, PermRW); err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(0); k < 1024; k++ {
+			off := k * 2654435761 % (ir.ShadowSize / 8) * 8
+			if err := s.PokeUint(ir.ShadowBase+off, k, 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Release()
+	}
+}
+
 // BenchmarkBulkCopy measures page-spanning block transfers (ptrace reads,
 // kernel copy_to_user analogs).
 func BenchmarkBulkCopy(b *testing.B) {

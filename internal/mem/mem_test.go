@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"slices"
@@ -667,4 +668,125 @@ func TestSpaceUnmapReleasesArrays(t *testing.T) {
 		t.Fatalf("heap grew by %d bytes for %d mapped pages", grew, s.mapped)
 	}
 	runtime.KeepAlive(s)
+}
+
+// dirtyList returns a free list of n pages filled with b, as a guest that
+// wrote every byte of its pages would leave it.
+func dirtyList(n int, b byte) *FreeList {
+	l := &FreeList{}
+	for range n {
+		p := new([PageSize]byte)
+		for i := range p {
+			p[i] = b
+		}
+		l.pages = append(l.pages, p)
+	}
+	return l
+}
+
+// TestSpaceReleaseFaults: Release empties the Space, so every accessor
+// faults on what was mapped, and it hands exactly the backed pages to the
+// free list (a Space without one just drops them).
+func TestSpaceReleaseFaults(t *testing.T) {
+	for _, free := range []*FreeList{nil, {}} {
+		s := NewSpaceFrom(free)
+		if err := s.Map(0x10000, 4*PageSize, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Map(0x40000, 2*PageSize, PermRX); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(0x10ffc, []byte("abcdefgh")); err != nil { // backs two pages
+			t.Fatal(err)
+		}
+		if err := s.PokeUint(0x40010, 7, 8); err != nil {
+			t.Fatal(err)
+		}
+		backed := s.backed()
+		s.Release()
+		if free != nil && free.Len() != backed {
+			t.Fatalf("free list holds %d pages after Release, want the %d backed", free.Len(), backed)
+		}
+		if r := s.Regions(); len(r) != 0 {
+			t.Fatalf("Regions after Release = %+v, want none", r)
+		}
+		for _, a := range []uint64{0x10000, 0x10ffc, 0x13ff8, 0x40010} {
+			buf := make([]byte, 8)
+			if s.Mapped(a) {
+				t.Errorf("%#x still mapped after Release", a)
+			}
+			errs := map[string]error{
+				"Read":  s.Read(a, buf),
+				"Write": s.Write(a, buf),
+				"Peek":  s.Peek(a, buf),
+				"Poke":  s.Poke(a, buf),
+			}
+			_, errs["ReadUint"] = s.ReadUint(a, 8)
+			errs["WriteUint"] = s.WriteUint(a, 1, 8)
+			_, errs["PeekUint"] = s.PeekUint(a, 8)
+			errs["PokeUint"] = s.PokeUint(a, 1, 8)
+			_, errs["ReadCString"] = s.ReadCString(a, 16)
+			for name, err := range errs {
+				var f *Fault
+				if !errors.As(err, &f) || f.Addr != a {
+					t.Errorf("%s(%#x) after Release = %v, want a fault at that address", name, a, err)
+				}
+			}
+		}
+		if n := s.backed(); n != 0 {
+			t.Fatalf("faulting writes backed %d pages", n)
+		}
+	}
+}
+
+// TestSpaceRecycledPageReadsZero: a page taken from the free list is
+// cleared before use, so partial and word writes into it leave every
+// other byte reading zero, never the previous guest's bytes.
+func TestSpaceRecycledPageReadsZero(t *testing.T) {
+	const pages = 6
+	free := dirtyList(pages, 0xaa)
+	s := NewSpaceFrom(free)
+	if err := s.Map(0x20000, pages*PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, pages*PageSize)
+	put := func(a uint64, b []byte) { copy(want[a-0x20000:], b) }
+	// One of each first-touch path: Write and Poke (access), a page-
+	// crossing Write, and the four word widths of WriteUint and PokeUint.
+	if err := s.Write(0x20100, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	put(0x20100, []byte{1, 2, 3})
+	if err := s.Poke(0x21ffe, []byte{4, 5, 6, 7}); err != nil {
+		t.Fatal(err)
+	}
+	put(0x21ffe, []byte{4, 5, 6, 7})
+	if err := s.WriteUint(0x23008, 0x0102, 2); err != nil {
+		t.Fatal(err)
+	}
+	put(0x23008, []byte{2, 1})
+	if err := s.PokeUint(0x24ff8, 0x0807060504030201, 8); err != nil {
+		t.Fatal(err)
+	}
+	put(0x24ff8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if err := s.PokeUint(0x25000, 9, 1); err != nil {
+		t.Fatal(err)
+	}
+	put(0x25000, []byte{9})
+	if n := free.Len(); n != pages-s.backed() {
+		t.Fatalf("free list holds %d pages after %d first touches, want %d", n, s.backed(), pages-s.backed())
+	}
+	got := make([]byte, pages*PageSize)
+	if err := s.Peek(0x20000, got); err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(got, func(b byte) bool { return b == 0xaa }); i >= 0 || !bytes.Equal(got, want) {
+		t.Fatalf("recycled pages read back wrong (first stale byte at %d)", i)
+	}
+	for off := uint64(0); off < pages*PageSize; off += 4 {
+		w := uint64(binary.LittleEndian.Uint32(want[off:]))
+		if v, err := s.ReadUint(0x20000+off, 4); err != nil || v != w {
+			t.Fatalf("ReadUint(%#x) = %#x, %v; want %#x", 0x20000+off, v, err, w)
+		}
+	}
 }

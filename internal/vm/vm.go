@@ -228,6 +228,13 @@ func WithClock(c *Clock) Option { return func(m *Machine) { m.Clock = c } }
 // WithMaxSteps bounds the number of executed instructions.
 func WithMaxSteps(n uint64) Option { return func(m *Machine) { m.MaxSteps = n } }
 
+// WithFreeList backs the machine's guest pages from free before it
+// allocates (see mem.NewSpaceFrom). free must belong to the goroutine
+// that runs the machine; pages return to it on m.Mem.Release.
+func WithFreeList(free *mem.FreeList) Option {
+	return func(m *Machine) { m.Mem = mem.NewSpaceFrom(free) }
+}
+
 // WithTrace streams a disassembly line per executed instruction to w, up
 // to max lines (0 = unlimited). For debugging guest programs.
 func WithTrace(w io.Writer, max uint64) Option {
@@ -244,7 +251,6 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 	}
 	m := &Machine{
 		Prog:     prog,
-		Mem:      mem.NewSpace(),
 		Clock:    &Clock{},
 		Costs:    DefaultCosts(),
 		hooks:    map[uint64]Hook{},
@@ -252,6 +258,9 @@ func New(prog *ir.Program, opts ...Option) (*Machine, error) {
 	}
 	for _, o := range opts {
 		o(m)
+	}
+	if m.Mem == nil {
+		m.Mem = mem.NewSpace()
 	}
 	if err := m.loadImage(); err != nil {
 		return nil, err

@@ -155,7 +155,7 @@ type Nginx struct {
 
 	lfd uint64
 	// recv is the response buffer every request's connection reuses, as
-	// wrk reuses its read buffer.
+	// wrk reuses its read buffer. Init sizes it for one whole response.
 	recv []byte
 }
 
@@ -200,6 +200,7 @@ func (t *Nginx) Init(p *core.Protected) error {
 		return err
 	}
 	t.lfd = lfd
+	t.recv = make([]byte, 0, PageSize)
 	return nil
 }
 
@@ -345,7 +346,8 @@ type Vsftpd struct {
 	cfd  uint64
 	port uint64
 	// recv is the download buffer every data connection reuses, as
-	// dkftpbench reuses its read buffer.
+	// dkftpbench reuses its read buffer. Init sizes it for one whole file,
+	// so the first download does not grow it by doubling.
 	recv []byte
 }
 
@@ -398,6 +400,7 @@ func (t *Vsftpd) Init(p *core.Protected) error {
 	t.ctrl = ctrl
 	t.cfd = cfd
 	t.port = vsftpd.DataPortBase
+	t.recv = make([]byte, 0, FTPFileSize)
 	ctrl.ClientReadAll()
 	return nil
 }

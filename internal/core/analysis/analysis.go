@@ -34,14 +34,11 @@ type Options struct {
 	// Sensitive is the set of syscall numbers receiving full context
 	// protection (defaults to Table 1's 20 via the caller).
 	Sensitive []uint32
-	// MaxUseDefDepth bounds inter-procedural parameter tracing
-	// (DefaultUseDefDepth when zero).
-	MaxUseDefDepth int
 }
 
-// DefaultUseDefDepth is the default bound on inter-procedural parameter
-// tracing, shared with the B-Side extractor's constant-argument dataflow.
-const DefaultUseDefDepth = 6
+// MaxUseDefDepth bounds inter-procedural parameter tracing, shared with
+// the B-Side extractor's constant-argument dataflow.
+const MaxUseDefDepth = 6
 
 // Stats are the Table 5 instrumentation statistics.
 type Stats struct {
@@ -164,9 +161,6 @@ func (p *pass) recordUntraced(fn string, idx, pos int, target, reason string) {
 // Run executes the full pass on prog, which must validate but need not be
 // linked. The program is mutated in place (instrumented and linked).
 func Run(prog *ir.Program, opts Options) (*Result, error) {
-	if opts.MaxUseDefDepth == 0 {
-		opts.MaxUseDefDepth = DefaultUseDefDepth
-	}
 	p := &pass{
 		prog:          prog,
 		opts:          opts,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strconv"
 	"testing"
 
 	"bastion/internal/apps/guestlibc"
@@ -395,15 +396,17 @@ func TestDerefParamWrites(t *testing.T) {
 	}
 }
 
-// TestMaxUseDefDepthBounds: a parameter chain deeper than the configured
-// bound stops being traced instead of recursing forever; the argument is
+// TestMaxUseDefDepthBounds: a parameter chain deeper than MaxUseDefDepth
+// stops being traced instead of recursing forever; the argument is
 // counted as untraced-by-depth rather than mis-bound.
 func TestMaxUseDefDepthBounds(t *testing.T) {
 	p := guestlibc.NewProgram()
-	// A 8-deep pass-through chain: c7 -> c6 -> ... -> c0 -> setuid(v).
+	// A pass-through chain five hops deeper than the bound:
+	// c<n-1> -> ... -> c0 -> setuid(v).
+	const n = MaxUseDefDepth + 5
 	prev := ""
-	for i := 0; i <= 7; i++ {
-		name := "c" + string(rune('0'+i))
+	for i := 0; i < n; i++ {
+		name := "c" + strconv.Itoa(i)
 		b := ir.NewBuilder(name, 1)
 		v := b.LoadLocal("p0")
 		if i == 0 {
@@ -420,16 +423,16 @@ func TestMaxUseDefDepthBounds(t *testing.T) {
 	ua := mb.Lea("uid", 0)
 	mb.Store(ua, 0, ir.Imm(33), 8)
 	uv := mb.Load(mb.Lea("uid", 0), 0, 8)
-	mb.Call("c7", ir.R(uv))
+	mb.Call(prev, ir.R(uv))
 	mb.Ret(ir.Imm(0))
 	p.AddFunc(mb.Build())
 
-	res, err := Run(p, Options{Sensitive: kernel.SensitiveSyscalls, MaxUseDefDepth: 3})
+	res, err := Run(p, Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// The chain is traced through at most the first few hops: intermediate
-	// arg sites exist for the near callsites but not all eight.
+	// arg sites exist for the near callsites but not all n.
 	sites := 0
 	for _, s := range res.Meta.ArgSites {
 		if !s.IsSyscall {
@@ -439,7 +442,7 @@ func TestMaxUseDefDepthBounds(t *testing.T) {
 	if sites == 0 {
 		t.Fatal("no intermediate sites traced at all")
 	}
-	if sites >= 8 {
+	if sites >= n {
 		t.Fatalf("depth bound ignored: %d intermediate sites", sites)
 	}
 	// And the instrumented program still runs.

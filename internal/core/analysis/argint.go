@@ -34,7 +34,7 @@ func (p *pass) analyzeArguments() {
 // traced (intermediate callsites propagate specific sensitive parameters);
 // for syscall callsites every argument is traced.
 func (p *pass) traceCallsite(f *ir.Function, i int, nr uint32, isSyscall bool, onlyPos map[int]bool, depth int) {
-	if depth > p.opts.MaxUseDefDepth {
+	if depth > MaxUseDefDepth {
 		return
 	}
 	in := &f.Code[i]
@@ -106,7 +106,7 @@ func (p *pass) traceParam(f *ir.Function, param int, depth int) {
 	slotExpr := addrExpr{ok: true, rootKind: baseLocal, fn: f.Name, slot: param}
 	p.markVarSensitive(slotExpr, ir.WordSize, depth)
 
-	if depth+1 > p.opts.MaxUseDefDepth {
+	if depth+1 > MaxUseDefDepth {
 		// Truncated inter-procedural trace: the callers' passed values stay
 		// unverified. Counted in the stats so the depth budget's cost is
 		// visible, but not recorded as metadata.Untraced — the parameter's
@@ -142,7 +142,7 @@ func (p *pass) markVarSensitive(expr addrExpr, size int64, depth int) {
 		return
 	}
 	p.sensVars[canon] = true
-	if depth > p.opts.MaxUseDefDepth {
+	if depth > MaxUseDefDepth {
 		return
 	}
 

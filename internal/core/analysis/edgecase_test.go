@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func paramChain(n int) *ir.Program {
 
 	prev := "w0"
 	for i := 1; i <= n; i++ {
-		name := "w" + string(rune('0'+i))
+		name := "w" + strconv.Itoa(i)
 		b := ir.NewBuilder(name, 1)
 		av := b.LoadLocal("p0")
 		b.Call(prev, ir.R(av))
@@ -129,11 +130,11 @@ func paramChain(n int) *ir.Program {
 // is emitted (the spill slot is still shadowed, there is no callsite to
 // point at), so audit allowlists keyed on untraced records stay stable.
 func TestDepthLimitTruncationCounted(t *testing.T) {
-	prog := paramChain(4)
+	prog := paramChain(MaxUseDefDepth + 2)
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog, Options{Sensitive: kernel.SensitiveSyscalls, MaxUseDefDepth: 2})
+	res, err := Run(prog, Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +145,9 @@ func TestDepthLimitTruncationCounted(t *testing.T) {
 		t.Errorf("truncation must be stats-only, found untraced record %+v", u)
 	}
 
-	// The same chain inside the default budget resolves end to end: no
+	// The longest chain inside the budget resolves end to end: no
 	// truncation, and main's constant reaches the deepest callsite.
-	deep, err := Run(paramChain(4), Options{Sensitive: kernel.SensitiveSyscalls})
+	deep, err := Run(paramChain(MaxUseDefDepth-1), Options{Sensitive: kernel.SensitiveSyscalls})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ const (
 	// constants; the join is ⊤, never a stale pick.
 	ReasonJoinDivergent = "join-divergent"
 	// ReasonDepthLimit: inter-procedural parameter resolution exceeded
-	// analysis.DefaultUseDefDepth.
+	// analysis.MaxUseDefDepth.
 	ReasonDepthLimit = "depth-limit"
 	// ReasonIndirectCaller: the function is address-taken, so callers
 	// invisible to the static call graph may pass any value.

@@ -334,7 +334,7 @@ func (v *valuation) baseCell(f *ir.Function, idx int, reg ir.Reg, depth int, act
 
 // evalAddr evaluates an address-producing definition to a cell.
 func (v *valuation) evalAddr(f *ir.Function, d int, depth int, active map[valKey]bool) (cellRef, bool) {
-	if depth > analysis.DefaultUseDefDepth {
+	if depth > analysis.MaxUseDefDepth {
 		return cellRef{}, false
 	}
 	in := &f.Code[d]
@@ -465,7 +465,7 @@ func (v *valuation) cellValueUncached(f *ir.Function, idx int, slot int, off, si
 // functions, caller-less entry points, and depth overruns are ⊤ — callers
 // the static call graph cannot see may pass anything.
 func (v *valuation) paramValue(f *ir.Function, slot int, depth int, active map[valKey]bool) cval {
-	if depth >= analysis.DefaultUseDefDepth {
+	if depth >= analysis.MaxUseDefDepth {
 		return top(ReasonDepthLimit)
 	}
 	if v.s.meta.IndirectTargets[f.Name] {
@@ -631,7 +631,7 @@ func (v *valuation) globalBase(f *ir.Function, idx int, reg ir.Reg) bool {
 }
 
 func (v *valuation) globalAddrDef(f *ir.Function, d int, depth int) bool {
-	if depth > analysis.DefaultUseDefDepth {
+	if depth > analysis.MaxUseDefDepth {
 		return false
 	}
 	in := &f.Code[d]
@@ -656,7 +656,7 @@ func (v *valuation) globalAddrDef(f *ir.Function, d int, depth int) bool {
 }
 
 func (v *valuation) globalBaseAll(f *ir.Function, idx int, reg ir.Reg, depth int) bool {
-	if depth > analysis.DefaultUseDefDepth {
+	if depth > analysis.MaxUseDefDepth {
 		return false
 	}
 	var defs []int

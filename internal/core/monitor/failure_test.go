@@ -2,12 +2,15 @@ package monitor_test
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"bastion/internal/apps/guestlibc"
 	"bastion/internal/core"
 	"bastion/internal/core/metadata"
 	"bastion/internal/core/monitor"
+	"bastion/internal/core/shadow"
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/vm"
@@ -186,5 +189,71 @@ func TestShadowRegionIsMappedAtLaunch(t *testing.T) {
 	}
 	if perm, _ := prot.Machine.Mem.PermAt(ir.ShadowBase); perm.String() != "rw-" {
 		t.Fatalf("shadow region perm = %v", perm)
+	}
+}
+
+// TestForgedDigestSizeFailsClosed: the meta word of a shadow value entry
+// lives in guest-writable memory, so an attacker can flag a word-sized
+// entry as the digest of a 2 GiB object. The monitor must still judge the
+// argument — here the pointee runs off the end of the 4 MiB shadow region
+// it points into, an argument-integrity kill — while streaming the
+// pointee, not allocating a host buffer of the forged size.
+func TestForgedDigestSizeFailsClosed(t *testing.T) {
+	const length = ir.ShadowBase // a pointer into the mapped shadow region
+	p := guestlibc.NewProgram()
+	b := ir.NewBuilder("main", 0)
+	b.Local("len", 8)
+	b.Store(b.Lea("len", 0), 0, ir.Imm(int64(length)), 8)
+	lv := b.Load(b.Lea("len", 0), 0, 8)
+	b.Call("mmap", ir.Imm(0), ir.R(lv), ir.Imm(3), ir.Imm(0x22), ir.Imm(-1), ir.Imm(0))
+	b.Ret(ir.Imm(0))
+	p.AddFunc(b.Build())
+	art, err := core.Compile(p, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inKernel := range []bool{false, true} {
+		cfg := monitor.DefaultConfig()
+		cfg.InKernel = inKernel
+		prot, err := core.Launch(art, kernel.New(nil), cfg, vm.WithMaxSteps(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := slices.IndexFunc(prot.Machine.Prog.Func("mmap").Code, func(in ir.Instr) bool { return in.Kind == ir.Syscall })
+		forged := 0
+		// Right before the wrapper's syscall, rewrite the meta word of
+		// every value entry that records the length.
+		if err := prot.Machine.HookFunc("mmap", sys, func(m *vm.Machine) error {
+			for slot := uint64(0); slot < shadow.ValueCap; slot++ {
+				at := shadow.ValueBase() + slot*24
+				if v, err := m.Mem.PeekUint(at+8, 8); err != nil || v != length {
+					continue
+				}
+				if err := m.Mem.PokeUint(at+16, shadow.MetaDigest|1<<31, 8); err != nil {
+					return err
+				}
+				forged++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = prot.Machine.CallFunction("main")
+		runtime.ReadMemStats(&after)
+		if forged == 0 {
+			t.Fatal("no shadow entry recorded the length")
+		}
+		var ke *vm.KillError
+		if !errors.As(err, &ke) || ke.By != "monitor" {
+			t.Fatalf("inKernel=%v: forged digest size allowed the syscall: %v", inKernel, err)
+		}
+		if v := prot.Monitor.Violations; len(v) != 1 || v[0].Context != monitor.ArgIntegrity || v[0].Reason != "pointee unreadable" {
+			t.Fatalf("inKernel=%v: violations = %v", inKernel, v)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("inKernel=%v: judging the forged entry allocated %d bytes on the host", inKernel, grew)
+		}
 	}
 }

@@ -1152,14 +1152,17 @@ func (m *Monitor) checkMemArg(nr uint32, regs vm.Regs, site metadata.ArgSite, sp
 	size := int64(meta & shadow.MetaSizeMask)
 	if meta&shadow.MetaDigest != 0 {
 		// Shadow holds a digest of a larger object; verify the pointee the
-		// register points to.
-		data := make([]byte, size)
-		if err := m.readMem(actual, data); err != nil {
+		// register points to. The size comes from guest-writable shadow
+		// memory, so the pointee is digested as it streams in, never
+		// copied whole: a forged size costs the host no allocation.
+		h := shadow.DigestInit
+		fold := func(b []byte) { h = shadow.DigestUpdate(h, b) }
+		if err := m.proc.ReadMemStream(actual, uint64(size), m.Cfg.InKernel, fold); err != nil {
 			return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "pointee unreadable"}
 		}
 		m.proc.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
 		m.stat.pointee += uint64(size)
-		if shadow.Digest(data) != v {
+		if h != v {
 			return &Violation{Context: ArgIntegrity, Nr: nr,
 				Reason: fmt.Sprintf("arg %d pointee digest mismatch", spec.Pos)}
 		}

@@ -154,10 +154,18 @@ func MapRegion(space *mem.Space) error {
 }
 
 // Digest computes the FNV-1a digest of a region's contents. The monitor
-// and the guest runtime must agree on this function.
-func Digest(data []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+// and the guest runtime must agree on this function; both compute it
+// through DigestUpdate.
+func Digest(data []byte) uint64 { return DigestUpdate(DigestInit, data) }
+
+// DigestInit is the digest of no bytes, where a streaming digest starts.
+const DigestInit uint64 = 14695981039346656037
+
+// DigestUpdate folds data into the running digest h, so a region can be
+// digested a piece at a time: DigestUpdate(DigestUpdate(DigestInit, a), b)
+// is Digest of a followed by b.
+func DigestUpdate(h uint64, data []byte) uint64 {
+	const prime = 1099511628211
 	for _, b := range data {
 		h ^= uint64(b)
 		h *= prime
@@ -215,15 +223,39 @@ func NewRuntime(space *mem.Space) *Runtime {
 // CtxWriteMem records the legitimate value of [addr, addr+size).
 func (r *Runtime) CtxWriteMem(m *vm.Machine, addr uint64, size int64) error {
 	r.WriteCount++
-	buf := make([]byte, size)
-	if err := r.space.Peek(addr, buf); err != nil {
+	v, meta, err := encodeAt(r.space, addr, size)
+	if err != nil {
 		// The variable may not be materialized yet (e.g. instrumentation on
 		// a path where the mapping does not exist); treat as no-op, exactly
 		// as the inlined library's bounds check would.
 		return nil
 	}
-	v, meta := EncodeValue(buf)
 	return r.values.Put(addr, v, meta)
+}
+
+// encodeAt returns EncodeValue of the size bytes at addr without
+// allocating: a value of up to 8 bytes is read into a stack word, and a
+// larger region is digested a chunk at a time.
+func encodeAt(space *mem.Space, addr uint64, size int64) (value, meta uint64, err error) {
+	if size <= 8 {
+		var buf [8]byte
+		if err := space.Peek(addr, buf[:size]); err != nil {
+			return 0, 0, err
+		}
+		value, meta = EncodeValue(buf[:size])
+		return value, meta, nil
+	}
+	h := DigestInit
+	var buf [512]byte
+	for done := uint64(0); done < uint64(size); {
+		chunk := buf[:min(uint64(size)-done, uint64(len(buf)))]
+		if err := space.Peek(addr+done, chunk); err != nil {
+			return 0, 0, err
+		}
+		h = DigestUpdate(h, chunk)
+		done += uint64(len(chunk))
+	}
+	return h, MetaDigest | uint64(size), nil
 }
 
 // CtxBindMem binds the memory-backed variable at addr to argument pos of

@@ -367,8 +367,8 @@ func Run(cfg Config) (*Report, error) {
 		privN    int // compilations performed outside the shared cache
 		privF    int
 	)
-	runOne := func(idx int, free *mem.FreeList) {
-		res, priv, err := runTenant(&cfg, idx, shared, free)
+	runOne := func(idx int, pool *turnover) {
+		res, priv, err := runTenant(&cfg, idx, shared, pool)
 		mu.Lock()
 		defer mu.Unlock()
 		rep.Results[idx] = res
@@ -436,11 +436,11 @@ func Run(cfg Config) (*Report, error) {
 // member is done. A single worker runs the members serially on the
 // calling goroutine.
 //
-// Each worker hands runOne its own page free list: the worker's tenants
-// run one after another, so each tenant's first writes reuse the pages
-// the tenant before it released. The lists die with dispatch; none is
-// shared between goroutines or outlives the run.
-func dispatch(members []int, workers int, runOne func(int, *mem.FreeList)) {
+// Each worker hands runOne its own turnover pool: the worker's tenants
+// run one after another, so each tenant reuses what the tenant before it
+// released. The pools die with dispatch; none is shared between
+// goroutines or outlives the run.
+func dispatch(members []int, workers int, runOne func(int, *turnover)) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -448,9 +448,9 @@ func dispatch(members []int, workers int, runOne func(int, *mem.FreeList)) {
 		workers = len(members)
 	}
 	if workers <= 1 {
-		var free mem.FreeList
+		var pool turnover
 		for _, idx := range members {
-			runOne(idx, &free)
+			runOne(idx, &pool)
 		}
 		return
 	}
@@ -460,9 +460,9 @@ func dispatch(members []int, workers int, runOne func(int, *mem.FreeList)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var free mem.FreeList
+			var pool turnover
 			for idx := range ch {
-				runOne(idx, &free)
+				runOne(idx, &pool)
 			}
 		}()
 	}
@@ -492,9 +492,9 @@ func (f *faultyTarget) Unit(p *core.Protected, i int) (int64, error) {
 // runTenant drives one tenant to completion, restarting incarnations per
 // policy. It returns the tenant's private artifact cache when sharing is
 // disabled (for compile accounting). Only compile/launch errors — broken
-// configuration, not guest behavior — are returned as errors. Guest pages
-// come from and return to free.
-func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (TenantResult, *Artifacts, error) {
+// configuration, not guest behavior — are returned as errors. Each
+// incarnation draws its host buffers from pool and returns them there.
+func runTenant(cfg *Config, idx int, shared *Artifacts, pool *turnover) (TenantResult, *Artifacts, error) {
 	app := cfg.appOf(idx)
 	res := TenantResult{Index: idx, App: app}
 	if cfg.Trace {
@@ -526,7 +526,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (Ten
 			arts = priv
 		}
 
-		prot, target, err := launchTenant(cfg, idx, app, malicious && !attackDone, arts, free)
+		prot, target, err := launchTenant(cfg, idx, app, malicious && !attackDone, arts, pool)
 		if err != nil {
 			return res, priv, err
 		}
@@ -552,7 +552,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (Ten
 			// A killed incarnation's monitor still holds its violations,
 			// statistics, and flight recorder — drain before
 			// retiring, or a security kill's evidence is lost.
-			drainMonitor(&res, prot, true)
+			drainMonitor(&res, prot, target, true)
 			retire(cfg, &res, &attempt, classifyKill(runErr))
 			continue
 		}
@@ -566,10 +566,10 @@ func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (Ten
 				// tenant rather than keep serving from a compromised guest.
 				res.Compromised = true
 				res.Dead = true
-				drainMonitor(&res, prot, true)
+				drainMonitor(&res, prot, target, true)
 				break
 			}
-			drainMonitor(&res, prot, out.Killed)
+			drainMonitor(&res, prot, target, out.Killed)
 			if out.Killed {
 				res.KilledBy = out.KilledBy
 				retire(cfg, &res, &attempt, true)
@@ -581,7 +581,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts, free *mem.FreeList) (Ten
 			continue
 		}
 
-		drainMonitor(&res, prot, false)
+		drainMonitor(&res, prot, target, false)
 		if res.Units >= cfg.Units {
 			break
 		}
@@ -634,12 +634,15 @@ func runSlice(cfg *Config, res *TenantResult, app string, arts *Artifacts, prot 
 }
 
 // launchTenant builds one incarnation: fresh kernel and clock, fixtures,
-// and a monitored launch from (possibly shared) artifacts, its guest pages
-// backed from free.
-func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, arts *Artifacts, free *mem.FreeList) (*core.Protected, workload.Target, error) {
+// and a monitored launch from (possibly shared) artifacts, its host
+// buffers drawn from pool.
+func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, arts *Artifacts, pool *turnover) (*core.Protected, workload.Target, error) {
 	target, err := workload.NewTarget(app)
 	if err != nil {
 		return nil, nil, err
+	}
+	if t, ok := target.(*workload.Vsftpd); ok {
+		t.Buffers = &pool.vsftpd
 	}
 	art, err := arts.Compiled(app)
 	if err != nil {
@@ -647,6 +650,7 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	}
 
 	k := kernel.New(nil)
+	k.Buffers = &pool.kernel
 	k.Costs.IOPerByte = workload.IOPerByte(app)
 	if withAttackFixtures {
 		// Before the workload fixture, so workload-owned paths win.
@@ -669,7 +673,7 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	mcfg.FlightN = cfg.FlightN
 	mcfg.Tenant = idx
 
-	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithFreeList(free))
+	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithFreeList(&pool.mem))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -717,8 +721,9 @@ func accumulate(res *TenantResult, wl workload.Result) {
 // on every exit path). crashed marks an incarnation that died rather than
 // finished; together with recorded violations it decides whether the
 // incarnation's flight recorder is worth keeping. Last, it releases the
-// guest's pages to the worker's free list: nothing reads them after this.
-func drainMonitor(res *TenantResult, prot *core.Protected, crashed bool) {
+// incarnation's host buffers to the worker's pool: nothing reads the
+// guest's memory, its kernel event log or the driver's buffers after this.
+func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Target, crashed bool) {
 	mon := prot.Monitor
 	res.FlowChecks += mon.FlowChecks
 	res.OffloadAvoided += mon.OffloadAvoided()
@@ -746,6 +751,23 @@ func drainMonitor(res *TenantResult, prot *core.Protected, crashed bool) {
 		res.Flight = mon.Recorder.DumpJSONL()
 	}
 	prot.Machine.Mem.Release()
+	prot.Proc.Release()
+	if t, ok := target.(*workload.Vsftpd); ok {
+		t.Release()
+	}
+}
+
+// turnover is one dispatch worker's pool of what a tenant's incarnation
+// allocates in proportion to its size: guest page backings, page arrays
+// and the region slice (mem), the staging buffer and event log (kernel),
+// and the vsFTPd fixture file and download buffer (workload). Each
+// incarnation draws from it at launch and drainMonitor returns to it on
+// every exit path. Like its parts, it belongs to the one worker goroutine
+// that runs its tenants, and it dies with fleet.Run.
+type turnover struct {
+	mem    mem.FreeList
+	kernel kernel.Buffers
+	vsftpd workload.VsftpdBuffers
 }
 
 // retire ends an incarnation after a failure, charging the right counter

@@ -4,14 +4,16 @@ import (
 	"testing"
 
 	"bastion/internal/core/monitor"
-	"bastion/internal/mem"
+	"bastion/internal/workload"
 )
 
 // TestTenantReleasesPagesOnEveryExit: every way an incarnation ends —
 // finishing its units, a unit fault, an attack kill, and quarantine after
-// an attack the policy let through — hands the guest's pages back to the
-// worker's free list. MaxRestarts 0 keeps each case to one incarnation,
-// so a non-empty list shows that incarnation released.
+// an attack the policy let through — hands every piece of its turnover
+// back to the worker's pool: guest pages and page arrays, the kernel's
+// staging buffer and event log, and the vsFTPd download buffer, beside
+// the fixture file the pool built. MaxRestarts 0 keeps each case to one
+// incarnation, so a piece in the pool shows that incarnation released it.
 func TestTenantReleasesPagesOnEveryExit(t *testing.T) {
 	const evil = 2 // vsftpd under the default round-robin apps
 	for _, tc := range []struct {
@@ -37,16 +39,25 @@ func TestTenantReleasesPagesOnEveryExit(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		var free mem.FreeList
-		res, _, err := runTenant(&cfg, evil, NewArtifacts(), &free)
+		var pool turnover
+		res, _, err := runTenant(&cfg, evil, NewArtifacts(), &pool)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !tc.check(&res) {
 			t.Fatalf("%s: tenant did not take that exit: %+v", tc.name, res)
 		}
-		if free.Len() == 0 {
+		if pool.mem.Len() == 0 {
 			t.Errorf("%s: the incarnation's pages were not released", tc.name)
+		}
+		if pool.mem.Arrays() == 0 {
+			t.Errorf("%s: the incarnation's page arrays were not released", tc.name)
+		}
+		if stage, events := pool.kernel.Cap(); stage == 0 || events == 0 {
+			t.Errorf("%s: the pool holds a %d-byte staging buffer and %d event slots, want the incarnation's", tc.name, stage, events)
+		}
+		if blob, recv := pool.vsftpd.Cap(); blob != workload.FTPFileSize || recv < workload.FTPFileSize {
+			t.Errorf("%s: the pool holds a %d-byte fixture and a %d-byte download buffer, want %d each", tc.name, blob, recv, workload.FTPFileSize)
 		}
 	}
 }

@@ -181,9 +181,29 @@ type Kernel struct {
 	Clock *vm.Clock
 	Costs Costs
 
+	// Buffers, when set, seeds every process Register creates with the
+	// host buffers an earlier process left there on Release. It must
+	// belong to the goroutine that runs the kernel's processes.
+	Buffers *Buffers
+
 	procs   map[*vm.Machine]*Process
 	nextPID int
 }
+
+// Buffers holds the host buffers a released process leaves for the next
+// one: its staging buffer and its event-log array, both grown to what a
+// process of that kind needs. Both arrive cleared, so a process seeded
+// from them can never see an earlier process's bytes or events, nor keep
+// its detail strings alive. Like a mem.FreeList, it belongs to one
+// goroutine at a time and has no lock. The zero value is empty.
+type Buffers struct {
+	stage  []byte
+	events []Event
+}
+
+// Cap returns the capacities Buffers holds for the next process: staging
+// bytes and event-log entries.
+func (b *Buffers) Cap() (stage, events int) { return cap(b.stage), cap(b.events) }
 
 // New creates a kernel with an empty filesystem and network stack, sharing
 // the given clock (pass the Machine's clock so guest and kernel time
@@ -217,9 +237,31 @@ func (k *Kernel) Register(m *vm.Machine) *Process {
 		CompletedCounts: map[uint32]uint64{},
 		LogVerdicts:     map[uint32]uint64{},
 	}
+	if b := k.Buffers; b != nil {
+		p.stage, p.Events = b.stage, b.events
+		b.stage, b.events = nil, nil
+	}
 	k.nextPID++
 	k.procs[m] = p
 	return p
+}
+
+// Release clears the process's staging buffer and event log and hands
+// them to the kernel's Buffers for the next Register (without Buffers it
+// just drops them). Events is empty afterwards. Call it once the process
+// is gone and nothing reads its Events again.
+func (p *Process) Release() {
+	if b := p.K.Buffers; b != nil {
+		clear(p.stage[:cap(p.stage)])
+		clear(p.Events[:cap(p.Events)])
+		if cap(p.stage) > cap(b.stage) {
+			b.stage = p.stage[:0]
+		}
+		if cap(p.Events) > cap(b.events) {
+			b.events = p.Events[:0]
+		}
+	}
+	p.stage, p.Events = nil, nil
 }
 
 // Process returns the process object for a machine.
@@ -254,17 +296,49 @@ func (p *Process) GetRegs() vm.Regs {
 // ReadMem copies guest memory (process_vm_readv), charging the fixed cost
 // plus a per-word cost. It bypasses page permissions, as ptrace does.
 func (p *Process) ReadMem(addr uint64, buf []byte) error {
-	words := (uint64(len(buf)) + 7) / 8
-	p.K.Clock.Add(p.K.Costs.ReadMemBase + p.K.Costs.ReadMemPerWord*words)
+	p.chargeRead(uint64(len(buf)), false)
 	return p.M.Mem.Peek(addr, buf)
 }
 
 // ReadMemInKernel copies guest memory as an in-kernel monitor would (the
 // §11.2 eBPF design): no context switch, only the per-word copy cost.
 func (p *Process) ReadMemInKernel(addr uint64, buf []byte) error {
-	words := (uint64(len(buf)) + 7) / 8
-	p.K.Clock.Add(p.K.Costs.ReadMemPerWord * words)
+	p.chargeRead(uint64(len(buf)), true)
 	return p.M.Mem.Peek(addr, buf)
+}
+
+// streamChunk is the buffer ReadMemStream copies through.
+const streamChunk = 512
+
+// ReadMemStream reads the n guest bytes at addr as one ReadMem of n bytes
+// (ReadMemInKernel when inKernel) and charges exactly that, but hands the
+// bytes to visit a chunk at a time, in address order, through a fixed
+// buffer. visit must not keep the chunk. At an unreadable chunk it stops
+// and returns the fault; visit has then seen only the bytes before it. A
+// caller that only folds the bytes, as a digest does, so costs the host a
+// small fixed buffer whatever n a guest makes it read.
+func (p *Process) ReadMemStream(addr, n uint64, inKernel bool, visit func([]byte)) error {
+	p.chargeRead(n, inKernel)
+	var buf [streamChunk]byte
+	for done := uint64(0); done < n; {
+		chunk := buf[:min(n-done, streamChunk)]
+		if err := p.M.Mem.Peek(addr+done, chunk); err != nil {
+			return err
+		}
+		visit(chunk)
+		done += uint64(len(chunk))
+	}
+	return nil
+}
+
+// chargeRead charges one guest-memory read of n bytes: the per-word copy
+// cost, plus the process_vm_readv context switch unless inKernel.
+func (p *Process) chargeRead(n uint64, inKernel bool) {
+	cost := p.K.Costs.ReadMemPerWord * (n/8 + min(n%8, 1))
+	if !inKernel {
+		cost += p.K.Costs.ReadMemBase
+	}
+	p.K.Clock.Add(cost)
 }
 
 // GetRegsInKernel reads registers without the ptrace stop cost.

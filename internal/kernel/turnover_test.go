@@ -1,0 +1,140 @@
+package kernel_test
+
+import (
+	"bytes"
+	"reflect"
+	"slices"
+	"testing"
+
+	"bastion/internal/apps/guestlibc"
+	"bastion/internal/ir"
+	"bastion/internal/kernel"
+	"bastion/internal/mem"
+	"bastion/internal/vm"
+)
+
+// newSysGuestFrom is newSysGuest with bufs as the kernel's Buffers, set
+// before the guest's process registers.
+func newSysGuestFrom(t *testing.T, bufs *kernel.Buffers) *sysGuest {
+	t.Helper()
+	p := guestlibc.NewProgram()
+	b := ir.NewBuilder("main", 0)
+	b.Ret(ir.Imm(0))
+	p.AddFunc(b.Build())
+	clock := &vm.Clock{}
+	k := kernel.New(clock)
+	k.Buffers = bufs
+	m, err := vm.New(p, vm.WithOS(k), vm.WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Register(m)
+	if err := m.Mem.Map(bufBase, bufPages*mem.PageSize, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	return &sysGuest{t: t, k: k, m: m}
+}
+
+// TestReleasedBuffersCarryNothing: a process seeded with the buffers an
+// earlier process released reuses them, yet starts with an empty event
+// log, a staging buffer of zeros and no event entry left in the log's
+// spare capacity; and its short reads and writes move only their own
+// bytes, never the earlier process's.
+func TestReleasedBuffersCarryNothing(t *testing.T) {
+	var bufs kernel.Buffers
+	a := newSysGuestFrom(t, &bufs)
+	secret := bytes.Repeat([]byte{'S'}, 64*1024)
+	a.poke(bufBase, secret)
+	sink := a.open("/sink", nil)
+	if n := a.call(kernel.SysWrite, sink, bufBase, uint64(len(secret))); n != int64(len(secret)) {
+		t.Fatalf("write = %d", n)
+	}
+	a.accept() // logs socket events
+	pa := a.k.Process(a.m)
+	if len(pa.Events) == 0 {
+		t.Fatal("the first process logged no events")
+	}
+	pa.Release()
+	if len(pa.Events) != 0 {
+		t.Fatalf("Events after Release = %v", pa.Events)
+	}
+	stage, events := bufs.Cap()
+	if stage < len(secret) || events == 0 {
+		t.Fatalf("Buffers hold %d staging bytes and %d event slots after Release", stage, events)
+	}
+
+	b := newSysGuestFrom(t, &bufs)
+	pb := b.k.Process(b.m)
+	if s, e := bufs.Cap(); s != 0 || e != 0 {
+		t.Fatalf("Register left %d staging bytes and %d event slots in Buffers", s, e)
+	}
+	if got := pb.Staged(); len(got) < len(secret) || slices.ContainsFunc(got, func(c byte) bool { return c != 0 }) {
+		t.Fatalf("the seeded staging buffer (%d bytes) is not the released one, cleared", len(got))
+	}
+	if len(pb.Events) != 0 || slices.ContainsFunc(pb.Events[:cap(pb.Events)], func(e kernel.Event) bool { return !reflect.DeepEqual(e, kernel.Event{}) }) {
+		t.Fatalf("the seeded event log holds %d events or stale entries", len(pb.Events))
+	}
+	short := b.open("/short", []byte("xyz"))
+	b.poke(bufBase, bytes.Repeat([]byte{'B'}, 4096))
+	if n := b.call(kernel.SysRead, short, bufBase, 64*1024); n != 3 {
+		t.Fatalf("short read = %d", n)
+	}
+	if got := b.peek(bufBase, 8); !bytes.Equal(got, []byte("xyzBBBBB")) {
+		t.Fatalf("guest buffer after a short read = %q", got)
+	}
+	cfd, conn := b.accept()
+	b.poke(bufBase, []byte("ok"))
+	if n := b.call(kernel.SysWrite, cfd, bufBase, 2); n != 2 {
+		t.Fatalf("short write = %d", n)
+	}
+	if got := conn.ClientReadAll(); string(got) != "ok" {
+		t.Fatalf("client received %q", got)
+	}
+	for _, e := range pb.Events {
+		if e.Kind != kernel.EventSocket {
+			t.Fatalf("the second process logged %v", e)
+		}
+	}
+}
+
+// TestReadMemStreamMatchesReadMem: streaming a range charges exactly what
+// one ReadMem (or ReadMemInKernel) of it charges, delivers the same bytes
+// in order, and fails with the same fault, for ranges that cross pages
+// and chunks and ranges that run into or start in unmapped memory.
+func TestReadMemStreamMatchesReadMem(t *testing.T) {
+	g := newSysGuest(t)
+	pattern := make([]byte, bufPages*mem.PageSize)
+	for i := range pattern {
+		pattern[i] = byte(i * 7)
+	}
+	g.poke(bufBase, pattern)
+	p := g.k.Process(g.m)
+	for _, inKernel := range []bool{false, true} {
+		for _, addr := range []uint64{bufBase, bufBase + mem.PageSize - 3, bufEnd - 600, bufEnd - 1, unmappedAddr} {
+			for _, n := range []uint64{0, 1, 7, 8, 9, 511, 512, 513, mem.PageSize, 3*mem.PageSize + 17} {
+				want := make([]byte, n)
+				before := g.k.Clock.Cycles
+				var wantErr error
+				if inKernel {
+					wantErr = p.ReadMemInKernel(addr, want)
+				} else {
+					wantErr = p.ReadMem(addr, want)
+				}
+				wantCycles := g.k.Clock.Cycles - before
+
+				var got []byte
+				before = g.k.Clock.Cycles
+				err := p.ReadMemStream(addr, n, inKernel, func(b []byte) { got = append(got, b...) })
+				if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
+					t.Fatalf("inKernel=%v %#x+%d: stream charged %d cycles, ReadMem %d", inKernel, addr, n, cycles, wantCycles)
+				}
+				if !reflect.DeepEqual(err, wantErr) {
+					t.Fatalf("inKernel=%v %#x+%d: stream error %v, ReadMem %v", inKernel, addr, n, err, wantErr)
+				}
+				if err == nil && !bytes.Equal(got, want) || !bytes.Equal(got, want[:len(got)]) {
+					t.Fatalf("inKernel=%v %#x+%d: stream delivered %d bytes that differ from ReadMem's", inKernel, addr, n, len(got))
+				}
+			}
+		}
+	}
+}

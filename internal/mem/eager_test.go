@@ -195,8 +195,9 @@ func wordOp(t *testing.T, got *Space, want *eagerSpace, acc, addr uint64, width 
 // reach. Read and Peek destinations start as non-zero garbage, so a read of
 // a page without backing that fails to clear the caller's chunk is caught.
 // Each sequence runs twice: on a NewSpace, and on a Space whose FreeList
-// starts full of dirty pages, so a recycled page that is not cleared
-// before reuse is caught too.
+// starts full of dirty pages, dirty page arrays and a dirty region slice,
+// so a recycled page or array that is not cleared before reuse is caught
+// too.
 func FuzzSpaceMatchesEager(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 4, 1, 0, 200, 0, 5, 2, 2, 60, 9, 1, 6, 1, 0, 3, 8})
 	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -83,11 +84,12 @@ func (f *Fault) Error() string {
 // a 16-byte page entry per page, not 4 KiB of host memory per page.
 //
 // A backing's lifecycle is demand-zero (nil) → backed on the first write
-// → released to the Space's FreeList by Release → cleared and backed
-// again on another Space's first write. No method hands out a slice that
-// aliases a backing: reads copy out and ReadCString copies into its
-// string. So once Release returns, nothing outside the FreeList refers to
-// the pages it took, and reuse cannot leak one guest's bytes to another.
+// → released to the Space's FreeList by Unmap or Release → cleared and
+// backed again on a later first write, in this Space or another. No
+// method hands out a slice that aliases a backing: reads copy out and
+// ReadCString copies into its string. So once Unmap or Release returns,
+// nothing outside the FreeList refers to the pages it took, and reuse
+// cannot leak one guest's bytes to another.
 type page struct {
 	data *[PageSize]byte
 	perm Perm
@@ -111,18 +113,41 @@ const MaxMapped = 1 << 30
 
 const maxPages = MaxMapped / PageSize
 
-// FreeList holds released page backings for Spaces to back pages with
-// before they allocate new ones. Like a Space, it belongs to one goroutine
-// at a time and has no lock: give each goroutine that runs guests one
-// after another its own list, so the pages one guest releases back the
-// next guest's first writes. The zero value is an empty list. A list never
-// shrinks on its own; drop it to free its pages.
+// FreeList holds what released Spaces leave behind, for Spaces to use
+// before they allocate: page backings for first writes, the page arrays
+// regions index them through, and one region slice. Like a Space, it
+// belongs to one goroutine at a time and has no lock: give each goroutine
+// that runs guests one after another its own list, so what one guest
+// releases serves the next guest. The zero value is an empty list. A list
+// never shrinks on its own; drop it to free what it holds.
+//
+// Everything enters the list cleared: a released array holds no backing
+// pointer, so the backings on the page stack are the only guest memory
+// the list keeps.
 type FreeList struct {
 	pages []*[PageSize]byte
+	// arrays[k] holds released page arrays of capacity 1<<k: a list
+	// makes every array it hands out with a power-of-two capacity, so
+	// taking one of the length a region needs is a pop.
+	arrays  [arrayClasses][][]page
+	regions []region
 }
+
+// arrayClasses is the number of page-array size classes: capacities 1 to
+// maxPages, in powers of two.
+const arrayClasses = 19
 
 // Len returns the number of pages the list holds.
 func (l *FreeList) Len() int { return len(l.pages) }
+
+// Arrays returns the number of page arrays the list holds.
+func (l *FreeList) Arrays() int {
+	n := 0
+	for _, c := range l.arrays {
+		n += len(c)
+	}
+	return n
+}
 
 // take returns a zeroed page backing: the last released one, cleared, or
 // a new one when l is nil or empty.
@@ -136,6 +161,80 @@ func (l *FreeList) take() *[PageSize]byte {
 	l.pages = l.pages[:n]
 	*p = [PageSize]byte{}
 	return p
+}
+
+// release moves the backed pages of pgs onto the page stack. A nil list
+// drops them.
+func (l *FreeList) release(pgs []page) {
+	if l == nil {
+		return
+	}
+	for _, pg := range pgs {
+		if pg.data != nil {
+			l.pages = append(l.pages, pg.data)
+		}
+	}
+}
+
+// array returns a zeroed page array of length n. From a list it is a
+// released array of the smallest power-of-two capacity that holds n, or
+// a new one of that capacity; so an array never has more than twice the
+// entries it needs, and regions hold at most about twice the pages mapped
+// (see Unmap). Without a list it is a new array of exactly n.
+func (l *FreeList) array(n int) []page {
+	if l == nil {
+		return make([]page, n)
+	}
+	k := bits.Len(uint(n - 1))
+	c := &l.arrays[k]
+	if last := len(*c) - 1; last >= 0 {
+		a := (*c)[last]
+		(*c)[last] = nil
+		*c = (*c)[:last]
+		clear(a[:cap(a)])
+		return a[:n]
+	}
+	return make([]page, n, 1<<k)
+}
+
+// grow returns pgs extended with zero entries to length n, in a new array
+// when pgs has no room; the old array goes back to l. A list's arrays
+// double in capacity as they grow, so a brk-style heap grows in linear
+// time either way.
+func (l *FreeList) grow(pgs []page, n int) []page {
+	if l == nil {
+		return append(pgs, make([]page, n-len(pgs))...)
+	}
+	a := l.array(n)
+	copy(a, pgs)
+	l.putArray(pgs)
+	return a
+}
+
+// clone returns a copy of pgs in an array from l.
+func (l *FreeList) clone(pgs []page) []page {
+	a := l.array(len(pgs))
+	copy(a, pgs)
+	return a
+}
+
+// putArray clears a page array no region uses any more and keeps it in
+// the class of its capacity. The caller has already moved the backings it
+// wants kept elsewhere. Only arrays a list made are kept; a class holds
+// arrays of at most maxPages entries in all, so the list's arrays stay
+// within what a few Spaces at the MaxMapped cap would need.
+func (l *FreeList) putArray(a []page) {
+	c := cap(a)
+	if l == nil || c == 0 || c&(c-1) != 0 {
+		return
+	}
+	k := bits.Len(uint(c - 1))
+	if (len(l.arrays[k])+1)<<k > maxPages {
+		return
+	}
+	a = a[:c]
+	clear(a)
+	l.arrays[k] = append(l.arrays[k], a[:0])
 }
 
 // Space is a sparse virtual address space. The zero value is not usable;
@@ -160,23 +259,31 @@ type Space struct {
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
 
-// NewSpaceFrom returns an empty address space that backs its pages from
-// free before it allocates, and returns them there on Release. free must
-// belong to the goroutine that uses the Space.
-func NewSpaceFrom(free *FreeList) *Space { return &Space{free: free} }
+// NewSpaceFrom returns an empty address space that takes its page
+// backings, page arrays and region slice from free before it allocates,
+// and returns them there on Unmap and Release. free must belong to the
+// goroutine that uses the Space.
+func NewSpaceFrom(free *FreeList) *Space {
+	s := &Space{free: free}
+	if free != nil {
+		s.regions, free.regions = free.regions, nil
+	}
+	return s
+}
 
-// Release unmaps everything and moves every backed page to the Space's
-// FreeList (or drops it, without one). The Space is left empty, so every
-// later access faults. Call it once the guest is gone and nothing will
-// read its memory again.
+// Release unmaps everything and moves every backed page, every page array
+// and the region slice to the Space's FreeList (or drops them, without
+// one). The Space is left empty, so every later access faults. Call it
+// once the guest is gone and nothing will read its memory again.
 func (s *Space) Release() {
-	if s.free != nil {
+	if l := s.free; l != nil {
 		for _, r := range s.regions {
-			for _, pg := range r.pages {
-				if pg.data != nil {
-					s.free.pages = append(s.free.pages, pg.data)
-				}
-			}
+			l.release(r.pages)
+			l.putArray(r.pages)
+		}
+		clear(s.regions)
+		if cap(s.regions) > cap(l.regions) {
+			l.regions = s.regions[:0]
 		}
 	}
 	*s = Space{free: s.free}
@@ -263,7 +370,7 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	}
 	s.mapped += n - have
 	if i == j {
-		pages := make([]page, n)
+		pages := s.free.array(int(n))
 		for k := range pages {
 			pages[k].perm = perm
 		}
@@ -275,20 +382,22 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	start, stop := min(first.addr, addr), max(s.regions[j-1].end(), end)
 	total := int((stop - start) / PageSize)
 	// Every region owns its array (see Unmap), so the arrays of the regions
-	// merged into a new one are garbage afterwards.
+	// merged into a new one go back to the free list afterwards.
 	var pages []page
 	switch {
 	case first.addr > start:
-		pages = make([]page, total)
+		pages = s.free.array(total)
 		copy(pages[(first.addr-start)/PageSize:], first.pages)
+		s.free.putArray(first.pages)
 	case cap(first.pages) >= total:
 		pages = first.pages[:total]
 		clear(pages[len(first.pages):])
 	default:
-		pages = append(first.pages, make([]page, total-len(first.pages))...)
+		pages = s.free.grow(first.pages, total)
 	}
 	for _, r := range s.regions[i+1 : j] {
 		copy(pages[(r.addr-start)/PageSize:], r.pages)
+		s.free.putArray(r.pages)
 	}
 	for k := (addr - start) / PageSize; k < (end-start)/PageSize; k++ {
 		pages[k].perm = perm
@@ -300,10 +409,11 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 }
 
 // Unmap removes the pages covering [addr, addr+length). It trims or splits
-// the regions the range overlaps and clears the removed page entries, so no
-// backing outlives its mapping. Its cost is bounded by the regions
-// overlapped and the pages of the two regions it may cut, so by the pages
-// mapped, not by the range.
+// the regions the range overlaps and moves the removed pages' backings to
+// the FreeList, clearing their entries, so no backing outlives its
+// mapping; arrays no region uses any more go there too. Its cost is
+// bounded by the regions overlapped and the pages of the two regions it
+// may cut, so by the pages mapped, not by the range.
 func (s *Space) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned unmap"}
@@ -320,6 +430,7 @@ func (s *Space) Unmap(addr, length uint64) error {
 	for ; j < len(s.regions) && s.regions[j].addr < end; j++ {
 		r := &s.regions[j]
 		lo, hi := (max(r.addr, addr)-r.addr)/PageSize, (min(r.end(), end)-r.addr)/PageSize
+		s.free.release(r.pages[lo:hi])
 		clear(r.pages[lo:hi])
 		s.mapped -= hi - lo
 	}
@@ -335,19 +446,27 @@ func (s *Space) Unmap(addr, length uint64) error {
 	var keep [2]region
 	n := 0
 	first, last := s.regions[i], s.regions[j-1]
+	inPlace := false // the head stays in first's array
 	if first.addr < addr {
 		head := first.pages[:(addr-first.addr)/PageSize]
 		if 2*len(head) < cap(head) {
-			head = slices.Clone(head)
+			head = s.free.clone(head)
+		} else {
+			inPlace = true
 		}
 		keep[n] = region{addr: first.addr, pages: head}
 		n++
 	}
 	if last.end() > end {
 		k := (end - last.addr) / PageSize
-		keep[n] = region{addr: end, pages: slices.Clone(last.pages[k:])}
+		keep[n] = region{addr: end, pages: s.free.clone(last.pages[k:])}
 		clear(last.pages[k:])
 		n++
+	}
+	for k := i; k < j; k++ {
+		if k > i || !inPlace {
+			s.free.putArray(s.regions[k].pages)
+		}
 	}
 	s.regions = slices.Replace(s.regions, i, j, keep[:n]...)
 	return nil

@@ -671,17 +671,100 @@ func TestSpaceUnmapReleasesArrays(t *testing.T) {
 }
 
 // dirtyList returns a free list of n pages filled with b, as a guest that
-// wrote every byte of its pages would leave it.
+// wrote every byte of its pages would leave it. It also holds two page
+// arrays of every class up to 32 pages and a region slice, each filled
+// with entries that point at a page of b and allow everything, so a Space
+// that trusted a released array or region slice to be clear would show
+// b bytes, backed pages or mappings where it has none.
 func dirtyList(n int, b byte) *FreeList {
 	l := &FreeList{}
+	dirty := new([PageSize]byte)
+	for i := range dirty {
+		dirty[i] = b
+	}
 	for range n {
 		p := new([PageSize]byte)
-		for i := range p {
-			p[i] = b
-		}
+		*p = *dirty
 		l.pages = append(l.pages, p)
 	}
+	for k := range 6 {
+		for range 2 {
+			a := make([]page, 1<<k)
+			for i := range a {
+				a[i] = page{data: dirty, perm: PermRWX}
+			}
+			l.arrays[k] = append(l.arrays[k], a[:0])
+		}
+	}
+	l.regions = make([]region, 4)
+	for i := range l.regions {
+		l.regions[i] = region{addr: uint64(i) * 64 * PageSize, pages: []page{{data: dirty, perm: PermRWX}}}
+	}
+	l.regions = l.regions[:0]
 	return l
+}
+
+// TestSpaceRecyclesArrays: Unmap and Release hand every page array a
+// Space drops, and its region slice, to the free list cleared, so no
+// backing pointer survives outside the page stack; and a Space built from
+// that list maps, writes, splits and releases the same layout again
+// without allocating anything but itself.
+func TestSpaceRecyclesArrays(t *testing.T) {
+	free := &FreeList{}
+	layout := func(s *Space) {
+		for _, m := range []struct {
+			addr, pages uint64
+		}{{0x10000, 3}, {0x40000, 4}, {0x13000, 2}, {0x80000, 1024}, {0x7f0000, 5}} {
+			if err := s.Map(m.addr, m.pages*PageSize, PermRW); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PokeUint(m.addr+8, 0x55, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Split the 1024-page region, dropping a backed page; copy a small
+		// head out of a large array.
+		if err := s.PokeUint(0x80000+105*PageSize, 0x66, 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unmap(0x80000+100*PageSize, 10*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unmap(0x7f0000+PageSize, 4*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewSpaceFrom(free)
+	layout(s)
+	backed := s.backed()
+	s.Release()
+	if got := free.Len(); got != backed+1 {
+		t.Fatalf("free list holds %d pages, want the %d backed at Release and the one Unmap dropped", got, backed)
+	}
+	if free.Arrays() == 0 {
+		t.Fatal("Release kept no page array")
+	}
+	for k, c := range free.arrays {
+		for _, a := range c {
+			if cap(a) != 1<<k || slices.ContainsFunc(a[:cap(a)], func(pg page) bool { return pg != page{} }) {
+				t.Fatalf("class %d holds an array of capacity %d that is not clear", k, cap(a))
+			}
+		}
+	}
+	if cap(free.regions) == 0 || slices.ContainsFunc(free.regions[:cap(free.regions)], func(r region) bool { return r.addr != 0 || r.pages != nil }) {
+		t.Fatalf("region slice not returned clear: %+v", free.regions[:cap(free.regions)])
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	cycle := func() {
+		s := NewSpaceFrom(free)
+		layout(s)
+		s.Release()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs > 1 {
+		t.Fatalf("a warm map/write/unmap/release cycle allocates %.1f objects, want only the Space", allocs)
+	}
 }
 
 // TestSpaceReleaseFaults: Release empties the Space, so every accessor

@@ -345,10 +345,53 @@ type Vsftpd struct {
 	ctrl *netstack.Conn
 	cfd  uint64
 	port uint64
+	// Buffers, when set, supplies the fixture file's bytes and the
+	// download buffer, and takes the download buffer back on Release.
+	Buffers *VsftpdBuffers
+
 	// recv is the download buffer every data connection reuses, as
 	// dkftpbench reuses its read buffer. Init sizes it for one whole file,
 	// so the first download does not grow it by doubling.
 	recv []byte
+}
+
+// VsftpdBuffers holds what vsFTPd incarnations run one after another on
+// one goroutine share: the fixture file's bytes, built on first use, and
+// the download buffer, which each incarnation hands to the next on
+// Release. Sharing the fixture is safe because fs.WriteFile borrows it and
+// copies on the first write; the download buffer is the driver's own and
+// each download appends into it from length zero. Like a mem.FreeList, it
+// belongs to one goroutine at a time. The zero value is empty.
+type VsftpdBuffers struct {
+	blob []byte
+	recv []byte
+}
+
+// Cap returns the capacities VsftpdBuffers holds: the fixture file's and
+// the download buffer's, in bytes.
+func (b *VsftpdBuffers) Cap() (blob, recv int) { return cap(b.blob), cap(b.recv) }
+
+// file returns the served file's bytes, built on the first call (on every
+// call, for a nil b).
+func (b *VsftpdBuffers) file() []byte {
+	if b == nil {
+		return bytes.Repeat([]byte{0x5a}, FTPFileSize)
+	}
+	if b.blob == nil {
+		b.blob = bytes.Repeat([]byte{0x5a}, FTPFileSize)
+	}
+	return b.blob
+}
+
+// takeRecv returns an empty download buffer that holds a whole file: the
+// one a released incarnation left in b, or a new one.
+func (b *VsftpdBuffers) takeRecv() []byte {
+	if b != nil && cap(b.recv) >= FTPFileSize {
+		r := b.recv[:0]
+		b.recv = nil
+		return r
+	}
+	return make([]byte, 0, FTPFileSize)
 }
 
 // NewVsftpd returns the paper-configured vsFTPd target (dkftpbench runs
@@ -372,8 +415,7 @@ func (t *Vsftpd) ThinkPerUnit() uint64 { return t.Think }
 
 // Fixture implements Target.
 func (t *Vsftpd) Fixture(k *kernel.Kernel) error {
-	blob := bytes.Repeat([]byte{0x5a}, FTPFileSize)
-	return k.FS.WriteFile("/pub/file.bin", blob, fs.ModeRead)
+	return k.FS.WriteFile("/pub/file.bin", t.Buffers.file(), fs.ModeRead)
 }
 
 // Init implements Target: server init and one logged-in session.
@@ -400,9 +442,18 @@ func (t *Vsftpd) Init(p *core.Protected) error {
 	t.ctrl = ctrl
 	t.cfd = cfd
 	t.port = vsftpd.DataPortBase
-	t.recv = make([]byte, 0, FTPFileSize)
+	t.recv = t.Buffers.takeRecv()
 	ctrl.ClientReadAll()
 	return nil
+}
+
+// Release hands the download buffer to Buffers for the next incarnation
+// (without Buffers it just drops it). Call it once no unit runs again.
+func (t *Vsftpd) Release() {
+	if b := t.Buffers; b != nil && cap(t.recv) > cap(b.recv) {
+		b.recv = t.recv[:0]
+	}
+	t.recv = nil
 }
 
 // ListenFD returns the guest listen fd established by Init.

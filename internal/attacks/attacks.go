@@ -322,6 +322,12 @@ func Launch(app string, d Defense) (*Env, error) {
 // the binary-only replay suite calls this directly to run a scenario's
 // program under an *extracted* policy artifact instead of the compiler's.
 func LaunchArtifact(app string, art *core.Artifact, d Defense) (*Env, error) {
+	return launchArtifact(app, art, d)
+}
+
+// launchArtifact is LaunchArtifact with extra machine options, applied
+// after the defense's own.
+func launchArtifact(app string, art *core.Artifact, d Defense, extra ...vm.Option) (*Env, error) {
 	k := kernel.New(nil)
 	InstallFixtures(k)
 	var err error
@@ -337,6 +343,7 @@ func LaunchArtifact(app string, art *core.Artifact, d Defense) (*Env, error) {
 		vmOpts = append(vmOpts, vm.WithMitigations(env.CFI))
 	}
 	vmOpts = append(vmOpts, vm.WithMaxSteps(1<<24))
+	vmOpts = append(vmOpts, extra...)
 
 	var prot *core.Protected
 	if d.UseMonitor {

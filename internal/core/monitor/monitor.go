@@ -13,7 +13,6 @@ package monitor
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -1299,7 +1298,8 @@ func (m *Monitor) verifyBytes(nr uint32, pos int, base uint64, data []byte, requ
 }
 
 // readMem routes guest access through ptrace or the in-kernel facility
-// per configuration; every other guest reader is built on it.
+// per configuration. readGuestUint is its word-sized form: it reads a
+// word with the same charge, through the word fast path.
 func (m *Monitor) readMem(addr uint64, buf []byte) error {
 	if m.Cfg.InKernel {
 		return m.proc.ReadMemInKernel(addr, buf)
@@ -1308,22 +1308,13 @@ func (m *Monitor) readMem(addr uint64, buf []byte) error {
 }
 
 // readWord reads one little-endian 64-bit guest word.
-func (m *Monitor) readWord(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := m.readMem(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
+func (m *Monitor) readWord(addr uint64) (uint64, error) { return m.readGuestUint(addr, 8) }
 
 // readGuestUint reads one little-endian guest integer of size bytes (1 to
-// 8); only those bytes are read, and charged.
+// 8); only those bytes are read, and charged exactly as a readMem of
+// them.
 func (m *Monitor) readGuestUint(addr uint64, size int64) (uint64, error) {
-	var b [8]byte
-	if err := m.readMem(addr, b[:size]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return m.proc.ReadUint(addr, size, m.Cfg.InKernel)
 }
 
 // Report renders a human-readable enforcement summary: hook counts per

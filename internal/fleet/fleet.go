@@ -12,7 +12,6 @@ import (
 	"bastion/internal/core/monitor"
 	"bastion/internal/fleet/shard"
 	"bastion/internal/kernel"
-	"bastion/internal/mem"
 	"bastion/internal/obs"
 	"bastion/internal/vm"
 	"bastion/internal/workload"
@@ -673,7 +672,7 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	mcfg.FlightN = cfg.FlightN
 	mcfg.Tenant = idx
 
-	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithFreeList(&pool.mem))
+	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithPool(&pool.vm))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -750,7 +749,7 @@ func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Targe
 	if mon.Recorder != nil && mon.Recorder.Len() > 0 && (crashed || len(mon.Violations) > 0) {
 		res.Flight = mon.Recorder.DumpJSONL()
 	}
-	prot.Machine.Mem.Release()
+	prot.Machine.Release()
 	prot.Proc.Release()
 	if t, ok := target.(*workload.Vsftpd); ok {
 		t.Release()
@@ -758,14 +757,14 @@ func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Targe
 }
 
 // turnover is one dispatch worker's pool of what a tenant's incarnation
-// allocates in proportion to its size: guest page backings, page arrays
-// and the region slice (mem), the staging buffer and event log (kernel),
-// and the vsFTPd fixture file and download buffer (workload). Each
-// incarnation draws from it at launch and drainMonitor returns to it on
-// every exit path. Like its parts, it belongs to the one worker goroutine
-// that runs its tenants, and it dies with fleet.Run.
+// allocates in proportion to its size: guest page backings, page arrays,
+// the region slice and the register frames (vm), the staging buffer and
+// event log (kernel), and the vsFTPd fixture file and download buffer
+// (workload). Each incarnation draws from it at launch and drainMonitor
+// returns to it on every exit path. Like its parts, it belongs to the one
+// worker goroutine that runs its tenants, and it dies with fleet.Run.
 type turnover struct {
-	mem    mem.FreeList
+	vm     vm.Pool
 	kernel kernel.Buffers
 	vsftpd workload.VsftpdBuffers
 }

@@ -10,7 +10,8 @@ import (
 // TestTenantReleasesPagesOnEveryExit: every way an incarnation ends —
 // finishing its units, a unit fault, an attack kill, and quarantine after
 // an attack the policy let through — hands every piece of its turnover
-// back to the worker's pool: guest pages and page arrays, the kernel's
+// back to the worker's pool: guest pages and page arrays, register
+// frames, the kernel's
 // staging buffer and event log, and the vsFTPd download buffer, beside
 // the fixture file the pool built. MaxRestarts 0 keeps each case to one
 // incarnation, so a piece in the pool shows that incarnation released it.
@@ -47,11 +48,14 @@ func TestTenantReleasesPagesOnEveryExit(t *testing.T) {
 		if !tc.check(&res) {
 			t.Fatalf("%s: tenant did not take that exit: %+v", tc.name, res)
 		}
-		if pool.mem.Len() == 0 {
+		if pool.vm.Pages.Len() == 0 {
 			t.Errorf("%s: the incarnation's pages were not released", tc.name)
 		}
-		if pool.mem.Arrays() == 0 {
+		if pool.vm.Pages.Arrays() == 0 {
 			t.Errorf("%s: the incarnation's page arrays were not released", tc.name)
+		}
+		if pool.vm.Frames() == 0 {
+			t.Errorf("%s: the incarnation's register frames were not released", tc.name)
 		}
 		if stage, events := pool.kernel.Cap(); stage == 0 || events == 0 {
 			t.Errorf("%s: the pool holds a %d-byte staging buffer and %d event slots, want the incarnation's", tc.name, stage, events)

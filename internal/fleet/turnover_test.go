@@ -14,8 +14,8 @@ import (
 // tenants used — a vsFTPd tenant killed by an attack, an NGINX and a
 // SQLite tenant — reports exactly what it reports on a fresh pool: same
 // units, bytes, cycle accounts, decision trace and metrics. Nothing the
-// previous tenants staged, received, logged or left in guest memory
-// reaches it.
+// previous tenants staged, received, logged, left in guest memory or left
+// in a register frame reaches it.
 func TestTurnoverIsolation(t *testing.T) {
 	cfg := DefaultConfig(6, 8)
 	cfg.Trace, cfg.FlightN = true, 8
@@ -35,6 +35,9 @@ func TestTurnoverIsolation(t *testing.T) {
 			if _, _, err := runTenant(&cfg, prev, arts, &used); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if used.vm.Frames() == 0 {
+			t.Fatal("the used pool holds no register frames to recycle")
 		}
 		got, _, err := runTenant(&cfg, idx, arts, &used)
 		if err != nil {

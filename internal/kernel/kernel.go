@@ -307,6 +307,15 @@ func (p *Process) ReadMemInKernel(addr uint64, buf []byte) error {
 	return p.M.Mem.Peek(addr, buf)
 }
 
+// ReadUint reads one little-endian guest integer of size bytes (1 to 8)
+// as one ReadMem of size bytes (ReadMemInKernel when inKernel) and
+// charges exactly that. It reads through Mem.PeekUint, whose word fast
+// path falls back to Peek, so it faults exactly as that ReadMem does.
+func (p *Process) ReadUint(addr uint64, size int64, inKernel bool) (uint64, error) {
+	p.chargeRead(uint64(size), inKernel)
+	return p.M.Mem.PeekUint(addr, size)
+}
+
 // streamChunk is the buffer ReadMemStream copies through.
 const streamChunk = 512
 

@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"testing"
@@ -133,6 +134,52 @@ func TestReadMemStreamMatchesReadMem(t *testing.T) {
 				}
 				if err == nil && !bytes.Equal(got, want) || !bytes.Equal(got, want[:len(got)]) {
 					t.Fatalf("inKernel=%v %#x+%d: stream delivered %d bytes that differ from ReadMem's", inKernel, addr, n, len(got))
+				}
+			}
+		}
+	}
+}
+
+// TestReadUintMatchesReadMem: a word read charges exactly what a ReadMem
+// (or ReadMemInKernel) of its bytes charges, returns the little-endian
+// value of those bytes, and fails with the same fault, for words inside a
+// page, words that cross into the next page, words that run into unmapped
+// memory and words that start there.
+func TestReadUintMatchesReadMem(t *testing.T) {
+	g := newSysGuest(t)
+	pattern := make([]byte, bufPages*mem.PageSize)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 1)
+	}
+	g.poke(bufBase, pattern)
+	p := g.k.Process(g.m)
+	for _, inKernel := range []bool{false, true} {
+		for _, addr := range []uint64{bufBase, bufBase + 13, bufBase + mem.PageSize - 3, bufEnd - 8, bufEnd - 3, unmappedAddr} {
+			for _, size := range []int64{1, 2, 4, 8} {
+				var buf [8]byte
+				before := g.k.Clock.Cycles
+				var wantErr error
+				if inKernel {
+					wantErr = p.ReadMemInKernel(addr, buf[:size])
+				} else {
+					wantErr = p.ReadMem(addr, buf[:size])
+				}
+				wantCycles := g.k.Clock.Cycles - before
+				var want uint64
+				if wantErr == nil {
+					want = binary.LittleEndian.Uint64(buf[:])
+				}
+
+				before = g.k.Clock.Cycles
+				got, err := p.ReadUint(addr, size, inKernel)
+				if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
+					t.Fatalf("inKernel=%v %#x/%d: ReadUint charged %d cycles, ReadMem %d", inKernel, addr, size, cycles, wantCycles)
+				}
+				if !reflect.DeepEqual(err, wantErr) {
+					t.Fatalf("inKernel=%v %#x/%d: ReadUint error %v, ReadMem %v", inKernel, addr, size, err, wantErr)
+				}
+				if got != want {
+					t.Fatalf("inKernel=%v %#x/%d: ReadUint = %#x, ReadMem bytes give %#x", inKernel, addr, size, got, want)
 				}
 			}
 		}

@@ -289,3 +289,48 @@ func TestFabricatedFrameStartsZeroed(t *testing.T) {
 		t.Fatal("the fabricated frame did not reuse the popped bottom frame")
 	}
 }
+
+// TestPooledFramesStartZeroed extends TestReusedFramesStartZeroed across
+// machines: a machine released into a Pool leaves its register frames,
+// dirty with 0xdead, for the next machine on the pool, which runs in the
+// same frames and still reads 0 from every register it has not written.
+func TestPooledFramesStartZeroed(t *testing.T) {
+	p := ir.NewProgram()
+	addDirty(p, "dirty", "")
+	addDirty(p, "deep", "dirty")
+	addProbe(p, "probe", "")
+	addProbe(p, "probeDeep", "probe")
+	p.Entry = "deep"
+	var pool Pool
+
+	first := mustMachine(t, p, WithPool(&pool))
+	var dirtyFr, probeFr *frame
+	if err := first.HookFunc("dirty", 0, topFrame(&dirtyFr)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.CallFunction("deep"); err != nil {
+		t.Fatal(err)
+	}
+	first.Release()
+	if got := pool.Frames(); got != 2 {
+		t.Fatalf("the pool holds %d frames, want the 2 the first machine used", got)
+	}
+
+	second := mustMachine(t, p, WithPool(&pool))
+	if pool.Frames() != 0 {
+		t.Fatal("the second machine left its frames in the pool")
+	}
+	if err := second.HookFunc("probe", 0, topFrame(&probeFr)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.CallFunction("probeDeep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("pooled frame carried stale registers: OR = %#x", got)
+	}
+	if dirtyFr == nil || dirtyFr != probeFr {
+		t.Fatal("probe did not run in the frame the first machine released")
+	}
+}

@@ -1,0 +1,119 @@
+package vm
+
+import (
+	"reflect"
+	"testing"
+
+	"bastion/internal/ir"
+)
+
+// runLoopCase is a guest whose main faults in the middle of a block of
+// straight-line instructions, after a call has put a frame below it.
+type runLoopCase struct {
+	name     string
+	maxSteps uint64
+	body     func(b *ir.Builder)
+	wantWhy  string // the fault's reason, for a ControlFault
+	// What the fault leaves: steps, cycles (main's call costs 6) and
+	// helper's next instruction index.
+	steps, cycles uint64
+	idx           int
+}
+
+var runLoopCases = []runLoopCase{
+	{name: "load fault", steps: 4, cycles: 10, idx: 3, body: func(b *ir.Builder) {
+		a := b.Const(0x10) // never mapped
+		b.Bin(ir.OpAdd, ir.R(a), ir.Imm(1))
+		b.Load(a, 8, 8)
+		b.Const(7)
+	}},
+	{name: "store fault", steps: 3, cycles: 9, idx: 2, body: func(b *ir.Builder) {
+		a := b.Const(0x10)
+		b.Store(a, 0, ir.Imm(3), 4)
+		b.Const(7)
+	}},
+	{name: "division by zero", wantWhy: "division by zero", steps: 4, cycles: 9, idx: 3, body: func(b *ir.Builder) {
+		z := b.Const(0)
+		x := b.Const(9)
+		b.Bin(ir.OpDiv, ir.R(x), ir.R(z))
+		b.Const(7)
+	}},
+	{name: "modulo by zero", wantWhy: "modulo by zero", steps: 3, cycles: 8, idx: 2, body: func(b *ir.Builder) {
+		x := b.Const(9)
+		b.Bin(ir.OpMod, ir.R(x), ir.Imm(0))
+	}},
+	{name: "step budget", maxSteps: 9, wantWhy: "step budget exhausted (runaway guest?)", steps: 9, cycles: 14, idx: 0, body: func(b *ir.Builder) {
+		b.Label("spin")
+		r := b.Const(1)
+		b.BinInto(r, ir.OpAdd, ir.R(r), ir.Imm(2))
+		b.Lea("x", 0)
+		b.Jump("spin")
+	}},
+	{name: "ran off end", wantWhy: "execution ran off function end", steps: 4, cycles: 8, idx: 2, body: func(b *ir.Builder) {
+		r := b.Const(1)
+		b.BinInto(r, ir.OpXor, ir.R(r), ir.Imm(3))
+	}},
+}
+
+// runLoopView is what a faulting run leaves behind.
+type runLoopView struct {
+	Steps, Cycles uint64
+	Func          string
+	Idx           int
+	Err           error
+}
+
+// runFaulting runs c's guest, main calling a helper whose body is c's,
+// and returns what it left; single installs a no-op hook at an address no instruction has, which
+// makes the run loop leave after every instruction.
+func runFaulting(t *testing.T, c runLoopCase, single bool) runLoopView {
+	t.Helper()
+	p := ir.NewProgram()
+	hb := ir.NewBuilder("helper", 0)
+	hb.Local("x", 8)
+	c.body(hb)
+	p.AddFunc(hb.Build())
+	mb := ir.NewBuilder("main", 0)
+	mb.Ret(ir.R(mb.Call("helper")))
+	p.AddFunc(mb.Build())
+	// No Validate: "ran off end" has no terminator.
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(p, WithMaxSteps(c.maxSteps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single {
+		m.AddHook(0x1, func(*Machine) error { return nil })
+	}
+	_, err = m.CallFunction("main")
+	fn, idx := m.CurrentFunc()
+	return runLoopView{Steps: m.Steps, Cycles: m.Clock.Cycles, Func: fn.Name, Idx: idx, Err: err}
+}
+
+// TestRunLoopFaultsMatchSingleStep: a fault in the middle of a block
+// leaves the same steps, clock, pc and error whether the run loop ran the
+// block whole or one instruction at a time, and the steps, clock and pc
+// are the pinned ones: the faulting instruction is counted and charged,
+// and the pc is past it.
+func TestRunLoopFaultsMatchSingleStep(t *testing.T) {
+	for _, c := range runLoopCases {
+		t.Run(c.name, func(t *testing.T) {
+			block, single := runFaulting(t, c, false), runFaulting(t, c, true)
+			if block.Err == nil || block.Func != "helper" {
+				t.Fatalf("the guest did not fault in helper: %+v", block)
+			}
+			if cf, ok := block.Err.(*ControlFault); c.wantWhy != "" && (!ok || cf.Why != c.wantWhy) {
+				t.Fatalf("err = %v, want a control fault: %s", block.Err, c.wantWhy)
+			}
+			if block.Steps != c.steps || block.Cycles != c.cycles || block.Idx != c.idx {
+				t.Fatalf("fault left steps %d, cycles %d, helper+%d; want %d, %d, helper+%d",
+					block.Steps, block.Cycles, block.Idx, c.steps, c.cycles, c.idx)
+			}
+			if !reflect.DeepEqual(block, single) {
+				t.Fatalf("in blocks: %+v\none at a time: %+v", block, single)
+			}
+		})
+	}
+}

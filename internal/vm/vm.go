@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"bastion/internal/ir"
 	"bastion/internal/mem"
@@ -201,6 +202,7 @@ type Machine struct {
 	MaxDepth  int
 
 	hooks map[uint64]Hook
+	pool  *Pool // WithPool's pool, or nil
 
 	// trace, when non-nil, receives one disassembled line per executed
 	// instruction (a debugging aid; costs nothing when disabled).
@@ -228,11 +230,38 @@ func WithClock(c *Clock) Option { return func(m *Machine) { m.Clock = c } }
 // WithMaxSteps bounds the number of executed instructions.
 func WithMaxSteps(n uint64) Option { return func(m *Machine) { m.MaxSteps = n } }
 
-// WithFreeList backs the machine's guest pages from free before it
-// allocates (see mem.NewSpaceFrom). free must belong to the goroutine
-// that runs the machine; pages return to it on m.Mem.Release.
-func WithFreeList(free *mem.FreeList) Option {
-	return func(m *Machine) { m.Mem = mem.NewSpaceFrom(free) }
+// Pool holds what released Machines leave behind, for Machines to use
+// before they allocate: guest page backings and page arrays (Pages) and
+// one stack of register frames. Like a mem.FreeList, it belongs to one
+// goroutine at a time and has no lock: give each goroutine that runs
+// guests one after another its own pool. The zero value is empty.
+type Pool struct {
+	Pages mem.FreeList
+	// frames is a released frame stack of length 0: its frames sit past
+	// the top, where pushFrame reuses, and zeroes, a parked frame.
+	frames []*frame
+}
+
+// Frames returns the number of register frames the pool holds.
+func (p *Pool) Frames() int {
+	n := 0
+	for _, f := range p.frames[:cap(p.frames)] {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// WithPool backs the machine's guest pages (see mem.NewSpaceFrom) and
+// register frames from p before it allocates. p must belong to the
+// goroutine that runs the machine; both return to it on m.Release.
+func WithPool(p *Pool) Option {
+	return func(m *Machine) {
+		m.pool = p
+		m.Mem = mem.NewSpaceFrom(&p.Pages)
+		m.frames, p.frames = p.frames, nil
+	}
 }
 
 // WithTrace streams a disassembly line per executed instruction to w, up
@@ -305,6 +334,18 @@ func (m *Machine) loadImage() error {
 	return nil
 }
 
+// Release ends the machine: its guest pages go back to its pool's list
+// (Space.Release) and, for a machine made WithPool, its register frames
+// to the pool. Call it once the guest is gone and nothing will run it or
+// read its memory again.
+func (m *Machine) Release() {
+	m.Mem.Release()
+	if p := m.pool; p != nil && cap(m.frames) > cap(p.frames) {
+		p.frames = m.frames[:0]
+	}
+	m.frames, m.pool = nil, nil
+}
+
 // AddHook installs a breakpoint at a code address. Installing at an address
 // that already has a hook replaces it.
 func (m *Machine) AddHook(addr uint64, h Hook) { m.hooks[addr] = h }
@@ -322,23 +363,24 @@ func (m *Machine) HookFunc(name string, idx int, h Hook) error {
 	return nil
 }
 
-// runHook runs the breakpoint at the instruction fr is about to execute,
-// if one is installed, and returns the frame to execute next: a hook may
-// redirect control. step calls it only when some hook is installed, so a
-// machine without hooks neither computes the address nor probes the map.
-func (m *Machine) runHook(fr *frame) (*frame, error) {
-	h, ok := m.hooks[fr.fn.InstrAddr(fr.idx)]
+// runHook runs the breakpoint at instruction idx of fn, the one the top
+// frame is about to execute, if one is installed. A hook may redirect
+// control, so the caller reloads the top frame after it. exec calls it
+// only when some hook is installed, so a machine without hooks neither
+// computes the address nor probes the map.
+func (m *Machine) runHook(fn *ir.Function, idx int) error {
+	h, ok := m.hooks[fn.InstrAddr(idx)]
 	if !ok {
-		return fr, nil
+		return nil
 	}
 	if err := h(m); err != nil {
-		return nil, err
+		return err
 	}
-	fr = m.frames[len(m.frames)-1]
+	fr := m.frames[len(m.frames)-1]
 	if fr.idx >= len(fr.fn.Code) {
-		return nil, &ControlFault{Addr: fr.fn.InstrAddr(fr.idx), Why: "hook left pc past function end"}
+		return &ControlFault{Addr: fr.fn.InstrAddr(fr.idx), Why: "hook left pc past function end"}
 	}
-	return fr, nil
+	return nil
 }
 
 // Halted reports whether the guest has stopped (exit, kill, or fault).
@@ -374,7 +416,7 @@ func (m *Machine) Run() error {
 	if err := m.pushCall(entry, nil, 0); err != nil {
 		return err
 	}
-	return m.resume()
+	return m.run(0)
 }
 
 // CallFunction invokes an arbitrary guest function with the given word
@@ -396,32 +438,25 @@ func (m *Machine) CallFunction(name string, args ...uint64) (uint64, error) {
 	if err := m.pushCall(f, args, 0); err != nil {
 		return 0, err
 	}
-	if err := m.runUntilDepth(base); err != nil {
+	if err := m.run(base); err != nil {
 		return 0, err
 	}
 	return m.rax, nil
 }
 
-func (m *Machine) resume() error { return m.runUntilDepth(0) }
-
-// runUntilDepth steps until the frame stack shrinks to the given depth or
-// the guest halts.
-func (m *Machine) runUntilDepth(depth int) error {
-	for len(m.frames) > depth {
-		if m.halted {
-			return nil
-		}
-		if err := m.step(); err != nil {
+// run executes until the frame stack shrinks to the given depth or the
+// guest halts.
+func (m *Machine) run(depth int) error {
+	for len(m.frames) > depth && !m.halted {
+		if err := m.exec(); err != nil {
+			m.halted = true
 			var xe *ExitError
 			if errors.As(err, &xe) {
-				m.halted = true
 				m.exit = xe.Code
 				if xe.Code == 0 {
 					return nil
 				}
-				return err
 			}
-			m.halted = true
 			return err
 		}
 	}
@@ -460,10 +495,11 @@ func (m *Machine) pushCall(fn *ir.Function, args []uint64, retaddr uint64) error
 }
 
 // pushFrame makes a register frame for fn, resuming at instruction idx, the
-// new top of the frame stack. It reuses the frame a doRet parked just past
-// the top of m.frames, zeroing it whole, so the callee reads exactly what a
-// freshly allocated frame would give it. Reuse is sound because nothing
-// holds a *frame once doRet has popped it.
+// new top of the frame stack. It reuses the frame a doRet, or a machine
+// released into this machine's Pool, parked just past the top of
+// m.frames, zeroing it whole, so the callee reads exactly what a freshly
+// allocated frame would give it. Reuse is sound because nothing holds a
+// *frame once doRet has popped it or its machine has been released.
 func (m *Machine) pushFrame(fn *ir.Function, idx int) {
 	n := len(m.frames)
 	if n < cap(m.frames) {
@@ -496,80 +532,193 @@ func (m *Machine) SlotAddr(name string) (uint64, error) {
 	return m.slotAddr(fn, idx), nil
 }
 
-func (m *Machine) val(fr *frame, o ir.Operand) uint64 {
+// val reads an operand: an immediate, or a register of regs.
+func val(regs *[MaxRegsPerFrame]uint64, o ir.Operand) uint64 {
 	if o.Kind == ir.OperandImm {
 		return uint64(o.Imm)
 	}
-	return fr.regs[o.Reg]
+	return regs[o.Reg]
 }
 
-// step executes one instruction.
-func (m *Machine) step() error {
-	if m.MaxSteps > 0 && m.Steps >= m.MaxSteps {
-		return &ControlFault{Why: "step budget exhausted (runaway guest?)"}
-	}
-	m.Steps++
+// exec runs the top frame. It keeps the frame, its code, the next
+// instruction index, the step count and the cycles charged since entry
+// in locals, so the straight-line instructions (Const, Mov, Bin, Load,
+// Store, LocalAddr, GlobalAddr, FuncAddr, Jump, BranchNZ) write neither
+// the Machine nor the shared Clock. It leaves at the first Call, CallInd,
+// Ret, Syscall or Intrinsic, which it executes, and at any fault; with a
+// hook or a trace installed it leaves after one instruction. Before every
+// exit it writes fr.idx, m.Steps and m.Clock back (sync), so whatever
+// runs next (the callee's set-up, the kernel, the monitor, a mitigation,
+// a hook or the caller that sees a fault) reads exactly the pc, steps
+// and clock an instruction-at-a-time interpreter would leave.
+func (m *Machine) exec() error {
 	fr := m.frames[len(m.frames)-1]
-	fn := fr.fn
-	if fr.idx >= len(fn.Code) {
-		return &ControlFault{Addr: fn.InstrAddr(fr.idx), Why: "execution ran off function end"}
+	fn, idx, regs := fr.fn, fr.idx, &fr.regs
+	code := fn.Code
+	instrCost := m.Costs.Instr
+	steps, limit := m.Steps, m.MaxSteps
+	if limit == 0 {
+		limit = math.MaxUint64
 	}
-	if len(m.hooks) != 0 {
-		var err error
-		if fr, err = m.runHook(fr); err != nil {
-			return err
+	single := len(m.hooks) != 0 || m.trace != nil
+	var cycles uint64
+	for {
+		if steps >= limit {
+			m.sync(fr, idx, steps, cycles)
+			return &ControlFault{Why: "step budget exhausted (runaway guest?)"}
 		}
-		fn = fr.fn
-	}
-	in := &fn.Code[fr.idx]
-	if m.trace != nil && (m.traceLimit == 0 || m.Steps <= m.traceLimit) {
-		fmt.Fprintf(m.trace, "%#x %s+%d: %s\n", fn.InstrAddr(fr.idx), fn.Name, fr.idx, in.String())
-	}
-	fr.idx++
+		steps++
+		if idx >= len(code) {
+			m.sync(fr, idx, steps, cycles)
+			return &ControlFault{Addr: fn.InstrAddr(idx), Why: "execution ran off function end"}
+		}
+		if single {
+			// Only the first instruction since entry gets here, so
+			// fr.idx and the clock are current; the hook may move the
+			// frame, run guest code or change Steps.
+			m.Steps = steps
+			if len(m.hooks) != 0 {
+				if err := m.runHook(fn, idx); err != nil {
+					return err
+				}
+				fr = m.frames[len(m.frames)-1]
+				fn, idx, regs = fr.fn, fr.idx, &fr.regs
+				code = fn.Code
+				instrCost = m.Costs.Instr
+				steps = m.Steps
+			}
+			if m.trace != nil && (m.traceLimit == 0 || steps <= m.traceLimit) {
+				fmt.Fprintf(m.trace, "%#x %s+%d: %s\n", fn.InstrAddr(idx), fn.Name, idx, code[idx].String())
+			}
+		}
+		in := &code[idx]
+		idx++
 
+		switch in.Kind {
+		case ir.Const:
+			cycles += instrCost
+			regs[in.Dst] = uint64(in.Imm)
+		case ir.Mov:
+			cycles += instrCost
+			regs[in.Dst] = val(regs, in.Src)
+		case ir.Bin:
+			// The ALU is inline, so arithmetic makes no call.
+			cycles += instrCost
+			a, b := val(regs, in.A), val(regs, in.B)
+			var v uint64
+			switch in.Op {
+			case ir.OpAdd:
+				v = a + b
+			case ir.OpSub:
+				v = a - b
+			case ir.OpMul:
+				v = a * b
+			case ir.OpDiv:
+				if b == 0 {
+					m.sync(fr, idx, steps, cycles)
+					return &ControlFault{Why: "division by zero"}
+				}
+				v = uint64(int64(a) / int64(b))
+			case ir.OpMod:
+				if b == 0 {
+					m.sync(fr, idx, steps, cycles)
+					return &ControlFault{Why: "modulo by zero"}
+				}
+				v = uint64(int64(a) % int64(b))
+			case ir.OpAnd:
+				v = a & b
+			case ir.OpOr:
+				v = a | b
+			case ir.OpXor:
+				v = a ^ b
+			case ir.OpShl:
+				v = a << (b & 63)
+			case ir.OpShr:
+				v = a >> (b & 63)
+			case ir.OpEq:
+				v = b2u(a == b)
+			case ir.OpNe:
+				v = b2u(a != b)
+			case ir.OpLt:
+				v = b2u(int64(a) < int64(b))
+			case ir.OpLe:
+				v = b2u(int64(a) <= int64(b))
+			case ir.OpGt:
+				v = b2u(int64(a) > int64(b))
+			case ir.OpGe:
+				v = b2u(int64(a) >= int64(b))
+			default:
+				m.sync(fr, idx, steps, cycles)
+				return fmt.Errorf("vm: unknown op %v", in.Op)
+			}
+			regs[in.Dst] = v
+		case ir.Load:
+			cycles += m.Costs.MemAccess
+			v, err := m.Mem.ReadUint(regs[in.Addr]+uint64(in.Off), in.Size)
+			if err != nil {
+				m.sync(fr, idx, steps, cycles)
+				return err
+			}
+			regs[in.Dst] = v
+		case ir.Store:
+			cycles += m.Costs.MemAccess
+			if err := m.Mem.WriteUint(regs[in.Addr]+uint64(in.Off), val(regs, in.Src), in.Size); err != nil {
+				m.sync(fr, idx, steps, cycles)
+				return err
+			}
+		case ir.LocalAddr:
+			cycles += instrCost
+			regs[in.Dst] = m.rbp + uint64(fn.SlotDisp(in.Slot)) + uint64(in.Off)
+		case ir.GlobalAddr:
+			cycles += instrCost
+			g := in.Global
+			if g == nil {
+				m.sync(fr, idx, steps, cycles)
+				return fmt.Errorf("vm: undefined global %q", in.Sym)
+			}
+			regs[in.Dst] = g.Addr + uint64(in.Off)
+		case ir.FuncAddr:
+			cycles += instrCost
+			f := in.Callee
+			if f == nil {
+				m.sync(fr, idx, steps, cycles)
+				return fmt.Errorf("vm: undefined function %q", in.Sym)
+			}
+			regs[in.Dst] = f.Base
+		case ir.Jump:
+			cycles += instrCost
+			idx = in.ToIndex
+		case ir.BranchNZ:
+			cycles += instrCost
+			if val(regs, in.Src) != 0 {
+				idx = in.ToIndex
+			}
+		case ir.Call, ir.CallInd, ir.Syscall, ir.Ret, ir.Intrinsic:
+			m.sync(fr, idx, steps, cycles)
+			return m.transfer(fr, fn, in)
+		default:
+			m.sync(fr, idx, steps, cycles)
+			return fmt.Errorf("vm: unknown instruction kind %v", in.Kind)
+		}
+		if single {
+			m.sync(fr, idx, steps, cycles)
+			return nil
+		}
+	}
+}
+
+// sync writes exec's locals back to the frame, the machine and the
+// shared clock.
+func (m *Machine) sync(fr *frame, idx int, steps, cycles uint64) {
+	fr.idx, m.Steps = idx, steps
+	m.Clock.Cycles += cycles
+}
+
+// transfer executes an instruction that leaves the frame or hands
+// control to the kernel or the runtime: Call, CallInd, Ret, Syscall or
+// Intrinsic. fr.idx is already past it.
+func (m *Machine) transfer(fr *frame, fn *ir.Function, in *ir.Instr) error {
 	switch in.Kind {
-	case ir.Const:
-		m.Clock.Add(m.Costs.Instr)
-		fr.regs[in.Dst] = uint64(in.Imm)
-	case ir.Mov:
-		m.Clock.Add(m.Costs.Instr)
-		fr.regs[in.Dst] = m.val(fr, in.Src)
-	case ir.Bin:
-		m.Clock.Add(m.Costs.Instr)
-		v, err := binop(in.Op, m.val(fr, in.A), m.val(fr, in.B))
-		if err != nil {
-			return err
-		}
-		fr.regs[in.Dst] = v
-	case ir.Load:
-		m.Clock.Add(m.Costs.MemAccess)
-		v, err := m.Mem.ReadUint(fr.regs[in.Addr]+uint64(in.Off), in.Size)
-		if err != nil {
-			return err
-		}
-		fr.regs[in.Dst] = v
-	case ir.Store:
-		m.Clock.Add(m.Costs.MemAccess)
-		if err := m.Mem.WriteUint(fr.regs[in.Addr]+uint64(in.Off), m.val(fr, in.Src), in.Size); err != nil {
-			return err
-		}
-	case ir.LocalAddr:
-		m.Clock.Add(m.Costs.Instr)
-		fr.regs[in.Dst] = m.slotAddr(fn, in.Slot) + uint64(in.Off)
-	case ir.GlobalAddr:
-		m.Clock.Add(m.Costs.Instr)
-		g := in.Global
-		if g == nil {
-			return fmt.Errorf("vm: undefined global %q", in.Sym)
-		}
-		fr.regs[in.Dst] = g.Addr + uint64(in.Off)
-	case ir.FuncAddr:
-		m.Clock.Add(m.Costs.Instr)
-		f := in.Callee
-		if f == nil {
-			return fmt.Errorf("vm: undefined function %q", in.Sym)
-		}
-		fr.regs[in.Dst] = f.Base
 	case ir.Call:
 		m.Clock.Add(m.Costs.Call)
 		callee := in.Callee
@@ -592,23 +741,11 @@ func (m *Machine) step() error {
 		return m.doCall(fr, fn, in, callee, false)
 	case ir.Syscall:
 		return m.doSyscall(fr, fn, in)
-	case ir.Jump:
-		m.Clock.Add(m.Costs.Instr)
-		fr.idx = in.ToIndex
-	case ir.BranchNZ:
-		m.Clock.Add(m.Costs.Instr)
-		if m.val(fr, in.Src) != 0 {
-			fr.idx = in.ToIndex
-		}
 	case ir.Ret:
 		m.Clock.Add(m.Costs.Ret)
 		return m.doRet(fr, in)
-	case ir.Intrinsic:
-		return m.doIntrinsic(fr, fn, in)
-	default:
-		return fmt.Errorf("vm: unknown instruction kind %v", in.Kind)
 	}
-	return nil
+	return m.doIntrinsic(fr, fn, in)
 }
 
 // doCall transfers into callee. Direct calls are arity-checked (the
@@ -629,14 +766,14 @@ func (m *Machine) doCall(fr *frame, fn *ir.Function, in *ir.Instr, callee *ir.Fu
 		args = make([]uint64, callee.NumParams)
 	}
 	for i := 0; i < len(in.Args) && i < callee.NumParams; i++ {
-		args[i] = m.val(fr, in.Args[i])
+		args[i] = val(&fr.regs, in.Args[i])
 	}
 	retaddr := fn.InstrAddr(fr.idx) // fr.idx already advanced past the call
 	return m.pushCall(callee, args, retaddr)
 }
 
 func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
-	m.rax = m.val(fr, in.Src)
+	m.rax = val(&fr.regs, in.Src)
 	// The return address and saved frame pointer come from guest memory:
 	// this is the ROP surface.
 	retaddr, err := m.Mem.ReadUint(m.rbp+8, 8)
@@ -660,17 +797,20 @@ func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 		// Returned to the VM (entry or CallFunction boundary).
 		return nil
 	}
-	tf, idx := m.Prog.FuncAt(retaddr)
+	var top *frame
+	if n := len(m.frames); n > 0 {
+		top = m.frames[n-1]
+	}
+	tf, idx := m.returnSite(top, retaddr)
 	if tf == nil {
 		return &ControlFault{Addr: retaddr, Why: "return to non-code address"}
 	}
-	if len(m.frames) == 0 {
+	if top == nil {
 		// A hijacked bottom frame: fabricate a register frame so gadget
 		// execution can proceed (registers are scratch at this point).
 		m.pushFrame(tf, idx)
 		return nil
 	}
-	top := m.frames[len(m.frames)-1]
 	top.fn = tf
 	top.idx = idx
 	// Normal return: complete `dst = callee()` if the instruction before
@@ -684,14 +824,26 @@ func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 	return nil
 }
 
+// returnSite resolves the return address retaddr to a function and
+// instruction index. An ordinary return lands where the caller frame
+// resumes, its own next instruction, and is resolved without searching
+// the program; any other address (a hijacked return, a gadget, a caller
+// a hook moved) goes through Program.FuncAt.
+func (m *Machine) returnSite(caller *frame, retaddr uint64) (*ir.Function, int) {
+	if caller != nil && uint(caller.idx) < uint(len(caller.fn.Code)) && caller.fn.InstrAddr(caller.idx) == retaddr {
+		return caller.fn, caller.idx
+	}
+	return m.Prog.FuncAt(retaddr)
+}
+
 func (m *Machine) doSyscall(fr *frame, fn *ir.Function, in *ir.Instr) error {
 	if m.OS == nil {
 		return errors.New("vm: syscall with no OS attached")
 	}
 	var regs Regs
-	regs.RAX = m.val(fr, in.Args[0])
+	regs.RAX = val(&fr.regs, in.Args[0])
 	for i := 1; i < len(in.Args) && i <= 6; i++ {
-		v := m.val(fr, in.Args[i])
+		v := val(&fr.regs, in.Args[i])
 		switch i {
 		case 1:
 			regs.RDI = v
@@ -754,51 +906,6 @@ func (m *Machine) doIntrinsic(fr *frame, fn *ir.Function, in *ir.Instr) error {
 		return m.Runtime.CtxBindConst(m, fn.InstrAddr(in.BindSite), in.Pos, in.Imm)
 	}
 	return fmt.Errorf("vm: unknown intrinsic %v", in.IK)
-}
-
-func binop(op ir.Op, a, b uint64) (uint64, error) {
-	sa, sb := int64(a), int64(b)
-	switch op {
-	case ir.OpAdd:
-		return a + b, nil
-	case ir.OpSub:
-		return a - b, nil
-	case ir.OpMul:
-		return a * b, nil
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, &ControlFault{Why: "division by zero"}
-		}
-		return uint64(sa / sb), nil
-	case ir.OpMod:
-		if b == 0 {
-			return 0, &ControlFault{Why: "modulo by zero"}
-		}
-		return uint64(sa % sb), nil
-	case ir.OpAnd:
-		return a & b, nil
-	case ir.OpOr:
-		return a | b, nil
-	case ir.OpXor:
-		return a ^ b, nil
-	case ir.OpShl:
-		return a << (b & 63), nil
-	case ir.OpShr:
-		return a >> (b & 63), nil
-	case ir.OpEq:
-		return b2u(a == b), nil
-	case ir.OpNe:
-		return b2u(a != b), nil
-	case ir.OpLt:
-		return b2u(sa < sb), nil
-	case ir.OpLe:
-		return b2u(sa <= sb), nil
-	case ir.OpGt:
-		return b2u(sa > sb), nil
-	case ir.OpGe:
-		return b2u(sa >= sb), nil
-	}
-	return 0, fmt.Errorf("vm: unknown op %v", op)
 }
 
 func b2u(b bool) uint64 {

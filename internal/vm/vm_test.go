@@ -89,7 +89,7 @@ func TestBinopTable(t *testing.T) {
 		{ir.OpGe, 1, 2, 0},
 	}
 	for _, tc := range cases {
-		got, err := binop(tc.op, tc.a, tc.b)
+		got, err := runBin(t, tc.op, tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.op, err)
 		}
@@ -97,12 +97,23 @@ func TestBinopTable(t *testing.T) {
 			t.Errorf("%v(%d,%d) = %d, want %d", tc.op, tc.a, tc.b, got, tc.want)
 		}
 	}
-	if _, err := binop(ir.OpDiv, 1, 0); err == nil {
-		t.Fatal("div by zero did not fault")
+	for _, op := range []ir.Op{ir.OpDiv, ir.OpMod} {
+		var cf *ControlFault
+		if _, err := runBin(t, op, 1, 0); !errors.As(err, &cf) {
+			t.Fatalf("%v by zero: err = %v, want a control fault", op, err)
+		}
 	}
-	if _, err := binop(ir.OpMod, 1, 0); err == nil {
-		t.Fatal("mod by zero did not fault")
-	}
+}
+
+// runBin runs main() { return a op b } with both operands in registers.
+func runBin(t *testing.T, op ir.Op, a, b uint64) (uint64, error) {
+	t.Helper()
+	p := ir.NewProgram()
+	bld := ir.NewBuilder("main", 0)
+	ra, rb := bld.Const(int64(a)), bld.Const(int64(b))
+	bld.Ret(ir.R(bld.Bin(op, ir.R(ra), ir.R(rb))))
+	p.AddFunc(bld.Build())
+	return mustMachine(t, p).CallFunction("main")
 }
 
 func TestCallsAndParamsInMemory(t *testing.T) {

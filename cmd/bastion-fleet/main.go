@@ -289,12 +289,9 @@ func main() {
 		Tenants:        *tenants,
 		Apps:           apps,
 		Units:          *units,
-		Mode:           mode,
-		Contexts:       ctxMask,
+		Policy:         monitor.Policy{Contexts: ctxMask, ExtendFS: *extendFS, TreeFilter: *tree, Offload: *offload},
 		UseContexts:    useCtx,
-		ExtendFS:       *extendFS,
-		Offload:        *offload,
-		TreeFilter:     *tree,
+		Mode:           mode,
 		ShareArtifacts: *share,
 		MaxRestarts:    *restarts,
 		Seed:           *seed,

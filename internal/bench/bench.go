@@ -214,13 +214,10 @@ func Run(spec RunSpec) (*RunResult, error) {
 			return nil, err
 		}
 		cfg := monitor.DefaultConfig()
-		cfg.Contexts = ctx
-		cfg.ExtendFS = spec.ExtendFS
+		cfg.Policy = monitor.Policy{Contexts: ctx, ExtendFS: spec.ExtendFS, TreeFilter: spec.TreeFilter, Offload: spec.Offload}
 		cfg.Mode = spec.Mode
 		cfg.AcceptFastPath = !spec.DisableAcceptFastPath
 		cfg.InKernel = spec.InKernel
-		cfg.TreeFilter = spec.TreeFilter
-		cfg.Offload = spec.Offload
 		cfg, err = arts.Config(spec.App, cfg)
 		if err != nil {
 			return nil, err

@@ -51,20 +51,6 @@ func Compile(p *ir.Program, opts CompileOptions) (*Artifact, error) {
 	return &Artifact{Prog: res.Prog, Meta: res.Meta, Stats: res.Stats}, nil
 }
 
-// PrepareFilter compiles the seccomp program for artifact a under cfg and
-// returns cfg with the precompiled filter attached. Launching many guests
-// from one artifact with the returned config shares a single filter
-// compilation instead of recompiling per launch; the filter itself is
-// immutable and safe to install into any number of processes.
-func PrepareFilter(a *Artifact, cfg monitor.Config) (monitor.Config, error) {
-	prog, err := monitor.BuildFilter(a.Meta, cfg)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Filter = prog
-	return cfg, nil
-}
-
 // Protected is a launched, monitored guest.
 type Protected struct {
 	Machine *vm.Machine

@@ -118,24 +118,14 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Config selects contexts, mode, and the protected syscall set.
-type Config struct {
+// Policy is the deployment's choice of what the seccomp filter enforces:
+// with the metadata and Mode it decides the filter byte for byte, and it
+// is exactly what a hot reload may change. The filter cache keys on it,
+// a Generation carries it, and a reload swaps it whole.
+type Policy struct {
 	Contexts Context
-	Mode     Mode
 	// ExtendFS also traps the file-system syscall set (§11.2 / Table 7).
 	ExtendFS bool
-	// AcceptFastPath applies the paper's accept/accept4 optimization
-	// (§9.2): the sockaddr out-parameter is verified as a pointer only.
-	// Disabling it forces a full pointee walk, for the ablation bench.
-	AcceptFastPath bool
-	// ReportOnly records violations without killing the guest (used by the
-	// security evaluation to observe every violated context in one run).
-	ReportOnly bool
-	// InKernel runs the monitor inside the kernel (the §11.2 eBPF design):
-	// no ptrace context switches, direct access to guest state. This is
-	// the paper's proposed optimization for extending coverage to hot
-	// system calls.
-	InKernel bool
 	// TreeFilter compiles the seccomp policy as a balanced binary search
 	// over syscall numbers (seccomp.Policy.CompileTree) instead of the
 	// linear comparison chain, dropping per-hook filter cost from O(n) to
@@ -150,6 +140,39 @@ type Config struct {
 	// non-sensitive ExtendFS syscalls with uniform register-constant
 	// argument sites).
 	Offload bool
+}
+
+// String names every knob, e.g. "contexts call-type, extend-fs yes, tree
+// filter no, offload yes". A struct that embeds Policy, Config included,
+// prints as its policy too.
+func (p Policy) String() string {
+	yn := func(b bool) string {
+		if b {
+			return "yes"
+		}
+		return "no"
+	}
+	return fmt.Sprintf("contexts %s, extend-fs %s, tree filter %s, offload %s",
+		p.Contexts, yn(p.ExtendFS), yn(p.TreeFilter), yn(p.Offload))
+}
+
+// Config selects the policy, mode, and the monitor's runtime knobs.
+type Config struct {
+	Policy
+	// Mode is a launch decision: a hot reload never changes it.
+	Mode Mode
+	// AcceptFastPath applies the paper's accept/accept4 optimization
+	// (§9.2): the sockaddr out-parameter is verified as a pointer only.
+	// Disabling it forces a full pointee walk, for the ablation bench.
+	AcceptFastPath bool
+	// ReportOnly records violations without killing the guest (used by the
+	// security evaluation to observe every violated context in one run).
+	ReportOnly bool
+	// InKernel runs the monitor inside the kernel (the §11.2 eBPF design):
+	// no ptrace context switches, direct access to guest state. This is
+	// the paper's proposed optimization for extending coverage to hot
+	// system calls.
+	InKernel bool
 	// Filter, when non-nil, is a precompiled seccomp program installed
 	// verbatim instead of compiling one from metadata at attach time. It
 	// must equal what BuildFilter produces for the same metadata and
@@ -177,7 +200,7 @@ type Config struct {
 // DefaultConfig enables everything with the fast path on.
 func DefaultConfig() Config {
 	return Config{
-		Contexts:       AllContexts,
+		Policy:         Policy{Contexts: AllContexts},
 		Mode:           ModeFull,
 		AcceptFastPath: true,
 		MaxUnwindDepth: 64,
@@ -453,9 +476,9 @@ func (m *Monitor) initTelemetry() {
 // SECCOMP_RET_KILL for not-callable syscalls, SECCOMP_RET_TRACE for
 // protected callable ones, SECCOMP_RET_ALLOW otherwise (§7.1). With
 // Config.Offload, syscalls the offload plan covers are answered in-filter
-// instead of trapping (see DeriveOffload). Only the filter-relevant parts
-// of cfg matter (Mode, Contexts, ExtendFS, TreeFilter, Offload); the
-// result may be shared immutably across monitors via Config.Filter.
+// instead of trapping (see DeriveOffload). Of cfg only Mode and Policy
+// matter; the result may be shared immutably across monitors via
+// Config.Filter.
 func BuildFilter(meta *metadata.Metadata, cfg Config) ([]seccomp.Insn, error) {
 	pol := BuildPolicy(meta, cfg)
 	if cfg.TreeFilter {

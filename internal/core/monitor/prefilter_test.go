@@ -37,12 +37,12 @@ func TestPrecompiledFilterMatchesAttach(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pre, err := core.PrepareFilter(art, cfg)
-			if err != nil {
+			pre := cfg
+			if pre.Filter, err = monitor.BuildFilter(art.Meta, cfg); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(pre.Filter, want) {
-				t.Fatal("PrepareFilter output differs from the filter Attach compiles")
+				t.Fatal("BuildFilter output differs from the filter Attach compiles")
 			}
 
 			k := kernel.New(nil)

@@ -10,11 +10,11 @@ import (
 )
 
 // Generation is one versioned artifact bundle for policy hot reload: the
-// context metadata, the policy-relevant configuration knobs, the compiled
-// seccomp filter, and the filter's identity hash. A fleet builds a
-// Generation once (through its shared artifact cache), then stages it into
-// every running tenant; each monitor swaps it in at its next trap boundary
-// without restarting the guest.
+// context metadata, the Policy, the compiled seccomp filter, and the
+// filter's identity hash. A fleet builds a Generation once (through its
+// shared artifact cache), then stages it into every running tenant; each
+// monitor swaps it in at its next trap boundary without restarting the
+// guest.
 //
 // A Generation is immutable after construction and safe to share across
 // monitors, exactly like the launch artifacts.
@@ -25,16 +25,12 @@ type Generation struct {
 	ID uint64
 	// Meta is the context metadata verdicts are judged against.
 	Meta *metadata.Metadata
-	// Policy-relevant configuration (the filterKey subset): these replace
-	// the corresponding Config fields atomically with the filter, so a
-	// tenant can never observe the new filter with the old metadata or vice
-	// versa.
-	Contexts   Context
-	ExtendFS   bool
-	TreeFilter bool
-	Offload    bool
+	// Policy replaces the monitor's Config.Policy atomically with the
+	// filter and metadata, so a tenant can never observe the new filter
+	// with the old metadata or vice versa.
+	Policy Policy
 	// Filter is the compiled seccomp program. It must equal what
-	// BuildFilter produces for (Meta, config above) — NewGeneration
+	// BuildFilter produces for (Meta, Policy) — NewGeneration
 	// guarantees that by compiling it itself when none is supplied.
 	Filter []seccomp.Insn
 	// FilterID is seccomp.FilterID(Filter), the kernel-side proof that a
@@ -44,9 +40,9 @@ type Generation struct {
 
 // NewGeneration validates and completes a generation bundle: the metadata
 // must validate, the ID must be positive, and a missing filter is compiled
-// from the metadata and the generation's own policy knobs (mode and the
-// other non-policy knobs are taken from cfg, which is the running
-// monitor's configuration the generation will be grafted onto).
+// from the metadata and cfg. The generation keeps only cfg.Policy: Mode
+// and the other knobs stay those of the running monitor it is grafted
+// onto.
 func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config, filter []seccomp.Insn) (*Generation, error) {
 	if id == 0 {
 		return nil, errors.New("monitor: generation id must be positive (0 is the launch generation)")
@@ -64,14 +60,11 @@ func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config, filter []secc
 		}
 	}
 	return &Generation{
-		ID:         id,
-		Meta:       meta,
-		Contexts:   cfg.Contexts,
-		ExtendFS:   cfg.ExtendFS,
-		TreeFilter: cfg.TreeFilter,
-		Offload:    cfg.Offload,
-		Filter:     filter,
-		FilterID:   seccomp.FilterID(filter),
+		ID:       id,
+		Meta:     meta,
+		Policy:   cfg.Policy,
+		Filter:   filter,
+		FilterID: seccomp.FilterID(filter),
 	}, nil
 }
 
@@ -122,9 +115,9 @@ func reloadCycles(meta *metadata.Metadata) uint64 {
 // generation, so the swap is atomic from the guest's perspective: the next
 // syscall meets the new filter, and if it traps, the new metadata.
 //
-// Side effects, in order: the kernel filter is replaced, the
-// policy-relevant Config fields and metadata switch together, the offload
-// plan and the syscall-flow projection are re-derived from the new pair.
+// Side effects, in order: the kernel filter is replaced, Config.Policy and
+// the metadata switch together, the offload plan and the syscall-flow
+// projection are re-derived from the new pair.
 // The syscall-flow runtime state (last trapped syscall) survives: it
 // records what the guest actually executed, which no policy change
 // rewrites.
@@ -136,10 +129,7 @@ func (m *Monitor) applyGeneration(p *kernel.Process) error {
 	}
 	m.Meta = g.Meta
 	m.funcs = metadata.NewFuncIndex(g.Meta)
-	m.Cfg.Contexts = g.Contexts
-	m.Cfg.ExtendFS = g.ExtendFS
-	m.Cfg.TreeFilter = g.TreeFilter
-	m.Cfg.Offload = g.Offload
+	m.Cfg.Policy = g.Policy
 	m.Cfg.Filter = g.Filter
 	m.Offload = DeriveOffload(g.Meta, m.Cfg)
 

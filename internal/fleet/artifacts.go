@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
@@ -28,42 +29,53 @@ import (
 // metadata, and filters are immutable after compilation, so any number of
 // tenants (or bench experiments) may launch from them simultaneously.
 type Artifacts struct {
-	mu       sync.Mutex
-	compiled map[string]*artEntry
-	raw      map[string]*rawEntry
-	filters  map[filterKey]*filterEntry
-	gens     map[genKey]*genEntry
+	compiled onceMap[string, *core.Artifact]
+	raw      onceMap[string, *ir.Program]
+	filters  onceMap[filterKey, []seccomp.Insn]
+	gens     onceMap[genKey, *monitor.Generation]
 
-	compiles       int
-	filterCompiles int
+	compiles       atomic.Int64
+	filterCompiles atomic.Int64
 }
 
-type artEntry struct {
+// onceMap builds one value per key, once: concurrent callers for the same
+// key wait for the first caller's build and share its result and error.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceCell[V]
+}
+
+type onceCell[V any] struct {
 	once sync.Once
-	art  *core.Artifact
+	v    V
 	err  error
 }
 
-type rawEntry struct {
-	once sync.Once
-	prog *ir.Program
-	err  error
+func (o *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
+	o.mu.Lock()
+	c := o.m[k]
+	if c == nil {
+		if o.m == nil {
+			o.m = map[K]*onceCell[V]{}
+		}
+		c = &onceCell[V]{}
+		o.m[k] = c
+	}
+	o.mu.Unlock()
+	c.once.Do(func() { c.v, c.err = build() })
+	return c.v, c.err
 }
 
-// filterKey is the filter-relevant subset of monitor.Config.
+// filterKey is everything of a monitor.Config that shapes its filter
+// (TestFilterKeyComplete checks that nothing else does).
 type filterKey struct {
-	app        string
-	mode       monitor.Mode
-	contexts   monitor.Context
-	extendFS   bool
-	treeFilter bool
-	offload    bool
+	app    string
+	mode   monitor.Mode
+	policy monitor.Policy
 }
 
-type filterEntry struct {
-	once sync.Once
-	prog []seccomp.Insn
-	err  error
+func keyOf(app string, cfg monitor.Config) filterKey {
+	return filterKey{app: app, mode: cfg.Mode, policy: cfg.Policy}
 }
 
 // genKey identifies a hot-reload generation bundle: the filter key plus
@@ -73,21 +85,8 @@ type genKey struct {
 	id uint64
 }
 
-type genEntry struct {
-	once sync.Once
-	gen  *monitor.Generation
-	err  error
-}
-
 // NewArtifacts returns an empty shared-artifact cache.
-func NewArtifacts() *Artifacts {
-	return &Artifacts{
-		compiled: map[string]*artEntry{},
-		raw:      map[string]*rawEntry{},
-		filters:  map[filterKey]*filterEntry{},
-		gens:     map[genKey]*genEntry{},
-	}
-}
+func NewArtifacts() *Artifacts { return &Artifacts{} }
 
 // Compiled returns the instrumented artifact (program + metadata +
 // instrumentation stats) for the named workload application, compiling it
@@ -95,83 +94,50 @@ func NewArtifacts() *Artifacts {
 // globals into their own address spaces at load, and the monitor only
 // reads metadata.
 func (a *Artifacts) Compiled(app string) (*core.Artifact, error) {
-	a.mu.Lock()
-	e := a.compiled[app]
-	if e == nil {
-		e = &artEntry{}
-		a.compiled[app] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
+	return a.compiled.get(app, func() (*core.Artifact, error) {
 		t, err := workload.NewTarget(app)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.art, e.err = core.Compile(t.Build(), core.CompileOptions{})
-		a.count(&a.compiles)
+		art, err := core.Compile(t.Build(), core.CompileOptions{})
+		a.compiles.Add(1)
+		return art, err
 	})
-	return e.art, e.err
 }
 
 // Raw returns the uninstrumented, linked program for the named workload
 // application — the baseline (vanilla/CET/CFI) launch image — compiling
 // and linking it on first use.
 func (a *Artifacts) Raw(app string) (*ir.Program, error) {
-	a.mu.Lock()
-	e := a.raw[app]
-	if e == nil {
-		e = &rawEntry{}
-		a.raw[app] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
+	return a.raw.get(app, func() (*ir.Program, error) {
 		t, err := workload.NewTarget(app)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		prog := t.Build()
 		if err := prog.Link(); err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.prog = prog
-		a.count(&a.compiles)
+		a.compiles.Add(1)
+		return prog, nil
 	})
-	return e.prog, e.err
 }
 
 // Config returns cfg with the precompiled seccomp filter for (app, cfg)
-// attached, compiling the filter on first use per filter-relevant key.
+// attached, compiling the filter on first use per filter key.
 func (a *Artifacts) Config(app string, cfg monitor.Config) (monitor.Config, error) {
 	art, err := a.Compiled(app)
 	if err != nil {
 		return cfg, err
 	}
-	key := filterKey{
-		app:        app,
-		mode:       cfg.Mode,
-		contexts:   cfg.Contexts,
-		extendFS:   cfg.ExtendFS,
-		treeFilter: cfg.TreeFilter,
-		offload:    cfg.Offload,
-	}
-	a.mu.Lock()
-	e := a.filters[key]
-	if e == nil {
-		e = &filterEntry{}
-		a.filters[key] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
-		e.prog, e.err = monitor.BuildFilter(art.Meta, cfg)
-		a.count(&a.filterCompiles)
+	prog, err := a.filters.get(keyOf(app, cfg), func() ([]seccomp.Insn, error) {
+		a.filterCompiles.Add(1)
+		return monitor.BuildFilter(art.Meta, cfg)
 	})
-	if e.err != nil {
-		return cfg, e.err
+	if err != nil {
+		return cfg, err
 	}
-	cfg.Filter = e.prog
+	cfg.Filter = prog
 	return cfg, nil
 }
 
@@ -181,57 +147,24 @@ func (a *Artifacts) Config(app string, cfg monitor.Config) (monitor.Config, erro
 // compilation as launch filters, so reload filter compiles are counted
 // (and amortized) exactly like launch ones.
 func (a *Artifacts) Generation(id uint64, app string, cfg monitor.Config) (*monitor.Generation, error) {
+	cfg, err := a.Config(app, cfg)
+	if err != nil {
+		return nil, err
+	}
 	art, err := a.Compiled(app)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err = a.Config(app, cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := genKey{
-		filterKey: filterKey{
-			app:        app,
-			mode:       cfg.Mode,
-			contexts:   cfg.Contexts,
-			extendFS:   cfg.ExtendFS,
-			treeFilter: cfg.TreeFilter,
-			offload:    cfg.Offload,
-		},
-		id: id,
-	}
-	a.mu.Lock()
-	e := a.gens[key]
-	if e == nil {
-		e = &genEntry{}
-		a.gens[key] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() {
-		e.gen, e.err = monitor.NewGeneration(id, art.Meta, cfg, cfg.Filter)
+	return a.gens.get(genKey{keyOf(app, cfg), id}, func() (*monitor.Generation, error) {
+		return monitor.NewGeneration(id, art.Meta, cfg, cfg.Filter)
 	})
-	return e.gen, e.err
-}
-
-func (a *Artifacts) count(c *int) {
-	a.mu.Lock()
-	*c++
-	a.mu.Unlock()
 }
 
 // Compiles reports how many program compilations (instrumented or raw)
 // this cache has performed — the shared-vs-per-tenant ablation's
 // deterministic setup-cost measure.
-func (a *Artifacts) Compiles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.compiles
-}
+func (a *Artifacts) Compiles() int { return int(a.compiles.Load()) }
 
 // FilterCompiles reports how many seccomp filter compilations this cache
 // has performed.
-func (a *Artifacts) FilterCompiles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.filterCompiles
-}
+func (a *Artifacts) FilterCompiles() int { return int(a.filterCompiles.Load()) }

@@ -47,19 +47,14 @@ type Config struct {
 	// Units is the per-tenant work-unit count.
 	Units int
 
-	// Contexts defaults to monitor.AllContexts when zero-valued together
-	// with UseContexts=false; set UseContexts to enforce an explicit mask.
-	Contexts    monitor.Context
+	// Policy is the launch policy (generation 0) every tenant's monitor
+	// enforces. Its Contexts defaults to monitor.AllContexts when
+	// UseContexts is false; set UseContexts to enforce an explicit mask.
+	monitor.Policy
 	UseContexts bool
-	// Mode, ExtendFS, TreeFilter, and Offload select the monitor
-	// configuration every tenant runs under.
-	Mode       monitor.Mode
-	ExtendFS   bool
-	TreeFilter bool
-	// Offload answers call-type and constant-argument verdicts inside the
-	// shared seccomp filter (monitor.Config.Offload); qualifying syscalls
-	// never trap.
-	Offload bool
+	// Mode selects the monitor mode every tenant runs under; a hot reload
+	// keeps it.
+	Mode monitor.Mode
 
 	// ShareArtifacts compiles each workload's program, metadata, and
 	// seccomp filter once and shares them across tenants. When false,
@@ -210,22 +205,21 @@ func DefaultConfig(tenants, units int, apps ...string) Config {
 
 func (c *Config) appOf(idx int) string { return c.Apps[idx%len(c.Apps)] }
 
-func (c *Config) contexts() monitor.Context {
-	if c.UseContexts {
-		return c.Contexts
+// policy is the launch policy with the context default resolved.
+func (c *Config) policy() monitor.Policy {
+	p := c.Policy
+	if !c.UseContexts {
+		p.Contexts = monitor.AllContexts
 	}
-	return monitor.AllContexts
+	return p
 }
 
 // monitorConfig is the monitor configuration every tenant launches under
-// (generation 0); the reload generation grafts its PolicySpec onto this.
+// (generation 0); the reload generation swaps its ReloadSpec policy in.
 func (c *Config) monitorConfig() monitor.Config {
 	mcfg := monitor.DefaultConfig()
-	mcfg.Contexts = c.contexts()
+	mcfg.Policy = c.policy()
 	mcfg.Mode = c.Mode
-	mcfg.ExtendFS = c.ExtendFS
-	mcfg.TreeFilter = c.TreeFilter
-	mcfg.Offload = c.Offload
 	return mcfg
 }
 

@@ -5,10 +5,9 @@ import (
 )
 
 // PolicySpec names the policy a hot reload swaps the fleet to: the
-// policy-relevant monitor knobs that, together with the workload's
-// metadata, determine the generation's seccomp filter and verdicts. Mode
-// and the telemetry plane are launch decisions and stay fixed across
-// reloads.
+// monitor.Policy that, together with the workload's metadata, determines
+// the generation's seccomp filter and verdicts. Mode and the telemetry
+// plane are launch decisions and stay fixed across reloads.
 type PolicySpec struct {
 	// Contexts is the enforced context mask; UseContexts distinguishes an
 	// explicit mask from the AllContexts default (mirroring Config).
@@ -20,23 +19,13 @@ type PolicySpec struct {
 	Offload    bool
 }
 
-func (s *PolicySpec) contexts() monitor.Context {
+// policy resolves the spec to the generation's monitor.Policy.
+func (s *PolicySpec) policy() monitor.Policy {
+	p := monitor.Policy{Contexts: monitor.AllContexts, ExtendFS: s.ExtendFS, TreeFilter: s.TreeFilter, Offload: s.Offload}
 	if s.UseContexts {
-		return s.Contexts
+		p.Contexts = s.Contexts
 	}
-	return monitor.AllContexts
-}
-
-// apply grafts the spec onto a tenant's launch monitor configuration,
-// clearing any precompiled filter so the generation compiles (or cache-
-// resolves) one that matches the new knobs.
-func (s *PolicySpec) apply(cfg monitor.Config) monitor.Config {
-	cfg.Contexts = s.contexts()
-	cfg.ExtendFS = s.ExtendFS
-	cfg.TreeFilter = s.TreeFilter
-	cfg.Offload = s.Offload
-	cfg.Filter = nil
-	return cfg
+	return p
 }
 
 // reloadGeneration resolves the fleet's reload generation (ID 1) for one
@@ -45,5 +34,7 @@ func (s *PolicySpec) apply(cfg monitor.Config) monitor.Config {
 // shared, and the Generation bundle itself is built once and staged into
 // every tenant running that workload.
 func reloadGeneration(cfg *Config, app string, arts *Artifacts) (*monitor.Generation, error) {
-	return arts.Generation(1, app, cfg.ReloadSpec.apply(cfg.monitorConfig()))
+	mcfg := cfg.monitorConfig()
+	mcfg.Policy = cfg.ReloadSpec.policy()
+	return arts.Generation(1, app, mcfg)
 }

@@ -280,9 +280,12 @@ func (r *Report) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Fleet report: %d tenants × %d units (%s)\n\n",
 		r.Cfg.Tenants, r.Cfg.Units, strings.Join(r.Cfg.Apps, ","))
-	fmt.Fprintf(&b, "Mode %s, contexts %s, tree filter %s, offload %s, shared artifacts %s, seed %d.\n",
-		r.Cfg.Mode, r.Cfg.contexts(), yn(r.Cfg.TreeFilter),
-		yn(r.Cfg.Offload), yn(r.Cfg.ShareArtifacts), r.Cfg.Seed)
+	fmt.Fprintf(&b, "Mode %s, %s, shared artifacts %s, seed %d",
+		r.Cfg.Mode, r.Cfg.policy(), yn(r.Cfg.ShareArtifacts), r.Cfg.Seed)
+	if r.Cfg.ReloadAt > 0 {
+		fmt.Fprintf(&b, "; hot reload at unit %d to %s", r.Cfg.ReloadAt, r.Cfg.ReloadSpec.policy())
+	}
+	b.WriteString(".\n")
 	fmt.Fprintf(&b, "Dispatch schedule: %v\n\n", r.Schedule)
 
 	b.WriteString("| tenant | app | units | restarts | kills | faults | dead | mon cyc/unit | violations | backoff cyc |\n")

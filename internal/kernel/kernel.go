@@ -930,13 +930,13 @@ func (p *Process) sysAccept(fd int, addrPtr, lenPtr uint64) (int64, error) {
 	}
 	if addrPtr != 0 {
 		// Fill in the peer sockaddr: family AF_INET, remote port.
-		if err := p.M.Mem.PokeUint(addrPtr, 2 /* AF_INET */, 2); err != nil {
+		if p.M.Mem.PokeUint(addrPtr, 2 /* AF_INET */, 2) != nil ||
+			p.M.Mem.PokeUint(addrPtr+2, uint64(conn.RemotePort>>8), 1) != nil ||
+			p.M.Mem.PokeUint(addrPtr+3, uint64(conn.RemotePort&0xff), 1) != nil {
 			return -int64(EFAULT), nil
 		}
-		p.M.Mem.PokeUint(addrPtr+2, uint64(conn.RemotePort>>8), 1)
-		p.M.Mem.PokeUint(addrPtr+3, uint64(conn.RemotePort&0xff), 1)
-		if lenPtr != 0 {
-			p.M.Mem.PokeUint(lenPtr, 16, 4)
+		if lenPtr != 0 && p.M.Mem.PokeUint(lenPtr, 16, 4) != nil {
+			return -int64(EFAULT), nil
 		}
 	}
 	return p.allocFD(&FD{Conn: conn}), nil

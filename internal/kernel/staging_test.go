@@ -90,8 +90,8 @@ func (g *sysGuest) open(path string, data []byte) uint64 {
 	return uint64(fd)
 }
 
-// accept returns the guest fd and client end of one loopback connection.
-func (g *sysGuest) accept() (uint64, *netstack.Conn) {
+// listen returns the guest fd of a socket listening on testPort.
+func (g *sysGuest) listen() uint64 {
 	g.t.Helper()
 	sfd := uint64(g.call(kernel.SysSocket))
 	g.poke(pathAddr, []byte{2, 0, testPort >> 8, testPort & 0xff})
@@ -101,6 +101,13 @@ func (g *sysGuest) accept() (uint64, *netstack.Conn) {
 	if r := g.call(kernel.SysListen, sfd, 8); r != 0 {
 		g.t.Fatalf("listen = %d", r)
 	}
+	return sfd
+}
+
+// accept returns the guest fd and client end of one loopback connection.
+func (g *sysGuest) accept() (uint64, *netstack.Conn) {
+	g.t.Helper()
+	sfd := g.listen()
 	conn, err := g.k.Net.Dial(testPort)
 	if err != nil {
 		g.t.Fatal(err)
@@ -256,6 +263,28 @@ func TestStagingFaultsKeepErrnoAndOffset(t *testing.T) {
 				t.Fatalf("follow-up read = %q (%d), want %q", got, n, tc.rest)
 			}
 		})
+	}
+}
+
+// TestAcceptFaultsOnUnwritableOutParams checks that accept answers EFAULT,
+// not a new fd, when any byte of the peer sockaddr or of *addrlen lands on
+// an unmapped page — not only the sockaddr's first two bytes.
+func TestAcceptFaultsOnUnwritableOutParams(t *testing.T) {
+	g := newSysGuest(t)
+	sfd := g.listen()
+	for _, tc := range []struct {
+		name          string
+		addr, addrlen uint64
+	}{
+		{"port bytes on an unmapped page", bufEnd - 2, 0},
+		{"unmapped addrlen", bufBase, unmappedAddr},
+	} {
+		if _, err := g.k.Net.Dial(testPort); err != nil {
+			t.Fatal(err)
+		}
+		if r := g.call(kernel.SysAccept, sfd, tc.addr, tc.addrlen); r != -int64(kernel.EFAULT) {
+			t.Errorf("%s: accept = %d, want -EFAULT", tc.name, r)
+		}
 	}
 }
 

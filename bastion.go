@@ -191,7 +191,7 @@ func NewWorkload(name string) (WorkloadTarget, error) { return workload.NewTarge
 type BenchSpec = bench.RunSpec
 
 // Mitigation stacks for BenchSpec, in the paper's Figure 3 order.
-const (
+var (
 	MitVanilla = bench.MitVanilla
 	MitCFI     = bench.MitCFI
 	MitCET     = bench.MitCET

@@ -121,34 +121,6 @@ func parseMode(s string) (monitor.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (want full, fetch-only, or hook-only)", s)
 }
 
-// parseContexts turns a comma list of ct/cf/ai/sf (or "all") into a
-// context mask.
-func parseContexts(s string) (monitor.Context, error) {
-	if strings.EqualFold(strings.TrimSpace(s), "all") {
-		return monitor.AllContexts, nil
-	}
-	var ctx monitor.Context
-	for _, tok := range strings.Split(strings.ToLower(strings.ReplaceAll(s, " ", "")), ",") {
-		switch tok {
-		case "ct":
-			ctx |= monitor.CallType
-		case "cf":
-			ctx |= monitor.ControlFlow
-		case "ai":
-			ctx |= monitor.ArgIntegrity
-		case "sf":
-			ctx |= monitor.SyscallFlow
-		case "":
-		default:
-			return 0, fmt.Errorf("must be all or a comma list of ct,cf,ai,sf, got %q", tok)
-		}
-	}
-	if ctx == 0 {
-		return 0, fmt.Errorf("list %q enables nothing", s)
-	}
-	return ctx, nil
-}
-
 // parseReloadSpec turns a comma list of policy tokens into the hot-reload
 // generation's PolicySpec: tree, extendfs, offload toggle the
 // corresponding knobs on (everything unlisted is off), and any of
@@ -156,6 +128,7 @@ func parseContexts(s string) (monitor.Context, error) {
 // context enforced).
 func parseReloadSpec(s string) (*fleet.PolicySpec, error) {
 	spec := &fleet.PolicySpec{}
+	var ctxToks []string
 	for _, tok := range strings.Split(strings.ToLower(strings.ReplaceAll(s, " ", "")), ",") {
 		switch tok {
 		case "tree":
@@ -164,22 +137,17 @@ func parseReloadSpec(s string) (*fleet.PolicySpec, error) {
 			spec.ExtendFS = true
 		case "offload":
 			spec.Offload = true
-		case "ct":
-			spec.Contexts |= monitor.CallType
-			spec.UseContexts = true
-		case "cf":
-			spec.Contexts |= monitor.ControlFlow
-			spec.UseContexts = true
-		case "ai":
-			spec.Contexts |= monitor.ArgIntegrity
-			spec.UseContexts = true
-		case "sf":
-			spec.Contexts |= monitor.SyscallFlow
-			spec.UseContexts = true
 		case "":
 		default:
-			return nil, fmt.Errorf("unknown reload token %q (want tree, extendfs, offload, ct, cf, ai, sf)", tok)
+			ctxToks = append(ctxToks, tok)
 		}
+	}
+	if len(ctxToks) > 0 {
+		ctx, err := monitor.ParseContexts(strings.Join(ctxToks, ","))
+		if err != nil {
+			return nil, fmt.Errorf("want tree, extendfs, offload or contexts: %w", err)
+		}
+		spec.Contexts, spec.UseContexts = ctx, true
 	}
 	return spec, nil
 }
@@ -243,7 +211,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	ctxMask, err := parseContexts(*ctxFlag)
+	ctxMask, err := monitor.ParseContexts(*ctxFlag)
 	if err != nil {
 		fail("-contexts: %v", err)
 	}

@@ -19,56 +19,25 @@ import (
 	"bastion/internal/apps/nginx"
 	"bastion/internal/apps/sqlitedb"
 	"bastion/internal/apps/vsftpd"
-	"bastion/internal/baseline/cet"
-	"bastion/internal/baseline/llvmcfi"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/kernel/fs"
-	"bastion/internal/obs"
 	"bastion/internal/vm"
 )
 
 // Defense selects the protection configuration an attack runs against.
-type Defense struct {
-	Name       string
-	UseMonitor bool
-	Contexts   monitor.Context
-	CET        bool
-	CFI        bool
-	// Mode selects the monitor mode (ModeFull by default); the
-	// differential suite sweeps it.
-	Mode monitor.Mode
-	// CoarsePolicies runs the monitor on the pre-refinement
-	// AllowedIndirect sets (metadata.CoarseIndirect, applied before
-	// attach); the refinement replay suite asserts verdicts are
-	// byte-identical either way.
-	CoarsePolicies bool
-	// ExtendFS traps the file-system syscall set as well — the §11.2
-	// extension; the offload differential suite sweeps it so the offloaded
-	// syscall set is non-trivial.
-	ExtendFS bool
-	// Offload answers CT-membership and constant-argument verdicts inside
-	// the seccomp filter (monitor.Config.Offload); the offload differential
-	// suite asserts verdicts are byte-identical with it on and off.
-	Offload bool
-	// Sink receives the monitor's decision trace. Telemetry never charges
-	// cycles, so the traced replay suite asserts verdicts are identical
-	// with and without it.
-	Sink obs.Sink
-	// FlightN enables the monitor's flight recorder.
-	FlightN int
-}
+type Defense = core.Defense
 
 // Canonical defenses for the evaluation.
 var (
 	DefNone = Defense{Name: "unprotected"}
-	DefCT   = Defense{Name: "CT", UseMonitor: true, Contexts: monitor.CallType}
-	DefCF   = Defense{Name: "CF", UseMonitor: true, Contexts: monitor.ControlFlow}
-	DefAI   = Defense{Name: "AI", UseMonitor: true, Contexts: monitor.ArgIntegrity}
-	DefSF   = Defense{Name: "SF", UseMonitor: true, Contexts: monitor.SyscallFlow}
-	DefAll  = Defense{Name: "BASTION", UseMonitor: true, Contexts: monitor.AllContexts}
+	DefCT   = Defense{Name: "CT", Monitor: core.Enforcing(monitor.CallType)}
+	DefCF   = Defense{Name: "CF", Monitor: core.Enforcing(monitor.ControlFlow)}
+	DefAI   = Defense{Name: "AI", Monitor: core.Enforcing(monitor.ArgIntegrity)}
+	DefSF   = Defense{Name: "SF", Monitor: core.Enforcing(monitor.SyscallFlow)}
+	DefAll  = Defense{Name: "BASTION", Monitor: core.Enforcing(monitor.AllContexts)}
 	DefCET  = Defense{Name: "CET", CET: true}
 	DefCFI  = Defense{Name: "LLVM-CFI", CFI: true}
 )
@@ -88,8 +57,6 @@ type ClientConn interface {
 type Env struct {
 	App  string
 	P    *core.Protected
-	CET  *cet.ShadowStack
-	CFI  *llvmcfi.CFI
 	Conn ClientConn
 
 	// LastErr records the most recent guest-execution error (kills land
@@ -330,44 +297,13 @@ func LaunchArtifact(app string, art *core.Artifact, d Defense) (*Env, error) {
 func launchArtifact(app string, art *core.Artifact, d Defense, extra ...vm.Option) (*Env, error) {
 	k := kernel.New(nil)
 	InstallFixtures(k)
-	var err error
-
-	env := &Env{App: app}
-	var vmOpts []vm.Option
-	if d.CET {
-		env.CET = cet.New()
-		vmOpts = append(vmOpts, vm.WithMitigations(env.CET))
-	}
-	if d.CFI {
-		env.CFI = llvmcfi.New(art.Prog)
-		vmOpts = append(vmOpts, vm.WithMitigations(env.CFI))
-	}
-	vmOpts = append(vmOpts, vm.WithMaxSteps(1<<24))
-	vmOpts = append(vmOpts, extra...)
-
-	var prot *core.Protected
-	if d.UseMonitor {
-		cfg := monitor.DefaultConfig()
-		cfg.Contexts = d.Contexts
-		cfg.Mode = d.Mode
-		cfg.ExtendFS = d.ExtendFS
-		cfg.Offload = d.Offload
-		cfg.Sink = d.Sink
-		cfg.FlightN = d.FlightN
-		launched := art
-		if d.CoarsePolicies {
-			coarse := *art
-			coarse.Meta = art.Meta.CoarseIndirect()
-			launched = &coarse
-		}
-		prot, err = core.Launch(launched, k, cfg, vmOpts...)
-	} else {
-		prot, err = core.LaunchUnprotected(art, k, vmOpts...)
-	}
+	// Every defense launches art's program (Launch's is the instrumented
+	// one), so gadget and callsite addresses are the same under each.
+	prot, err := d.Launch(art, k, append([]vm.Option{vm.WithMaxSteps(1 << 24)}, extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	env.P = prot
+	env := &Env{App: app, P: prot}
 
 	// Application initialization (legitimate phase).
 	switch app {

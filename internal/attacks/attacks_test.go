@@ -3,6 +3,7 @@ package attacks
 import (
 	"testing"
 
+	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 )
 
@@ -122,7 +123,7 @@ func TestReportOnlyCoversVerdicts(t *testing.T) {
 		if !ok {
 			t.Fatalf("no scenario %s", id)
 		}
-		env, err := Launch(s.App, Defense{Name: "report", UseMonitor: true, Contexts: monitor.AllContexts})
+		env, err := Launch(s.App, Defense{Name: "report", Monitor: core.Enforcing(monitor.AllContexts)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import "testing"
 // ROP dies at the shadow stack before any syscall, while data-only attacks
 // slip past CET and die at the monitor.
 func TestCombinedCETAndBastion(t *testing.T) {
-	combined := Defense{Name: "CET+BASTION", UseMonitor: true, Contexts: DefAll.Contexts, CET: true}
+	combined := Defense{Name: "CET+BASTION", CET: true, Monitor: DefAll.Monitor}
 	cases := map[string]string{ // id -> expected killer
 		"rop-exec-01":     "cet",
 		"rop-memperm-03":  "cet",

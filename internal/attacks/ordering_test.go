@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 )
 
@@ -15,11 +16,7 @@ import (
 // legitimate callsite, with legitimate arguments. Only a defense that
 // includes SF observes the sequence impossibility and kills the guest.
 func TestOrderingFamilyDifferential(t *testing.T) {
-	perTrap := Defense{
-		Name:       "CT+CF+AI",
-		UseMonitor: true,
-		Contexts:   monitor.CallType | monitor.ControlFlow | monitor.ArgIntegrity,
-	}
+	perTrap := Defense{Name: "CT+CF+AI", Monitor: core.Enforcing(monitor.CallType | monitor.ControlFlow | monitor.ArgIntegrity)}
 	bypassed := []Defense{DefNone, DefCT, DefCF, DefAI, perTrap, DefCET, DefCFI}
 	blocking := []Defense{DefSF, DefAll}
 

@@ -17,9 +17,9 @@ func TestRefinedPoliciesPreserveVerdicts(t *testing.T) {
 	for _, s := range Catalog() {
 		for _, d := range defenses {
 			refined := d
-			refined.CoarsePolicies = false
+			refined.Coarse = false
 			coarse := d
-			coarse.CoarsePolicies = true
+			coarse.Coarse = true
 
 			outR, err := Execute(s, refined)
 			if err != nil {
@@ -71,7 +71,7 @@ func TestTable6RenderIdenticalCoarseVsRefined(t *testing.T) {
 		var b strings.Builder
 		for _, s := range Catalog() {
 			for _, d := range []Defense{DefCT, DefCF, DefAI, DefAll} {
-				d.CoarsePolicies = coarse
+				d.Coarse = coarse
 				out, err := Execute(s, d)
 				if err != nil {
 					t.Fatalf("%s under %s: %v", s.ID, d.Name, err)

@@ -32,16 +32,12 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 
-	"bastion/internal/baseline/cet"
-	"bastion/internal/baseline/llvmcfi"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/fleet"
 	"bastion/internal/kernel"
-	"bastion/internal/obs"
 	"bastion/internal/vm"
 	"bastion/internal/workload"
 )
@@ -49,72 +45,38 @@ import (
 // SimHz converts simulated cycles to seconds (1 GHz).
 const SimHz = 1e9
 
-// Mitigation selects one column of Figure 3 / Table 3.
-type Mitigation int
-
-// Mitigation stacks, in the paper's presentation order.
-const (
-	MitVanilla Mitigation = iota
-	MitCFI
-	MitCET
-	MitCETCT
-	MitCETCTCF
-	MitFull
+// Mitigation stacks, in the paper's presentation order: the columns of
+// Figure 3 / Table 3.
+var (
+	MitVanilla = core.Defense{Name: "vanilla"}
+	MitCFI     = core.Defense{Name: "LLVM CFI", CFI: true}
+	MitCET     = core.Defense{Name: "CET", CET: true}
+	MitCETCT   = core.Defense{Name: "CET+CT", CET: true, Monitor: core.Enforcing(monitor.CallType)}
+	MitCETCTCF = core.Defense{Name: "CET+CT+CF", CET: true, Monitor: core.Enforcing(monitor.CallType | monitor.ControlFlow)}
+	MitFull    = core.Defense{Name: "CET+CT+CF+AI+SF", CET: true, Monitor: core.Enforcing(monitor.AllContexts)}
 )
 
 // Mitigations lists the Figure 3 columns.
-var Mitigations = []Mitigation{MitVanilla, MitCFI, MitCET, MitCETCT, MitCETCTCF, MitFull}
-
-func (m Mitigation) String() string {
-	switch m {
-	case MitVanilla:
-		return "vanilla"
-	case MitCFI:
-		return "LLVM CFI"
-	case MitCET:
-		return "CET"
-	case MitCETCT:
-		return "CET+CT"
-	case MitCETCTCF:
-		return "CET+CT+CF"
-	case MitFull:
-		return "CET+CT+CF+AI+SF"
-	}
-	return fmt.Sprintf("mitigation(%d)", int(m))
-}
+var Mitigations = []core.Defense{MitVanilla, MitCFI, MitCET, MitCETCT, MitCETCTCF, MitFull}
 
 // mitSlug maps a mitigation stack onto the artifact's metric-name
 // alphabet (lowercase, no spaces or '+').
-func mitSlug(m Mitigation) string {
-	switch m {
-	case MitVanilla:
+func mitSlug(m core.Defense) string {
+	switch m.Name {
+	case MitVanilla.Name:
 		return "vanilla"
-	case MitCFI:
+	case MitCFI.Name:
 		return "cfi"
-	case MitCET:
+	case MitCET.Name:
 		return "cet"
-	case MitCETCT:
+	case MitCETCT.Name:
 		return "cet_ct"
-	case MitCETCTCF:
+	case MitCETCTCF.Name:
 		return "cet_ct_cf"
-	case MitFull:
+	case MitFull.Name:
 		return "full"
 	}
 	return "unknown"
-}
-
-// contexts returns the monitor contexts a mitigation enables (0 = no
-// monitor).
-func (m Mitigation) contexts() monitor.Context {
-	switch m {
-	case MitCETCT:
-		return monitor.CallType
-	case MitCETCTCF:
-		return monitor.CallType | monitor.ControlFlow
-	case MitFull:
-		return monitor.AllContexts
-	}
-	return 0
 }
 
 // sharedArtifacts deduplicates program, metadata, and seccomp-filter
@@ -126,44 +88,23 @@ var sharedArtifacts = fleet.NewArtifacts()
 
 // RunSpec describes one measurement.
 type RunSpec struct {
-	App        string
-	Mitigation Mitigation
-	Units      int
-	// ExtendFS and Mode select the Table 7 configurations.
+	App   string
+	Units int
+	// Mitigation is the defense the guest runs under: one of Mitigations,
+	// or a copy with its Monitor or Coarse edited for an ablation.
+	Mitigation core.Defense
+	// ExtendFS and Mode select the Table 7 configurations. Run applies them
+	// onto Mitigation.Monitor: ExtendFS when set, Mode when not ModeFull.
 	ExtendFS bool
 	Mode     monitor.Mode
-	// DisableAcceptFastPath runs the §9.2 ablation.
-	DisableAcceptFastPath bool
-	// InKernel runs the monitor in-kernel (the §11.2 eBPF proposal).
-	InKernel bool
-	// TreeFilter selects the binary-search seccomp compilation (the
-	// linear-vs-tree filter ablation).
-	TreeFilter bool
-	// CoarsePolicies enforces the pre-refinement AllowedIndirect sets
-	// (the points-to refinement ablation) by launching on the
-	// metadata.CoarseIndirect projection.
-	CoarsePolicies bool
-	// Offload answers in-filter-decidable verdicts inside the seccomp
-	// program (the verdict-offload ablation).
-	Offload bool
-	// Contexts, when nonzero, overrides the mitigation's context mask — the
-	// offload ablation needs call-type + argument-integrity without
-	// control-flow, a combination no Mitigation level selects.
-	Contexts monitor.Context
 	// Artifacts selects the shared compilation cache backing the run
 	// (nil = the package-wide cache). Supply a fresh fleet.NewArtifacts()
 	// to measure compilation dedup in isolation.
 	Artifacts *fleet.Artifacts
-	// Sink attaches a decision-trace sink to the monitor and FlightN
-	// sizes its flight recorder (the observability ablation: telemetry
-	// must be cycle-invisible).
-	Sink    obs.Sink
-	FlightN int
 }
 
 // RunResult couples a workload measurement with its launch context.
 type RunResult struct {
-	Spec      RunSpec
 	Workload  workload.Result
 	Target    workload.Target
 	Protected *core.Protected
@@ -173,88 +114,60 @@ type RunResult struct {
 
 // Run executes one measurement on a fresh kernel and machine, launching
 // from the shared artifact cache (spec.Artifacts, or the package-wide one)
-// so repeated runs of the same app never recompile.
+// so repeated runs of the same app never recompile. A monitored defense
+// runs the instrumented program with its filter from the cache; any other
+// runs the raw program.
 func Run(spec RunSpec) (*RunResult, error) {
 	arts := spec.Artifacts
 	if arts == nil {
 		arts = sharedArtifacts
 	}
-	target, err := workload.NewTarget(spec.App)
+	d := spec.Mitigation
+	d.Monitor.ExtendFS = d.Monitor.ExtendFS || spec.ExtendFS
+	if spec.Mode != monitor.ModeFull {
+		d.Monitor.Mode = spec.Mode
+	}
+	if !d.Monitored() {
+		prog, err := arts.Raw(spec.App)
+		if err != nil {
+			return nil, err
+		}
+		return runOn(spec.App, spec.Units, &core.Artifact{Prog: prog}, d)
+	}
+	art, err := arts.Compiled(spec.App)
 	if err != nil {
 		return nil, err
 	}
+	if d.Monitor, err = arts.Config(spec.App, d.Monitor); err != nil {
+		return nil, err
+	}
+	return runOn(spec.App, spec.Units, art, d)
+}
 
+// runOn drives units of app's workload on a fresh kernel, launching art
+// under d.
+func runOn(app string, units int, art *core.Artifact, d core.Defense) (*RunResult, error) {
+	target, err := workload.NewTarget(app)
+	if err != nil {
+		return nil, err
+	}
 	k := kernel.New(nil)
-	k.Costs.IOPerByte = workload.IOPerByte(spec.App)
+	k.Costs.IOPerByte = workload.IOPerByte(app)
 	if err := target.Fixture(k); err != nil {
 		return nil, err
 	}
-
-	var vmOpts []vm.Option
-	vmOpts = append(vmOpts, vm.WithMaxSteps(1<<34))
-	switch spec.Mitigation {
-	case MitCFI:
-		prog, err := arts.Raw(spec.App)
-		if err != nil {
-			return nil, err
-		}
-		vmOpts = append(vmOpts, vm.WithMitigations(llvmcfi.New(prog)))
-	case MitCET, MitCETCT, MitCETCTCF, MitFull:
-		vmOpts = append(vmOpts, vm.WithMitigations(cet.New()))
-	}
-
-	res := &RunResult{Spec: spec, Target: target}
-	ctx := spec.Mitigation.contexts()
-	if spec.Contexts != 0 {
-		ctx = spec.Contexts
-	}
-	if ctx != 0 {
-		art, err := arts.Compiled(spec.App)
-		if err != nil {
-			return nil, err
-		}
-		cfg := monitor.DefaultConfig()
-		cfg.Policy = monitor.Policy{Contexts: ctx, ExtendFS: spec.ExtendFS, TreeFilter: spec.TreeFilter, Offload: spec.Offload}
-		cfg.Mode = spec.Mode
-		cfg.AcceptFastPath = !spec.DisableAcceptFastPath
-		cfg.InKernel = spec.InKernel
-		cfg, err = arts.Config(spec.App, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Telemetry rides on the resolved per-run copy: it never enters the
-		// shared artifact cache key.
-		cfg.Sink = spec.Sink
-		cfg.FlightN = spec.FlightN
-		launched := art
-		if spec.CoarsePolicies {
-			coarse := *art
-			coarse.Meta = art.Meta.CoarseIndirect()
-			launched = &coarse
-		}
-		prot, err := core.Launch(launched, k, cfg, vmOpts...)
-		if err != nil {
-			return nil, err
-		}
-		res.Protected = prot
-		res.Stats = art
-	} else {
-		prog, err := arts.Raw(spec.App)
-		if err != nil {
-			return nil, err
-		}
-		prot, err := core.LaunchUnprotected(&core.Artifact{Prog: prog}, k, vmOpts...)
-		if err != nil {
-			return nil, err
-		}
-		res.Protected = prot
-	}
-
-	wl, err := workload.Run(target, res.Protected, spec.Units)
+	prot, err := d.Launch(art, k, vm.WithMaxSteps(1<<34))
 	if err != nil {
 		return nil, err
 	}
-	res.Workload = wl
+	wl, err := workload.Run(target, prot, units)
+	if err != nil {
+		return nil, err
+	}
+	res := &RunResult{Workload: wl, Target: target, Protected: prot}
+	if d.Monitored() {
+		res.Stats = art
+	}
 	return res, nil
 }
 

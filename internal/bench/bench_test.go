@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bastion/internal/core"
 )
 
 // calUnits keeps unit counts small for test speed; the regeneration
@@ -66,7 +68,7 @@ func TestFigure3Shape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	for _, app := range Apps {
-		ovh := func(mit Mitigation) float64 { return get(t, m, "fig3."+app+"."+mitSlug(mit)+".overhead_pct") }
+		ovh := func(mit core.Defense) float64 { return get(t, m, "fig3."+app+"."+mitSlug(mit)+".overhead_pct") }
 		cfi, cet, ct, cf, full := ovh(MitCFI), ovh(MitCET), ovh(MitCETCT), ovh(MitCETCTCF), ovh(MitFull)
 		// Paper shape: baselines small; context stacking monotone; all
 		// configurations stay under a few percent.
@@ -97,7 +99,7 @@ func TestFigure3Shape(t *testing.T) {
 func TestTable3Shape(t *testing.T) {
 	tab, m := measure(t, "table3", calUnits)
 	for _, app := range Apps {
-		raw := func(mit Mitigation) float64 { return get(t, m, "table3."+app+"."+mitSlug(mit)+".raw") }
+		raw := func(mit core.Defense) float64 { return get(t, m, "table3."+app+"."+mitSlug(mit)+".raw") }
 		for _, mit := range Mitigations {
 			raw(mit)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"bastion/internal/attacks"
-	"bastion/internal/baseline/cet"
 	"bastion/internal/core"
 	"bastion/internal/core/analysis"
 	"bastion/internal/core/binscan"
@@ -15,7 +14,6 @@ import (
 	"bastion/internal/obs"
 	"bastion/internal/obs/perf"
 	"bastion/internal/seccomp"
-	"bastion/internal/vm"
 	"bastion/internal/workload"
 )
 
@@ -64,7 +62,7 @@ func violations(name string, r *RunResult) Value {
 func figure3(units int) (*Table, error) {
 	t := &Table{Heading: "Figure 3 — overhead per mitigation stack (%)", Header: []string{"app"}}
 	for _, mit := range Mitigations[1:] {
-		t.Header = append(t.Header, mit.String())
+		t.Header = append(t.Header, mit.Name)
 	}
 	return perApp(t, func(app string) (Row, error) {
 		base, err := Run(RunSpec{App: app, Mitigation: MitVanilla, Units: units})
@@ -118,7 +116,7 @@ func table3(units int) (*Table, error) {
 	unitOf := map[string]string{"nginx": "MB/s", "sqlite": "NOTPM", "vsftpd": "sec"}
 	t := &Table{Heading: "Table 3 — raw numbers", Header: []string{"app", "unit"}}
 	for _, mit := range Mitigations {
-		t.Header = append(t.Header, mit.String())
+		t.Header = append(t.Header, mit.Name)
 	}
 	return perApp(t, func(app string) (Row, error) {
 		row := Row{Cells: []Cell{text(app), text(unitOf[app])}}
@@ -299,7 +297,7 @@ func filterAblation(units int) (*Table, error) {
 	return perApp(t, func(app string) (Row, error) {
 		base, lin, tree, err := onOff(
 			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, Mode: monitor.ModeHookOnly},
-			func(s *RunSpec) { s.TreeFilter = true })
+			func(s *RunSpec) { s.Mitigation.Monitor.TreeFilter = true })
 		if err != nil {
 			return Row{}, err
 		}
@@ -336,10 +334,10 @@ func sfAblation(units int) (*Table, error) {
 		Header:  []string{"app", "off mon cyc/unit", "on mon cyc/unit", "flow checks", "traps", "off overhead", "on overhead"},
 	}
 	return perApp(t, func(app string) (Row, error) {
-		base, off, on, err := onOff(
-			RunSpec{App: app, Mitigation: MitFull, Units: units,
-				Contexts: monitor.CallType | monitor.ControlFlow | monitor.ArgIntegrity},
-			func(s *RunSpec) { s.Contexts = 0 })
+		noSF := MitFull
+		noSF.Monitor.Contexts &^= monitor.SyscallFlow
+		base, off, on, err := onOff(RunSpec{App: app, Mitigation: noSF, Units: units},
+			func(s *RunSpec) { s.Mitigation = MitFull })
 		if err != nil {
 			return Row{}, err
 		}
@@ -376,10 +374,10 @@ func offloadAblation(units int) (*Table, error) {
 		Header:  []string{"app", "off traps", "on traps", "avoided", "offloaded nrs", "off mon cyc/unit", "on mon cyc/unit", "off overhead", "on overhead"},
 	}
 	return perApp(t, func(app string) (Row, error) {
-		base, off, on, err := onOff(
-			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true,
-				Contexts: monitor.CallType | monitor.ArgIntegrity},
-			func(s *RunSpec) { s.Offload = true })
+		ctAI := MitFull
+		ctAI.Monitor.Contexts = monitor.CallType | monitor.ArgIntegrity
+		base, off, on, err := onOff(RunSpec{App: app, Mitigation: ctAI, Units: units, ExtendFS: true},
+			func(s *RunSpec) { s.Mitigation.Monitor.Offload = true })
 		if err != nil {
 			return Row{}, err
 		}
@@ -414,9 +412,10 @@ func refineAblation(units int) (*Table, error) {
 		Header:  []string{"app", "edges coarse→refined", "pairs coarse→refined", "exact sites", "escaped sites", "coarse mon cyc/unit", "refined mon cyc/unit", "coarse overhead", "refined overhead"},
 	}
 	return perApp(t, func(app string) (Row, error) {
-		base, coarse, refined, err := onOff(
-			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, CoarsePolicies: true},
-			func(s *RunSpec) { s.CoarsePolicies = false })
+		coarseFull := MitFull
+		coarseFull.Coarse = true
+		base, coarse, refined, err := onOff(RunSpec{App: app, Mitigation: coarseFull, Units: units, ExtendFS: true},
+			func(s *RunSpec) { s.Mitigation = MitFull })
 		if err != nil {
 			return Row{}, err
 		}
@@ -456,7 +455,7 @@ func obsAblation(units int) (*Table, error) {
 		sink := &obs.BufferSink{}
 		_, off, on, err := onOff(
 			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true},
-			func(s *RunSpec) { s.Sink, s.FlightN = sink, 32 })
+			func(s *RunSpec) { s.Mitigation.Monitor.Sink, s.Mitigation.Monitor.FlightN = sink, 32 })
 		if err != nil {
 			return Row{}, err
 		}
@@ -500,7 +499,7 @@ func extras(units int) (*Table, error) {
 	}
 	base, fast, walk, err := onOff(
 		RunSpec{App: "nginx", Mitigation: MitFull, Units: units},
-		func(s *RunSpec) { s.DisableAcceptFastPath = true })
+		func(s *RunSpec) { s.Mitigation.Monitor.AcceptFastPath = false })
 	if err != nil {
 		return nil, fmt.Errorf("accept: %w", err)
 	}
@@ -510,7 +509,7 @@ func extras(units int) (*Table, error) {
 	for _, app := range Apps {
 		base, ptrace, inK, err := onOff(
 			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true},
-			func(s *RunSpec) { s.InKernel = true })
+			func(s *RunSpec) { s.Mitigation.Monitor.InKernel = true })
 		if err != nil {
 			return nil, fmt.Errorf("in-kernel %s: %w", app, err)
 		}
@@ -528,19 +527,21 @@ func extras(units int) (*Table, error) {
 // display-only: Table 6 already gates each verdict.
 func defenseComparison(int) (*Table, error) {
 	ids := []string{"rop-exec-01", "direct-cscfi", "cve-2013-2028", "ind-newton-cpi", "ind-jujutsu", "ord-setuid-replay"}
-	defs := []string{"unprotected", "CT", "CF", "AI", "SF", "BASTION", "CET", "LLVM-CFI"}
 	rows, err := attacks.CompareDefenses(ids)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Heading: "Defense comparison (representative attacks)", Header: append([]string{"attack"}, defs...)}
+	t := &Table{Heading: "Defense comparison (representative attacks)", Header: []string{"attack"}}
+	for _, d := range attacks.Defenses {
+		t.Header = append(t.Header, d.Name)
+	}
 	for _, r := range rows {
 		row := Row{Cells: []Cell{text(r.Scenario.ID)}}
-		for _, def := range defs {
+		for _, d := range attacks.Defenses {
 			mark := "×"
-			if r.Blocked[def] {
+			if r.Blocked[d.Name] {
 				mark = "✓"
-				if by := r.KilledBy[def]; by != "" {
+				if by := r.KilledBy[d.Name]; by != "" {
 					mark += " (" + by + ")"
 				}
 			}
@@ -623,25 +624,8 @@ func runExtracted(app string, units int) (*RunResult, *binscan.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	target, err := workload.NewTarget(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	k := kernel.New(nil)
-	k.Costs.IOPerByte = workload.IOPerByte(app)
-	if err := target.Fixture(k); err != nil {
-		return nil, nil, err
-	}
-	cfg := monitor.DefaultConfig()
-	cfg.ExtendFS = true
-	prot, err := core.Launch(&core.Artifact{Prog: prog, Meta: ext.Meta}, k, cfg,
-		vm.WithMitigations(cet.New()), vm.WithMaxSteps(1<<34))
-	if err != nil {
-		return nil, nil, err
-	}
-	wl, err := workload.Run(target, prot, units)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &RunResult{Spec: RunSpec{App: app, Units: units}, Workload: wl, Target: target, Protected: prot}, ext, nil
+	d := MitFull
+	d.Monitor.ExtendFS = true
+	r, err := runOn(app, units, &core.Artifact{Prog: prog, Meta: ext.Meta}, d)
+	return r, ext, err
 }

@@ -41,7 +41,7 @@ func TestRunDedupesCompilation(t *testing.T) {
 
 	// Different filter-relevant config on the same cache adds exactly one
 	// more filter compilation, not a program compilation.
-	spec.TreeFilter = true
+	spec.Mitigation.Monitor.TreeFilter = true
 	if _, err := Run(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package core
 import (
 	"fmt"
 
+	"bastion/internal/baseline/cet"
+	"bastion/internal/baseline/llvmcfi"
 	"bastion/internal/core/analysis"
 	"bastion/internal/core/metadata"
 	"bastion/internal/core/monitor"
@@ -87,4 +89,60 @@ func LaunchUnprotected(a *Artifact, k *kernel.Kernel, vmOpts ...vm.Option) (*Pro
 	}
 	proc := k.Register(m)
 	return &Protected{Machine: m, Proc: proc, Kernel: k}, nil
+}
+
+// Defense is one rung of the evaluation's defense ladder (Figure 3's
+// mitigation stacks, Table 6's defenses): the baseline mitigations a guest
+// runs under plus, when Monitor.Contexts is nonzero, the BASTION monitor.
+// It is a value: a copy edited for an ablation never changes the rung it
+// was copied from.
+type Defense struct {
+	Name string
+	// CET enforces a shadow stack on returns; CFI enforces LLVM-style
+	// type-based indirect-call checks with classes built from the launched
+	// program.
+	CET, CFI bool
+	// Coarse launches the monitor on the pre-refinement AllowedIndirect
+	// sets (metadata.CoarseIndirect), the points-to refinement ablation.
+	Coarse bool
+	// Monitor configures the monitor, attached only when Monitor.Contexts
+	// is nonzero.
+	Monitor monitor.Config
+}
+
+// Enforcing returns the default monitor configuration narrowed to ctx.
+func Enforcing(ctx monitor.Context) monitor.Config {
+	cfg := monitor.DefaultConfig()
+	cfg.Contexts = ctx
+	return cfg
+}
+
+func (d Defense) String() string { return d.Name }
+
+// Monitored reports whether Launch attaches the monitor.
+func (d Defense) Monitored() bool { return d.Monitor.Contexts != 0 }
+
+// Launch starts artifact a on kernel k under d: Launch with d.Monitor when
+// d is monitored, LaunchUnprotected otherwise. The defense's mitigations
+// precede the extra vm options.
+func (d Defense) Launch(a *Artifact, k *kernel.Kernel, opts ...vm.Option) (*Protected, error) {
+	var ms []vm.Mitigation
+	if d.CET {
+		ms = append(ms, cet.New())
+	}
+	if d.CFI {
+		ms = append(ms, llvmcfi.New(a.Prog))
+	}
+	if len(ms) > 0 {
+		opts = append([]vm.Option{vm.WithMitigations(ms...)}, opts...)
+	}
+	if !d.Monitored() {
+		return LaunchUnprotected(a, k, opts...)
+	}
+	if d.Coarse {
+		coarse := *a
+		coarse.Meta = a.Meta.CoarseIndirect()
+		a = &coarse
+	}
+	return Launch(a, k, d.Monitor, opts...)
 }

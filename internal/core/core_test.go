@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"bastion/internal/apps/guestlibc"
 	"bastion/internal/core"
+	"bastion/internal/core/metadata"
 	"bastion/internal/core/monitor"
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
@@ -106,5 +108,66 @@ func TestUnprotectedHasNoMonitor(t *testing.T) {
 	}
 	if _, err := prot.Machine.CallFunction("main"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefenseLaunch: a defense attaches the monitor exactly when its
+// Monitor.Contexts is nonzero, installs CET before CFI, and launches a
+// coarse defense on the CoarseIndirect projection without touching the
+// artifact.
+func TestDefenseLaunch(t *testing.T) {
+	art, err := core.Compile(minimalProgram(), core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		d           core.Defense
+		mitigations string
+		monitored   bool
+	}{
+		{core.Defense{Name: "none"}, "", false},
+		{core.Defense{Name: "zero mask", Monitor: core.Enforcing(0)}, "", false},
+		{core.Defense{Name: "cet+cfi", CET: true, CFI: true}, "*cet.ShadowStack *llvmcfi.CFI", false},
+		{core.Defense{Name: "ct", CET: true, Monitor: core.Enforcing(monitor.CallType)}, "*cet.ShadowStack", true},
+	} {
+		prot, err := tc.d.Launch(art, kernel.New(nil), vm.WithMaxSteps(1<<16))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.d, err)
+		}
+		var names []string
+		for _, m := range prot.Machine.Mitigations {
+			names = append(names, fmt.Sprintf("%T", m))
+		}
+		if got := strings.Join(names, " "); got != tc.mitigations {
+			t.Errorf("%s: mitigations %q, want %q", tc.d, got, tc.mitigations)
+		}
+		if (prot.Monitor != nil) != tc.monitored || tc.d.Monitored() != tc.monitored {
+			t.Fatalf("%s: monitor attached %v, Monitored %v, want %v", tc.d, prot.Monitor != nil, tc.d.Monitored(), tc.monitored)
+		}
+		if tc.monitored && prot.Monitor.Cfg.Contexts != tc.d.Monitor.Contexts {
+			t.Errorf("%s: monitor enforces %v, want %v", tc.d, prot.Monitor.Cfg.Contexts, tc.d.Monitor.Contexts)
+		}
+		if _, err := prot.Machine.CallFunction("main"); err != nil {
+			t.Fatalf("%s: %v", tc.d, err)
+		}
+	}
+
+	// A coarse policy that differs from the refined one in one marked
+	// entry, on a copy of the metadata.
+	meta := *art.Meta
+	meta.AllowedIndirectCoarse = metadata.NrAddrSets{kernel.SysGetpid: {0xc0a45e: true}}
+	marked := &core.Artifact{Prog: art.Prog, Meta: &meta}
+	for _, coarse := range []bool{false, true} {
+		d := core.Defense{Name: "bastion", Coarse: coarse, Monitor: core.Enforcing(monitor.AllContexts)}
+		prot, err := d.Launch(marked, kernel.New(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prot.Monitor.Meta.AllowedIndirect[kernel.SysGetpid][0xc0a45e]; got != coarse {
+			t.Errorf("coarse %v: monitor enforces the marked coarse entry: %v", coarse, got)
+		}
+		if marked.Meta != &meta || meta.AllowedIndirect[kernel.SysGetpid][0xc0a45e] {
+			t.Fatalf("coarse %v: Launch changed the artifact's metadata", coarse)
+		}
 	}
 }

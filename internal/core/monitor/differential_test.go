@@ -134,10 +134,8 @@ func TestDifferentialAttackMatrix(t *testing.T) {
 			}
 			rt := roundTrip(t, art)
 			for _, c := range differentialCases {
-				d := attacks.Defense{
-					Name: "diff/" + c.name, UseMonitor: true,
-					Contexts: c.contexts, Mode: c.mode,
-				}
+				d := attacks.Defense{Name: "diff/" + c.name, Monitor: core.Enforcing(c.contexts)}
+				d.Monitor.Mode = c.mode
 				var obs [2]observation
 				var cycles [2]uint64
 				for i, a := range []*core.Artifact{art, rt} {

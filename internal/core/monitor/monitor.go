@@ -70,6 +70,36 @@ func (c Context) String() string {
 	return s
 }
 
+// ParseContexts turns "all" or a comma list of ct, cf, ai and sf (any
+// order and case, blanks and empty items ignored) into a context mask. A
+// list that enables nothing is an error.
+func ParseContexts(list string) (Context, error) {
+	s := strings.ToLower(strings.ReplaceAll(list, " ", ""))
+	if s == "all" {
+		return AllContexts, nil
+	}
+	var ctx Context
+	for _, tok := range strings.Split(s, ",") {
+		switch tok {
+		case "ct":
+			ctx |= CallType
+		case "cf":
+			ctx |= ControlFlow
+		case "ai":
+			ctx |= ArgIntegrity
+		case "sf":
+			ctx |= SyscallFlow
+		case "":
+		default:
+			return 0, fmt.Errorf("contexts must be all or a comma list of ct,cf,ai,sf, got %q", tok)
+		}
+	}
+	if ctx == 0 {
+		return 0, fmt.Errorf("contexts list %q enables nothing", list)
+	}
+	return ctx, nil
+}
+
 // Mode selects how much work the monitor does per trap — the three rows of
 // Table 7.
 type Mode int

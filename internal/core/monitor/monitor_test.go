@@ -421,6 +421,53 @@ func TestContextStringRendering(t *testing.T) {
 	}
 }
 
+// TestParseContexts: every subset of ct,cf,ai,sf, in every order and in
+// either case, parses to its mask; "all" is AllContexts; a list enabling
+// nothing and an unknown token are rejected.
+func TestParseContexts(t *testing.T) {
+	toks := []string{"ct", "cf", "ai", "sf"}
+	ctxs := []monitor.Context{monitor.CallType, monitor.ControlFlow, monitor.ArgIntegrity, monitor.SyscallFlow}
+	var permute func(list []string, k int, visit func([]string))
+	permute = func(list []string, k int, visit func([]string)) {
+		if k == len(list) {
+			visit(list)
+			return
+		}
+		for i := k; i < len(list); i++ {
+			list[k], list[i] = list[i], list[k]
+			permute(list, k+1, visit)
+			list[k], list[i] = list[i], list[k]
+		}
+	}
+	for set := 1; set < 1<<len(toks); set++ {
+		var sub []string
+		var want monitor.Context
+		for i := range toks {
+			if set&(1<<i) != 0 {
+				sub = append(sub, toks[i])
+				want |= ctxs[i]
+			}
+		}
+		permute(sub, 0, func(order []string) {
+			for _, in := range []string{strings.Join(order, ","), strings.ToUpper(strings.Join(order, ", "))} {
+				if got, err := monitor.ParseContexts(in); err != nil || got != want {
+					t.Errorf("ParseContexts(%q) = %v, %v; want %v", in, got, err, want)
+				}
+			}
+		})
+	}
+	for _, in := range []string{"all", "ALL", " All "} {
+		if got, err := monitor.ParseContexts(in); err != nil || got != monitor.AllContexts {
+			t.Errorf("ParseContexts(%q) = %v, %v; want all", in, got, err)
+		}
+	}
+	for _, in := range []string{"", " ", ",", "ct,xx", "none", "all,ct"} {
+		if got, err := monitor.ParseContexts(in); err == nil {
+			t.Errorf("ParseContexts(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
 func TestMonitorReport(t *testing.T) {
 	prot := launch(t, monitor.DefaultConfig())
 	if _, err := prot.Machine.CallFunction("main"); err != nil {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"bastion/internal/attacks"
+	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/kernel"
 	"bastion/internal/obs"
@@ -257,14 +258,12 @@ func TestDifferentialTracingInvisible(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for _, c := range differentialCases {
-				d := attacks.Defense{
-					Name: "trace/" + c.name, UseMonitor: true,
-					Contexts: c.contexts, Mode: c.mode,
-				}
+				d := attacks.Defense{Name: "trace/" + c.name, Monitor: core.Enforcing(c.contexts)}
+				d.Monitor.Mode = c.mode
 				off, offEnv := observe(t, s, d)
 				sink := &obs.BufferSink{}
-				d.Sink = sink
-				d.FlightN = 32
+				d.Monitor.Sink = sink
+				d.Monitor.FlightN = 32
 				on, onEnv := observe(t, s, d)
 				if !off.equal(on) {
 					t.Errorf("%s: tracing changed the observable outcome\n  off: %s\n  on:  %s",

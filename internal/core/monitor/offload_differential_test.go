@@ -12,6 +12,7 @@ import (
 
 	"bastion/internal/attacks"
 	"bastion/internal/bench"
+	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 )
 
@@ -45,13 +46,11 @@ func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for _, c := range offloadCases {
-				d := attacks.Defense{
-					Name: "offdiff/" + c.name, UseMonitor: true,
-					Contexts: c.contexts, Mode: c.mode,
-					ExtendFS: true,
-				}
+				d := attacks.Defense{Name: "offdiff/" + c.name, Monitor: core.Enforcing(c.contexts)}
+				d.Monitor.Mode = c.mode
+				d.Monitor.ExtendFS = true
 				off, _ := observe(t, s, d)
-				d.Offload = true
+				d.Monitor.Offload = true
 				on, onEnv := observe(t, s, d)
 				if !off.equal(on) {
 					t.Errorf("%s: offload changed the observable outcome\n  off: %s\n  on:  %s",
@@ -81,16 +80,13 @@ func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 func TestOffloadDifferentialWorkloads(t *testing.T) {
 	for _, app := range bench.Apps {
 		t.Run(app, func(t *testing.T) {
-			spec := bench.RunSpec{
-				App: app, Mitigation: bench.MitFull, Units: 25,
-				ExtendFS: true,
-				Contexts: monitor.CallType | monitor.ArgIntegrity,
-			}
+			spec := bench.RunSpec{App: app, Mitigation: bench.MitFull, Units: 25, ExtendFS: true}
+			spec.Mitigation.Monitor.Contexts = monitor.CallType | monitor.ArgIntegrity
 			off, err := bench.Run(spec)
 			if err != nil {
 				t.Fatalf("offload-off run: %v", err)
 			}
-			spec.Offload = true
+			spec.Mitigation.Monitor.Offload = true
 			on, err := bench.Run(spec)
 			if err != nil {
 				t.Fatalf("offload-on run: %v", err)

@@ -34,10 +34,10 @@ func TestStageCountersSumToMonitorCycles(t *testing.T) {
 	for _, app := range bench.Apps {
 		for _, c := range configs {
 			t.Run(app+"/"+c.name, func(t *testing.T) {
-				res, err := bench.Run(bench.RunSpec{
-					App: app, Mitigation: bench.MitFull, Units: 10, ExtendFS: true,
-					Contexts: c.contexts, Offload: c.offload,
-				})
+				spec := bench.RunSpec{App: app, Mitigation: bench.MitFull, Units: 10, ExtendFS: true}
+				spec.Mitigation.Monitor.Contexts = c.contexts
+				spec.Mitigation.Monitor.Offload = c.offload
+				res, err := bench.Run(spec)
 				if err != nil {
 					t.Fatal(err)
 				}

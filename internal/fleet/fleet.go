@@ -49,7 +49,8 @@ type Config struct {
 
 	// Policy is the launch policy (generation 0) every tenant's monitor
 	// enforces. Its Contexts defaults to monitor.AllContexts when
-	// UseContexts is false; set UseContexts to enforce an explicit mask.
+	// UseContexts is false; set UseContexts to enforce an explicit,
+	// nonzero mask.
 	monitor.Policy
 	UseContexts bool
 	// Mode selects the monitor mode every tenant runs under; a hot reload
@@ -155,6 +156,15 @@ func (c *Config) Validate() error {
 	}
 	if c.Admission != nil && c.Shards == 0 {
 		return errors.New("fleet: admission control needs shards > 0")
+	}
+	// A zero mask would launch tenants the report counts as protected with
+	// no monitor attached (core.Defense), or swap to a policy checking
+	// nothing.
+	if c.UseContexts && c.Contexts == 0 {
+		return errors.New("fleet: an explicit context mask must enable at least one context")
+	}
+	if c.ReloadSpec != nil && c.ReloadSpec.UseContexts && c.ReloadSpec.Contexts == 0 {
+		return errors.New("fleet: an explicit reload context mask must enable at least one context")
 	}
 	if c.ReloadAt < 0 {
 		return fmt.Errorf("fleet: reload unit must be non-negative, got %d", c.ReloadAt)
@@ -666,7 +676,7 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	mcfg.FlightN = cfg.FlightN
 	mcfg.Tenant = idx
 
-	prot, err := core.Launch(art, k, mcfg, vm.WithMaxSteps(maxSteps), vm.WithPool(&pool.vm))
+	prot, err := core.Defense{Monitor: mcfg}.Launch(art, k, vm.WithMaxSteps(maxSteps), vm.WithPool(&pool.vm))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -38,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative reload unit", func(c *Config) { c.ReloadAt = -1 }, "reload unit must be non-negative"},
 		{"reload without spec", func(c *Config) { c.ReloadAt = 3 }, "needs a reload policy spec"},
 		{"reload past units", func(c *Config) { c.ReloadAt = 6; c.ReloadSpec = &PolicySpec{} }, "needs more than"},
+		{"empty context mask", func(c *Config) { c.UseContexts = true }, "enable at least one context"},
+		{"empty reload context mask", func(c *Config) { c.ReloadAt = 3; c.ReloadSpec = &PolicySpec{UseContexts: true} },
+			"reload context mask must enable"},
 	}
 	for _, tc := range cases {
 		cfg := base

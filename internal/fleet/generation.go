@@ -10,7 +10,8 @@ import (
 // plane are launch decisions and stay fixed across reloads.
 type PolicySpec struct {
 	// Contexts is the enforced context mask; UseContexts distinguishes an
-	// explicit mask from the AllContexts default (mirroring Config).
+	// explicit, nonzero mask from the AllContexts default (mirroring
+	// Config).
 	Contexts    monitor.Context
 	UseContexts bool
 

@@ -27,11 +27,11 @@ func TestTenantReleasesPagesOnEveryExit(t *testing.T) {
 			func(r *TenantResult) bool { return r.Dead && r.Faults == 1 }},
 		{"attack kill", func(c *Config) { c.Malicious = map[int]string{evil: "cve-2012-0809"} },
 			func(r *TenantResult) bool { return r.Dead && r.Kills == 1 }},
-		// With no context enforced, this attack completes and the tenant
-		// is quarantined.
+		// A hook-only monitor checks nothing, so this attack completes and
+		// the tenant is quarantined.
 		{"quarantine", func(c *Config) {
 			c.Malicious = map[int]string{evil: "cve-2014-8668"}
-			c.UseContexts, c.Contexts, c.Mode = true, 0, monitor.ModeHookOnly
+			c.Mode = monitor.ModeHookOnly
 		}, func(r *TenantResult) bool { return r.Dead && r.Compromised }},
 	} {
 		cfg := DefaultConfig(3, 6)

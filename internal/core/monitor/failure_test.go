@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"bastion/internal/apps/guestlibc"
@@ -14,6 +15,7 @@ import (
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/vm"
+	"bastion/internal/workload"
 )
 
 // buildTiny returns a program whose main performs one sensitive call.
@@ -256,4 +258,117 @@ func TestForgedDigestSizeFailsClosed(t *testing.T) {
 			t.Fatalf("inKernel=%v: judging the forged entry allocated %d bytes on the host", inKernel, grew)
 		}
 	}
+}
+
+// TestForgedValueTableFailsClosed: the value table lives in guest-writable
+// memory. After vsFTPd's init, every empty slot is filled with junk, so
+// no lookup of a key the guest has not recorded meets an empty slot and
+// no new value finds room. Under both cost settings the run must end in
+// an argument-integrity kill, and the killing trap must stay within the
+// per-trap worst case DESIGN.md gives: lookups stop at shadow.MaxProbe
+// slots instead of reading the whole table, one charged read per slot.
+func TestForgedValueTableFailsClosed(t *testing.T) {
+	const junk = 1 << 62 // no guest address has this bit
+	for _, inKernel := range []bool{false, true} {
+		target, err := workload.NewTarget("vsftpd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := core.Compile(target.Build(), core.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kernel.New(nil)
+		k.Costs.IOPerByte = workload.IOPerByte("vsftpd")
+		if err := target.Fixture(k); err != nil {
+			t.Fatal(err)
+		}
+		cfg := monitor.DefaultConfig()
+		cfg.InKernel = inKernel
+		cfg.FlightN = 1
+		prot, err := core.Launch(art, k, cfg, vm.WithMaxSteps(1<<34))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.Init(prot); err != nil {
+			t.Fatal(err)
+		}
+		sp := prot.Machine.Mem
+		for slot := uint64(0); slot < shadow.ValueCap; slot++ {
+			at := shadow.ValueBase() + slot*24
+			if key, err := sp.PeekUint(at, 8); err != nil || key != 0 {
+				continue
+			}
+			for i, w := range []uint64{junk | slot, 0xbad, 8} {
+				if err := sp.PokeUint(at+uint64(8*i), w, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		_, err = workload.Continue(target, prot, 0, 20)
+		var ke *vm.KillError
+		if !errors.As(err, &ke) || ke.By != "monitor" {
+			t.Fatalf("inKernel=%v: forged table did not end in a monitor kill: %v", inKernel, err)
+		}
+		v := prot.Monitor.Violations
+		// "unreadable": the lookup stopped at the probe limit with an
+		// error. An unbounded probe would have read the whole table and
+		// answered a miss.
+		if len(v) != 1 || v[0].Context != monitor.ArgIntegrity || !strings.Contains(v[0].Reason, "unreadable") || len(v[0].History) != 1 {
+			t.Fatalf("inKernel=%v: violations = %v", inKernel, v)
+		}
+		var maxDigest uint64
+		for slot := uint64(0); slot < shadow.ValueCap; slot++ {
+			at := shadow.ValueBase() + slot*24
+			key, _ := sp.PeekUint(at, 8)
+			meta, _ := sp.PeekUint(at+16, 8)
+			if key&junk == 0 && meta&shadow.MetaDigest != 0 {
+				maxDigest = max(maxDigest, meta&shadow.MetaSizeMask)
+			}
+		}
+		kill := v[0].History[0]
+		bound := trapBound(prot.Monitor, k.Costs, inKernel, maxDigest)
+		if cycles := kill.End - kill.Start; cycles > bound {
+			t.Fatalf("inKernel=%v: killing trap cost %d cycles, documented bound %d", inKernel, cycles, bound)
+		}
+	}
+}
+
+// trapBound is DESIGN.md's per-trap worst case for a monitor's config and
+// metadata: D = MaxUnwindDepth, A = the most arguments at one syscall
+// site, B = the most memory-backed arguments at one site, P =
+// shadow.MaxProbe, N = the largest fixed pointee (at most 4,096 bytes)
+// and S = the largest digest size in the value table.
+func trapBound(m *monitor.Monitor, kc kernel.Costs, inKernel bool, maxDigest uint64) uint64 {
+	mc := m.Cfg.Costs
+	fetch, base := mc.TrapRoundTrip+kc.GetRegs, kc.ReadMemBase
+	if inKernel {
+		fetch, base = kernel.InKernelFetch, 0
+	}
+	read := func(n uint64) uint64 { return base + kc.ReadMemPerWord*((n+7)/8) }
+	w := read(8)
+	lookup := (shadow.MaxProbe + 2) * w
+	var a, b, n uint64
+	for _, site := range m.Meta.ArgSites {
+		a = max(a, uint64(len(site.Args)))
+		var mem uint64
+		for _, spec := range site.Args {
+			if spec.Kind == metadata.ArgMem {
+				mem++
+				if spec.Deref {
+					n = max(n, uint64(min(max(spec.Size, 0), 4096)))
+				}
+			}
+		}
+		b = max(b, mem)
+	}
+	pp := mc.PointeePerByte
+	pointee := max(
+		read(n)+pp*n+n*lookup,
+		lookup+4*read(64)+256*pp+256*lookup,
+		lookup+read(maxDigest)+pp*maxDigest,
+	)
+	d := uint64(m.Cfg.MaxUnwindDepth)
+	return fetch + 2*d*w + mc.SFCheck + mc.CTCheck + mc.CFPerFrame*(d+1) +
+		a*(mc.AIPerArg+lookup+pointee) + (d-1)*b*(mc.AIPerArg+2*lookup+w)
 }

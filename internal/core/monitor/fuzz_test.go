@@ -32,7 +32,7 @@ func newMemMonitor(tb testing.TB, inKernel bool) (*Monitor, *mem.Space) {
 	cfg := DefaultConfig()
 	cfg.InKernel = inKernel
 	proc := &kernel.Process{K: kernel.New(nil), M: &vm.Machine{Mem: sp}}
-	return &Monitor{Cfg: cfg, proc: proc}, sp
+	return &Monitor{Cfg: cfg, guest: guestAccess(proc, cfg)}, sp
 }
 
 // FuzzReadCString is differential: the reader must agree with itself over
@@ -182,7 +182,7 @@ func TestWalkPointeeCoverage(t *testing.T) {
 	if err := sp.Map(fuzzBase, mem.PageSize, mem.PermRW); err != nil {
 		t.Fatal(err)
 	}
-	m.proc = &kernel.Process{K: kernel.New(nil), M: &vm.Machine{Mem: sp}}
+	m.guest = guestAccess(&kernel.Process{K: kernel.New(nil), M: &vm.Machine{Mem: sp}}, m.Cfg)
 	if v := m.walkPointee(kernel.SysBind, 2, fuzzBase, 16, true); v == nil {
 		t.Fatal("untraced in-parameter passed")
 	} else if !strings.Contains(v.Reason, "untraced") {
@@ -205,7 +205,7 @@ func TestReadCStringChunkBoundaries(t *testing.T) {
 			if err := sp.Poke(fuzzBase, append(bytes.Repeat([]byte{'b'}, termAt), 0)); err != nil {
 				t.Fatal(err)
 			}
-			k := m.proc.K
+			k := m.guest.P.K
 			before := k.Clock.Cycles
 			s, err := m.readCString(fuzzBase, 256)
 			if err != nil || len(s) != termAt {
@@ -226,39 +226,6 @@ func TestReadCStringChunkBoundaries(t *testing.T) {
 		}
 		if _, err := m.readCString(fuzzBase, 256); err == nil {
 			t.Fatalf("inKernel=%v: accepted an unterminated max-length string", inKernel)
-		}
-	}
-}
-
-// TestGuestReadersBothPaths: readWord decodes little-endian words at the
-// path's charge (ptrace pays the fixed process_vm_readv cost, the
-// in-kernel path only the per-word copy), and both readers fail on
-// unmapped guest memory.
-func TestGuestReadersBothPaths(t *testing.T) {
-	for _, inKernel := range []bool{false, true} {
-		m, sp := newMemMonitor(t, inKernel)
-		if err := sp.Poke(fuzzBase, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
-			t.Fatal(err)
-		}
-		k := m.proc.K
-		before := k.Clock.Cycles
-		v, err := m.readWord(fuzzBase)
-		if err != nil || v != 0x0807060504030201 {
-			t.Fatalf("inKernel=%v: readWord = %#x, %v", inKernel, v, err)
-		}
-		want := k.Costs.ReadMemPerWord
-		if !inKernel {
-			want += k.Costs.ReadMemBase
-		}
-		if got := k.Clock.Cycles - before; got != want {
-			t.Fatalf("inKernel=%v: readWord charged %d, want %d", inKernel, got, want)
-		}
-		unmapped := fuzzBase + 2*mem.PageSize
-		if _, err := m.readWord(unmapped); err == nil {
-			t.Fatalf("inKernel=%v: readWord of unmapped memory succeeded", inKernel)
-		}
-		if _, err := m.readCString(unmapped, 16); err == nil {
-			t.Fatalf("inKernel=%v: readCString of unmapped memory succeeded", inKernel)
 		}
 	}
 }

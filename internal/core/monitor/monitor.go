@@ -5,10 +5,10 @@
 // Argument-Integrity contexts before allowing the call to proceed. A
 // context violation kills the protected application.
 //
-// Every piece of guest state the monitor touches is fetched through
-// kernel.Process's ptrace-style API, which charges context-switch-scale
-// cycle costs to the shared clock — the overhead structure Table 7 of the
-// paper measures.
+// Every piece of guest state the monitor touches is fetched through one
+// kernel.Tracee, which charges each access to the shared clock: ptrace's
+// context-switch-scale costs, the overhead structure Table 7 of the paper
+// measures, or an in-kernel monitor's (Config.InKernel).
 package monitor
 
 import (
@@ -264,8 +264,9 @@ type Monitor struct {
 	// goroutines.
 	funcs metadata.FuncIndex
 
-	proc   *kernel.Process
-	shadow *shadow.Reader
+	// guest is the only access to the process; shadow loads through it.
+	guest  kernel.Tracee
+	shadow shadow.Reader
 
 	// Hooks counts SECCOMP_RET_TRACE stops; ChecksByNr per syscall.
 	Hooks      uint64
@@ -368,7 +369,7 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		Meta:       meta,
 		Cfg:        cfg,
 		funcs:      metadata.NewFuncIndex(meta),
-		proc:       proc,
+		guest:      guestAccess(proc, cfg),
 		ChecksByNr: map[uint32]uint64{},
 		Offload:    DeriveOffload(meta, cfg),
 	}
@@ -378,7 +379,7 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		return nil, fmt.Errorf("monitor: mapping shadow region: %w", err)
 	}
 	proc.M.Runtime = shadow.NewRuntime(proc.M.Mem)
-	m.shadow = shadow.NewReader(m.readWord)
+	m.shadow = shadow.Reader{Src: &m.guest}
 
 	prog := cfg.Filter
 	if prog == nil {
@@ -400,6 +401,15 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		25*uint64(len(meta.Funcs))
 	proc.K.Clock.Add(m.InitCycles)
 	return m, nil
+}
+
+// guestAccess is the monitor's access to proc, charged as ptrace or, with
+// cfg.InKernel, as the §11.2 in-kernel monitor. Only the charges differ.
+func guestAccess(proc *kernel.Process, cfg Config) kernel.Tracee {
+	if cfg.InKernel {
+		return kernel.Tracee{P: proc, Fetch: kernel.InKernelFetch}
+	}
+	return kernel.Tracee{P: proc, Fetch: cfg.Costs.TrapRoundTrip + proc.K.Costs.GetRegs, ReadBase: proc.K.Costs.ReadMemBase}
 }
 
 // buildFlowProjection projects the metadata transition graph onto the set
@@ -479,10 +489,10 @@ func (m *Monitor) initTelemetry() {
 	r.BindCounter("monitor_hooks_total", &m.Hooks)
 	r.BindCounter("monitor_flow_checks_total", &m.FlowChecks)
 	r.BindCounterMap("monitor_checks_total", m.ChecksByNr, kernel.Name)
-	if m.proc != nil {
+	if m.guest.P != nil {
 		// The kernel counts RET_LOG allows per syscall; with offload active
 		// each one is a trap the pure-monitor filter would have taken.
-		r.BindCounterMap("monitor_offload_avoided_total", m.proc.LogVerdicts, kernel.Name)
+		r.BindCounterMap("monitor_offload_avoided_total", m.guest.P.LogVerdicts, kernel.Name)
 	}
 	m.violCounter = r.Counter("monitor_violations_total")
 	m.cycFetch = r.Counter("monitor_cycles_fetch_total")
@@ -612,13 +622,7 @@ func (m *Monitor) trap(p *kernel.Process) error {
 	st := &m.stat
 	clk := &p.K.Clock.Cycles
 	c := *clk
-	var regs vm.Regs
-	if m.Cfg.InKernel {
-		regs = p.GetRegsInKernel()
-	} else {
-		p.K.Clock.Add(m.Cfg.Costs.TrapRoundTrip)
-		regs = p.GetRegs()
-	}
+	regs := m.guest.Regs()
 	st.fetch = *clk - c
 	st.fetched = true
 	nr := uint32(regs.RAX)
@@ -841,7 +845,7 @@ func (m *Monitor) innermostFrame(regs vm.Regs) ([]stackFrame, error) {
 	if regs.RBP == 0 {
 		return nil, nil
 	}
-	ret, err := m.readWord(regs.RBP + 8)
+	ret, err := m.guest.Load(regs.RBP + 8)
 	if err != nil || ret == 0 {
 		return nil, err
 	}
@@ -865,11 +869,11 @@ func (m *Monitor) flag(v Violation) error {
 // answered without stopping the tracee (total RET_LOG allows the kernel
 // counted). Zero when offload is off or nothing qualified.
 func (m *Monitor) OffloadAvoided() uint64 {
-	if m.proc == nil {
+	if m.guest.P == nil {
 		return 0
 	}
 	var n uint64
-	for _, c := range m.proc.LogVerdicts {
+	for _, c := range m.guest.P.LogVerdicts {
 		n += c
 	}
 	return n
@@ -926,7 +930,7 @@ func (m *Monitor) unwind(regs vm.Regs) (frames []stackFrame, clean bool, err err
 		if bp == 0 {
 			return frames, false, nil
 		}
-		ret, err := m.readWord(bp + 8)
+		ret, err := m.guest.Load(bp + 8)
 		if err != nil {
 			return frames, false, err
 		}
@@ -934,7 +938,7 @@ func (m *Monitor) unwind(regs vm.Regs) (frames []stackFrame, clean bool, err err
 			return frames, true, nil
 		}
 		frames = append(frames, stackFrame{Ret: ret, BP: bp})
-		bp, err = m.readWord(bp)
+		bp, err = m.guest.Load(bp)
 		if err != nil {
 			return frames, false, err
 		}
@@ -979,7 +983,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 	if !clean {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "stack walk did not reach the process base"}
 	}
-	m.proc.K.Clock.Add(m.Cfg.Costs.CFPerFrame * uint64(len(trace)+1))
+	m.guest.P.K.Clock.Add(m.Cfg.Costs.CFPerFrame * uint64(len(trace)+1))
 	prevFn := m.funcs.FuncAt(regs.RIP) // the wrapper containing the syscall
 	if prevFn == "" {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "syscall executing outside known code"}
@@ -1120,9 +1124,13 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 			if spec.Kind != metadata.ArgMem {
 				continue
 			}
-			m.proc.K.Clock.Add(m.Cfg.Costs.AIPerArg)
+			m.guest.P.K.Clock.Add(m.Cfg.Costs.AIPerArg)
 			addr, isConst, bound, err := m.shadow.Binding(ocs.Addr, spec.Pos)
-			if err != nil || !bound || isConst {
+			if err != nil {
+				return &Violation{Context: ArgIntegrity, Nr: nr,
+					Reason: fmt.Sprintf("shadow binding unreadable in %s frame", site.Caller)}
+			}
+			if !bound || isConst {
 				continue
 			}
 			v, meta, ok, err := m.shadow.Value(addr)
@@ -1134,7 +1142,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 			if size <= 0 || size > 8 || meta&shadow.MetaDigest != 0 {
 				continue
 			}
-			cur, err := m.readGuestUint(addr, size)
+			cur, err := m.guest.Uint(addr, size)
 			if err != nil {
 				return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "sensitive variable unreadable"}
 			}
@@ -1150,7 +1158,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 // checkSyscallFrameArgs verifies the trapping syscall's own arguments.
 func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.ArgSite) *Violation {
 	for _, spec := range site.Args {
-		m.proc.K.Clock.Add(m.Cfg.Costs.AIPerArg)
+		m.guest.P.K.Clock.Add(m.Cfg.Costs.AIPerArg)
 		actual := regs.Arg(spec.Pos)
 		switch spec.Kind {
 		case metadata.ArgConst:
@@ -1209,10 +1217,10 @@ func (m *Monitor) checkMemArg(nr uint32, regs vm.Regs, site metadata.ArgSite, sp
 		// copied whole: a forged size costs the host no allocation.
 		h := shadow.DigestInit
 		fold := func(b []byte) { h = shadow.DigestUpdate(h, b) }
-		if err := m.proc.ReadMemStream(actual, uint64(size), m.Cfg.InKernel, fold); err != nil {
+		if err := m.guest.Stream(actual, uint64(size), fold); err != nil {
 			return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "pointee unreadable"}
 		}
-		m.proc.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
+		m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
 		m.stat.pointee += uint64(size)
 		if h != v {
 			return &Violation{Context: ArgIntegrity, Nr: nr,
@@ -1260,7 +1268,7 @@ func (m *Monitor) readCString(ptr uint64, max int) (string, error) {
 	buf := make([]byte, max)
 	for i := 0; i < max; i += 64 {
 		end := min(i+64, max)
-		if err := m.readMem(ptr+uint64(i), buf[i:end]); err != nil {
+		if err := m.guest.Read(ptr+uint64(i), buf[i:end]); err != nil {
 			return "", err
 		}
 		if j := bytes.IndexByte(buf[i:end], 0); j >= 0 {
@@ -1277,7 +1285,7 @@ func (m *Monitor) checkCStringPointee(nr uint32, pos int, ptr uint64) *Violation
 	if err != nil {
 		return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "extended argument string unreadable"}
 	}
-	m.proc.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(len(s)+1))
+	m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(len(s)+1))
 	m.stat.pointee += uint64(len(s) + 1)
 	return m.verifyBytes(nr, pos, ptr, append([]byte(s), 0), true)
 }
@@ -1290,10 +1298,10 @@ func (m *Monitor) walkPointee(nr uint32, pos int, ptr uint64, size int64, requir
 		return nil
 	}
 	data := make([]byte, size)
-	if err := m.readMem(ptr, data); err != nil {
+	if err := m.guest.Read(ptr, data); err != nil {
 		return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "extended argument region unreadable"}
 	}
-	m.proc.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
+	m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
 	m.stat.pointee += uint64(size)
 	return m.verifyBytes(nr, pos, ptr, data, requireCoverage)
 }
@@ -1348,26 +1356,6 @@ func (m *Monitor) verifyBytes(nr uint32, pos int, base uint64, data []byte, requ
 			Reason: fmt.Sprintf("extended arg %d points to untraced data at %#x", pos, base)}
 	}
 	return nil
-}
-
-// readMem routes guest access through ptrace or the in-kernel facility
-// per configuration. readGuestUint is its word-sized form: it reads a
-// word with the same charge, through the word fast path.
-func (m *Monitor) readMem(addr uint64, buf []byte) error {
-	if m.Cfg.InKernel {
-		return m.proc.ReadMemInKernel(addr, buf)
-	}
-	return m.proc.ReadMem(addr, buf)
-}
-
-// readWord reads one little-endian 64-bit guest word.
-func (m *Monitor) readWord(addr uint64) (uint64, error) { return m.readGuestUint(addr, 8) }
-
-// readGuestUint reads one little-endian guest integer of size bytes (1 to
-// 8); only those bytes are read, and charged exactly as a readMem of
-// them.
-func (m *Monitor) readGuestUint(addr uint64, size int64) (uint64, error) {
-	return m.proc.ReadUint(addr, size, m.Cfg.InKernel)
 }
 
 // Report renders a human-readable enforcement summary: hook counts per

@@ -3,9 +3,9 @@
 // (under the %gs-analog region, §7.1). The instrumented guest writes
 // legitimate values and argument bindings into it through the runtime
 // library intrinsics (Table 2); the monitor reads it back through the
-// ptrace facility. Both sides share the same table layout via the Accessor
-// abstraction, so the guest pays inline-instrumentation cost while the
-// monitor pays process_vm_readv cost.
+// ptrace facility. Both sides share the same table layout (an Accessor on
+// the guest side, a Loader on the monitor side), so the guest pays
+// inline-instrumentation cost while the monitor pays process_vm_readv cost.
 package shadow
 
 import (
@@ -17,11 +17,15 @@ import (
 	"bastion/internal/vm"
 )
 
-// Accessor abstracts word-granular access to the shadow region. The guest
-// side wraps the VM's memory; the monitor side wraps the kernel's ptrace
-// reads (which charge cycle costs).
-type Accessor interface {
+// Loader reads one shadow word. The monitor's is its kernel.Tracee, which
+// charges every read.
+type Loader interface {
 	Load(addr uint64) (uint64, error)
+}
+
+// Accessor also writes shadow words: the guest side, over the VM's memory.
+type Accessor interface {
+	Loader
 	Store(addr uint64, v uint64) error
 }
 
@@ -70,8 +74,18 @@ func fnv1a(v uint64) uint64 {
 	return h
 }
 
-// ErrTableFull reports shadow-table exhaustion.
-var ErrTableFull = errors.New("shadow: table full")
+// MaxProbe bounds the slots one Get or Put probes, home slot included.
+// The table is guest-writable: without the bound, a guest that fills the
+// empty slots makes every lookup of a missing key read the whole table.
+const MaxProbe = 64
+
+// ErrTableFull: Put found no free slot within MaxProbe. ErrProbeLimit: Get
+// found neither the key nor a free slot, a table more crowded than any
+// legitimate guest builds, so the lookup has no answer (never a miss).
+var (
+	ErrTableFull  = errors.New("shadow: table full")
+	ErrProbeLimit = errors.New("shadow: probe limit reached")
+)
 
 // Put inserts or overwrites key → (value, meta).
 func (t *Table) Put(key, value, meta uint64) error {
@@ -79,7 +93,7 @@ func (t *Table) Put(key, value, meta uint64) error {
 		return errors.New("shadow: zero key")
 	}
 	idx := fnv1a(key) & (t.Cap - 1)
-	for i := uint64(0); i < t.Cap; i++ {
+	for i := uint64(0); i < min(t.Cap, MaxProbe); i++ {
 		s := t.Base + ((idx+i)&(t.Cap-1))*entryBytes
 		k, err := t.Acc.Load(s)
 		if err != nil {
@@ -100,13 +114,19 @@ func (t *Table) Put(key, value, meta uint64) error {
 
 // Get looks up key.
 func (t *Table) Get(key uint64) (value, meta uint64, ok bool, err error) {
+	return get(t.Acc, t.Base, t.Cap, key)
+}
+
+// get looks up key in the table of capacity slots at base, loading at
+// most MaxProbe+2 words through l.
+func get(l Loader, base, capacity, key uint64) (value, meta uint64, ok bool, err error) {
 	if key == 0 {
 		return 0, 0, false, nil
 	}
-	idx := fnv1a(key) & (t.Cap - 1)
-	for i := uint64(0); i < t.Cap; i++ {
-		s := t.Base + ((idx+i)&(t.Cap-1))*entryBytes
-		k, err := t.Acc.Load(s)
+	idx := fnv1a(key) & (capacity - 1)
+	for i := uint64(0); i < min(capacity, MaxProbe); i++ {
+		s := base + ((idx+i)&(capacity-1))*entryBytes
+		k, err := l.Load(s)
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -114,18 +134,18 @@ func (t *Table) Get(key uint64) (value, meta uint64, ok bool, err error) {
 			return 0, 0, false, nil
 		}
 		if k == key {
-			v, err := t.Acc.Load(s + 8)
+			v, err := l.Load(s + 8)
 			if err != nil {
 				return 0, 0, false, err
 			}
-			m, err := t.Acc.Load(s + 16)
+			m, err := l.Load(s + 16)
 			if err != nil {
 				return 0, 0, false, err
 			}
 			return v, m, true, nil
 		}
 	}
-	return 0, 0, false, nil
+	return 0, 0, false, ErrProbeLimit
 }
 
 // Region layout inside [ir.ShadowBase, ir.ShadowBase+ir.ShadowSize):
@@ -230,12 +250,22 @@ func (r *Runtime) CtxWriteMem(m *vm.Machine, addr uint64, size int64) error {
 		// as the inlined library's bounds check would.
 		return nil
 	}
-	return r.values.Put(addr, v, meta)
+	return record(r.values, addr, v, meta)
+}
+
+// record puts key → (value, meta) into t, dropping it when t is full:
+// the monitor's lookup of that key then meets the same crowded slots, an
+// ErrProbeLimit, so the check that needs the entry fails closed.
+func record(t *Table, key, value, meta uint64) error {
+	if err := t.Put(key, value, meta); !errors.Is(err, ErrTableFull) {
+		return err
+	}
+	return nil
 }
 
 // encodeAt returns EncodeValue of the size bytes at addr without
 // allocating: a value of up to 8 bytes is read into a stack word, and a
-// larger region is digested a chunk at a time.
+// larger region is digested as mem.Space.PeekEach hands it over.
 func encodeAt(space *mem.Space, addr uint64, size int64) (value, meta uint64, err error) {
 	if size <= 8 {
 		var buf [8]byte
@@ -246,14 +276,8 @@ func encodeAt(space *mem.Space, addr uint64, size int64) (value, meta uint64, er
 		return value, meta, nil
 	}
 	h := DigestInit
-	var buf [512]byte
-	for done := uint64(0); done < uint64(size); {
-		chunk := buf[:min(uint64(size)-done, uint64(len(buf)))]
-		if err := space.Peek(addr+done, chunk); err != nil {
-			return 0, 0, err
-		}
-		h = DigestUpdate(h, chunk)
-		done += uint64(len(chunk))
+	if err := space.PeekEach(addr, uint64(size), func(b []byte) { h = DigestUpdate(h, b) }); err != nil {
+		return 0, 0, err
 	}
 	return h, MetaDigest | uint64(size), nil
 }
@@ -262,49 +286,27 @@ func encodeAt(space *mem.Space, addr uint64, size int64) (value, meta uint64, er
 // the callsite at site.
 func (r *Runtime) CtxBindMem(m *vm.Machine, site uint64, pos int, addr uint64) error {
 	r.BindCount++
-	return r.binds.Put(BindKey(site, pos), addr, 0)
+	return record(r.binds, BindKey(site, pos), addr, 0)
 }
 
 // CtxBindConst binds constant val to argument pos of the callsite at site.
 func (r *Runtime) CtxBindConst(m *vm.Machine, site uint64, pos int, val int64) error {
 	r.BindCount++
-	return r.binds.Put(BindKey(site, pos), uint64(val), MetaConst)
+	return record(r.binds, BindKey(site, pos), uint64(val), MetaConst)
 }
 
-// Reader is the monitor-side read-only view of the shadow tables.
-type Reader struct {
-	values *Table
-	binds  *Table
-}
-
-// readOnly wraps an Accessor, rejecting stores.
-type readOnly struct{ load func(uint64) (uint64, error) }
-
-func (r readOnly) Load(addr uint64) (uint64, error) { return r.load(addr) }
-func (r readOnly) Store(uint64, uint64) error {
-	return errors.New("shadow: monitor view is read-only")
-}
-
-// NewReader builds a monitor-side view that reads shadow words through the
-// given word-load function (normally kernel.Process.ReadWord, which
-// charges ptrace cost per access).
-func NewReader(load func(uint64) (uint64, error)) *Reader {
-	acc := readOnly{load: load}
-	return &Reader{
-		values: NewTable(acc, ValueBase(), ValueCap),
-		binds:  NewTable(acc, BindBase(), BindCap),
-	}
-}
+// Reader is the monitor's read-only view of the shadow tables.
+type Reader struct{ Src Loader }
 
 // Value looks up the shadow copy recorded for addr.
-func (r *Reader) Value(addr uint64) (value, meta uint64, ok bool, err error) {
-	return r.values.Get(addr)
+func (r Reader) Value(addr uint64) (value, meta uint64, ok bool, err error) {
+	return get(r.Src, ValueBase(), ValueCap, addr)
 }
 
 // Binding looks up the binding for (callsite, pos). isConst reports a
 // constant binding; otherwise value is the bound variable's address.
-func (r *Reader) Binding(site uint64, pos int) (value uint64, isConst, ok bool, err error) {
-	v, meta, ok, err := r.binds.Get(BindKey(site, pos))
+func (r Reader) Binding(site uint64, pos int) (value uint64, isConst, ok bool, err error) {
+	v, meta, ok, err := get(r.Src, BindBase(), BindCap, BindKey(site, pos))
 	if err != nil || !ok {
 		return 0, false, ok, err
 	}

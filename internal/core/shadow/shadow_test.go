@@ -1,6 +1,8 @@
 package shadow
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +110,7 @@ func TestRuntimeAndReaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd := NewReader(func(addr uint64) (uint64, error) { return s.PeekUint(addr, 8) })
+	rd := Reader{Src: VMAccessor{Mem: s}}
 	v, meta, ok, err := rd.Value(0x4010)
 	if err != nil || !ok || v != 0xbeef || meta != 8 {
 		t.Fatalf("Value = %#x,%d,%v,%v", v, meta, ok, err)
@@ -135,17 +137,97 @@ func TestCtxWriteMemUnmappedIsNoop(t *testing.T) {
 	if err := rt.CtxWriteMem(nil, 0xdead0000, 8); err != nil {
 		t.Fatalf("unmapped CtxWriteMem: %v", err)
 	}
-	rd := NewReader(func(addr uint64) (uint64, error) { return s.PeekUint(addr, 8) })
+	rd := Reader{Src: VMAccessor{Mem: s}}
 	if _, _, ok, _ := rd.Value(0xdead0000); ok {
 		t.Fatal("entry created for unmapped variable")
 	}
 }
 
+// TestReaderIsReadOnly: the monitor's view can only look up. Its one
+// field is a Loader, which has no Store, and its only methods are the two
+// lookups, so no path through a Reader writes guest memory, whatever its
+// Loader also implements.
 func TestReaderIsReadOnly(t *testing.T) {
+	rt := reflect.TypeOf(Reader{})
+	if rt.NumField() != 1 || rt.Field(0).Type != reflect.TypeOf((*Loader)(nil)).Elem() {
+		t.Fatalf("Reader fields: %v", rt)
+	}
+	if lt := rt.Field(0).Type; lt.NumMethod() != 1 || lt.Method(0).Name != "Load" {
+		t.Fatalf("Loader has methods beyond Load: %d", lt.NumMethod())
+	}
+	var names []string
+	for i := range rt.NumMethod() {
+		names = append(names, rt.Method(i).Name)
+	}
+	if !slices.Equal(names, []string{"Binding", "Value"}) {
+		t.Fatalf("Reader methods = %v, want only the lookups", names)
+	}
+}
+
+// countingLoader counts the words a lookup loads.
+type countingLoader struct {
+	acc   Accessor
+	loads int
+}
+
+func (c *countingLoader) Load(addr uint64) (uint64, error) {
+	c.loads++
+	return c.acc.Load(addr)
+}
+
+// TestProbeLimit: a lookup reads at most MaxProbe slots. When the key's
+// home slot and the MaxProbe-1 after it hold other keys, Get is an error,
+// never a miss, after exactly MaxProbe loads, and Put reports the table
+// full; one free slot inside the window makes them a miss and an insert.
+// A full table smaller than MaxProbe is crowded too.
+func TestProbeLimit(t *testing.T) {
 	s := newSpace(t)
-	rd := NewReader(func(addr uint64) (uint64, error) { return s.PeekUint(addr, 8) })
-	if err := rd.values.Put(1, 2, 3); err == nil {
-		t.Fatal("reader allowed a write")
+	acc := VMAccessor{Mem: s}
+	const capacity = 1 << 10
+	tab := NewTable(acc, ValueBase(), capacity)
+	const key = uint64(0x4242)
+	home := fnv1a(key) & (capacity - 1)
+	for i := uint64(0); i < MaxProbe; i++ {
+		slot := ValueBase() + ((home+i)&(capacity-1))*entryBytes
+		if err := acc.Store(slot, 1<<62|i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := &countingLoader{acc: acc}
+	if _, _, ok, err := get(cl, ValueBase(), capacity, key); err != ErrProbeLimit || ok {
+		t.Fatalf("crowded Get = %v, %v; want ErrProbeLimit", ok, err)
+	}
+	if cl.loads != MaxProbe {
+		t.Fatalf("crowded Get loaded %d words, want %d", cl.loads, MaxProbe)
+	}
+	if _, _, _, err := tab.Get(key); err != ErrProbeLimit {
+		t.Fatalf("Table.Get = %v", err)
+	}
+	if err := tab.Put(key, 1, 8); err != ErrTableFull {
+		t.Fatalf("crowded Put = %v, want ErrTableFull", err)
+	}
+	last := ValueBase() + ((home+MaxProbe-1)&(capacity-1))*entryBytes
+	if err := acc.Store(last, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := tab.Get(key); err != nil || ok {
+		t.Fatalf("Get with a free slot in the window = %v, %v; want a miss", ok, err)
+	}
+	if err := tab.Put(key, 7, 8); err != nil {
+		t.Fatalf("Put into the window's last slot: %v", err)
+	}
+	if v, _, ok, err := tab.Get(key); err != nil || !ok || v != 7 {
+		t.Fatalf("Get after Put = %d, %v, %v", v, ok, err)
+	}
+
+	small := NewTable(acc, BindBase(), 8)
+	for i := uint64(1); i <= 8; i++ {
+		if err := small.Put(i*0x10, i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ok, err := small.Get(0x999); err != ErrProbeLimit || ok {
+		t.Fatalf("full small table Get = %v, %v; want ErrProbeLimit", ok, err)
 	}
 }
 

@@ -284,76 +284,56 @@ func (p *Process) SeccompFilter() []seccomp.Insn { return p.filter }
 // SetTracer attaches a tracer receiving SECCOMP_RET_TRACE stops.
 func (p *Process) SetTracer(t Tracer) { p.tracer = t }
 
-// --- ptrace-style facility (the monitor's only view of the guest) ---
+// --- tracing facility (the monitor's only view of the guest) ---
 
-// GetRegs returns the registers latched at the current syscall stop,
-// charging PTRACE_GETREGS cost.
-func (p *Process) GetRegs() vm.Regs {
-	p.K.Clock.Add(p.K.Costs.GetRegs)
-	return p.M.SysRegs
+// InKernelFetch is an in-kernel monitor's register fetch (the §11.2 eBPF
+// design): no tracee stop, no context switch.
+const InKernelFetch = 4
+
+// Tracee is a tracer's access to one process. Ptrace and an in-kernel
+// monitor differ only in what an access costs: Fetch is the whole
+// register fetch, and ReadBase the fixed cost of every memory read
+// (process_vm_readv's context switch, or 0) on top of its per-word copy.
+// Reads bypass page permissions, as ptrace does.
+type Tracee struct {
+	P        *Process
+	Fetch    uint64
+	ReadBase uint64
 }
 
-// ReadMem copies guest memory (process_vm_readv), charging the fixed cost
-// plus a per-word cost. It bypasses page permissions, as ptrace does.
-func (p *Process) ReadMem(addr uint64, buf []byte) error {
-	p.chargeRead(uint64(len(buf)), false)
-	return p.M.Mem.Peek(addr, buf)
+// Regs returns the registers latched at the current syscall stop.
+func (t *Tracee) Regs() vm.Regs {
+	t.P.K.Clock.Add(t.Fetch)
+	return t.P.M.SysRegs
 }
 
-// ReadMemInKernel copies guest memory as an in-kernel monitor would (the
-// §11.2 eBPF design): no context switch, only the per-word copy cost.
-func (p *Process) ReadMemInKernel(addr uint64, buf []byte) error {
-	p.chargeRead(uint64(len(buf)), true)
-	return p.M.Mem.Peek(addr, buf)
+// Read copies len(buf) guest bytes at addr into buf as one read.
+func (t *Tracee) Read(addr uint64, buf []byte) error {
+	t.charge(uint64(len(buf)))
+	return t.P.M.Mem.Peek(addr, buf)
 }
 
-// ReadUint reads one little-endian guest integer of size bytes (1 to 8)
-// as one ReadMem of size bytes (ReadMemInKernel when inKernel) and
-// charges exactly that. It reads through Mem.PeekUint, whose word fast
-// path falls back to Peek, so it faults exactly as that ReadMem does.
-func (p *Process) ReadUint(addr uint64, size int64, inKernel bool) (uint64, error) {
-	p.chargeRead(uint64(size), inKernel)
-	return p.M.Mem.PeekUint(addr, size)
+// Uint reads a little-endian integer of size bytes (1 to 8), charged and
+// faulting exactly as a Read of those bytes (Mem.PeekUint falls back to
+// Peek).
+func (t *Tracee) Uint(addr uint64, size int64) (uint64, error) {
+	t.charge(uint64(size))
+	return t.P.M.Mem.PeekUint(addr, size)
 }
 
-// streamChunk is the buffer ReadMemStream copies through.
-const streamChunk = 512
+// Load reads one 64-bit guest word (a shadow.Loader).
+func (t *Tracee) Load(addr uint64) (uint64, error) { return t.Uint(addr, 8) }
 
-// ReadMemStream reads the n guest bytes at addr as one ReadMem of n bytes
-// (ReadMemInKernel when inKernel) and charges exactly that, but hands the
-// bytes to visit a chunk at a time, in address order, through a fixed
-// buffer. visit must not keep the chunk. At an unreadable chunk it stops
-// and returns the fault; visit has then seen only the bytes before it. A
-// caller that only folds the bytes, as a digest does, so costs the host a
-// small fixed buffer whatever n a guest makes it read.
-func (p *Process) ReadMemStream(addr, n uint64, inKernel bool, visit func([]byte)) error {
-	p.chargeRead(n, inKernel)
-	var buf [streamChunk]byte
-	for done := uint64(0); done < n; {
-		chunk := buf[:min(n-done, streamChunk)]
-		if err := p.M.Mem.Peek(addr+done, chunk); err != nil {
-			return err
-		}
-		visit(chunk)
-		done += uint64(len(chunk))
-	}
-	return nil
+// Stream is a Read of n bytes that lends them to visit through
+// Mem.PeekEach, so a digest of a guest-chosen length needs no buffer.
+func (t *Tracee) Stream(addr, n uint64, visit func([]byte)) error {
+	t.charge(n)
+	return t.P.M.Mem.PeekEach(addr, n, visit)
 }
 
-// chargeRead charges one guest-memory read of n bytes: the per-word copy
-// cost, plus the process_vm_readv context switch unless inKernel.
-func (p *Process) chargeRead(n uint64, inKernel bool) {
-	cost := p.K.Costs.ReadMemPerWord * (n/8 + min(n%8, 1))
-	if !inKernel {
-		cost += p.K.Costs.ReadMemBase
-	}
-	p.K.Clock.Add(cost)
-}
-
-// GetRegsInKernel reads registers without the ptrace stop cost.
-func (p *Process) GetRegsInKernel() vm.Regs {
-	p.K.Clock.Add(4)
-	return p.M.SysRegs
+// charge charges one read of n bytes.
+func (t *Tracee) charge(n uint64) {
+	t.P.K.Clock.Add(t.ReadBase + t.P.K.Costs.ReadMemPerWord*(n/8+min(n%8, 1)))
 }
 
 // --- syscall dispatch ---

@@ -432,14 +432,15 @@ func TestPtraceFacilityChargesClock(t *testing.T) {
 	if _, err := m.CallFunction("main"); err != nil {
 		t.Fatal(err)
 	}
+	tr := &kernel.Tracee{P: proc, Fetch: k.Costs.GetRegs, ReadBase: k.Costs.ReadMemBase}
 	before := k.Clock.Cycles
-	_ = proc.GetRegs()
+	_ = tr.Regs()
 	if k.Clock.Cycles != before+k.Costs.GetRegs {
 		t.Fatalf("GetRegs charged %d", k.Clock.Cycles-before)
 	}
 	before = k.Clock.Cycles
 	buf := make([]byte, 64)
-	if err := proc.ReadMem(ir.StackTop-128, buf); err != nil {
+	if err := tr.Read(ir.StackTop-128, buf); err != nil {
 		t.Fatalf("ReadMem: %v", err)
 	}
 	want := k.Costs.ReadMemBase + k.Costs.ReadMemPerWord*8

@@ -98,10 +98,15 @@ func TestReleasedBuffersCarryNothing(t *testing.T) {
 	}
 }
 
+// ptrace is the tracee view of the guest's process with ptrace charges.
+func (g *sysGuest) ptrace() *kernel.Tracee {
+	return &kernel.Tracee{P: g.k.Process(g.m), Fetch: g.k.Costs.GetRegs, ReadBase: g.k.Costs.ReadMemBase}
+}
+
 // TestReadMemStreamMatchesReadMem: streaming a range charges exactly what
-// one ReadMem (or ReadMemInKernel) of it charges, delivers the same bytes
-// in order, and fails with the same fault, for ranges that cross pages
-// and chunks and ranges that run into or start in unmapped memory.
+// one Read of it charges, delivers the same bytes in order, and fails
+// with the same fault, for ranges that cross pages and ranges that run
+// into or start in unmapped memory.
 func TestReadMemStreamMatchesReadMem(t *testing.T) {
 	g := newSysGuest(t)
 	pattern := make([]byte, bufPages*mem.PageSize)
@@ -109,42 +114,35 @@ func TestReadMemStreamMatchesReadMem(t *testing.T) {
 		pattern[i] = byte(i * 7)
 	}
 	g.poke(bufBase, pattern)
-	p := g.k.Process(g.m)
-	for _, inKernel := range []bool{false, true} {
-		for _, addr := range []uint64{bufBase, bufBase + mem.PageSize - 3, bufEnd - 600, bufEnd - 1, unmappedAddr} {
-			for _, n := range []uint64{0, 1, 7, 8, 9, 511, 512, 513, mem.PageSize, 3*mem.PageSize + 17} {
-				want := make([]byte, n)
-				before := g.k.Clock.Cycles
-				var wantErr error
-				if inKernel {
-					wantErr = p.ReadMemInKernel(addr, want)
-				} else {
-					wantErr = p.ReadMem(addr, want)
-				}
-				wantCycles := g.k.Clock.Cycles - before
+	tr := g.ptrace()
+	for _, addr := range []uint64{bufBase, bufBase + mem.PageSize - 3, bufEnd - 600, bufEnd - 1, unmappedAddr} {
+		for _, n := range []uint64{0, 1, 7, 8, 9, 511, 512, 513, mem.PageSize, 3*mem.PageSize + 17} {
+			want := make([]byte, n)
+			before := g.k.Clock.Cycles
+			wantErr := tr.Read(addr, want)
+			wantCycles := g.k.Clock.Cycles - before
 
-				var got []byte
-				before = g.k.Clock.Cycles
-				err := p.ReadMemStream(addr, n, inKernel, func(b []byte) { got = append(got, b...) })
-				if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
-					t.Fatalf("inKernel=%v %#x+%d: stream charged %d cycles, ReadMem %d", inKernel, addr, n, cycles, wantCycles)
-				}
-				if !reflect.DeepEqual(err, wantErr) {
-					t.Fatalf("inKernel=%v %#x+%d: stream error %v, ReadMem %v", inKernel, addr, n, err, wantErr)
-				}
-				if err == nil && !bytes.Equal(got, want) || !bytes.Equal(got, want[:len(got)]) {
-					t.Fatalf("inKernel=%v %#x+%d: stream delivered %d bytes that differ from ReadMem's", inKernel, addr, n, len(got))
-				}
+			var got []byte
+			before = g.k.Clock.Cycles
+			err := tr.Stream(addr, n, func(b []byte) { got = append(got, b...) })
+			if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
+				t.Fatalf("%#x+%d: stream charged %d cycles, Read %d", addr, n, cycles, wantCycles)
+			}
+			if !reflect.DeepEqual(err, wantErr) {
+				t.Fatalf("%#x+%d: stream error %v, Read %v", addr, n, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(got, want) || !bytes.Equal(got, want[:len(got)]) {
+				t.Fatalf("%#x+%d: stream delivered %d bytes that differ from Read's", addr, n, len(got))
 			}
 		}
 	}
 }
 
-// TestReadUintMatchesReadMem: a word read charges exactly what a ReadMem
-// (or ReadMemInKernel) of its bytes charges, returns the little-endian
-// value of those bytes, and fails with the same fault, for words inside a
-// page, words that cross into the next page, words that run into unmapped
-// memory and words that start there.
+// TestReadUintMatchesReadMem: a word read charges exactly what a Read of
+// its bytes charges, returns the little-endian value of those bytes, and
+// fails with the same fault, for words inside a page, words that cross
+// into the next page, words that run into unmapped memory and words that
+// start there.
 func TestReadUintMatchesReadMem(t *testing.T) {
 	g := newSysGuest(t)
 	pattern := make([]byte, bufPages*mem.PageSize)
@@ -152,35 +150,28 @@ func TestReadUintMatchesReadMem(t *testing.T) {
 		pattern[i] = byte(i*7 + 1)
 	}
 	g.poke(bufBase, pattern)
-	p := g.k.Process(g.m)
-	for _, inKernel := range []bool{false, true} {
-		for _, addr := range []uint64{bufBase, bufBase + 13, bufBase + mem.PageSize - 3, bufEnd - 8, bufEnd - 3, unmappedAddr} {
-			for _, size := range []int64{1, 2, 4, 8} {
-				var buf [8]byte
-				before := g.k.Clock.Cycles
-				var wantErr error
-				if inKernel {
-					wantErr = p.ReadMemInKernel(addr, buf[:size])
-				} else {
-					wantErr = p.ReadMem(addr, buf[:size])
-				}
-				wantCycles := g.k.Clock.Cycles - before
-				var want uint64
-				if wantErr == nil {
-					want = binary.LittleEndian.Uint64(buf[:])
-				}
+	tr := g.ptrace()
+	for _, addr := range []uint64{bufBase, bufBase + 13, bufBase + mem.PageSize - 3, bufEnd - 8, bufEnd - 3, unmappedAddr} {
+		for _, size := range []int64{1, 2, 4, 8} {
+			var buf [8]byte
+			before := g.k.Clock.Cycles
+			wantErr := tr.Read(addr, buf[:size])
+			wantCycles := g.k.Clock.Cycles - before
+			var want uint64
+			if wantErr == nil {
+				want = binary.LittleEndian.Uint64(buf[:])
+			}
 
-				before = g.k.Clock.Cycles
-				got, err := p.ReadUint(addr, size, inKernel)
-				if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
-					t.Fatalf("inKernel=%v %#x/%d: ReadUint charged %d cycles, ReadMem %d", inKernel, addr, size, cycles, wantCycles)
-				}
-				if !reflect.DeepEqual(err, wantErr) {
-					t.Fatalf("inKernel=%v %#x/%d: ReadUint error %v, ReadMem %v", inKernel, addr, size, err, wantErr)
-				}
-				if got != want {
-					t.Fatalf("inKernel=%v %#x/%d: ReadUint = %#x, ReadMem bytes give %#x", inKernel, addr, size, got, want)
-				}
+			before = g.k.Clock.Cycles
+			got, err := tr.Uint(addr, size)
+			if cycles := g.k.Clock.Cycles - before; cycles != wantCycles {
+				t.Fatalf("%#x/%d: Uint charged %d cycles, Read %d", addr, size, cycles, wantCycles)
+			}
+			if !reflect.DeepEqual(err, wantErr) {
+				t.Fatalf("%#x/%d: Uint error %v, Read %v", addr, size, err, wantErr)
+			}
+			if got != want {
+				t.Fatalf("%#x/%d: Uint = %#x, Read bytes give %#x", addr, size, got, want)
 			}
 		}
 	}

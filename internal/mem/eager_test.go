@@ -188,7 +188,7 @@ func wordOp(t *testing.T, got *Space, want *eagerSpace, acc, addr uint64, width 
 
 // FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
 // model through the same random sequence of Map, Unmap, Protect, Read,
-// Write, Peek, Poke, ReadCString and the word accessors (ReadUint,
+// Write, Peek (and PeekEach), Poke, ReadCString and the word accessors (ReadUint,
 // WriteUint, PeekUint, PokeUint at widths 1, 2, 4 and 8). After every step it checks
 // byte-identical data, identical *Fault values, identical Regions, and
 // identical Mapped and PermAt answers for every page the operations can
@@ -285,6 +285,16 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 				gErr, wErr = got.Read(addr, gBuf), want.access(addr, wBuf, false, true)
 			} else {
 				gErr, wErr = got.Peek(addr, gBuf), want.access(addr, wBuf, false, false)
+				// PeekEach must fault as Peek does, having shown exactly
+				// the bytes before the fault, in order.
+				var seen []byte
+				eErr := got.PeekEach(addr, size, func(b []byte) { seen = append(seen, b...) })
+				var f *Fault
+				whole := wErr == nil && len(seen) == int(size)
+				upTo := errors.As(wErr, &f) && uint64(len(seen)) == f.Addr-addr
+				if !sameErr(eErr, wErr) || !whole && !upTo || !bytes.Equal(seen, wBuf[:len(seen)]) {
+					t.Fatalf("step %d: PeekEach(%#x, %d) showed %d bytes, %v; eager model %v", step, addr, size, len(seen), eErr, wErr)
+				}
 			}
 			if !bytes.Equal(gBuf, wBuf) {
 				t.Fatalf("step %d: op %d at %#x+%d: data differs from the eager model", step, op, addr, size)

@@ -86,10 +86,10 @@ func (f *Fault) Error() string {
 // A backing's lifecycle is demand-zero (nil) → backed on the first write
 // → released to the Space's FreeList by Unmap or Release → cleared and
 // backed again on a later first write, in this Space or another. No
-// method hands out a slice that aliases a backing: reads copy out and
-// ReadCString copies into its string. So once Unmap or Release returns,
-// nothing outside the FreeList refers to the pages it took, and reuse
-// cannot leak one guest's bytes to another.
+// method hands out a slice that aliases a backing beyond the call (reads
+// copy out; PeekEach lends one only while its visitor runs). So once
+// Unmap or Release returns, nothing outside the FreeList refers to the
+// pages it took, and reuse cannot leak one guest's bytes to another.
 type page struct {
 	data *[PageSize]byte
 	perm Perm
@@ -534,6 +534,31 @@ func (s *Space) Peek(addr uint64, buf []byte) error {
 // Poke writes bytes without permission checks (kernel/ptrace access).
 func (s *Space) Poke(addr uint64, buf []byte) error {
 	return s.access(addr, buf, true, false)
+}
+
+var zeroPage [PageSize]byte // what PeekEach shows of a page without backing
+
+// PeekEach is Peek without the copy: it lends visit the n bytes at addr in
+// address order, at most one page at a time, and returns Peek's fault
+// once visit has seen exactly the bytes before it. visit must neither
+// keep nor modify a segment.
+func (s *Space) PeekEach(addr, n uint64, visit func([]byte)) error {
+	for done := uint64(0); done < n; {
+		a := addr + done
+		pg := s.pageAt(a, PermNone)
+		if pg == nil {
+			return s.fault(a, false)
+		}
+		off := a % PageSize
+		chunk := min(PageSize-off, n-done)
+		if pg.data != nil {
+			visit(pg.data[off : off+chunk])
+		} else {
+			visit(zeroPage[:chunk])
+		}
+		done += chunk
+	}
+	return nil
 }
 
 func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {

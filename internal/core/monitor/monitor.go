@@ -219,9 +219,6 @@ type Config struct {
 	// retained and attached to every Violation as its History. 0 disables
 	// the recorder.
 	FlightN int
-	// Tenant stamps trace events with the owning tenant index (fleet
-	// runs; 0 standalone).
-	Tenant int
 	// MaxUnwindDepth bounds stack walks.
 	MaxUnwindDepth int
 	Costs          Costs
@@ -296,10 +293,10 @@ type Monitor struct {
 	Reloads      uint64
 	ReloadCycles uint64
 
-	// Metrics is the monitor's telemetry registry. The exported counter
-	// fields above remain the single storage — the registry renders
-	// through bound pointers — and the registry additionally owns the
-	// per-stage cycle counters and the trap histograms.
+	// Metrics is the monitor's telemetry registry. Every counter is a
+	// plain field — the exported ones above, the stage cycle totals and
+	// the violation count below — that the registry renders through a
+	// bound pointer; the registry owns only the trap histograms.
 	Metrics *obs.Registry
 	// Recorder is the flight recorder (nil unless Config.FlightN > 0).
 	Recorder *obs.FlightRecorder
@@ -323,32 +320,20 @@ type Monitor struct {
 	sfPrev    uint32
 	sfActive  bool
 
-	// Per-trap telemetry scratch, reused across traps so the nil-sink
-	// path adds no allocations to the hot path.
-	stat         trapStat
+	// ev is the current trap's record, reused across traps so the
+	// nil-sink path adds no allocations to the hot path. Its stage cycles
+	// are differences of clock readings taken at stage boundaries — the
+	// clock is read, never advanced, so the breakdown is free and always
+	// sums to the trap's total.
 	ev           obs.TrapEvent
 	frameScratch []stackFrame
 	histByNr     map[uint32]*obs.Histogram
 
-	violCounter                                     *obs.Counter
-	cycFetch, cycUnwind, cycCT, cycCF, cycAI, cycSF *obs.Counter
-	histTrap, histDepth, histPointee                *obs.Histogram
-}
-
-// trapStat accumulates one trap's telemetry while it executes. Stage
-// cycle attributions are differences of clock readings taken at stage
-// boundaries — the clock is read, never advanced, so the breakdown is
-// free and the stage fields always sum to the trap's total.
-type trapStat struct {
-	start   uint64
-	nr      uint32
-	fetched bool
-
-	fetch, unwind, ct, cf, ai, sf uint64
-
-	vCT, vCF, vAI, vSF obs.Verdict
-	depth              int
-	pointee            uint64
+	// stageCycles sums every trap's ev.Cycles; violations counts flagged
+	// violations. Both are bound into Metrics.
+	stageCycles                      obs.CycleBreakdown
+	violations                       uint64
+	histTrap, histDepth, histPointee *obs.Histogram
 }
 
 // Attach prepares a process for protection: maps the shadow region into
@@ -481,9 +466,9 @@ func setKeys(s metadata.NrSet) []uint32 {
 	return out
 }
 
-// initTelemetry builds the metrics registry, binds the pre-existing
-// exported counter fields and the per-syscall check map into it, and
-// sets up the flight recorder and the unwind scratch.
+// initTelemetry builds the metrics registry, binds the counter fields and
+// the per-syscall check map into it, and sets up the flight recorder and
+// the unwind scratch.
 func (m *Monitor) initTelemetry() {
 	r := obs.NewRegistry()
 	r.BindCounter("monitor_hooks_total", &m.Hooks)
@@ -494,13 +479,13 @@ func (m *Monitor) initTelemetry() {
 		// each one is a trap the pure-monitor filter would have taken.
 		r.BindCounterMap("monitor_offload_avoided_total", m.guest.P.LogVerdicts, kernel.Name)
 	}
-	m.violCounter = r.Counter("monitor_violations_total")
-	m.cycFetch = r.Counter("monitor_cycles_fetch_total")
-	m.cycUnwind = r.Counter("monitor_cycles_unwind_total")
-	m.cycCT = r.Counter("monitor_cycles_ct_total")
-	m.cycCF = r.Counter("monitor_cycles_cf_total")
-	m.cycAI = r.Counter("monitor_cycles_ai_total")
-	m.cycSF = r.Counter("monitor_cycles_sf_total")
+	r.BindCounter("monitor_violations_total", &m.violations)
+	r.BindCounter("monitor_cycles_fetch_total", &m.stageCycles.Fetch)
+	r.BindCounter("monitor_cycles_unwind_total", &m.stageCycles.Unwind)
+	r.BindCounter("monitor_cycles_ct_total", &m.stageCycles.CT)
+	r.BindCounter("monitor_cycles_cf_total", &m.stageCycles.CF)
+	r.BindCounter("monitor_cycles_ai_total", &m.stageCycles.AI)
+	r.BindCounter("monitor_cycles_sf_total", &m.stageCycles.SF)
 	m.histTrap = r.Histogram("monitor_trap_cycles", obs.CycleBuckets)
 	m.histDepth = r.Histogram("monitor_unwind_depth", obs.DepthBuckets)
 	m.histPointee = r.Histogram("monitor_pointee_bytes", obs.ByteBuckets)
@@ -594,11 +579,10 @@ func BuildPolicy(meta *metadata.Metadata, cfg Config) *seccomp.Policy {
 // necessary for their per-request frequency.
 func (m *Monitor) Trap(p *kernel.Process) error {
 	m.Hooks++
-	seq := m.Hooks - 1
-	m.stat = trapStat{start: p.K.Clock.Cycles}
+	m.ev = obs.TrapEvent{Start: p.K.Clock.Cycles}
 	nViol := len(m.Violations)
 	err := m.trap(p)
-	m.observe(p, seq, nViol)
+	m.observe(p, nViol)
 	// A staged generation applies at the END of the trap: this trap's
 	// verdicts were issued and observed under the old generation, and the
 	// guest's next syscall meets the new filter and new metadata together
@@ -612,21 +596,21 @@ func (m *Monitor) Trap(p *kernel.Process) error {
 	return err
 }
 
-// trap is the enforcement body; Trap wraps it with the telemetry
-// bracket. Stage timings are clock-reading differences around the
-// existing charges — nothing here adds cycles.
+// trap is the enforcement body; it writes the trap's account into m.ev as
+// it goes, and Trap wraps it with the telemetry bracket. Stage timings
+// are clock-reading differences around the existing charges — nothing
+// here adds cycles.
 func (m *Monitor) trap(p *kernel.Process) error {
 	if m.Cfg.Mode == ModeHookOnly {
 		return nil
 	}
-	st := &m.stat
+	ev := &m.ev
 	clk := &p.K.Clock.Cycles
 	c := *clk
 	regs := m.guest.Regs()
-	st.fetch = *clk - c
-	st.fetched = true
+	ev.Cycles.Fetch = *clk - c
 	nr := uint32(regs.RAX)
-	st.nr = nr
+	ev.Nr = nr
 	m.ChecksByNr[nr]++
 
 	fast := m.Cfg.Mode == ModeFull && m.Cfg.AcceptFastPath &&
@@ -643,10 +627,10 @@ func (m *Monitor) trap(p *kernel.Process) error {
 	} else {
 		trace, err = m.innermostFrame(regs)
 	}
-	st.unwind = *clk - c
-	st.depth = len(trace)
+	ev.Cycles.Unwind = *clk - c
+	ev.UnwindDepth = len(trace)
 	if err != nil {
-		st.vCF = obs.VerdictViolation
+		ev.CF = obs.VerdictViolation
 		return m.flag(Violation{Context: ControlFlow, Nr: nr, Reason: "stack unwind failed: " + err.Error()})
 	}
 	if m.Cfg.Mode == ModeFetchOnly {
@@ -673,53 +657,42 @@ func (m *Monitor) trap(p *kernel.Process) error {
 				Reason: fmt.Sprintf("transition %s -> %s is outside the flow graph", kernel.Name(m.sfPrev), kernel.Name(nr))}
 		}
 		m.sfPrev, m.sfActive = nr, true
-		st.sf = *clk - c
-		if v != nil {
-			st.vSF = obs.VerdictViolation
-			if err := m.flag(*v); err != nil {
-				return err
-			}
-		} else {
-			st.vSF = obs.VerdictPass
+		if err := m.judge(v, &ev.SF, &ev.Cycles.SF, c); err != nil {
+			return err
 		}
 	}
 
 	if m.Cfg.Contexts&CallType != 0 {
 		c = *clk
 		p.K.Clock.Add(m.Cfg.Costs.CTCheck)
-		v := m.checkCallType(nr, trace)
-		st.ct = *clk - c
-		if v != nil {
-			st.vCT = obs.VerdictViolation
-			if err := m.flag(*v); err != nil {
-				return err
-			}
-		} else {
-			st.vCT = obs.VerdictPass
+		if err := m.judge(m.checkCallType(nr, trace), &ev.CT, &ev.Cycles.CT, c); err != nil {
+			return err
 		}
 	}
 	if fast {
 		// Fast path (§9.2): verify what the already-fetched innermost frame
 		// supports — the immediate callee→caller link and the constant
 		// flag arguments — and skip the full walk, binding lookups, and the
-		// sockaddr pointee (kernel-written output).
+		// sockaddr pointee (kernel-written output). A violation ends the
+		// trap even in report-only mode.
 		if m.Cfg.Contexts&ControlFlow != 0 && len(trace) == 1 {
 			c = *clk
 			p.K.Clock.Add(m.Cfg.Costs.CFPerFrame)
+			var v *Violation
 			cs, ok := m.Meta.Callsites[trace[0].Ret]
 			if ok && cs.Kind == metadata.SiteDirect {
 				if constrained, allowed := m.Meta.CallerAllowed(cs.Target, cs.Caller); constrained && !allowed {
-					st.cf = *clk - c
-					st.vCF = obs.VerdictViolation
-					return m.flag(Violation{Context: ControlFlow, Nr: nr,
-						Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, cs.Target)})
+					v = &Violation{Context: ControlFlow, Nr: nr,
+						Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, cs.Target)}
 				}
 			}
-			st.cf = *clk - c
-			st.vCF = obs.VerdictPass
+			if err := m.judge(v, &ev.CF, &ev.Cycles.CF, c); err != nil || v != nil {
+				return err
+			}
 		}
 		if m.Cfg.Contexts&ArgIntegrity != 0 && len(trace) == 1 {
 			c = *clk
+			var v *Violation
 			if cs, ok := m.Meta.Callsites[trace[0].Ret]; ok {
 				if site, ok := m.Meta.ArgSites[cs.Addr]; ok {
 					for _, spec := range site.Args {
@@ -728,100 +701,81 @@ func (m *Monitor) trap(p *kernel.Process) error {
 						}
 						p.K.Clock.Add(m.Cfg.Costs.AIPerArg)
 						if regs.Arg(spec.Pos) != uint64(spec.Const) {
-							st.ai = *clk - c
-							st.vAI = obs.VerdictViolation
-							return m.flag(Violation{Context: ArgIntegrity, Nr: nr,
-								Reason: fmt.Sprintf("arg %d is %#x, expected constant %#x", spec.Pos, regs.Arg(spec.Pos), uint64(spec.Const))})
+							v = &Violation{Context: ArgIntegrity, Nr: nr,
+								Reason: fmt.Sprintf("arg %d is %#x, expected constant %#x", spec.Pos, regs.Arg(spec.Pos), uint64(spec.Const))}
+							break
 						}
 					}
 				}
 			}
-			st.ai = *clk - c
-			st.vAI = obs.VerdictPass
+			return m.judge(v, &ev.AI, &ev.Cycles.AI, c)
 		}
 		return nil
 	}
 	if m.Cfg.Contexts&ControlFlow != 0 {
 		c = *clk
-		v := m.checkControlFlow(nr, regs, trace, clean)
-		st.cf = *clk - c
-		if v != nil {
-			st.vCF = obs.VerdictViolation
-			if err := m.flag(*v); err != nil {
-				return err
-			}
-		} else {
-			st.vCF = obs.VerdictPass
+		if err := m.judge(m.checkControlFlow(nr, regs, trace, clean), &ev.CF, &ev.Cycles.CF, c); err != nil {
+			return err
 		}
 	}
 	if m.Cfg.Contexts&ArgIntegrity != 0 {
 		c = *clk
-		v := m.checkArgIntegrity(nr, regs, trace)
-		st.ai = *clk - c
-		if v != nil {
-			st.vAI = obs.VerdictViolation
-			if err := m.flag(*v); err != nil {
-				return err
-			}
-		} else {
-			st.vAI = obs.VerdictPass
-		}
+		return m.judge(m.checkArgIntegrity(nr, regs, trace), &ev.AI, &ev.Cycles.AI, c)
 	}
 	return nil
 }
 
+// judge closes one context's stage of the current trap: it attributes the
+// cycles since the stage began, records the verdict, and flags v when the
+// context rejected the trap.
+func (m *Monitor) judge(v *Violation, verdict *obs.Verdict, cycles *uint64, since uint64) error {
+	*cycles = m.guest.P.K.Clock.Cycles - since
+	if v == nil {
+		*verdict = obs.VerdictPass
+		return nil
+	}
+	*verdict = obs.VerdictViolation
+	return m.flag(*v)
+}
+
 // observe closes the telemetry bracket around one trap: it feeds the
-// metrics registry, builds the TrapEvent if a sink or the flight
-// recorder wants it, and attaches the flight-recorder history to any
+// counters and histograms, completes m.ev if a sink or the flight
+// recorder reads it, and attaches the flight-recorder history to any
 // violations this trap raised. With a nil sink and no recorder it does
 // a few counter additions and histogram observations — no allocations.
-func (m *Monitor) observe(p *kernel.Process, seq uint64, nViol int) {
-	st := &m.stat
+func (m *Monitor) observe(p *kernel.Process, nViol int) {
+	ev := &m.ev
 	end := p.K.Clock.Cycles
-	m.cycFetch.Add(st.fetch)
-	m.cycUnwind.Add(st.unwind)
-	m.cycCT.Add(st.ct)
-	m.cycCF.Add(st.cf)
-	m.cycAI.Add(st.ai)
-	m.cycSF.Add(st.sf)
-	m.histTrap.Observe(end - st.start)
-	if st.fetched {
-		m.histDepth.Observe(uint64(st.depth))
-		m.histPointee.Observe(st.pointee)
-		h := m.histByNr[st.nr]
+	t := &m.stageCycles
+	t.Fetch += ev.Cycles.Fetch
+	t.Unwind += ev.Cycles.Unwind
+	t.CT += ev.Cycles.CT
+	t.CF += ev.Cycles.CF
+	t.AI += ev.Cycles.AI
+	t.SF += ev.Cycles.SF
+	m.histTrap.Observe(end - ev.Start)
+	if m.Cfg.Mode != ModeHookOnly {
+		m.histDepth.Observe(uint64(ev.UnwindDepth))
+		m.histPointee.Observe(ev.PointeeBytes)
+		h := m.histByNr[ev.Nr]
 		if h == nil {
-			h = m.Metrics.Histogram("monitor_trap_cycles["+kernel.Name(st.nr)+"]", obs.CycleBuckets)
-			m.histByNr[st.nr] = h
+			h = m.Metrics.Histogram("monitor_trap_cycles["+kernel.Name(ev.Nr)+"]", obs.CycleBuckets)
+			m.histByNr[ev.Nr] = h
 		}
-		h.Observe(end - st.start)
-	} else {
-		// Hook-only traps never fetch registers; read the number directly
-		// for the trace record (telemetry is free, the simulation is not).
-		st.nr = uint32(p.M.SysRegs.RAX)
+		h.Observe(end - ev.Start)
 	}
 	if m.Cfg.Sink == nil && m.Recorder == nil {
 		return
 	}
-	ev := &m.ev
-	*ev = obs.TrapEvent{
-		Seq:    seq,
-		Tenant: m.Cfg.Tenant,
-		Nr:     st.nr,
-		Name:   kernel.Name(st.nr),
-		Start:  st.start,
-		End:    end,
-		CT:     st.vCT,
-		CF:     st.vCF,
-		AI:     st.vAI,
-		SF:     st.vSF,
-		Cycles: obs.CycleBreakdown{
-			Fetch: st.fetch, Unwind: st.unwind,
-			CT: st.ct, CF: st.cf, AI: st.ai, SF: st.sf,
-		},
-		UnwindDepth:  st.depth,
-		PointeeBytes: st.pointee,
-		Gen:          m.gen,
+	if m.Cfg.Mode == ModeHookOnly {
+		// Hook-only traps never fetch registers; read the number directly
+		// for the trace record (telemetry is free, the simulation is not).
+		ev.Nr = uint32(p.M.SysRegs.RAX)
 	}
+	ev.Seq = m.Hooks - 1
+	ev.Name = kernel.Name(ev.Nr)
+	ev.End = end
+	ev.Gen = m.gen
 	if len(m.Violations) > nViol {
 		ev.Violation = m.Violations[nViol].String()
 	}
@@ -856,9 +810,7 @@ func (m *Monitor) innermostFrame(regs vm.Regs) ([]stackFrame, error) {
 // kernel turns into process termination.
 func (m *Monitor) flag(v Violation) error {
 	m.Violations = append(m.Violations, v)
-	if m.violCounter != nil {
-		m.violCounter.Inc()
-	}
+	m.violations++
 	if m.Cfg.ReportOnly {
 		return nil
 	}
@@ -1221,7 +1173,7 @@ func (m *Monitor) checkMemArg(nr uint32, regs vm.Regs, site metadata.ArgSite, sp
 			return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "pointee unreadable"}
 		}
 		m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
-		m.stat.pointee += uint64(size)
+		m.ev.PointeeBytes += uint64(size)
 		if h != v {
 			return &Violation{Context: ArgIntegrity, Nr: nr,
 				Reason: fmt.Sprintf("arg %d pointee digest mismatch", spec.Pos)}
@@ -1286,7 +1238,7 @@ func (m *Monitor) checkCStringPointee(nr uint32, pos int, ptr uint64) *Violation
 		return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "extended argument string unreadable"}
 	}
 	m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(len(s)+1))
-	m.stat.pointee += uint64(len(s) + 1)
+	m.ev.PointeeBytes += uint64(len(s) + 1)
 	return m.verifyBytes(nr, pos, ptr, append([]byte(s), 0), true)
 }
 
@@ -1302,7 +1254,7 @@ func (m *Monitor) walkPointee(nr uint32, pos int, ptr uint64, size int64, requir
 		return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "extended argument region unreadable"}
 	}
 	m.guest.P.K.Clock.Add(m.Cfg.Costs.PointeePerByte * uint64(size))
-	m.stat.pointee += uint64(size)
+	m.ev.PointeeBytes += uint64(size)
 	return m.verifyBytes(nr, pos, ptr, data, requireCoverage)
 }
 

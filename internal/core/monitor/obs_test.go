@@ -107,7 +107,7 @@ func TestTraceEventsAccountForEveryCycle(t *testing.T) {
 
 // TestTraceByteDeterminism renders two identical traced runs to JSONL and
 // Chrome trace documents and requires byte equality, and the same for the
-// metrics snapshot and text rendering.
+// metrics text and OpenMetrics renderings.
 func TestTraceByteDeterminism(t *testing.T) {
 	render := func() (string, string, string, string) {
 		sink := &obs.BufferSink{}
@@ -119,7 +119,7 @@ func TestTraceByteDeterminism(t *testing.T) {
 		if err := obs.WriteChrome(&c, sink.Events); err != nil {
 			t.Fatal(err)
 		}
-		return j.String(), c.String(), mon.Metrics.SnapshotJSON(), mon.Metrics.Render()
+		return j.String(), c.String(), mon.Metrics.RenderOpenMetrics(), mon.Metrics.Render()
 	}
 	j1, c1, s1, r1 := render()
 	j2, c2, s2, r2 := render()
@@ -131,6 +131,33 @@ func TestTraceByteDeterminism(t *testing.T) {
 	}
 	if s1 != s2 || r1 != r2 {
 		t.Error("metrics rendering not byte-identical across identical runs")
+	}
+}
+
+// TestMonitorMetricsGolden pins the monitor registry's names and values:
+// the traced victim run's text and OpenMetrics renderings.
+func TestMonitorMetricsGolden(t *testing.T) {
+	mon, _ := tracedRun(t, &obs.BufferSink{}, 16)
+	checkGolden(t, "metrics.txt.golden", mon.Metrics.Render())
+	checkGolden(t, "metrics.om.golden", mon.Metrics.RenderOpenMetrics())
+}
+
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s mismatch\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 
@@ -208,20 +235,7 @@ func TestMonitorReportViolationGolden(t *testing.T) {
 	if !strings.Contains(rep, "1 violations\n") {
 		t.Errorf("report missing violation count header:\n%s", rep)
 	}
-	path := filepath.Join("testdata", "report_violation.golden")
-	if *update {
-		if err := os.WriteFile(path, []byte(rep), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if rep != string(want) {
-		t.Errorf("report mismatch\n--- got ---\n%s\n--- want ---\n%s", rep, want)
-	}
+	checkGolden(t, "report_violation.golden", rep)
 }
 
 // TestTrapNoAllocsWithoutSink replays the latched mprotect trap through
@@ -251,7 +265,10 @@ func TestTrapNoAllocsWithoutSink(t *testing.T) {
 // TestDifferentialTracingInvisible replays the full Table 6 attack
 // catalog across the monitor-configuration matrix twice — tracing off
 // and tracing on (sink + flight recorder) — and requires the observable
-// outcome of every single run to be identical.
+// outcome of every single run to be identical. Every traced event, the
+// early returns of violating and fetch-only traps included, must account
+// for all of its cycles and carry a violation text exactly when a context
+// rejected it.
 func TestDifferentialTracingInvisible(t *testing.T) {
 	var events int
 	for _, s := range attacks.Catalog() {
@@ -273,6 +290,17 @@ func TestDifferentialTracingInvisible(t *testing.T) {
 				onCyc := onEnv.P.Kernel.Clock.Cycles
 				if offCyc != onCyc {
 					t.Errorf("%s: tracing changed the cycle account: %d vs %d", c.name, offCyc, onCyc)
+				}
+				for i := range sink.Events {
+					ev := &sink.Events[i]
+					if ev.Cycles.Total() != ev.End-ev.Start {
+						t.Errorf("%s: event %d (%s): breakdown sums to %d, interval is %d",
+							c.name, i, ev.Name, ev.Cycles.Total(), ev.End-ev.Start)
+					}
+					if ev.Violated() != (ev.Violation != "") {
+						t.Errorf("%s: event %d (%s): verdicts and violation text disagree: %s",
+							c.name, i, ev.Name, ev.JSON())
+					}
 				}
 				events += len(sink.Events)
 			}

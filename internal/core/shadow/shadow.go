@@ -276,7 +276,7 @@ func encodeAt(space *mem.Space, addr uint64, size int64) (value, meta uint64, er
 		return value, meta, nil
 	}
 	h := DigestInit
-	if err := space.PeekEach(addr, uint64(size), func(b []byte) { h = DigestUpdate(h, b) }); err != nil {
+	if _, err := space.PeekEach(addr, uint64(size), func(b []byte) { h = DigestUpdate(h, b) }); err != nil {
 		return 0, 0, err
 	}
 	return h, MetaDigest | uint64(size), nil

@@ -105,7 +105,6 @@ func TestFilterKeyComplete(t *testing.T) {
 		"Filter":         func(c *monitor.Config) { c.Filter = []seccomp.Insn{seccomp.RetConst(seccomp.RetKill)} },
 		"Sink":           func(c *monitor.Config) { c.Sink = &obs.BufferSink{} },
 		"FlightN":        func(c *monitor.Config) { c.FlightN += 8 },
-		"Tenant":         func(c *monitor.Config) { c.Tenant += 3 },
 		"MaxUnwindDepth": func(c *monitor.Config) { c.MaxUnwindDepth /= 2 },
 		"Costs":          func(c *monitor.Config) { c.Costs.TrapRoundTrip *= 2 },
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 
 	"bastion/internal/attacks"
@@ -674,7 +675,6 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 		mcfg.Sink = &obs.BufferSink{}
 	}
 	mcfg.FlightN = cfg.FlightN
-	mcfg.Tenant = idx
 
 	prot, err := core.Defense{Monitor: mcfg}.Launch(art, k, vm.WithMaxSteps(maxSteps), vm.WithPool(&pool.vm))
 	if err != nil {
@@ -744,14 +744,22 @@ func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Targe
 	}
 	if sink, ok := mon.Cfg.Sink.(*obs.BufferSink); ok && sink != nil {
 		// Each incarnation numbers its traps from zero; re-stamp to one
-		// tenant-wide sequence so the merged trace stays totally ordered.
+		// tenant-wide sequence so the merged trace stays totally ordered,
+		// and stamp the tenant, which the monitor does not know.
 		for _, ev := range sink.Events {
 			ev.Seq = uint64(len(res.Events))
+			ev.Tenant = res.Index
 			res.Events = append(res.Events, ev)
 		}
 	}
 	if mon.Recorder != nil && mon.Recorder.Len() > 0 && (crashed || len(mon.Violations) > 0) {
-		res.Flight = mon.Recorder.DumpJSONL()
+		events := mon.Recorder.Events()
+		for i := range events {
+			events[i].Tenant = res.Index
+		}
+		var b strings.Builder
+		obs.WriteJSONL(&b, events)
+		res.Flight = b.String()
 	}
 	prot.Machine.Release()
 	prot.Proc.Release()

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func telemetrySnapshot(t *testing.T, r *Report) string {
 			b.WriteByte('\n')
 		}
 		if tr.Metrics != nil {
-			b.WriteString(tr.Metrics.SnapshotJSON())
+			b.WriteString(tr.Metrics.Render())
 		}
 		b.WriteString(tr.Flight)
 	}
@@ -75,10 +76,13 @@ func TestFleetTraceDeterminism(t *testing.T) {
 
 // TestFleetTraceContent: the traced fleet's events are tenant-stamped and
 // contiguously sequenced across incarnations, the merged registry accounts
-// for every event, and the malicious tenant keeps a flight dump whose final
-// entry is the violating trap.
+// for every event, the malicious tenants keep flight dumps whose final
+// entry is the violating trap, and every flight-dump line carries its
+// tenant's stamp (tenant 3 attacks too, so a missing stamp, which reads
+// as tenant 0, cannot pass).
 func TestFleetTraceContent(t *testing.T) {
 	cfg := tracedConfig()
+	cfg.Malicious[3] = cfg.Malicious[0]
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +110,14 @@ func TestFleetTraceContent(t *testing.T) {
 		if tr.Metrics == nil {
 			t.Fatalf("tenant %d has no metrics registry", tr.Index)
 		}
+		if tr.Flight != "" {
+			stamp := fmt.Sprintf(`"tenant":%d,`, tr.Index)
+			for _, line := range strings.Split(strings.TrimSuffix(tr.Flight, "\n"), "\n") {
+				if !strings.Contains(line, stamp) {
+					t.Fatalf("tenant %d flight-dump line lacks its tenant stamp:\n%s", tr.Index, line)
+				}
+			}
+		}
 		total += len(tr.Events)
 	}
 	if got := rep.TotalEvents(); got != total {
@@ -117,26 +129,24 @@ func TestFleetTraceContent(t *testing.T) {
 		t.Fatalf("merged monitor_hooks_total %d != %d trace events", hooks, total)
 	}
 
-	mal := &rep.Results[0]
-	if mal.Attack == nil {
-		t.Fatal("malicious tenant recorded no attack outcome")
-	}
-	if mal.Attack.Completed {
-		t.Fatalf("attack completed: %+v", mal.Attack)
-	}
-	if len(mal.Violations) == 0 {
-		t.Fatal("blocked attack left no violations on the malicious tenant")
-	}
-	if mal.Flight == "" {
-		t.Fatal("malicious tenant kept no flight-recorder dump")
-	}
-	lines := strings.Split(strings.TrimSuffix(mal.Flight, "\n"), "\n")
-	last := lines[len(lines)-1]
-	if !strings.Contains(last, `"violation":`) {
-		t.Fatalf("flight dump does not end with the violating trap:\n%s", mal.Flight)
-	}
-	if !strings.Contains(last, `"tenant":0`) {
-		t.Fatalf("flight dump final entry lacks tenant stamp:\n%s", last)
+	for _, i := range []int{0, 3} {
+		mal := &rep.Results[i]
+		if mal.Attack == nil {
+			t.Fatalf("malicious tenant %d recorded no attack outcome", i)
+		}
+		if mal.Attack.Completed {
+			t.Fatalf("tenant %d: attack completed: %+v", i, mal.Attack)
+		}
+		if len(mal.Violations) == 0 {
+			t.Fatalf("blocked attack left no violations on malicious tenant %d", i)
+		}
+		if mal.Flight == "" {
+			t.Fatalf("malicious tenant %d kept no flight-recorder dump", i)
+		}
+		lines := strings.Split(strings.TrimSuffix(mal.Flight, "\n"), "\n")
+		if last := lines[len(lines)-1]; !strings.Contains(last, `"violation":`) {
+			t.Fatalf("tenant %d: flight dump does not end with the violating trap:\n%s", i, mal.Flight)
+		}
 	}
 
 	benign := &rep.Results[1]

@@ -278,7 +278,7 @@ func TestFleetSLOInvisible(t *testing.T) {
 				break
 			}
 		}
-		if a.Metrics.SnapshotJSON() != b.Metrics.SnapshotJSON() {
+		if a.Metrics.Render() != b.Metrics.Render() {
 			t.Errorf("tenant %d metrics differ with SLO on", i)
 		}
 	}

@@ -325,10 +325,14 @@ func (t *Tracee) Uint(addr uint64, size int64) (uint64, error) {
 func (t *Tracee) Load(addr uint64) (uint64, error) { return t.Uint(addr, 8) }
 
 // Stream is a Read of n bytes that lends them to visit through
-// Mem.PeekEach, so a digest of a guest-chosen length needs no buffer.
+// Mem.PeekEach, so a digest of a guest-chosen length needs no buffer. It
+// charges only the bytes visit saw, as process_vm_readv returns a short
+// count at the first unmapped page: a forged length costs the bytes
+// mapped contiguously from addr, not the length.
 func (t *Tracee) Stream(addr, n uint64, visit func([]byte)) error {
-	t.charge(n)
-	return t.P.M.Mem.PeekEach(addr, n, visit)
+	seen, err := t.P.M.Mem.PeekEach(addr, n, visit)
+	t.charge(seen)
+	return err
 }
 
 // charge charges one read of n bytes.

@@ -288,11 +288,11 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 				// PeekEach must fault as Peek does, having shown exactly
 				// the bytes before the fault, in order.
 				var seen []byte
-				eErr := got.PeekEach(addr, size, func(b []byte) { seen = append(seen, b...) })
+				n, eErr := got.PeekEach(addr, size, func(b []byte) { seen = append(seen, b...) })
 				var f *Fault
 				whole := wErr == nil && len(seen) == int(size)
 				upTo := errors.As(wErr, &f) && uint64(len(seen)) == f.Addr-addr
-				if !sameErr(eErr, wErr) || !whole && !upTo || !bytes.Equal(seen, wBuf[:len(seen)]) {
+				if !sameErr(eErr, wErr) || !whole && !upTo || n != uint64(len(seen)) || !bytes.Equal(seen, wBuf[:len(seen)]) {
 					t.Fatalf("step %d: PeekEach(%#x, %d) showed %d bytes, %v; eager model %v", step, addr, size, len(seen), eErr, wErr)
 				}
 			}

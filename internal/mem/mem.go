@@ -540,14 +540,15 @@ var zeroPage [PageSize]byte // what PeekEach shows of a page without backing
 
 // PeekEach is Peek without the copy: it lends visit the n bytes at addr in
 // address order, at most one page at a time, and returns Peek's fault
-// once visit has seen exactly the bytes before it. visit must neither
-// keep nor modify a segment.
-func (s *Space) PeekEach(addr, n uint64, visit func([]byte)) error {
-	for done := uint64(0); done < n; {
+// once visit has seen exactly the bytes before it. It also returns how
+// many bytes visit saw. visit must neither keep nor modify a segment.
+func (s *Space) PeekEach(addr, n uint64, visit func([]byte)) (uint64, error) {
+	done := uint64(0)
+	for done < n {
 		a := addr + done
 		pg := s.pageAt(a, PermNone)
 		if pg == nil {
-			return s.fault(a, false)
+			return done, s.fault(a, false)
 		}
 		off := a % PageSize
 		chunk := min(PageSize-off, n-done)
@@ -558,7 +559,7 @@ func (s *Space) PeekEach(addr, n uint64, visit func([]byte)) error {
 		}
 		done += chunk
 	}
-	return nil
+	return done, nil
 }
 
 func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {

@@ -7,10 +7,8 @@ import "strings"
 // are the syscall decision history that led to it — the forensic record
 // the paper's kill-on-violation policy otherwise destroys with the guest.
 type FlightRecorder struct {
-	cap  int
 	ring []TrapEvent
-	next int
-	full bool
+	next int // the oldest event's slot once the ring is full
 }
 
 // NewFlightRecorder returns a recorder holding the last capacity events.
@@ -18,32 +16,24 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FlightRecorder{cap: capacity, ring: make([]TrapEvent, 0, capacity)}
+	return &FlightRecorder{ring: make([]TrapEvent, 0, capacity)}
 }
-
-// Cap returns the recorder's capacity.
-func (f *FlightRecorder) Cap() int { return f.cap }
 
 // Add records a copy of the event, evicting the oldest when full.
 func (f *FlightRecorder) Add(ev *TrapEvent) {
-	if len(f.ring) < f.cap {
+	if len(f.ring) < cap(f.ring) {
 		f.ring = append(f.ring, *ev)
 		return
 	}
-	f.full = true
 	f.ring[f.next] = *ev
-	f.next = (f.next + 1) % f.cap
+	f.next = (f.next + 1) % len(f.ring)
 }
 
 // Events returns the recorded events oldest-first, as a fresh slice.
 func (f *FlightRecorder) Events() []TrapEvent {
 	out := make([]TrapEvent, 0, len(f.ring))
-	if f.full {
-		out = append(out, f.ring[f.next:]...)
-		out = append(out, f.ring[:f.next]...)
-		return out
-	}
-	return append(out, f.ring...)
+	out = append(out, f.ring[f.next:]...)
+	return append(out, f.ring[:f.next]...)
 }
 
 // Len returns the number of recorded events.
@@ -53,22 +43,6 @@ func (f *FlightRecorder) Len() int { return len(f.ring) }
 // JSON lines — the dump attached to a Violation.
 func (f *FlightRecorder) DumpJSONL() string {
 	var b strings.Builder
-	events := f.Events()
-	for i := range events {
-		events[i].appendJSON(&b)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// DumpEvents renders an event slice oldest-first as deterministic JSON
-// lines (the same format as DumpJSONL, for histories detached from their
-// recorder).
-func DumpEvents(events []TrapEvent) string {
-	var b strings.Builder
-	for i := range events {
-		events[i].appendJSON(&b)
-		b.WriteByte('\n')
-	}
+	WriteJSONL(&b, f.Events())
 	return b.String()
 }

@@ -101,77 +101,48 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestJSONLSinkWriteErrorPropagation: a write failure mid-stream must
-// surface through Close, and later Emits must not write (or clear the
-// error).
-func TestJSONLSinkWriteErrorPropagation(t *testing.T) {
+// TestWriteJSONLWriteErrorPropagation: a failing event write, first,
+// middle or last, is returned, and nothing is written after it.
+func TestWriteJSONLWriteErrorPropagation(t *testing.T) {
 	wantErr := errors.New("disk full")
-	w := &failWriter{okWrites: 1, err: wantErr}
-	sink := NewJSONL(w)
 	events := fixtureEvents()
-	for i := range events {
-		sink.Emit(&events[i])
-	}
-	if err := sink.Close(); !errors.Is(err, wantErr) {
-		t.Fatalf("Close = %v, want %v", err, wantErr)
-	}
-	if w.writes != 2 {
-		t.Fatalf("sink kept writing after first error: %d writes", w.writes)
+	for _, okWrites := range []int{0, 1, len(events) - 1} {
+		w := &failWriter{okWrites: okWrites, err: wantErr}
+		if err := WriteJSONL(w, events); !errors.Is(err, wantErr) {
+			t.Fatalf("okWrites=%d: WriteJSONL = %v, want %v", okWrites, err, wantErr)
+		}
+		if w.writes != okWrites+1 {
+			t.Fatalf("okWrites=%d: kept writing after the first error: %d writes", okWrites, w.writes)
+		}
 	}
 }
 
-func TestJSONLSinkCloseNilOnSuccess(t *testing.T) {
+func TestWriteJSONLNilOnSuccess(t *testing.T) {
 	var b strings.Builder
-	sink := NewJSONL(&b)
 	events := fixtureEvents()
-	for i := range events {
-		sink.Emit(&events[i])
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close = %v, want nil", err)
+	if err := WriteJSONL(&b, events); err != nil {
+		t.Fatalf("WriteJSONL = %v, want nil", err)
 	}
 	if lines := strings.Count(b.String(), "\n"); lines != len(events) {
 		t.Fatalf("wrote %d lines, want %d", lines, len(events))
 	}
 }
 
-// TestChromeSinkWriteErrorPropagation covers the three failure points:
-// the header write in NewChrome, an event write in Emit, and the
-// terminator write in Close itself.
-func TestChromeSinkWriteErrorPropagation(t *testing.T) {
+// TestWriteChromeWriteErrorPropagation covers the three failure points:
+// the header write, an event write, and the trailer write. Each returns
+// the first error, and nothing is written after it.
+func TestWriteChromeWriteErrorPropagation(t *testing.T) {
 	wantErr := errors.New("pipe closed")
 	events := fixtureEvents()
-	// okWrites 0: header fails. 1: first Emit fails. 1+len: Close's
-	// terminator fails.
+	// okWrites 0: header fails. 1: first event fails. 1+len: the
+	// trailer fails.
 	for _, okWrites := range []int{0, 1, 1 + len(events)} {
 		w := &failWriter{okWrites: okWrites, err: wantErr}
-		sink := NewChrome(w)
-		for i := range events {
-			sink.Emit(&events[i])
-		}
-		if err := sink.Close(); !errors.Is(err, wantErr) {
-			t.Fatalf("okWrites=%d: Close = %v, want %v", okWrites, err, wantErr)
+		if err := WriteChrome(w, events); !errors.Is(err, wantErr) {
+			t.Fatalf("okWrites=%d: WriteChrome = %v, want %v", okWrites, err, wantErr)
 		}
 		if w.writes != okWrites+1 {
-			t.Fatalf("okWrites=%d: sink kept writing after first error: %d writes", okWrites, w.writes)
+			t.Fatalf("okWrites=%d: kept writing after the first error: %d writes", okWrites, w.writes)
 		}
-	}
-}
-
-// TestChromeSinkCloseIdempotentError: Close after a failed Close keeps
-// returning the first error without writing again.
-func TestChromeSinkCloseIdempotentError(t *testing.T) {
-	wantErr := errors.New("gone")
-	w := &failWriter{okWrites: 1, err: wantErr}
-	sink := NewChrome(w)
-	if err := sink.Close(); !errors.Is(err, wantErr) {
-		t.Fatalf("first Close = %v, want %v", err, wantErr)
-	}
-	writes := w.writes
-	if err := sink.Close(); !errors.Is(err, wantErr) {
-		t.Fatalf("second Close = %v, want %v", err, wantErr)
-	}
-	if w.writes != writes {
-		t.Fatal("second Close wrote again after a recorded error")
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,8 +24,8 @@ var (
 )
 
 // Counter is a monotonically increasing metric. Its storage is either
-// owned or bound to an external uint64 (registry-backed rendering of a
-// pre-existing exported field).
+// owned or bound to an external uint64 (a plain field its owner
+// increments).
 type Counter struct {
 	name string
 	own  uint64
@@ -124,8 +125,8 @@ type counterMap struct {
 }
 
 // Registry holds a run's counters and histograms and renders them
-// deterministically: sorted text for humans, sorted JSON for machines.
-// It is not safe for concurrent use; each monitor owns one, and fleet
+// deterministically, as sorted text (Render) or OpenMetrics
+// (RenderOpenMetrics). It is not safe for concurrent use; each monitor owns one, and fleet
 // aggregation merges them after the tenants finish.
 type Registry struct {
 	counters map[string]*Counter
@@ -154,10 +155,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// BindCounter registers a counter whose storage is the given variable —
-// the compatibility bridge for exported counter fields that pre-date the
-// registry: the field remains the single storage location, and the
-// registry renders through the pointer.
+// BindCounter registers a counter whose storage is the given variable:
+// the variable remains the single storage location, its owner increments
+// it directly, and the registry renders through the pointer.
 func (r *Registry) BindCounter(name string, p *uint64) *Counter {
 	c := &Counter{name: name, ptr: p}
 	r.counters[name] = c
@@ -266,42 +266,6 @@ func (r *Registry) Render() string {
 	return b.String()
 }
 
-// SnapshotJSON returns the machine-readable snapshot with sorted keys and
-// a fixed field order, suitable for byte-equality checks across runs.
-func (r *Registry) SnapshotJSON() string {
-	var b strings.Builder
-	b.WriteString("{\"counters\":{")
-	for i, s := range r.counterSamples() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:%d", s.name, s.value)
-	}
-	b.WriteString("},\"histograms\":{")
-	for i, h := range r.sortedHists() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:{\"count\":%d,\"sum\":%d,\"bounds\":[", h.name, h.count, h.sum)
-		for j, bound := range h.bounds {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", bound)
-		}
-		b.WriteString("],\"buckets\":[")
-		for j, n := range h.buckets {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", n)
-		}
-		b.WriteString("]}")
-	}
-	b.WriteString("}}\n")
-	return b.String()
-}
-
 // Merge folds other's current values into r: counters (including bound
 // counter-map rows, flattened to "name[label]") sum; histograms with the
 // same name sum bucket-wise. Other is read, never modified. Merging a
@@ -320,7 +284,7 @@ func (r *Registry) Merge(other *Registry) error {
 	}
 	for _, oh := range other.sortedHists() {
 		h := r.Histogram(oh.name, oh.bounds)
-		if !equalBounds(h.bounds, oh.bounds) {
+		if !slices.Equal(h.bounds, oh.bounds) {
 			return fmt.Errorf("obs: merge histogram %q: bucket bounds differ (%v vs %v)",
 				oh.name, h.bounds, oh.bounds)
 		}
@@ -331,17 +295,4 @@ func (r *Registry) Merge(other *Registry) error {
 		}
 	}
 	return nil
-}
-
-// equalBounds reports element-wise equality of two bound slices.
-func equalBounds(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -29,13 +29,9 @@ func TestRegistryRenderGolden(t *testing.T) {
 	checkGolden(t, "metrics.txt.golden", fixtureRegistry().Render())
 }
 
-func TestRegistrySnapshotGolden(t *testing.T) {
-	checkGolden(t, "metrics.json.golden", fixtureRegistry().SnapshotJSON())
-}
-
 func TestRegistryDeterministic(t *testing.T) {
 	a, b := fixtureRegistry(), fixtureRegistry()
-	if a.Render() != b.Render() || a.SnapshotJSON() != b.SnapshotJSON() {
+	if a.Render() != b.Render() || a.RenderOpenMetrics() != b.RenderOpenMetrics() {
 		t.Fatal("registry rendering not deterministic across identical builds")
 	}
 }
@@ -100,11 +96,11 @@ func TestRegistryMerge(t *testing.T) {
 	}
 	// Merge must not disturb the source.
 	src := fixtureRegistry()
-	before := src.SnapshotJSON()
+	before := src.Render()
 	if err := NewRegistry().Merge(src); err != nil {
 		t.Fatal(err)
 	}
-	if src.SnapshotJSON() != before {
+	if src.Render() != before {
 		t.Fatal("Merge modified its source registry")
 	}
 }

@@ -14,7 +14,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -70,7 +69,8 @@ func (c CycleBreakdown) Total() uint64 {
 type TrapEvent struct {
 	// Seq is the trap's sequence number within its monitor (0-based).
 	Seq uint64
-	// Tenant is the owning tenant index in a fleet run (0 standalone).
+	// Tenant is the owning tenant index in a fleet run, stamped by the
+	// fleet (the monitor leaves it 0).
 	Tenant int
 	// Nr and Name identify the trapped syscall.
 	Nr   uint32
@@ -140,17 +140,3 @@ type BufferSink struct {
 
 // Emit appends a copy of the event.
 func (s *BufferSink) Emit(ev *TrapEvent) { s.Events = append(s.Events, *ev) }
-
-// EmitAll replays a recorded event slice into a sink, in order.
-func EmitAll(s Sink, events []TrapEvent) {
-	for i := range events {
-		s.Emit(&events[i])
-	}
-}
-
-// WriteJSONL writes events to w as deterministic JSON lines.
-func WriteJSONL(w io.Writer, events []TrapEvent) error {
-	sink := NewJSONL(w)
-	EmitAll(sink, events)
-	return sink.Close()
-}

@@ -114,8 +114,12 @@ func TestFlightRecorderRing(t *testing.T) {
 	if got[2].Violation == "" {
 		t.Error("violating trap must be the final recorded event")
 	}
-	if f.DumpJSONL() != DumpEvents(got) {
-		t.Error("DumpJSONL and DumpEvents disagree")
+	var b strings.Builder
+	if err := WriteJSONL(&b, got); err != nil {
+		t.Fatal(err)
+	}
+	if f.DumpJSONL() != b.String() {
+		t.Error("DumpJSONL and WriteJSONL disagree")
 	}
 }
 

@@ -17,12 +17,12 @@ func TestRenderOpenMetricsDeterministic(t *testing.T) {
 }
 
 // TestRenderOpenMetricsReadOnly: exposition is a pure read — rendering
-// must not disturb the registry's own snapshot.
+// must not disturb the registry's own text rendering.
 func TestRenderOpenMetricsReadOnly(t *testing.T) {
 	r := fixtureRegistry()
-	before := r.SnapshotJSON()
+	before := r.Render()
 	_ = r.RenderOpenMetrics()
-	if r.SnapshotJSON() != before {
+	if r.Render() != before {
 		t.Fatal("RenderOpenMetrics modified the registry")
 	}
 }

@@ -253,9 +253,10 @@ type Function struct {
 	Base uint64
 
 	labels map[string]int // label -> instruction index (pre-Link)
-	// layout is the frame layout Link recorded: the offset of every slot,
-	// then the slot area's size.
-	layout []int64
+	// slots is the frame layout Link recorded: the displacement from the
+	// frame pointer of every slot, then of the slot area's bottom, which
+	// is minus the area's size.
+	slots []int64
 }
 
 // InstrAddr returns the code address of instruction index i.
@@ -286,46 +287,65 @@ func (f *Function) FrameSlots() []Slot {
 // slots are laid out in FrameSlots order, 8-byte aligned: the NumParams
 // word-sized parameter spill slots first, then the declared Locals. So
 // slot i starts SlotDisp(i) + FrameLocalSize() bytes into the area, and
-// SlotDisp is never positive.
+// SlotDisp is never positive. It panics if f has no slot i; HasSlot
+// tells.
 func (f *Function) SlotDisp(i int) int64 {
-	layout := f.slotLayout()
-	last := len(layout) - 1
-	if i < 0 || i >= last {
+	if !f.HasSlot(i) {
 		panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
 	}
-	return layout[i] - layout[last]
+	return f.slotTable()[i]
+}
+
+// HasSlot reports whether i indexes one of f's frame slots.
+func (f *Function) HasSlot(i int) bool { return uint(i) < uint(f.NumParams+len(f.Locals)) }
+
+// LinkedSlotDisp is SlotDisp as a table read for the interpreter's loop:
+// it returns the displacement Link recorded for slot i and true, or false
+// when f was never linked, its slot count changed since, or it has no
+// slot i. It makes no call, so it inlines.
+func (f *Function) LinkedSlotDisp(i int) (int64, bool) {
+	d := f.slots
+	if len(d) != f.NumParams+len(f.Locals)+1 || uint(i) >= uint(len(d)-1) {
+		return 0, false
+	}
+	return d[i], true
 }
 
 // FrameLocalSize is the total size of the frame's slot area.
 func (f *Function) FrameLocalSize() int64 {
-	layout := f.slotLayout()
-	return layout[len(layout)-1]
+	d := f.slotTable()
+	return -d[len(d)-1]
 }
 
-// slotLayout returns the layout Link recorded, so the interpreter's hot
-// path neither walks the slots nor formats their names. A function that
-// was never linked, or whose slots changed since, gets it computed afresh.
-func (f *Function) slotLayout() []int64 {
-	if len(f.layout) == f.NumParams+len(f.Locals)+1 {
-		return f.layout
+// slotTable returns the slot table Link recorded, so the interpreter's
+// hot path neither walks the slots nor formats their names. A function
+// that was never linked, or whose slot count changed since, gets it
+// computed afresh.
+func (f *Function) slotTable() []int64 {
+	if len(f.slots) == f.NumParams+len(f.Locals)+1 {
+		return f.slots
 	}
-	return f.frameLayout()
+	return f.frameSlotTable()
 }
 
-// frameLayout computes the offset of every frame slot, then the slot
+// frameSlotTable computes the displacement of every frame slot, then of
+// the slot area's bottom: each slot's offset into the area, less the
 // area's size.
-func (f *Function) frameLayout() []int64 {
-	layout := make([]int64, 0, f.NumParams+len(f.Locals)+1)
+func (f *Function) frameSlotTable() []int64 {
+	d := make([]int64, 0, f.NumParams+len(f.Locals)+1)
 	var off int64
 	for i := 0; i < f.NumParams; i++ {
-		layout = append(layout, off)
+		d = append(d, off)
 		off += WordSize
 	}
 	for _, s := range f.Locals {
-		layout = append(layout, off)
+		d = append(d, off)
 		off += align8(s.Size)
 	}
-	return append(layout, off)
+	for i := range d {
+		d[i] -= off
+	}
+	return append(d, -off)
 }
 
 // SlotIndex returns the index of the named slot (parameter spill slots are
@@ -427,7 +447,7 @@ func (p *Program) Link() error {
 		sz := uint64(len(f.Code)) * InstrSize
 		next += (sz + 0xf) &^ 0xf
 		next += 16 // guard gap so gadget addresses never straddle functions
-		f.layout = f.frameLayout()
+		f.slots = f.frameSlotTable()
 		if err := resolveLabels(f); err != nil {
 			return err
 		}

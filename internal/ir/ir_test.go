@@ -303,8 +303,9 @@ func refSlotLayout(f *Function) (offs []int64, size int64) {
 // TestSlotLayoutMatchesFrameSlots: SlotDisp and FrameLocalSize agree
 // with the FrameSlots-derived reference over random layouts (odd and zero
 // sizes, no parameters, no locals): on unlinked Function literals, with
-// the layout Link records, and after a local is added past Link. They
-// reject out-of-range slots.
+// the table Link records, and after a local is added past Link. They
+// reject out-of-range slots. LinkedSlotDisp answers exactly when Link's
+// table is current and the slot exists, and then agrees with SlotDisp.
 func TestSlotLayoutMatchesFrameSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randLocal := func() Slot { return Slot{Name: "l", Size: int64(rng.Intn(40))} }
@@ -313,32 +314,43 @@ func TestSlotLayoutMatchesFrameSlots(t *testing.T) {
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			f.Locals = append(f.Locals, randLocal())
 		}
-		checkSlotLayout(t, f)
+		checkSlotLayout(t, f, false)
 		p := NewProgram()
 		p.AddFunc(f)
 		if err := p.Link(); err != nil {
 			t.Fatal(err)
 		}
-		checkSlotLayout(t, f)
+		checkSlotLayout(t, f, true)
 		f.Locals = append(f.Locals, randLocal())
-		checkSlotLayout(t, f)
+		checkSlotLayout(t, f, false)
 	}
 }
 
 // checkSlotLayout compares f's slot displacements and frame size with the
-// reference layout, and checks that out-of-range slots panic.
-func checkSlotLayout(t *testing.T, f *Function) {
+// reference layout, checks that out-of-range slots panic, and checks that
+// LinkedSlotDisp answers for every slot when linked says Link's table is
+// current, and for none otherwise.
+func checkSlotLayout(t *testing.T, f *Function, linked bool) {
 	t.Helper()
 	offs, size := refSlotLayout(f)
 	for i, want := range offs {
 		if got := f.SlotDisp(i); got != want-size {
 			t.Fatalf("params=%d locals=%+v: SlotDisp(%d) = %d, want %d", f.NumParams, f.Locals, i, got, want-size)
 		}
+		if d, ok := f.LinkedSlotDisp(i); ok != linked || ok && d != want-size {
+			t.Fatalf("params=%d locals=%+v: LinkedSlotDisp(%d) = %d, %v; want %d, %v", f.NumParams, f.Locals, i, d, ok, want-size, linked)
+		}
+		if !f.HasSlot(i) {
+			t.Fatalf("params=%d locals=%+v: HasSlot(%d) = false", f.NumParams, f.Locals, i)
+		}
 	}
 	if got := f.FrameLocalSize(); got != size {
 		t.Fatalf("params=%d locals=%+v: FrameLocalSize = %d, want %d", f.NumParams, f.Locals, got, size)
 	}
 	for _, bad := range []int{-1, len(offs)} {
+		if _, ok := f.LinkedSlotDisp(bad); ok || f.HasSlot(bad) {
+			t.Fatalf("params=%d locals=%+v: slot %d reported present", f.NumParams, f.Locals, bad)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -155,49 +155,96 @@ func sameErr(got, want error) bool {
 }
 
 // wordOp runs one word accessor (0 ReadUint, 1 WriteUint, 2 PeekUint,
-// 3 PokeUint) on got and the same access on the eager model, requires
-// equal values from reads, and returns both errors for comparison.
+// 3 PokeUint, 4 ReadUintCached, 5 WriteUintCached) on got and the same
+// access on the eager model, requires equal values from reads, and
+// returns both errors for comparison. A cached accessor that misses falls
+// back to ReadUint or WriteUint, as the interpreter does; one that hits
+// must be serving an access the eager model allows.
 func wordOp(t *testing.T, got *Space, want *eagerSpace, acc, addr uint64, width int64, v uint64) (gErr, wErr error) {
 	t.Helper()
 	var w [8]byte
-	write, checkPerm := acc%2 == 1, acc < 2
+	write, checkPerm := acc%2 == 1, acc < 2 || acc > 3
+	hit := false
 	if write {
 		binary.LittleEndian.PutUint64(w[:], v)
-		if checkPerm {
+		switch acc {
+		case 1:
 			gErr = got.WriteUint(addr, v, width)
-		} else {
+		case 3:
 			gErr = got.PokeUint(addr, v, width)
+		case 5:
+			if hit = got.WriteUintCached(addr, v, width); !hit {
+				gErr = got.WriteUint(addr, v, width)
+			}
 		}
-		return gErr, want.access(addr, w[:width], true, checkPerm)
-	}
-	var g uint64
-	if checkPerm {
-		g, gErr = got.ReadUint(addr, width)
+		wErr = want.access(addr, w[:width], true, checkPerm)
 	} else {
-		g, gErr = got.PeekUint(addr, width)
+		var g uint64
+		switch acc {
+		case 0:
+			g, gErr = got.ReadUint(addr, width)
+		case 2:
+			g, gErr = got.PeekUint(addr, width)
+		case 4:
+			if g, hit = got.ReadUintCached(addr, width); !hit {
+				g, gErr = got.ReadUint(addr, width)
+			}
+		}
+		var wv uint64
+		if wErr = want.access(addr, w[:width], false, checkPerm); wErr == nil {
+			wv = binary.LittleEndian.Uint64(w[:])
+		}
+		if g != wv {
+			t.Fatalf("word accessor %d at %#x width %d = %#x, eager model %#x", acc, addr, width, g, wv)
+		}
 	}
-	var wv uint64
-	if wErr = want.access(addr, w[:width], false, checkPerm); wErr == nil {
-		wv = binary.LittleEndian.Uint64(w[:])
-	}
-	if g != wv {
-		t.Fatalf("word accessor %d at %#x width %d = %#x, eager model %#x", acc, addr, width, g, wv)
+	if hit && wErr != nil {
+		t.Fatalf("word accessor %d at %#x width %d hit the cache, eager model faults: %v", acc, addr, width, wErr)
 	}
 	return gErr, wErr
 }
 
+// probeCache checks every cached page the operations can reach against
+// the eager model: at a word-aligned offset that varies with step, a
+// ReadUintCached hit must read what the eager model holds where it allows
+// the read, and a WriteUintCached hit, which writes back the word the
+// eager model holds, must land where it allows the write. A stale entry
+// left by Map, Unmap, Protect or Release fails one of the two.
+func probeCache(t *testing.T, got *Space, want *eagerSpace, step int) {
+	t.Helper()
+	for a := uint64(fuzzBase - PageSize); a < fuzzBase+(fuzzPages+5)*PageSize; a += PageSize {
+		probe := a + uint64(step)*24%(PageSize-8)
+		var w [8]byte
+		if g, hit := got.ReadUintCached(probe, 8); hit {
+			if err := want.access(probe, w[:], false, true); err != nil || g != binary.LittleEndian.Uint64(w[:]) {
+				t.Fatalf("step %d: ReadUintCached(%#x) hit with %#x; eager model %x, %v", step, probe, g, w, err)
+			}
+		}
+		if want.access(probe, w[:], false, false) != nil {
+			w = [8]byte{} // unmapped in the model: any hit is stale
+		}
+		if got.WriteUintCached(probe, binary.LittleEndian.Uint64(w[:]), 8) {
+			if err := want.access(probe, w[:], true, true); err != nil {
+				t.Fatalf("step %d: WriteUintCached(%#x) hit; eager model faults: %v", step, probe, err)
+			}
+		}
+	}
+}
+
 // FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
-// model through the same random sequence of Map, Unmap, Protect, Read,
-// Write, Peek (and PeekEach), Poke, ReadCString and the word accessors (ReadUint,
-// WriteUint, PeekUint, PokeUint at widths 1, 2, 4 and 8). After every step it checks
-// byte-identical data, identical *Fault values, identical Regions, and
-// identical Mapped and PermAt answers for every page the operations can
-// reach. Read and Peek destinations start as non-zero garbage, so a read of
-// a page without backing that fails to clear the caller's chunk is caught.
-// Each sequence runs twice: on a NewSpace, and on a Space whose FreeList
-// starts full of dirty pages, dirty page arrays and a dirty region slice,
-// so a recycled page or array that is not cleared before reuse is caught
-// too.
+// model through the same random sequence of Map, Unmap, Protect, Release,
+// Read, Write, Peek (and PeekEach), Poke, ReadCString and the word
+// accessors (ReadUint, WriteUint, PeekUint, PokeUint, and the word cache's
+// ReadUintCached and WriteUintCached, at widths 1, 2, 4 and 8). After every
+// step it checks byte-identical data, identical *Fault values, identical
+// Regions, identical Mapped and PermAt answers for every page the
+// operations can reach, and that every word-cache hit on those pages
+// agrees with the eager model. Read and Peek destinations start as
+// non-zero garbage, so a read of a page without backing that fails to
+// clear the caller's chunk is caught. Each sequence runs twice: on a
+// NewSpace, and on a Space whose FreeList starts full of dirty pages,
+// dirty page arrays and a dirty region slice, so a recycled page or array
+// that is not cleared before reuse is caught too.
 func FuzzSpaceMatchesEager(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 4, 1, 0, 200, 0, 5, 2, 2, 60, 9, 1, 6, 1, 0, 3, 8})
 	f.Add([]byte{0, 2, 6, 1, 2, 3, 1, 7, 3, 2, 255, 40, 4, 3, 0, 90, 1, 5, 4, 1, 1, 2, 7, 0, 0, 77})
@@ -223,6 +270,30 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 		8, 1, 1, 0, 0, 0, 0, 0, 0, 3, 3, 5,
 		8, 1, 1, 0, 0, 0, 0, 0, 0, 2, 3, 5,
 	})
+	// The word cache across its flush points: map two RW pages, write a
+	// word through WriteUint (filling the write cache) and through
+	// WriteUintCached, read it through ReadUint and ReadUintCached,
+	// Protect the first page read-only and write through WriteUintCached
+	// (a miss, then WriteUint's fault); unmap and map it again and read
+	// through ReadUintCached; write, release the Space, map and read
+	// through both cached accessors.
+	f.Add([]byte{
+		0, 1, 1, 0, 2, 0, 0, 0, 2,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		2, 1, 1, 0, 1, 0, 0, 0, 1,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		1, 1, 1, 0, 1, 0, 0, 0, 0,
+		0, 1, 1, 0, 1, 0, 0, 0, 2,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		9, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 1, 1, 0, 2, 0, 0, 0, 2,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runEagerOps(t, NewSpace(), prog)
 		runEagerOps(t, NewSpaceFrom(dirtyList(fuzzPages+6, 0xcc)), prog)
@@ -244,7 +315,7 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 	}
 	perms := []Perm{PermNone, PermRead, PermRW, PermRX, PermRWX, PermWrite}
 	for step := 0; len(prog) > 0 && step < 64; step++ {
-		op := next() % 9
+		op := next() % 10
 		// A page-aligned address, one page either side of the window;
 		// 1 in 8 Map/Unmap/Protect calls is deliberately misaligned.
 		page := fuzzBase + (next()%(fuzzPages+2))*PageSize - PageSize
@@ -308,14 +379,17 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 				t.Fatalf("step %d: ReadCString(%#x, %d) = %q, eager model %q", step, addr, max, gs, ws)
 			}
 		case 8:
-			// A word access through one of the four word accessors, at
+			// A word access through one of the six word accessors, at
 			// width 1, 2, 4 or 8, at addr or 1 to 7 bytes before the end
 			// of its page, so a wide word crosses into the next page.
-			acc, width := next()%4, int64(1)<<(next()%4)
+			acc, width := next()%6, int64(1)<<(next()%4)
 			if k := next() % 16; k < 7 {
 				addr = pageAddr(addr) + PageSize - 1 - k
 			}
 			gErr, wErr = wordOp(t, got, want, acc, addr, width, 0xa1b2c3d4e5f60718+uint64(step))
+		case 9:
+			got.Release()
+			want = newEager()
 		}
 		if !sameErr(gErr, wErr) {
 			t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)
@@ -323,6 +397,7 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 		if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)
 		}
+		probeCache(t, got, want, step)
 		// Mapped and PermAt go through the lookup hint, which Regions
 		// does not use: a stale hint would answer for a page the eager
 		// model no longer maps.

@@ -246,15 +246,49 @@ func (l *FreeList) putArray(a []page) {
 // region the last lookup found, then by binary search, and walks the
 // region's consecutive pages without another lookup.
 //
+// A Space also keeps a word cache: two small direct-mapped tables of the
+// backed pages ReadUint and WriteUint last found readable and writable.
+// ReadUintCached and WriteUintCached answer from it without a lookup, and
+// are small enough to inline into the interpreter's loop. Map, Unmap,
+// Protect and Release, the only places that change a page's permissions
+// or drop its backing, clear both tables. A page without backing is never
+// cached, so demand-zero reads and first-touch backing always take the
+// checked path.
+//
 // A Space is not safe for concurrent use, not even by readers: every
-// lookup writes the hint. Like vm.Machine, it belongs to one goroutine at
-// a time.
+// lookup writes the hint, and the word accessors fill the cache. Like
+// vm.Machine, it belongs to one goroutine at a time.
 type Space struct {
 	regions []region
 	hint    int       // index of the region the last lookup found
 	mapped  uint64    // pages mapped, for the MaxMapped cap
 	free    *FreeList // recycled backings for first writes; nil allocates
+	// rd and wr cache backed pages whose permissions include PermRead
+	// and PermWrite.
+	rd, wr wordCache
 }
+
+// cacheSlots is the number of pages each word-cache table holds.
+const cacheSlots = 16
+
+// wordCache is a direct-mapped table of backed pages: the page numbered
+// n sits in slot n%cacheSlots with tag n+1, so the zero table is empty.
+// It holds the backings a page entry points to, not the entries, so a
+// page array that Map grows or moves leaves it valid.
+type wordCache struct {
+	tag  [cacheSlots]uint64
+	data [cacheSlots]*[PageSize]byte
+}
+
+// fill caches the backing of the page holding addr.
+func (c *wordCache) fill(addr uint64, data *[PageSize]byte) {
+	n := addr / PageSize
+	c.tag[n%cacheSlots], c.data[n%cacheSlots] = n+1, data
+}
+
+// flush empties both word-cache tables. Every change to a page's
+// permissions or backing calls it before it returns.
+func (s *Space) flush() { s.rd, s.wr = wordCache{}, wordCache{} }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
@@ -274,7 +308,8 @@ func NewSpaceFrom(free *FreeList) *Space {
 // Release unmaps everything and moves every backed page, every page array
 // and the region slice to the Space's FreeList (or drops them, without
 // one). The Space is left empty, so every later access faults. Call it
-// once the guest is gone and nothing will read its memory again.
+// once the guest is gone and nothing will read its memory again. The
+// word cache goes with the rest of the Space.
 func (s *Space) Release() {
 	if l := s.free; l != nil {
 		for _, r := range s.regions {
@@ -368,6 +403,7 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	if s.mapped+n-have > maxPages {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "mapping exceeds the address-space cap"}
 	}
+	s.flush() // permissions of pages already mapped change
 	s.mapped += n - have
 	if i == j {
 		pages := s.free.array(int(n))
@@ -425,6 +461,7 @@ func (s *Space) Unmap(addr, length uint64) error {
 	if end == addr {
 		return nil
 	}
+	s.flush() // backings go to the free list
 	i := s.search(addr)
 	j := i
 	for ; j < len(s.regions) && s.regions[j].addr < end; j++ {
@@ -495,6 +532,7 @@ func (s *Space) Protect(addr, length uint64, perm Perm) error {
 	if r.end() < end {
 		return &Fault{Addr: r.end(), Kind: AccessMap, Why: "mprotect of unmapped page"}
 	}
+	s.flush()
 	for k := (addr - r.addr) / PageSize; k < (end-r.addr)/PageSize; k++ {
 		r.pages[k].perm = perm
 	}
@@ -614,9 +652,13 @@ func (s *Space) fault(addr uint64, write bool) error {
 }
 
 // ReadUint reads an unsigned little-endian integer of the given width
-// (1 to 8 bytes) with permission checks.
+// (1 to 8 bytes) with permission checks. A word it reads from a backed
+// page puts that page in the read cache.
 func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
 	if pg := s.wordPage(addr, size, PermRead); pg != nil {
+		if pg.data != nil {
+			s.rd.fill(addr, pg.data)
+		}
 		return pg.load(addr, size), nil
 	}
 	var buf [8]byte
@@ -627,12 +669,14 @@ func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
 }
 
 // WriteUint writes an unsigned little-endian integer of the given width
-// with permission checks.
+// with permission checks. A word it writes within one page puts that
+// page, now backed, in the write cache.
 func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 	if pg := s.wordPage(addr, size, PermWrite); pg != nil {
 		if pg.data == nil {
 			pg.data = s.free.take()
 		}
+		s.wr.fill(addr, pg.data)
 		pg.store(addr, v, size)
 		return nil
 	}
@@ -640,6 +684,40 @@ func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Write(addr, buf[:size])
 }
+
+// ReadUintCached is ReadUint for a word the read cache holds: when size
+// is 1 to 8, the page holding addr is cached and the 8 bytes at addr lie
+// in it, it loads that little-endian word and returns its low size bytes
+// and true. Otherwise it returns false and the caller reads through
+// ReadUint, which raises every fault and fills the cache. It makes no
+// call, so it inlines into the interpreter's loop.
+func (s *Space) ReadUintCached(addr uint64, size int64) (uint64, bool) {
+	n, off := addr/PageSize, addr%PageSize
+	if s.rd.tag[n%cacheSlots] != n+1 || off > PageSize-8 || uint64(size-1) > 7 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(s.rd.data[n%cacheSlots][off:]) & widthMask(size), true
+}
+
+// WriteUintCached is WriteUint for a word the write cache holds: when
+// size is 1 to 8, the page holding addr is cached and the 8 bytes at addr
+// lie in it, it stores the low size bytes of v there, keeping the bytes
+// above them, and returns true. Otherwise it stores nothing and returns
+// false, and the caller writes through WriteUint. Its inline cost is the
+// whole budget of 80: TestWordAccessorsInline keeps both accessors
+// inlined into the interpreter.
+func (s *Space) WriteUintCached(addr, v uint64, size int64) bool {
+	n, off := addr/PageSize, addr%PageSize
+	if s.wr.tag[n%cacheSlots] != n+1 || off > PageSize-8 || uint64(size-1) > 7 {
+		return false
+	}
+	b, m := s.wr.data[n%cacheSlots][off:], widthMask(size)
+	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^m|v&m)
+	return true
+}
+
+// widthMask is the mask of a word's low size bytes, for size 1 to 8.
+func widthMask(size int64) uint64 { return 1<<(8*uint64(size)) - 1 }
 
 // PeekUint reads an integer without permission checks.
 func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bastion/internal/ir"
+	"bastion/internal/mem"
 )
 
 // runLoopCase is a guest whose main faults in the middle of a block of
@@ -14,6 +15,7 @@ type runLoopCase struct {
 	maxSteps uint64
 	body     func(b *ir.Builder)
 	wantWhy  string // the fault's reason, for a ControlFault
+	wantAddr uint64 // the faulting address, for a *mem.Fault
 	// What the fault leaves: steps, cycles (main's call costs 6) and
 	// helper's next instruction index.
 	steps, cycles uint64
@@ -30,6 +32,34 @@ var runLoopCases = []runLoopCase{
 	{name: "store fault", steps: 3, cycles: 9, idx: 2, body: func(b *ir.Builder) {
 		a := b.Const(0x10)
 		b.Store(a, 0, ir.Imm(3), 4)
+		b.Const(7)
+	}},
+	// Word-cache misses leave the loop and come back: the global page's
+	// first read (unbacked, never cached), its first write (backs it and
+	// fills the write cache) and first cached read (fills the read
+	// cache); then a hit. The value the loads carry is the next load's
+	// faulting address.
+	{name: "first touch of a page", wantAddr: 0x30, steps: 8, cycles: 18, idx: 7, body: func(b *ir.Builder) {
+		g := b.GlobalLea("g", 0)
+		b.Load(g, 0, 8)
+		b.Store(g, 0, ir.Imm(0x30), 8)
+		v := b.Load(g, 0, 8)
+		w := b.Load(g, 8, 8)
+		a := b.Bin(ir.OpAdd, ir.R(v), ir.R(w))
+		b.Load(a, 0, 8)
+		b.Const(7)
+	}},
+	// A word in the last 7 bytes of a cached page misses; so does one
+	// that crosses into the next page.
+	{name: "word at a page end", wantAddr: 0x30, steps: 9, cycles: 20, idx: 8, body: func(b *ir.Builder) {
+		g := b.GlobalLea("g", 0)
+		b.Store(g, 0, ir.Imm(1), 8)
+		b.Store(g, mem.PageSize-8, ir.Imm(2), 8)
+		b.Store(g, mem.PageSize-4, ir.Imm(0x30), 4)
+		v := b.Load(g, mem.PageSize-4, 4)
+		w := b.Load(g, mem.PageSize-2, 4)
+		a := b.Bin(ir.OpAdd, ir.R(v), ir.R(w))
+		b.Load(a, 0, 8)
 		b.Const(7)
 	}},
 	{name: "division by zero", wantWhy: "division by zero", steps: 4, cycles: 9, idx: 3, body: func(b *ir.Builder) {
@@ -64,11 +94,13 @@ type runLoopView struct {
 }
 
 // runFaulting runs c's guest, main calling a helper whose body is c's,
-// and returns what it left; single installs a no-op hook at an address no instruction has, which
-// makes the run loop leave after every instruction.
+// with a two-page global g, and returns what it left; single installs a
+// no-op hook at an address no instruction has, which makes the run loop
+// leave after every instruction.
 func runFaulting(t *testing.T, c runLoopCase, single bool) runLoopView {
 	t.Helper()
 	p := ir.NewProgram()
+	p.AddGlobal(&ir.Global{Name: "g", Size: 2 * mem.PageSize})
 	hb := ir.NewBuilder("helper", 0)
 	hb.Local("x", 8)
 	c.body(hb)
@@ -106,6 +138,9 @@ func TestRunLoopFaultsMatchSingleStep(t *testing.T) {
 			}
 			if cf, ok := block.Err.(*ControlFault); c.wantWhy != "" && (!ok || cf.Why != c.wantWhy) {
 				t.Fatalf("err = %v, want a control fault: %s", block.Err, c.wantWhy)
+			}
+			if f, ok := block.Err.(*mem.Fault); c.wantAddr != 0 && (!ok || f.Addr != c.wantAddr) {
+				t.Fatalf("err = %v, want a memory fault at %#x", block.Err, c.wantAddr)
 			}
 			if block.Steps != c.steps || block.Cycles != c.cycles || block.Idx != c.idx {
 				t.Fatalf("fault left steps %d, cycles %d, helper+%d; want %d, %d, helper+%d",

@@ -544,13 +544,18 @@ func val(regs *[MaxRegsPerFrame]uint64, o ir.Operand) uint64 {
 // instruction index, the step count and the cycles charged since entry
 // in locals, so the straight-line instructions (Const, Mov, Bin, Load,
 // Store, LocalAddr, GlobalAddr, FuncAddr, Jump, BranchNZ) write neither
-// the Machine nor the shared Clock. It leaves at the first Call, CallInd,
-// Ret, Syscall or Intrinsic, which it executes, and at any fault; with a
-// hook or a trace installed it leaves after one instruction. Before every
-// exit it writes fr.idx, m.Steps and m.Clock back (sync), so whatever
-// runs next (the callee's set-up, the kernel, the monitor, a mitigation,
-// a hook or the caller that sees a fault) reads exactly the pc, steps
-// and clock an instruction-at-a-time interpreter would leave.
+// the Machine nor the shared Clock. They make no call either: Load and
+// Store go through the word cache's inlined accessors and LocalAddr reads
+// the slot table Link recorded, so only exits call out. It leaves at the
+// first Call, CallInd, Ret, Syscall or Intrinsic, which it executes; at a
+// Load or Store the word cache misses, or a LocalAddr Link's table cannot
+// answer, which miss executes; and at any fault. With a hook or a trace
+// installed it leaves after one instruction. Before every exit it writes
+// fr.idx, m.Steps and m.Clock back (sync), so whatever runs next (the
+// callee's set-up, the kernel, the monitor, a mitigation, a hook, the
+// checked word accessors or the caller that sees a fault) reads exactly
+// the pc, steps and clock an instruction-at-a-time interpreter would
+// leave; run then calls exec again.
 func (m *Machine) exec() error {
 	fr := m.frames[len(m.frames)-1]
 	fn, idx, regs := fr.fn, fr.idx, &fr.regs
@@ -654,21 +659,26 @@ func (m *Machine) exec() error {
 			regs[in.Dst] = v
 		case ir.Load:
 			cycles += m.Costs.MemAccess
-			v, err := m.Mem.ReadUint(regs[in.Addr]+uint64(in.Off), in.Size)
-			if err != nil {
+			v, ok := m.Mem.ReadUintCached(regs[in.Addr]+uint64(in.Off), in.Size)
+			if !ok {
 				m.sync(fr, idx, steps, cycles)
-				return err
+				return m.miss(fn, regs, in)
 			}
 			regs[in.Dst] = v
 		case ir.Store:
 			cycles += m.Costs.MemAccess
-			if err := m.Mem.WriteUint(regs[in.Addr]+uint64(in.Off), val(regs, in.Src), in.Size); err != nil {
+			if !m.Mem.WriteUintCached(regs[in.Addr]+uint64(in.Off), val(regs, in.Src), in.Size) {
 				m.sync(fr, idx, steps, cycles)
-				return err
+				return m.miss(fn, regs, in)
 			}
 		case ir.LocalAddr:
 			cycles += instrCost
-			regs[in.Dst] = m.rbp + uint64(fn.SlotDisp(in.Slot)) + uint64(in.Off)
+			d, ok := fn.LinkedSlotDisp(in.Slot)
+			if !ok {
+				m.sync(fr, idx, steps, cycles)
+				return m.miss(fn, regs, in)
+			}
+			regs[in.Dst] = m.rbp + uint64(d) + uint64(in.Off)
 		case ir.GlobalAddr:
 			cycles += instrCost
 			g := in.Global
@@ -712,6 +722,31 @@ func (m *Machine) exec() error {
 func (m *Machine) sync(fr *frame, idx int, steps, cycles uint64) {
 	fr.idx, m.Steps = idx, steps
 	m.Clock.Cycles += cycles
+}
+
+// miss finishes a Load, Store or LocalAddr of fn whose inline fast path
+// exec could not take, after exec has counted and charged it and synced:
+// a word the cache does not hold goes through the checked accessors,
+// which raise every fault and fill the cache, and a slot Link did not
+// record is computed afresh. A slot the function does not have is an
+// error, as an undefined symbol is.
+func (m *Machine) miss(fn *ir.Function, regs *[MaxRegsPerFrame]uint64, in *ir.Instr) error {
+	switch in.Kind {
+	case ir.Load:
+		v, err := m.Mem.ReadUint(regs[in.Addr]+uint64(in.Off), in.Size)
+		if err != nil {
+			return err
+		}
+		regs[in.Dst] = v
+		return nil
+	case ir.Store:
+		return m.Mem.WriteUint(regs[in.Addr]+uint64(in.Off), val(regs, in.Src), in.Size)
+	}
+	if !fn.HasSlot(in.Slot) {
+		return fmt.Errorf("vm: %s has no slot %d", fn.Name, in.Slot)
+	}
+	regs[in.Dst] = m.rbp + uint64(fn.SlotDisp(in.Slot)) + uint64(in.Off)
+	return nil
 }
 
 // transfer executes an instruction that leaves the frame or hands

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bastion/internal/ir"
+	"bastion/internal/mem"
 )
 
 // buildSpinner returns a program whose main executes roughly n simple
@@ -39,6 +40,33 @@ func buildCallChain() *ir.Program {
 		r = mb.Call("leaf", ir.R(r), ir.Imm(2))
 	}
 	mb.Ret(ir.R(r))
+	p.AddFunc(mb.Build())
+	return p
+}
+
+// buildMemoryMix returns a program whose main loads and stores words of
+// widths 1 to 8 in a loop, on its stack frame, in a global and on the
+// heap at ir.HeapBase, which the caller maps.
+func buildMemoryMix() *ir.Program {
+	p := ir.NewProgram()
+	p.AddGlobal(&ir.Global{Name: "g", Size: 256})
+	mb := ir.NewBuilder("main", 0)
+	mb.Local("buf", 256)
+	i := mb.Const(0)
+	mb.Label("loop")
+	done := mb.Bin(ir.OpGe, ir.R(i), ir.Imm(256))
+	mb.BranchNZ(ir.R(done), "end")
+	for _, base := range []ir.Reg{mb.Lea("buf", 0), mb.GlobalLea("g", 0), mb.Const(int64(ir.HeapBase))} {
+		a := mb.Bin(ir.OpAdd, ir.R(base), ir.R(i))
+		for _, w := range []int64{1, 2, 4, 8} {
+			mb.Store(a, 0, ir.R(i), w)
+			mb.Load(a, 0, w)
+		}
+	}
+	mb.BinInto(i, ir.OpAdd, ir.R(i), ir.Imm(8))
+	mb.Jump("loop")
+	mb.Label("end")
+	mb.Ret(ir.R(i))
 	p.AddFunc(mb.Build())
 	return p
 }
@@ -111,7 +139,9 @@ func BenchmarkGuestMemoryAccess(b *testing.B) {
 // TestHotPathAllocationFree pins the interpreter's per-instruction and
 // per-call path at zero allocations: once the first call has grown the
 // frame stack, a spinner and a 20-call chain run on reused register
-// frames and a stack-staged argument buffer.
+// frames and a stack-staged argument buffer, and loads and stores on the
+// stack, a global and the heap, through the word cache and its miss
+// exits, allocate nothing either.
 func TestHotPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -122,9 +152,13 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}{
 		{"spinner", buildSpinner(1000)},
 		{"call-chain", buildCallChain()},
+		{"load-store", buildMemoryMix()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := benchMachine(t, tc.prog)
+			if err := m.Mem.Map(ir.HeapBase, mem.PageSize, mem.PermRW); err != nil {
+				t.Fatal(err)
+			}
 			allocs := testing.AllocsPerRun(100, func() {
 				if _, err := m.CallFunction("main"); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -658,5 +659,53 @@ func TestUnresolvedSymbolFailsAtRun(t *testing.T) {
 	code := p.Func("main").Code
 	if code[0].Callee != p.Func("callee") || code[1].Callee != p.Func("callee") || code[2].Global != p.GlobalByName("g") {
 		t.Fatalf("Link left symbols unresolved: %+v", code[:3])
+	}
+}
+
+// A LocalAddr of a slot its function does not have, which Validate
+// rejects, fails the run with an error, as an undefined symbol does; it
+// does not panic the host. One of a function whose slots changed since
+// Link takes the exit path and gets the layout computed afresh.
+func TestLocalAddrOutsideLinkedSlots(t *testing.T) {
+	for _, slot := range []int{-1, 1, 1 << 40} {
+		p := ir.NewProgram()
+		b := ir.NewBuilder("main", 0)
+		b.Local("x", 8)
+		b.Emit(ir.Instr{Kind: ir.LocalAddr, Dst: b.Reg(), Slot: slot})
+		b.Ret(ir.Imm(0))
+		p.AddFunc(b.Build())
+		if err := p.Link(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("vm: main has no slot %d", slot)
+		if _, err := m.CallFunction("main"); err == nil || err.Error() != want {
+			t.Fatalf("slot %d: run: %v, want %q", slot, err, want)
+		}
+	}
+
+	p := ir.NewProgram()
+	b := ir.NewBuilder("main", 0)
+	b.Local("x", 8)
+	b.Local("y", 8)
+	b.Ret(ir.R(b.Lea("y", 0)))
+	f := b.Build()
+	p.AddFunc(f)
+	m := mustMachine(t, p)
+	f.Locals = append(f.Locals, ir.Slot{Name: "z", Size: 24}) // after Link
+	if _, ok := f.LinkedSlotDisp(1); ok {
+		t.Fatal("LinkedSlotDisp answered after the slots changed")
+	}
+	got, err := m.CallFunction("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// main's frame sits 16 bytes (saved rbp, return address) below the
+	// machine's initial stack pointer.
+	if want := ir.StackTop - 64 - 16 + uint64(f.SlotDisp(1)); got != want {
+		t.Fatalf("LocalAddr of a slot added after Link = %#x, want %#x", got, want)
 	}
 }

@@ -231,6 +231,29 @@ func probeCache(t *testing.T, got *Space, want *eagerSpace, step int) {
 	}
 }
 
+// checkDrop checks what a Map, Unmap or Protect of [page, page+length)
+// left in the word cache: every page outside the range that was cached
+// before is still cached, with the same backing, and when the operation
+// succeeded no page inside it is. A range that wraps or is not aligned
+// fails before it changes anything, so everything stays.
+func checkDrop(t *testing.T, step int, before, after [2]wordCache, page, length uint64, ok bool) {
+	t.Helper()
+	end, spans := span(page, length)
+	ok = ok && spans && page%PageSize == 0
+	dropped := func(tag uint64) bool { return ok && tag != 0 && (tag-1)*PageSize-page < end-page }
+	for k := range before {
+		for i := range cacheSlots {
+			was, is := before[k].tag[i], after[k].tag[i]
+			if dropped(is) {
+				t.Fatalf("step %d: table %d slot %d still holds page %#x of [%#x, %#x)", step, k, i, (is-1)*PageSize, page, end)
+			}
+			if was != 0 && !dropped(was) && (is != was || after[k].data[i] != before[k].data[i]) {
+				t.Fatalf("step %d: table %d slot %d lost page %#x, outside [%#x, %#x)", step, k, i, (was-1)*PageSize, page, end)
+			}
+		}
+	}
+}
+
 // FuzzSpaceMatchesEager drives the demand-zero Space and the eager reference
 // model through the same random sequence of Map, Unmap, Protect, Release,
 // Read, Write, Peek (and PeekEach), Poke, ReadCString and the word
@@ -238,10 +261,11 @@ func probeCache(t *testing.T, got *Space, want *eagerSpace, step int) {
 // ReadUintCached and WriteUintCached, at widths 1, 2, 4 and 8). After every
 // step it checks byte-identical data, identical *Fault values, identical
 // Regions, identical Mapped and PermAt answers for every page the
-// operations can reach, and that every word-cache hit on those pages
-// agrees with the eager model. Read and Peek destinations start as
-// non-zero garbage, so a read of a page without backing that fails to
-// clear the caller's chunk is caught. Each sequence runs twice: on a
+// operations can reach, that every word-cache hit on those pages agrees
+// with the eager model, and that a Map, Unmap or Protect dropped exactly
+// the cached pages of its own range (checkDrop). Read and Peek
+// destinations start as non-zero garbage, so a read of a page without
+// backing that fails to clear the caller's chunk is caught. Each sequence runs twice: on a
 // NewSpace, and on a Space whose FreeList starts full of dirty pages,
 // dirty page arrays and a dirty region slice, so a recycled page or array
 // that is not cleared before reuse is caught too.
@@ -294,6 +318,51 @@ func FuzzSpaceMatchesEager(f *testing.F) {
 		8, 1, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
 		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
 	})
+	// Sub-range Map, Unmap and Protect of a cached multi-page region,
+	// between cached accesses: each drops only its own page.
+	f.Add([]byte{
+		// map four RW pages
+		0, 1, 1, 0, 4, 0, 0, 0, 2,
+		// WriteUint, then ReadUint, on each: both tables hold all four
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		// Protect the second read-only; cached writes to it and its neighbours
+		2, 2, 1, 0, 1, 0, 0, 0, 1,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		// refill its read entry, PokeUint it, read it cached
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 0, 3, 9,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 3, 3, 9,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		// Unmap the third; cached reads of it and its neighbours, cached writes
+		1, 3, 1, 0, 1, 0, 0, 0, 0,
+		8, 2, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		// Map the third again; cached read, WriteUint, cached read
+		0, 3, 1, 0, 1, 0, 0, 0, 2,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 1, 3, 9,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		// Map the fourth read-only over it; cached writes and a cached read
+		0, 4, 1, 0, 1, 0, 0, 0, 1,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+		8, 4, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		// Protect the first two RWX; a cached read of the third, a cached write to the first
+		2, 1, 1, 0, 2, 0, 0, 0, 4,
+		8, 3, 1, 4, 0, 0, 0, 0, 0, 4, 3, 9,
+		8, 1, 1, 4, 0, 0, 0, 0, 0, 5, 3, 9,
+	})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runEagerOps(t, NewSpace(), prog)
 		runEagerOps(t, NewSpaceFrom(dirtyList(fuzzPages+6, 0xcc)), prog)
@@ -333,6 +402,7 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 		perm := perms[next()%uint64(len(perms))]
 
 		var gErr, wErr error
+		cached := [2]wordCache{got.rd, got.wr}
 		switch op {
 		case 0:
 			gErr, wErr = got.Map(page, length, perm), want.Map(page, length, perm)
@@ -393,6 +463,9 @@ func runEagerOps(t *testing.T, got *Space, prog []byte) {
 		}
 		if !sameErr(gErr, wErr) {
 			t.Fatalf("step %d: op %d: error %v, eager model %v", step, op, gErr, wErr)
+		}
+		if op <= 2 {
+			checkDrop(t, step, cached, [2]wordCache{got.rd, got.wr}, page, length, gErr == nil)
 		}
 		if g, w := got.Regions(), want.Regions(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: op %d: Regions %+v, eager model %+v", step, op, g, w)

@@ -249,11 +249,15 @@ func (l *FreeList) putArray(a []page) {
 // A Space also keeps a word cache: two small direct-mapped tables of the
 // backed pages ReadUint and WriteUint last found readable and writable.
 // ReadUintCached and WriteUintCached answer from it without a lookup, and
-// are small enough to inline into the interpreter's loop. Map, Unmap,
-// Protect and Release, the only places that change a page's permissions
-// or drop its backing, clear both tables. A page without backing is never
-// cached, so demand-zero reads and first-touch backing always take the
-// checked path.
+// are small enough to inline into the interpreter's loop. Every word
+// accessor consults it first: ReadUint and PeekUint the read table,
+// WriteUint and PokeUint the write table. Only the checked ReadUint and
+// WriteUint fill it on a miss, so a monitor's or runtime's Peek and Poke
+// probes cannot evict the guest's own pages. Map, Unmap and Protect, the
+// only places besides Release that change a page's permissions or drop
+// its backing, drop the pages of their own range from both tables;
+// Release clears them. A page without backing is never cached, so
+// demand-zero reads and first-touch backing always take the checked path.
 //
 // A Space is not safe for concurrent use, not even by readers: every
 // lookup writes the hint, and the word accessors fill the cache. Like
@@ -286,9 +290,25 @@ func (c *wordCache) fill(addr uint64, data *[PageSize]byte) {
 	c.tag[n%cacheSlots], c.data[n%cacheSlots] = n+1, data
 }
 
-// flush empties both word-cache tables. Every change to a page's
-// permissions or backing calls it before it returns.
-func (s *Space) flush() { s.rd, s.wr = wordCache{}, wordCache{} }
+// drop removes the pages in [addr, end) from the table. It costs one
+// pass over the slots for a range of any length. Every change to a
+// page's permissions or backing drops that page from both tables before
+// it returns; the tables hold backings, not page entries, so pages
+// outside the range stay valid.
+func (c *wordCache) drop(addr, end uint64) {
+	lo, n := addr/PageSize, (end-addr)/PageSize
+	for i, t := range c.tag {
+		if t-1-lo < n { // t-1 in [lo, lo+n); an empty slot's t-1 wraps above
+			c.tag[i], c.data[i] = 0, nil
+		}
+	}
+}
+
+// drop removes the pages in [addr, end) from both word-cache tables.
+func (s *Space) drop(addr, end uint64) {
+	s.rd.drop(addr, end)
+	s.wr.drop(addr, end)
+}
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space { return &Space{} }
@@ -403,7 +423,7 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	if s.mapped+n-have > maxPages {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "mapping exceeds the address-space cap"}
 	}
-	s.flush() // permissions of pages already mapped change
+	s.drop(addr, end) // permissions of pages already mapped change
 	s.mapped += n - have
 	if i == j {
 		pages := s.free.array(int(n))
@@ -461,7 +481,7 @@ func (s *Space) Unmap(addr, length uint64) error {
 	if end == addr {
 		return nil
 	}
-	s.flush() // backings go to the free list
+	s.drop(addr, end) // backings go to the free list
 	i := s.search(addr)
 	j := i
 	for ; j < len(s.regions) && s.regions[j].addr < end; j++ {
@@ -532,7 +552,7 @@ func (s *Space) Protect(addr, length uint64, perm Perm) error {
 	if r.end() < end {
 		return &Fault{Addr: r.end(), Kind: AccessMap, Why: "mprotect of unmapped page"}
 	}
-	s.flush()
+	s.drop(addr, end)
 	for k := (addr - r.addr) / PageSize; k < (end-r.addr)/PageSize; k++ {
 		r.pages[k].perm = perm
 	}
@@ -652,14 +672,21 @@ func (s *Space) fault(addr uint64, write bool) error {
 }
 
 // ReadUint reads an unsigned little-endian integer of the given width
-// (1 to 8 bytes) with permission checks. A word it reads from a backed
-// page puts that page in the read cache.
+// (0 to 8 bytes; a width of 0 reads 0) with permission checks. It tries
+// the read cache first; on a miss, a word it reads from a backed page
+// puts that page in the read cache. Any other width is a fault.
 func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
+	if v, ok := s.ReadUintCached(addr, size); ok {
+		return v, nil
+	}
 	if pg := s.wordPage(addr, size, PermRead); pg != nil {
 		if pg.data != nil {
 			s.rd.fill(addr, pg.data)
 		}
 		return pg.load(addr, size), nil
+	}
+	if uint64(size) > 8 {
+		return 0, widthFault(addr, size, AccessRead)
 	}
 	var buf [8]byte
 	if err := s.Read(addr, buf[:size]); err != nil {
@@ -669,9 +696,13 @@ func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
 }
 
 // WriteUint writes an unsigned little-endian integer of the given width
-// with permission checks. A word it writes within one page puts that
+// (0 to 8 bytes, as ReadUint) with permission checks. It tries the write
+// cache first; on a miss, a word it writes within one page puts that
 // page, now backed, in the write cache.
 func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
+	if s.WriteUintCached(addr, v, size) {
+		return nil
+	}
 	if pg := s.wordPage(addr, size, PermWrite); pg != nil {
 		if pg.data == nil {
 			pg.data = s.free.take()
@@ -680,9 +711,17 @@ func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 		pg.store(addr, v, size)
 		return nil
 	}
+	if uint64(size) > 8 {
+		return widthFault(addr, size, AccessWrite)
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Write(addr, buf[:size])
+}
+
+// widthFault is the fault of a word access whose width is not 0 to 8.
+func widthFault(addr uint64, size int64, k AccessKind) error {
+	return &Fault{Addr: addr, Kind: k, Why: fmt.Sprintf("word width %d", size)}
 }
 
 // ReadUintCached is ReadUint for a word the read cache holds: when size
@@ -719,10 +758,18 @@ func (s *Space) WriteUintCached(addr, v uint64, size int64) bool {
 // widthMask is the mask of a word's low size bytes, for size 1 to 8.
 func widthMask(size int64) uint64 { return 1<<(8*uint64(size)) - 1 }
 
-// PeekUint reads an integer without permission checks.
+// PeekUint reads an integer without permission checks. A page in the
+// read cache answers it; a miss neither fills the cache nor backs the
+// page.
 func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
+	if v, ok := s.ReadUintCached(addr, size); ok {
+		return v, nil
+	}
 	if pg := s.wordPage(addr, size, PermNone); pg != nil {
 		return pg.load(addr, size), nil
+	}
+	if uint64(size) > 8 {
+		return 0, widthFault(addr, size, AccessRead)
 	}
 	var buf [8]byte
 	if err := s.Peek(addr, buf[:size]); err != nil {
@@ -731,14 +778,21 @@ func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// PokeUint writes an integer without permission checks.
+// PokeUint writes an integer without permission checks. A page in the
+// write cache takes it; a miss does not fill the cache.
 func (s *Space) PokeUint(addr uint64, v uint64, size int64) error {
+	if s.WriteUintCached(addr, v, size) {
+		return nil
+	}
 	if pg := s.wordPage(addr, size, PermNone); pg != nil {
 		if pg.data == nil {
 			pg.data = s.free.take()
 		}
 		pg.store(addr, v, size)
 		return nil
+	}
+	if uint64(size) > 8 {
+		return widthFault(addr, size, AccessWrite)
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,8 +18,10 @@ type runLoopCase struct {
 	wantWhy  string // the fault's reason, for a ControlFault
 	wantAddr uint64 // the faulting address, for a *mem.Fault
 	// What the fault leaves: steps, cycles (main's call costs 6) and
-	// helper's next instruction index.
+	// the next instruction index of fn, the function on top ("" for
+	// helper).
 	steps, cycles uint64
+	fn            string
 	idx           int
 }
 
@@ -62,6 +65,24 @@ var runLoopCases = []runLoopCase{
 		b.Load(a, 0, 8)
 		b.Const(7)
 	}},
+	// helper makes its own stack page read-only with mprotect; the
+	// page is in the write cache, so the call's frame-link store must
+	// miss and fault as the checked store does.
+	{name: "call after mprotect of the stack", wantAddr: ir.StackTop - 120, steps: 5, cycles: 14, idx: 4, body: func(b *ir.Builder) {
+		x := b.Lea("x", 0)
+		pg := b.Bin(ir.OpAnd, ir.R(x), ir.Imm(-mem.PageSize))
+		b.Syscall(sysMprotect, ir.R(pg), ir.Imm(mem.PageSize), ir.Imm(int64(mem.PermRead)))
+		b.Call("leaf")
+		b.Const(7)
+	}},
+	// helper overwrites its saved frame pointer with an unmapped
+	// address and returns; main's return then reads its return address
+	// through that frame pointer and faults.
+	{name: "return through an unmapped frame pointer", wantAddr: 0x18, steps: 5, cycles: 17, fn: "main", idx: 2, body: func(b *ir.Builder) {
+		x := b.Lea("x", 0)
+		b.Store(x, 8, ir.Imm(0x10), 8)
+		b.Ret(ir.Imm(0))
+	}},
 	{name: "division by zero", wantWhy: "division by zero", steps: 4, cycles: 9, idx: 3, body: func(b *ir.Builder) {
 		z := b.Const(0)
 		x := b.Const(9)
@@ -93,10 +114,26 @@ type runLoopView struct {
 	Err           error
 }
 
+// sysMprotect is the one system call protectOS serves.
+const sysMprotect = 10
+
+// protectOS is a kernel that serves only mprotect(addr, len, perm), with
+// perm a mem.Perm, and charges nothing for it.
+type protectOS struct{}
+
+func (protectOS) Syscall(m *Machine) (int64, error) {
+	r := &m.SysRegs
+	if r.RAX != sysMprotect {
+		return 0, fmt.Errorf("syscall %d", r.RAX)
+	}
+	return 0, m.Mem.Protect(r.RDI, r.RSI, mem.Perm(r.RDX))
+}
+
 // runFaulting runs c's guest, main calling a helper whose body is c's,
-// with a two-page global g, and returns what it left; single installs a
-// no-op hook at an address no instruction has, which makes the run loop
-// leave after every instruction.
+// with a two-page global g, a leaf function and protectOS, and returns
+// what it left; single installs a no-op hook at an address no
+// instruction has, which makes the run loop leave after every
+// instruction.
 func runFaulting(t *testing.T, c runLoopCase, single bool) runLoopView {
 	t.Helper()
 	p := ir.NewProgram()
@@ -108,11 +145,14 @@ func runFaulting(t *testing.T, c runLoopCase, single bool) runLoopView {
 	mb := ir.NewBuilder("main", 0)
 	mb.Ret(ir.R(mb.Call("helper")))
 	p.AddFunc(mb.Build())
+	lb := ir.NewBuilder("leaf", 0)
+	lb.Ret(ir.Imm(0))
+	p.AddFunc(lb.Build())
 	// No Validate: "ran off end" has no terminator.
 	if err := p.Link(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(p, WithMaxSteps(c.maxSteps))
+	m, err := New(p, WithMaxSteps(c.maxSteps), WithOS(protectOS{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +173,12 @@ func TestRunLoopFaultsMatchSingleStep(t *testing.T) {
 	for _, c := range runLoopCases {
 		t.Run(c.name, func(t *testing.T) {
 			block, single := runFaulting(t, c, false), runFaulting(t, c, true)
-			if block.Err == nil || block.Func != "helper" {
-				t.Fatalf("the guest did not fault in helper: %+v", block)
+			fn := c.fn
+			if fn == "" {
+				fn = "helper"
+			}
+			if block.Err == nil || block.Func != fn {
+				t.Fatalf("the guest did not fault in %s: %+v", fn, block)
 			}
 			if cf, ok := block.Err.(*ControlFault); c.wantWhy != "" && (!ok || cf.Why != c.wantWhy) {
 				t.Fatalf("err = %v, want a control fault: %s", block.Err, c.wantWhy)
@@ -143,8 +187,8 @@ func TestRunLoopFaultsMatchSingleStep(t *testing.T) {
 				t.Fatalf("err = %v, want a memory fault at %#x", block.Err, c.wantAddr)
 			}
 			if block.Steps != c.steps || block.Cycles != c.cycles || block.Idx != c.idx {
-				t.Fatalf("fault left steps %d, cycles %d, helper+%d; want %d, %d, helper+%d",
-					block.Steps, block.Cycles, block.Idx, c.steps, c.cycles, c.idx)
+				t.Fatalf("fault left steps %d, cycles %d, %s+%d; want %d, %d, %s+%d",
+					block.Steps, block.Cycles, fn, block.Idx, c.steps, c.cycles, fn, c.idx)
 			}
 			if !reflect.DeepEqual(block, single) {
 				t.Fatalf("in blocks: %+v\none at a time: %+v", block, single)

@@ -475,19 +475,29 @@ func (m *Machine) pushCall(fn *ir.Function, args []uint64, retaddr uint64) error
 	if m.rsp < ir.StackTop-ir.StackSize+need+mem.PageSize {
 		return &ControlFault{Addr: m.rsp, Why: "stack overflow"}
 	}
+	// The frame link, the return address and the argument spills go
+	// through the word cache's inlined accessor, as a Store does, and
+	// through the checked WriteUint, which raises every fault and fills
+	// the cache, on a miss.
 	newRbp := m.rsp - 16
-	if err := m.Mem.WriteUint(newRbp, m.rbp, 8); err != nil {
-		return err
+	if !m.Mem.WriteUintCached(newRbp, m.rbp, 8) {
+		if err := m.Mem.WriteUint(newRbp, m.rbp, 8); err != nil {
+			return err
+		}
 	}
-	if err := m.Mem.WriteUint(newRbp+8, retaddr, 8); err != nil {
-		return err
+	if !m.Mem.WriteUintCached(newRbp+8, retaddr, 8) {
+		if err := m.Mem.WriteUint(newRbp+8, retaddr, 8); err != nil {
+			return err
+		}
 	}
 	m.rbp = newRbp
 	m.rsp = newRbp - localSize
 	// Parameter spill slots open the slot area, one word each.
 	for i, a := range args {
-		if err := m.Mem.WriteUint(m.rsp+uint64(i)*ir.WordSize, a, 8); err != nil {
-			return err
+		if at := m.rsp + uint64(i)*ir.WordSize; !m.Mem.WriteUintCached(at, a, 8) {
+			if err := m.Mem.WriteUint(at, a, 8); err != nil {
+				return err
+			}
 		}
 	}
 	m.pushFrame(fn, 0)
@@ -810,14 +820,20 @@ func (m *Machine) doCall(fr *frame, fn *ir.Function, in *ir.Instr, callee *ir.Fu
 func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 	m.rax = val(&fr.regs, in.Src)
 	// The return address and saved frame pointer come from guest memory:
-	// this is the ROP surface.
-	retaddr, err := m.Mem.ReadUint(m.rbp+8, 8)
-	if err != nil {
-		return err
+	// this is the ROP surface. Both go through the word cache first, as
+	// a Load does; a cached page holds the bytes a checked read returns.
+	var err error
+	retaddr, ok := m.Mem.ReadUintCached(m.rbp+8, 8)
+	if !ok {
+		if retaddr, err = m.Mem.ReadUint(m.rbp+8, 8); err != nil {
+			return err
+		}
 	}
-	savedRbp, err := m.Mem.ReadUint(m.rbp, 8)
-	if err != nil {
-		return err
+	savedRbp, ok := m.Mem.ReadUintCached(m.rbp, 8)
+	if !ok {
+		if savedRbp, err = m.Mem.ReadUint(m.rbp, 8); err != nil {
+			return err
+		}
 	}
 	for _, mit := range m.Mitigations {
 		if err := mit.OnRet(m, retaddr); err != nil {

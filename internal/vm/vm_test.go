@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bastion/internal/ir"
+	"bastion/internal/mem"
 )
 
 // fakeOS records syscalls and returns canned values; nr 60 exits.
@@ -707,5 +708,51 @@ func TestLocalAddrOutsideLinkedSlots(t *testing.T) {
 	// machine's initial stack pointer.
 	if want := ir.StackTop - 64 - 16 + uint64(f.SlotDisp(1)); got != want {
 		t.Fatalf("LocalAddr of a slot added after Link = %#x, want %#x", got, want)
+	}
+}
+
+// TestWordWidthOutOfRange: Validate rejects a Load or Store wider than 8
+// bytes or of negative width, but New does not run it. Such an access
+// misses the word cache, and the checked accessor must fail the run with
+// a memory fault instead of panicking the host. Width 0 reads 0 and
+// writes nothing, as it always has.
+func TestWordWidthOutOfRange(t *testing.T) {
+	run := func(store bool, width int64) (uint64, error) {
+		t.Helper()
+		p := ir.NewProgram()
+		b := ir.NewBuilder("main", 0)
+		b.Local("x", 8)
+		x := b.Lea("x", 0)
+		b.Store(x, 0, ir.Imm(0x1122), 8)
+		v := ir.Operand(ir.Imm(0))
+		if store {
+			b.Store(x, 0, ir.Imm(-1), width)
+		} else {
+			v = ir.R(b.Load(x, 0, width))
+		}
+		b.Ret(v)
+		p.AddFunc(b.Build())
+		if err := p.Link(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.CallFunction("main")
+	}
+	for _, width := range []int64{9, -1} {
+		for _, store := range []bool{false, true} {
+			var f *mem.Fault
+			if _, err := run(store, width); !errors.As(err, &f) {
+				t.Errorf("width %d, store %v: run ended with %v, want a *mem.Fault", width, store, err)
+			}
+		}
+	}
+	if v, err := run(false, 0); v != 0 || err != nil {
+		t.Errorf("load of width 0 = %#x, %v; want 0", v, err)
+	}
+	if _, err := run(true, 0); err != nil {
+		t.Errorf("store of width 0: %v", err)
 	}
 }

@@ -61,7 +61,7 @@ func TestMasterCycleUpgradeLegitimate(t *testing.T) {
 // table makes ngx_execute_proc a legitimate indirect target.
 func TestSpawnProcessIsIndirect(t *testing.T) {
 	prot := launch(t, false)
-	meta := prot.Monitor.Meta
+	meta := prot.Monitor.Generation().Meta
 	if !meta.IndirectTargets[nginx.FnExecuteProc] {
 		t.Fatal("ngx_execute_proc not address-taken in metadata")
 	}

@@ -389,7 +389,7 @@ func offloadAblation(units int) (*Table, error) {
 				cell("%d", count(m+"off_traps", off.Workload.Traps, perf.Exact)),
 				cell("%d", count(m+"on_traps", on.Workload.Traps, perf.Exact)),
 				cell("%d", count(m+"avoided", mon.OffloadAvoided(), perf.Exact)),
-				cell("%d", count(m+"offloaded_nrs", len(mon.Offload.Rules), perf.Exact)),
+				cell("%d", count(m+"offloaded_nrs", len(mon.Generation().Offload.Rules), perf.Exact)),
 				cell("%.0f", num(m+"off_mon_cyc_unit", off.Workload.PerUnitMonitor(), perf.LowerIsBetter)),
 				cell("%.0f", num(m+"on_mon_cyc_unit", on.Workload.PerUnitMonitor(), perf.LowerIsBetter)),
 				cell("%.2f%%", num(m+"off_overhead_pct", Overhead(base, off), perf.LowerIsBetter)),

@@ -143,6 +143,8 @@ func (d Defense) Launch(a *Artifact, k *kernel.Kernel, opts ...vm.Option) (*Prot
 		coarse := *a
 		coarse.Meta = a.Meta.CoarseIndirect()
 		a = &coarse
+		// A precompiled generation belongs to the replaced metadata.
+		d.Monitor.Generation = nil
 	}
 	return Launch(a, k, d.Monitor, opts...)
 }

@@ -113,8 +113,8 @@ func TestUnprotectedHasNoMonitor(t *testing.T) {
 
 // TestDefenseLaunch: a defense attaches the monitor exactly when its
 // Monitor.Contexts is nonzero, installs CET before CFI, and launches a
-// coarse defense on the CoarseIndirect projection without touching the
-// artifact.
+// coarse defense on the CoarseIndirect projection, under a generation of
+// its own, without touching the artifact.
 func TestDefenseLaunch(t *testing.T) {
 	art, err := core.Compile(minimalProgram(), core.CompileOptions{})
 	if err != nil {
@@ -153,17 +153,25 @@ func TestDefenseLaunch(t *testing.T) {
 	}
 
 	// A coarse policy that differs from the refined one in one marked
-	// entry, on a copy of the metadata.
+	// entry, on a copy of the metadata. The defense carries a generation
+	// precompiled for the refined metadata, as bench.Run's does: the coarse
+	// launch must compile its own instead of failing on the mismatch.
 	meta := *art.Meta
 	meta.AllowedIndirectCoarse = metadata.NrAddrSets{kernel.SysGetpid: {0xc0a45e: true}}
 	marked := &core.Artifact{Prog: art.Prog, Meta: &meta}
 	for _, coarse := range []bool{false, true} {
 		d := core.Defense{Name: "bastion", Coarse: coarse, Monitor: core.Enforcing(monitor.AllContexts)}
+		if d.Monitor.Generation, err = monitor.NewGeneration(0, marked.Meta, d.Monitor); err != nil {
+			t.Fatal(err)
+		}
 		prot, err := d.Launch(marked, kernel.New(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := prot.Monitor.Meta.AllowedIndirect[kernel.SysGetpid][0xc0a45e]; got != coarse {
+		if installed := prot.Monitor.Generation() == d.Monitor.Generation; installed == coarse {
+			t.Errorf("coarse %v: precompiled generation installed = %v", coarse, installed)
+		}
+		if got := prot.Monitor.Generation().Meta.AllowedIndirect[kernel.SysGetpid][0xc0a45e]; got != coarse {
 			t.Errorf("coarse %v: monitor enforces the marked coarse entry: %v", coarse, got)
 		}
 		if marked.Meta != &meta || meta.AllowedIndirect[kernel.SysGetpid][0xc0a45e] {

@@ -349,7 +349,7 @@ func trapBound(m *monitor.Monitor, kc kernel.Costs, inKernel bool, maxDigest uin
 	w := read(8)
 	lookup := (shadow.MaxProbe + 2) * w
 	var a, b, n uint64
-	for _, site := range m.Meta.ArgSites {
+	for _, site := range m.Generation().Meta.ArgSites {
 		a = max(a, uint64(len(site.Args)))
 		var mem uint64
 		for _, spec := range site.Args {

@@ -146,7 +146,7 @@ func TestOuterBindingReadErrorIsViolation(t *testing.T) {
 		Args: []metadata.ArgSpec{{Pos: 1, Kind: metadata.ArgMem, Size: 8}}}
 	trace := []stackFrame{{Ret: 0x3008, BP: 0x100}, {Ret: 0x4008, BP: 0x200}}
 	newMon := func(src shadow.Loader) *Monitor {
-		return &Monitor{Meta: meta, Cfg: DefaultConfig(),
+		return &Monitor{gen: &Generation{Meta: meta}, Cfg: DefaultConfig(),
 			guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}, shadow: shadow.Reader{Src: src}}
 	}
 

@@ -13,6 +13,7 @@ package monitor
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -35,9 +36,9 @@ const (
 	ArgIntegrity
 	// SyscallFlow enforces syscall ordering: each trapped syscall must be a
 	// legal successor of the previously trapped one under the statically
-	// derived transition graph (metadata.FlowGraph), projected at attach
-	// time onto the set of syscalls the policy actually traps. It is the
-	// only context with cross-trap state, so it disqualifies verdict
+	// derived transition graph (metadata.FlowGraph), projected once per
+	// Generation onto the set of syscalls the policy actually traps. It is
+	// the only context with cross-trap state, so it disqualifies verdict
 	// offload (see DeriveOffload).
 	SyscallFlow
 
@@ -203,12 +204,13 @@ type Config struct {
 	// the paper's proposed optimization for extending coverage to hot
 	// system calls.
 	InKernel bool
-	// Filter, when non-nil, is a precompiled seccomp program installed
-	// verbatim instead of compiling one from metadata at attach time. It
-	// must equal what BuildFilter produces for the same metadata and
-	// config; fleet supervisors use this to compile a workload's filter
-	// once and share it immutably across many tenant launches.
-	Filter []seccomp.Insn
+	// Generation, when non-nil, is the launch generation precompiled by
+	// NewGeneration, installed instead of compiling one at attach time;
+	// fleet supervisors compile a workload's generation once and share it
+	// immutably across many tenant launches. Attach fails closed unless it
+	// was compiled from the metadata being attached, under this Mode and
+	// Policy.
+	Generation *Generation
 	// Sink, when non-nil, receives one obs.TrapEvent per trap — the
 	// decision trace. Telemetry reads the cycle clock but never advances
 	// it, so a traced run produces verdicts and cycle accounts
@@ -250,16 +252,16 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s violation on %s: %s", v.Context, kernel.Name(v.Nr), v.Reason)
 }
 
-// Monitor enforces the three contexts for one protected process.
+// Monitor enforces the four contexts for one protected process.
 type Monitor struct {
-	Meta *metadata.Metadata
-	Cfg  Config
+	// Cfg is the attach configuration; its Policy follows the enforced
+	// generation.
+	Cfg Config
 
-	// funcs resolves RIP to the function holding it. It indexes Meta and
-	// is rebuilt whenever Meta is (Attach, generation swap); it lives on
-	// the monitor because fleet tenants share one *Metadata across
-	// goroutines.
-	funcs metadata.FuncIndex
+	// gen is the enforced generation: the metadata and everything derived
+	// from it under Cfg.Mode and Cfg.Policy. staged is the armed but
+	// unapplied one a trap boundary will swap in (see swap.go).
+	gen, staged *Generation
 
 	// guest is the only access to the process; shadow loads through it.
 	guest  kernel.Tracee
@@ -279,13 +281,6 @@ type Monitor struct {
 	// trap while the context is enforced.
 	FlowChecks uint64
 
-	// Offload is the in-filter verdict plan derived at attach time (empty
-	// unless Config.Offload qualified anything). Syscalls it covers are
-	// decided inside the seccomp program and never reach Trap; the kernel's
-	// per-nr RET_LOG counts are the avoided-trap ground truth, bound into
-	// Metrics as monitor_offload_avoided_total.
-	Offload *OffloadPlan
-
 	// Reloads counts applied generation swaps; ReloadCycles their summed
 	// simulated cost (the fleet's reload-latency measure). Plain fields,
 	// not registry-bound: pre-reload monitors must render byte-identical
@@ -301,24 +296,13 @@ type Monitor struct {
 	// Recorder is the flight recorder (nil unless Config.FlightN > 0).
 	Recorder *obs.FlightRecorder
 
-	// Policy hot-reload state: gen is the enforced artifact generation (0
-	// at launch), staged the armed-but-unapplied bundle a trap boundary
-	// will swap in (see swap.go).
-	gen    uint64
-	staged *Generation
-
-	// Syscall-flow enforcement state (SyscallFlow context). sfStart and
-	// sfEdges are the attach-time projection of the metadata transition
-	// graph onto the trapped syscall set; sfPrev/sfActive are the
-	// per-process transition state — the only cross-trap enforcement state
-	// the monitor keeps, which is why syscall-flow verdicts are never
-	// offloaded. sfEnforce is false when the context is
-	// disabled or the metadata carries no (or an empty) flow graph.
-	sfEnforce bool
-	sfStart   map[uint32]struct{}
-	sfEdges   map[uint64]struct{}
-	sfPrev    uint32
-	sfActive  bool
+	// Syscall-flow transition state: sfPrev/sfActive are the last
+	// trapped syscall and whether one was seen — the only cross-trap
+	// enforcement state the monitor keeps, which is why syscall-flow
+	// verdicts are never offloaded. The generation holds the projection
+	// they are checked against.
+	sfPrev   uint32
+	sfActive bool
 
 	// ev is the current trap's record, reused across traps so the
 	// nil-sink path adds no allocations to the hot path. Its stage cycles
@@ -337,9 +321,10 @@ type Monitor struct {
 }
 
 // Attach prepares a process for protection: maps the shadow region into
-// the guest, installs the guest-side runtime library, compiles and loads
-// the seccomp filter derived from call-type metadata, and registers the
-// monitor as tracer. Launch order mirrors §7.1.
+// the guest, installs the guest-side runtime library, loads the launch
+// generation's seccomp filter (compiling the generation unless cfg
+// carries one), and registers the monitor as tracer. Launch order mirrors
+// §7.1.
 func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor, error) {
 	if cfg.MaxUnwindDepth == 0 {
 		cfg.MaxUnwindDepth = 64
@@ -347,33 +332,27 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
 	}
-	if err := meta.Validate(); err != nil {
-		return nil, fmt.Errorf("monitor: %w", err)
+	g := cfg.Generation
+	if g == nil {
+		var err error
+		if g, err = NewGeneration(0, meta, cfg); err != nil {
+			return nil, err
+		}
+	} else if !g.compiled || g.Meta != meta || g.Mode != cfg.Mode || g.Policy != cfg.Policy {
+		return nil, errors.New("monitor: the precompiled generation was not compiled for this metadata, mode and policy")
 	}
 	m := &Monitor{
-		Meta:       meta,
 		Cfg:        cfg,
-		funcs:      metadata.NewFuncIndex(meta),
 		guest:      guestAccess(proc, cfg),
 		ChecksByNr: map[uint32]uint64{},
-		Offload:    DeriveOffload(meta, cfg),
 	}
-	m.buildFlowProjection()
 	m.initTelemetry()
 	if err := shadow.MapRegion(proc.M.Mem); err != nil {
 		return nil, fmt.Errorf("monitor: mapping shadow region: %w", err)
 	}
 	proc.M.Runtime = shadow.NewRuntime(proc.M.Mem)
 	m.shadow = shadow.Reader{Src: &m.guest}
-
-	prog := cfg.Filter
-	if prog == nil {
-		var err error
-		if prog, err = BuildFilter(meta, cfg); err != nil {
-			return nil, err
-		}
-	}
-	if err := proc.SetSeccompFilter(prog); err != nil {
+	if err := m.install(proc, g); err != nil {
 		return nil, err
 	}
 	proc.SetTracer(m)
@@ -397,8 +376,8 @@ func guestAccess(proc *kernel.Process, cfg Config) kernel.Tracee {
 	return kernel.Tracee{P: proc, Fetch: cfg.Costs.TrapRoundTrip + proc.K.Costs.GetRegs, ReadBase: proc.K.Costs.ReadMemBase}
 }
 
-// buildFlowProjection projects the metadata transition graph onto the set
-// of syscalls the seccomp policy actually traps. The monitor only observes
+// projectFlow projects the metadata transition graph onto the set of
+// syscalls the seccomp policy actually traps. The monitor only observes
 // trapped syscalls, so an edge a→b is legal in the projection iff the full
 // graph admits a path a→…→b whose intermediate nodes are all untrapped;
 // likewise a trapped syscall may open the flow iff some graph start
@@ -406,17 +385,16 @@ func guestAccess(proc *kernel.Process, cfg Config) kernel.Tracee {
 // trapped set here because SyscallFlow disqualifies offload entirely
 // (DeriveOffload): an in-filter allow would advance real execution without
 // advancing sfPrev, desynchronizing the state machine.
-func (m *Monitor) buildFlowProjection() {
-	g := m.Meta.SyscallFlow
-	if m.Cfg.Contexts&SyscallFlow == 0 || m.Cfg.Mode != ModeFull || g.Empty() {
+func (gen *Generation) projectFlow() {
+	g := gen.Meta.SyscallFlow
+	if gen.Policy.Contexts&SyscallFlow == 0 || gen.Mode != ModeFull || g.Empty() {
 		return
 	}
-	// Trapped = syscalls whose policy action is SECCOMP_RET_TRACE. Derived
-	// from the same BuildPolicy the installed filter compiles, so the
+	// Trapped = syscalls whose policy action is SECCOMP_RET_TRACE. Read
+	// from the seccomp policy the generation's filter compiles, so the
 	// projection and the filter can never disagree about observability.
-	pol := BuildPolicy(m.Meta, m.Cfg)
 	trapped := func(nr uint32) bool {
-		return pol.Actions[nr] == seccomp.RetTrace
+		return gen.Seccomp.Actions[nr] == seccomp.RetTrace
 	}
 	// closure returns every trapped node reachable from the given frontier
 	// through untrapped intermediate nodes (the frontier nodes themselves
@@ -443,17 +421,17 @@ func (m *Monitor) buildFlowProjection() {
 		}
 		return out
 	}
-	m.sfStart = closure(setKeys(g.Start))
-	m.sfEdges = map[uint64]struct{}{}
+	gen.sfStart = closure(setKeys(g.Start))
+	gen.sfEdges = map[uint64]struct{}{}
 	for nr := range g.Nodes {
 		if !trapped(nr) {
 			continue
 		}
 		for succ := range closure(setKeys(g.Edges[nr])) {
-			m.sfEdges[uint64(nr)<<32|uint64(succ)] = struct{}{}
+			gen.sfEdges[uint64(nr)<<32|uint64(succ)] = struct{}{}
 		}
 	}
-	m.sfEnforce = true
+	gen.sfEnforce = true
 }
 
 // setKeys collects an NrSet's members; order is irrelevant because the
@@ -497,26 +475,12 @@ func (m *Monitor) initTelemetry() {
 	}
 }
 
-// BuildFilter compiles call-type metadata into the seccomp program:
+// buildPolicy derives the seccomp policy a generation's filter compiles:
 // SECCOMP_RET_KILL for not-callable syscalls, SECCOMP_RET_TRACE for
-// protected callable ones, SECCOMP_RET_ALLOW otherwise (§7.1). With
-// Config.Offload, syscalls the offload plan covers are answered in-filter
-// instead of trapping (see DeriveOffload). Of cfg only Mode and Policy
-// matter; the result may be shared immutably across monitors via
-// Config.Filter.
-func BuildFilter(meta *metadata.Metadata, cfg Config) ([]seccomp.Insn, error) {
-	pol := BuildPolicy(meta, cfg)
-	if cfg.TreeFilter {
-		return pol.CompileTree()
-	}
-	return pol.Compile()
-}
-
-// BuildPolicy derives the seccomp policy BuildFilter compiles, exposed so
-// tests can assert policy-level properties — in particular that the
-// offloaded rule set and the residual trace set partition the pure-monitor
-// trace set exactly.
-func BuildPolicy(meta *metadata.Metadata, cfg Config) *seccomp.Policy {
+// protected callable ones, SECCOMP_RET_ALLOW otherwise (§7.1). Syscalls the
+// offload plan covers are answered in-filter instead of trapping (see
+// DeriveOffload). Of cfg only Mode and Policy matter.
+func buildPolicy(meta *metadata.Metadata, cfg Config, plan *OffloadPlan) *seccomp.Policy {
 	pol := &seccomp.Policy{
 		Default:   seccomp.RetAllow,
 		Actions:   map[uint32]uint32{},
@@ -559,7 +523,7 @@ func BuildPolicy(meta *metadata.Metadata, cfg Config) *seccomp.Policy {
 	// for every syscall the plan covers. The plan only ever covers syscalls
 	// that currently carry traceAction, so this is a pure subtraction from
 	// the trapped set — never from the kill set.
-	if plan := DeriveOffload(meta, cfg); len(plan.Rules) > 0 {
+	if len(plan.Rules) > 0 {
 		pol.ArgRules = map[uint32]seccomp.ArgRule{}
 		for nr, rule := range plan.Rules {
 			delete(pol.Actions, nr)
@@ -642,17 +606,17 @@ func (m *Monitor) trap(p *kernel.Process) error {
 	// must advance on every observed syscall, violations and report-only
 	// runs included, to keep judging later transitions from the syscall
 	// that actually executed.
-	if m.sfEnforce {
+	if m.gen.sfEnforce {
 		c = *clk
 		m.FlowChecks++
 		p.K.Clock.Add(m.Cfg.Costs.SFCheck)
 		var v *Violation
 		if !m.sfActive {
-			if _, ok := m.sfStart[nr]; !ok {
+			if _, ok := m.gen.sfStart[nr]; !ok {
 				v = &Violation{Context: SyscallFlow, Nr: nr,
 					Reason: fmt.Sprintf("%s cannot be the first trapped syscall", kernel.Name(nr))}
 			}
-		} else if _, ok := m.sfEdges[uint64(m.sfPrev)<<32|uint64(nr)]; !ok {
+		} else if _, ok := m.gen.sfEdges[uint64(m.sfPrev)<<32|uint64(nr)]; !ok {
 			v = &Violation{Context: SyscallFlow, Nr: nr,
 				Reason: fmt.Sprintf("transition %s -> %s is outside the flow graph", kernel.Name(m.sfPrev), kernel.Name(nr))}
 		}
@@ -679,9 +643,9 @@ func (m *Monitor) trap(p *kernel.Process) error {
 			c = *clk
 			p.K.Clock.Add(m.Cfg.Costs.CFPerFrame)
 			var v *Violation
-			cs, ok := m.Meta.Callsites[trace[0].Ret]
+			cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
 			if ok && cs.Kind == metadata.SiteDirect {
-				if constrained, allowed := m.Meta.CallerAllowed(cs.Target, cs.Caller); constrained && !allowed {
+				if constrained, allowed := m.gen.Meta.CallerAllowed(cs.Target, cs.Caller); constrained && !allowed {
 					v = &Violation{Context: ControlFlow, Nr: nr,
 						Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, cs.Target)}
 				}
@@ -693,8 +657,8 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		if m.Cfg.Contexts&ArgIntegrity != 0 && len(trace) == 1 {
 			c = *clk
 			var v *Violation
-			if cs, ok := m.Meta.Callsites[trace[0].Ret]; ok {
-				if site, ok := m.Meta.ArgSites[cs.Addr]; ok {
+			if cs, ok := m.gen.Meta.Callsites[trace[0].Ret]; ok {
+				if site, ok := m.gen.Meta.ArgSites[cs.Addr]; ok {
 					for _, spec := range site.Args {
 						if spec.Kind != metadata.ArgConst {
 							continue
@@ -775,7 +739,7 @@ func (m *Monitor) observe(p *kernel.Process, nViol int) {
 	ev.Seq = m.Hooks - 1
 	ev.Name = kernel.Name(ev.Nr)
 	ev.End = end
-	ev.Gen = m.gen
+	ev.Gen = m.gen.ID
 	if len(m.Violations) > nViol {
 		ev.Violation = m.Violations[nViol].String()
 	}
@@ -848,7 +812,7 @@ func (m *Monitor) SetFlowState(nr uint32, active bool) {
 
 // FlowEnforced reports whether the syscall-flow context is live: enabled,
 // ModeFull, and backed by a non-empty projected graph.
-func (m *Monitor) FlowEnforced() bool { return m.sfEnforce }
+func (m *Monitor) FlowEnforced() bool { return m.gen.sfEnforce }
 
 // ViolatedContexts returns the union of violated contexts recorded so far.
 func (m *Monitor) ViolatedContexts() Context {
@@ -901,14 +865,14 @@ func (m *Monitor) unwind(regs vm.Regs) (frames []stackFrame, clean bool, err err
 // checkCallType enforces §7.2: the syscall must be callable, and the
 // invoking callsite's kind (direct/indirect) must be permitted.
 func (m *Monitor) checkCallType(nr uint32, trace []stackFrame) *Violation {
-	ct, ok := m.Meta.CallTypes[nr]
+	ct, ok := m.gen.Meta.CallTypes[nr]
 	if !ok || !ct.Callable() {
 		return &Violation{Context: CallType, Nr: nr, Reason: "not-callable system call invoked"}
 	}
 	if len(trace) == 0 {
 		return &Violation{Context: CallType, Nr: nr, Reason: "no invoking callsite on stack"}
 	}
-	cs, ok := m.Meta.Callsites[trace[0].Ret]
+	cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
 	if !ok {
 		return &Violation{Context: CallType, Nr: nr, Reason: fmt.Sprintf("invoked from unknown callsite (ret %#x)", trace[0].Ret)}
 	}
@@ -936,7 +900,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "stack walk did not reach the process base"}
 	}
 	m.guest.P.K.Clock.Add(m.Cfg.Costs.CFPerFrame * uint64(len(trace)+1))
-	prevFn := m.funcs.FuncAt(regs.RIP) // the wrapper containing the syscall
+	prevFn := m.gen.funcs.FuncAt(regs.RIP) // the wrapper containing the syscall
 	if prevFn == "" {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "syscall executing outside known code"}
 	}
@@ -953,7 +917,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("frame chain not ascending at %#x (stack pivot)", fr.BP)}
 		}
 		prevBP = fr.BP
-		cs, ok := m.Meta.Callsites[fr.Ret]
+		cs, ok := m.gen.Meta.Callsites[fr.Ret]
 		if !ok {
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("return address %#x is not a callsite", fr.Ret)}
 		}
@@ -961,13 +925,13 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 			// Verification of the partial trace ends at a legitimate
 			// indirect callsite, provided the callee is a known indirect
 			// target whose class can reach this syscall (§6.2, §7.3).
-			if !m.Meta.IndirectTargets[prevFn] {
+			if !m.gen.Meta.IndirectTargets[prevFn] {
 				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s reached via indirect call but its address is never taken", prevFn)}
 			}
 			// A syscall with an AllowedIndirect entry is constrained to the
 			// recorded callsites; a present-but-empty set therefore rejects
 			// every indirect path. Unconstrained syscalls have no entry.
-			if allowed, ok := m.Meta.AllowedIndirect[nr]; ok && !allowed[cs.Addr] {
+			if allowed, ok := m.gen.Meta.AllowedIndirect[nr]; ok && !allowed[cs.Addr] {
 				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", cs.Addr, kernel.Name(nr))}
 			}
 			return nil
@@ -975,7 +939,7 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 		if cs.Target != prevFn {
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("frame mismatch: callsite in %s targets %s, stack has %s", cs.Caller, cs.Target, prevFn)}
 		}
-		if constrained, allowed := m.Meta.CallerAllowed(prevFn, cs.Caller); constrained && !allowed {
+		if constrained, allowed := m.gen.Meta.CallerAllowed(prevFn, cs.Caller); constrained && !allowed {
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, prevFn)}
 		}
 		prevFn = cs.Caller
@@ -1038,7 +1002,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 	if len(trace) == 0 {
 		return nil
 	}
-	cs, ok := m.Meta.Callsites[trace[0].Ret]
+	cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
 	if !ok {
 		// No legitimate callsite means no traced arguments exist for this
 		// invocation at all.
@@ -1048,7 +1012,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 		}
 		return nil
 	}
-	site, hasSite := m.Meta.ArgSites[cs.Addr]
+	site, hasSite := m.gen.Meta.ArgSites[cs.Addr]
 	if !hasSite || !site.IsSyscall {
 		// A sensitive syscall fired from a callsite whose arguments were
 		// never part of any legal invocation (§3.4: the leveraged
@@ -1064,11 +1028,11 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 	}
 	// Outer frames: verify bound sensitive variables shadow-vs-memory.
 	for _, fr := range trace[1:] {
-		ocs, ok := m.Meta.Callsites[fr.Ret]
+		ocs, ok := m.gen.Meta.Callsites[fr.Ret]
 		if !ok {
 			return nil
 		}
-		site, ok := m.Meta.ArgSites[ocs.Addr]
+		site, ok := m.gen.Meta.ArgSites[ocs.Addr]
 		if !ok {
 			continue
 		}
@@ -1317,15 +1281,11 @@ func (m *Monitor) verifyBytes(nr uint32, pos int, base uint64, data []byte, requ
 func (m *Monitor) Report() string {
 	var b strings.Builder
 	reg := m.Metrics
-	if reg == nil {
-		m.initTelemetry()
-		reg = m.Metrics
-	}
 	fmt.Fprintf(&b, "BASTION monitor: contexts=%s mode=%s hooks=%d\n",
 		m.Cfg.Contexts, m.Cfg.Mode, reg.Counter("monitor_hooks_total").Value())
-	if m.Offload != nil && len(m.Offload.Rules) > 0 {
+	if rules := m.gen.Offload.Rules; len(rules) > 0 {
 		fmt.Fprintf(&b, "  verdict offload: %d syscalls in-filter, %d traps avoided\n",
-			len(m.Offload.Rules), m.OffloadAvoided())
+			len(rules), m.OffloadAvoided())
 		for _, row := range reg.CounterMapRows("monitor_offload_avoided_total") {
 			fmt.Fprintf(&b, "  %-18s %d traps avoided\n", row.Label, row.Value)
 		}

@@ -14,8 +14,7 @@ import (
 // audit-counts the avoided trap) when the syscall's constant-argument
 // equalities hold, and falls through to SECCOMP_RET_TRACE — the residual
 // ptrace monitor — on any mismatch. The plan is a pure function of the
-// metadata and the filter-relevant config, so fleet supervisors can derive
-// it once per workload and share the compiled filter.
+// metadata, Mode and Policy; each Generation derives it once.
 type OffloadPlan struct {
 	// Rules maps syscall number to its in-filter decision.
 	Rules map[uint32]seccomp.ArgRule
@@ -29,12 +28,6 @@ func (p *OffloadPlan) Offloaded() []uint32 {
 	}
 	slices.Sort(nrs)
 	return nrs
-}
-
-// Has reports whether nr is answered in-filter.
-func (p *OffloadPlan) Has(nr uint32) bool {
-	_, ok := p.Rules[nr]
-	return ok
 }
 
 // DeriveOffload computes which trapped syscalls are decidable from

@@ -56,11 +56,7 @@ func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 					t.Errorf("%s: offload changed the observable outcome\n  off: %s\n  on:  %s",
 						c.name, off, on)
 				}
-				mon := onEnv.P.Monitor
-				rules := 0
-				if mon.Offload != nil {
-					rules = len(mon.Offload.Rules)
-				}
+				rules := len(onEnv.P.Monitor.Generation().Offload.Rules)
 				if c.eligible && rules == 0 {
 					t.Errorf("%s: eligible config derived an empty offload plan", c.name)
 				}

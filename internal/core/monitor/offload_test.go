@@ -45,15 +45,20 @@ func TestOffloadResidualPolicy(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			art := compileApp(t, app)
 			cfg := offloadShape()
-			plan := monitor.DeriveOffload(art.Meta, cfg)
+			pureCfg := cfg
+			pureCfg.Offload = false
+			pureGen, err := monitor.NewGeneration(0, art.Meta, pureCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offGen, err := monitor.NewGeneration(0, art.Meta, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, pure, off := offGen.Offload, pureGen.Seccomp, offGen.Seccomp
 			if len(plan.Rules) == 0 {
 				t.Fatal("qualifying config derived an empty plan")
 			}
-
-			pureCfg := cfg
-			pureCfg.Offload = false
-			pure := monitor.BuildPolicy(art.Meta, pureCfg)
-			off := monitor.BuildPolicy(art.Meta, cfg)
 
 			if len(off.ArgRules) != len(plan.Rules) {
 				t.Fatalf("policy carries %d arg rules, plan has %d", len(off.ArgRules), len(plan.Rules))
@@ -84,7 +89,7 @@ func TestOffloadResidualPolicy(t *testing.T) {
 					len(off.Actions), len(off.ArgRules), len(pure.Actions))
 			}
 			for nr, act := range pure.Actions {
-				if plan.Has(nr) {
+				if _, offloaded := plan.Rules[nr]; offloaded {
 					continue
 				}
 				if got, ok := off.Actions[nr]; !ok || got != act {

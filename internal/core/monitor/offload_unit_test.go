@@ -92,8 +92,8 @@ func TestConstMatchesBranches(t *testing.T) {
 				}
 			}
 			plan := DeriveOffload(meta, offloadUnitCfg())
-			if plan.Has(kernel.SysRead) != tc.offload {
-				t.Fatalf("plan.Has(read) = %v, want %v", plan.Has(kernel.SysRead), tc.offload)
+			if _, has := plan.Rules[kernel.SysRead]; has != tc.offload {
+				t.Fatalf("read in plan = %v, want %v", has, tc.offload)
 			}
 		})
 	}
@@ -114,7 +114,7 @@ func TestConstMatchesBranches(t *testing.T) {
 	// Not-callable syscalls keep their in-filter kill: never offloaded.
 	meta = offloadMeta(nil)
 	meta.CallTypes[kernel.SysRead] = metadata.CallType{Nr: kernel.SysRead, Name: "read"}
-	if plan := DeriveOffload(meta, offloadUnitCfg()); plan.Has(kernel.SysRead) {
+	if _, has := DeriveOffload(meta, offloadUnitCfg()).Rules[kernel.SysRead]; has {
 		t.Fatal("not-callable syscall offloaded")
 	}
 }
@@ -126,7 +126,7 @@ func TestConstMatchesBranches(t *testing.T) {
 func TestSyscallFlowDisqualifiesOffload(t *testing.T) {
 	meta := offloadMeta(nil) // read callable, no sites: offloadable baseline
 	base := offloadUnitCfg()
-	if plan := DeriveOffload(meta, base); !plan.Has(kernel.SysRead) {
+	if _, has := DeriveOffload(meta, base).Rules[kernel.SysRead]; !has {
 		t.Fatal("baseline config should offload read")
 	}
 	for _, ctx := range []Context{

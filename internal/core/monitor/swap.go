@@ -9,63 +9,84 @@ import (
 	"bastion/internal/seccomp"
 )
 
-// Generation is one versioned artifact bundle for policy hot reload: the
-// context metadata, the Policy, the compiled seccomp filter, and the
-// filter's identity hash. A fleet builds a Generation once (through its
-// shared artifact cache), then stages it into every running tenant; each
-// monitor swaps it in at its next trap boundary without restarting the
-// guest.
+// Generation is everything the monitor derives from one (metadata, Mode,
+// Policy): the seccomp policy and the filter compiled from it, the offload
+// plan, the function index and the syscall-flow projection. NewGeneration
+// is the only place any of it is derived. Attach installs the launch
+// generation (ID 0) and a hot reload swaps in a later one at a trap
+// boundary, both through the same install step, so a fleet compiles each
+// generation once per workload and shares it across every tenant.
 //
 // A Generation is immutable after construction and safe to share across
 // monitors, exactly like the launch artifacts.
 type Generation struct {
 	// ID versions the bundle; trap events issued under it are stamped with
-	// this value. The launch artifacts are generation 0, so IDs must be
-	// positive.
+	// this value. The launch generation is 0; a staged one must be
+	// positive. A copy with another ID shares every compiled table.
 	ID uint64
 	// Meta is the context metadata verdicts are judged against.
 	Meta *metadata.Metadata
-	// Policy replaces the monitor's Config.Policy atomically with the
-	// filter and metadata, so a tenant can never observe the new filter
-	// with the old metadata or vice versa.
+	// Mode and Policy are what the generation was compiled under. A
+	// monitor takes a generation only under its own Mode; the Policy
+	// replaces the monitor's Config.Policy together with the filter and
+	// the metadata, so a tenant can never observe one without the others.
+	Mode   Mode
 	Policy Policy
-	// Filter is the compiled seccomp program. It must equal what
-	// BuildFilter produces for (Meta, Policy) — NewGeneration
-	// guarantees that by compiling it itself when none is supplied.
-	Filter []seccomp.Insn
-	// FilterID is seccomp.FilterID(Filter), the kernel-side proof that a
-	// swap really replaced the program.
-	FilterID uint64
+	// Seccomp is the seccomp policy, and Filter the program compiled from
+	// it.
+	Seccomp *seccomp.Policy
+	Filter  []seccomp.Insn
+	// Offload is the in-filter verdict plan (empty unless Policy.Offload
+	// qualified anything). Syscalls it covers are decided inside the
+	// seccomp program and never reach Trap; the kernel's per-nr RET_LOG
+	// counts are the avoided-trap ground truth, bound into Metrics as
+	// monitor_offload_avoided_total.
+	Offload *OffloadPlan
+
+	// funcs resolves RIP to the function holding it.
+	funcs metadata.FuncIndex
+	// sfStart and sfEdges project the metadata transition graph onto the
+	// trapped syscall set (see projectFlow). sfEnforce is false when the
+	// SyscallFlow context is off, the Mode is not ModeFull, or the
+	// metadata carries no (or an empty) flow graph.
+	sfEnforce bool
+	sfStart   map[uint32]struct{}
+	sfEdges   map[uint64]struct{}
+	// compiled marks a generation NewGeneration built; a literal one lacks
+	// the unexported tables and is refused.
+	compiled bool
 }
 
-// NewGeneration validates and completes a generation bundle: the metadata
-// must validate, the ID must be positive, and a missing filter is compiled
-// from the metadata and cfg. The generation keeps only cfg.Policy: Mode
-// and the other knobs stay those of the running monitor it is grafted
-// onto.
-func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config, filter []seccomp.Insn) (*Generation, error) {
-	if id == 0 {
-		return nil, errors.New("monitor: generation id must be positive (0 is the launch generation)")
-	}
+// NewGeneration compiles generation id from the metadata, which must
+// validate, under cfg's Mode and Policy; no other field of cfg matters.
+func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config) (*Generation, error) {
 	if meta == nil {
 		return nil, errors.New("monitor: generation needs metadata")
 	}
 	if err := meta.Validate(); err != nil {
-		return nil, fmt.Errorf("monitor: generation %d: %w", id, err)
+		return nil, fmt.Errorf("monitor: %w", err)
 	}
-	if filter == nil {
-		var err error
-		if filter, err = BuildFilter(meta, cfg); err != nil {
-			return nil, fmt.Errorf("monitor: generation %d: %w", id, err)
-		}
-	}
-	return &Generation{
+	g := &Generation{
 		ID:       id,
 		Meta:     meta,
+		Mode:     cfg.Mode,
 		Policy:   cfg.Policy,
-		Filter:   filter,
-		FilterID: seccomp.FilterID(filter),
-	}, nil
+		Offload:  DeriveOffload(meta, cfg),
+		funcs:    metadata.NewFuncIndex(meta),
+		compiled: true,
+	}
+	g.Seccomp = buildPolicy(meta, cfg, g.Offload)
+	var err error
+	if cfg.TreeFilter {
+		g.Filter, err = g.Seccomp.CompileTree()
+	} else {
+		g.Filter, err = g.Seccomp.Compile()
+	}
+	if err != nil {
+		return nil, err
+	}
+	g.projectFlow()
+	return g, nil
 }
 
 // StageGeneration arms a hot reload: the generation is applied at the END
@@ -73,7 +94,8 @@ func NewGeneration(id uint64, meta *metadata.Metadata, cfg Config, filter []secc
 // under the current generation. Applying at a trap boundary — never
 // mid-judgment, never between filter and metadata — is what rules out torn
 // policy: every trap the guest ever takes is judged by one generation's
-// filter AND that same generation's metadata.
+// filter AND that same generation's metadata. A generation compiled under
+// another Mode fails closed: Mode is a launch decision.
 //
 // Staging replaces any previously staged, not-yet-applied generation.
 func (m *Monitor) StageGeneration(g *Generation) error {
@@ -81,26 +103,38 @@ func (m *Monitor) StageGeneration(g *Generation) error {
 		return errors.New("monitor: nil generation")
 	}
 	if g.ID == 0 {
-		return errors.New("monitor: generation id must be positive")
+		return errors.New("monitor: generation id must be positive (0 is the launch generation)")
 	}
-	if g.Meta == nil || g.Filter == nil {
+	if !g.compiled {
 		return errors.New("monitor: generation is incomplete (use NewGeneration)")
+	}
+	if g.Mode != m.Cfg.Mode {
+		return fmt.Errorf("monitor: generation %d was compiled for mode %s, the monitor runs %s", g.ID, g.Mode, m.Cfg.Mode)
 	}
 	m.staged = g
 	return nil
 }
 
-// GenerationID reports the artifact generation the monitor currently
-// enforces (0 until the first hot reload applies).
-func (m *Monitor) GenerationID() uint64 { return m.gen }
+// Generation reports the generation the monitor currently enforces (ID 0
+// until the first hot reload applies).
+func (m *Monitor) Generation() *Generation { return m.gen }
 
-// StagedGeneration reports the armed-but-not-yet-applied generation, nil
-// when none is pending.
-func (m *Monitor) StagedGeneration() *Generation { return m.staged }
+// install makes g the enforced generation: its filter goes into the
+// kernel, and its metadata, tables and Policy into the monitor, together.
+// Attach and applyGeneration both install through it; neither derives
+// anything.
+func (m *Monitor) install(p *kernel.Process, g *Generation) error {
+	if err := p.SetSeccompFilter(g.Filter); err != nil {
+		return err
+	}
+	m.gen = g
+	m.Cfg.Policy = g.Policy
+	return nil
+}
 
 // reloadCycles models the cost of swapping a generation into a live
-// monitor: filter installation plus re-deriving the metadata-dependent
-// projections. Far cheaper than InitCycles — symbol recovery and shadow
+// monitor: filter installation plus loading the metadata-dependent
+// tables. Far cheaper than InitCycles — symbol recovery and shadow
 // setup are launch-only work — and proportional to metadata size for the
 // same reason InitCycles is.
 func reloadCycles(meta *metadata.Metadata) uint64 {
@@ -114,34 +148,18 @@ func reloadCycles(meta *metadata.Metadata) uint64 {
 // the boundary trap's verdicts were issued and observed under the old
 // generation, so the swap is atomic from the guest's perspective: the next
 // syscall meets the new filter, and if it traps, the new metadata.
-//
-// Side effects, in order: the kernel filter is replaced, Config.Policy and
-// the metadata switch together, the offload plan and the syscall-flow
-// projection are re-derived from the new pair.
 // The syscall-flow runtime state (last trapped syscall) survives: it
 // records what the guest actually executed, which no policy change
 // rewrites.
 func (m *Monitor) applyGeneration(p *kernel.Process) error {
 	g := m.staged
 	m.staged = nil
-	if err := p.SetSeccompFilter(g.Filter); err != nil {
+	if err := m.install(p, g); err != nil {
 		return fmt.Errorf("monitor: applying generation %d: %w", g.ID, err)
 	}
-	m.Meta = g.Meta
-	m.funcs = metadata.NewFuncIndex(g.Meta)
-	m.Cfg.Policy = g.Policy
-	m.Cfg.Filter = g.Filter
-	m.Offload = DeriveOffload(g.Meta, m.Cfg)
-
-	m.sfEnforce = false
-	m.sfStart = nil
-	m.sfEdges = nil
-	m.buildFlowProjection()
-
 	reload := reloadCycles(g.Meta)
 	p.K.Clock.Add(reload)
 	m.ReloadCycles += reload
 	m.Reloads++
-	m.gen = g.ID
 	return nil
 }

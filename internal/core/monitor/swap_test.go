@@ -14,11 +14,10 @@ import (
 func stageGen(t *testing.T, prot *core.Protected, id uint64, mutate func(*monitor.Config)) *monitor.Generation {
 	t.Helper()
 	cfg := prot.Monitor.Cfg
-	cfg.Filter = nil
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	g, err := monitor.NewGeneration(id, prot.Monitor.Meta, cfg, nil)
+	g, err := monitor.NewGeneration(id, prot.Monitor.Generation().Meta, cfg)
 	if err != nil {
 		t.Fatalf("NewGeneration: %v", err)
 	}
@@ -41,7 +40,7 @@ func TestSwapAppliesAtTrapBoundary(t *testing.T) {
 	oldFilter := seccomp.FilterID(prot.Proc.SeccompFilter())
 
 	g := stageGen(t, prot, 1, func(c *monitor.Config) { c.TreeFilter = !c.TreeFilter })
-	if got := prot.Monitor.GenerationID(); got != 0 {
+	if got := prot.Monitor.Generation().ID; got != 0 {
 		t.Fatalf("generation flipped at stage time: %d", got)
 	}
 	if seccomp.FilterID(prot.Proc.SeccompFilter()) != oldFilter {
@@ -52,11 +51,11 @@ func TestSwapAppliesAtTrapBoundary(t *testing.T) {
 	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
 		t.Fatal(err)
 	}
-	if got := prot.Monitor.GenerationID(); got != 1 {
+	if got := prot.Monitor.Generation().ID; got != 1 {
 		t.Fatalf("generation after boundary trap = %d, want 1", got)
 	}
-	if got := seccomp.FilterID(prot.Proc.SeccompFilter()); got != g.FilterID {
-		t.Fatalf("installed filter %#x, want generation filter %#x", got, g.FilterID)
+	if got, want := seccomp.FilterID(prot.Proc.SeccompFilter()), seccomp.FilterID(g.Filter); got != want {
+		t.Fatalf("installed filter %#x, want generation filter %#x", got, want)
 	}
 	if prot.Monitor.Reloads != 1 || prot.Monitor.ReloadCycles == 0 {
 		t.Fatalf("reload accounting: %d reloads, %d cycles", prot.Monitor.Reloads, prot.Monitor.ReloadCycles)
@@ -123,8 +122,8 @@ func TestSwapNeverTearsPolicy(t *testing.T) {
 	cfg.Sink = sink
 	prot := launch(t, cfg)
 	sink.prot = prot
-	oldMeta := prot.Monitor.Meta
-	sink.metaIsOld = func() bool { return prot.Monitor.Meta == oldMeta }
+	oldMeta := prot.Monitor.Generation().Meta
+	sink.metaIsOld = func() bool { return prot.Monitor.Generation().Meta == oldMeta }
 	sink.oldFilter = seccomp.FilterID(prot.Proc.SeccompFilter())
 
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
@@ -135,29 +134,28 @@ func TestSwapNeverTearsPolicy(t *testing.T) {
 	// the monitor is judging against at every single trap.
 	newMeta := *oldMeta
 	cfg2 := prot.Monitor.Cfg
-	cfg2.Filter = nil
 	cfg2.TreeFilter = !cfg2.TreeFilter
-	g, err := monitor.NewGeneration(1, &newMeta, cfg2, nil)
+	g, err := monitor.NewGeneration(1, &newMeta, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := prot.Monitor.StageGeneration(g); err != nil {
 		t.Fatal(err)
 	}
-	sink.newFilter = g.FilterID
+	sink.newFilter = seccomp.FilterID(g.Filter)
 	for i := 0; i < 4; i++ {
 		if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if prot.Monitor.GenerationID() != 1 {
+	if prot.Monitor.Generation() != g {
 		t.Fatalf("swap never applied")
 	}
 }
 
 // TestSwapRestagesAndValidates covers the staging API's edges: nil and
-// incomplete generations are rejected, zero IDs are rejected, and staging
-// twice before a trap keeps only the newest bundle.
+// incomplete generations are rejected, the launch ID 0 is rejected, and
+// staging twice before a trap keeps only the newest bundle.
 func TestSwapRestagesAndValidates(t *testing.T) {
 	prot := launch(t, monitor.DefaultConfig())
 	if err := prot.Monitor.StageGeneration(nil); err == nil {
@@ -166,7 +164,7 @@ func TestSwapRestagesAndValidates(t *testing.T) {
 	if err := prot.Monitor.StageGeneration(&monitor.Generation{ID: 1}); err == nil {
 		t.Fatal("incomplete generation accepted")
 	}
-	if _, err := monitor.NewGeneration(0, prot.Monitor.Meta, prot.Monitor.Cfg, nil); err == nil {
+	if err := prot.Monitor.StageGeneration(prot.Monitor.Generation()); err == nil {
 		t.Fatal("generation id 0 accepted")
 	}
 
@@ -175,13 +173,39 @@ func TestSwapRestagesAndValidates(t *testing.T) {
 	}
 	stageGen(t, prot, 1, nil)
 	g2 := stageGen(t, prot, 2, nil) // replaces the staged gen 1
-	if prot.Monitor.StagedGeneration() != g2 {
-		t.Fatal("restaging did not replace the pending generation")
+	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
+		t.Fatal(err)
+	}
+	if got := prot.Monitor.Generation(); got != g2 {
+		t.Fatalf("applied generation %d, want 2 (latest staged wins)", got.ID)
+	}
+	if prot.Monitor.Reloads != 1 {
+		t.Fatalf("%d reloads applied, want 1", prot.Monitor.Reloads)
+	}
+}
+
+// TestSwapRejectsOtherMode: Mode is a launch decision, so a generation
+// compiled under another Mode fails closed at staging — a hook-only
+// filter allows every protected syscall without a trap, and must never
+// reach a full-mode monitor.
+func TestSwapRejectsOtherMode(t *testing.T) {
+	prot := launch(t, monitor.DefaultConfig())
+	cfg := prot.Monitor.Cfg
+	cfg.Mode = monitor.ModeHookOnly
+	g, err := monitor.NewGeneration(1, prot.Monitor.Generation().Meta, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prot.Monitor.StageGeneration(g); err == nil {
+		t.Fatal("hook-only generation staged onto a full-mode monitor")
+	}
+	if _, err := prot.Machine.CallFunction("setup"); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
 		t.Fatal(err)
 	}
-	if got := prot.Monitor.GenerationID(); got != 2 {
-		t.Fatalf("applied generation %d, want 2 (latest staged wins)", got)
+	if got := prot.Monitor.Generation().ID; got != 0 || prot.Monitor.Reloads != 0 {
+		t.Fatalf("rejected generation applied: generation %d, %d reloads", got, prot.Monitor.Reloads)
 	}
 }

@@ -96,7 +96,7 @@ func TestAllowedIndirectEmptySetRejects(t *testing.T) {
 	meta.Callsites[0x3008] = metadata.Callsite{
 		Addr: 0x3000, RetAddr: 0x3008, Caller: "dispatch", Kind: metadata.SiteIndirect,
 	}
-	m := &Monitor{Meta: meta, funcs: metadata.NewFuncIndex(meta), Cfg: DefaultConfig(), guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}}
+	m := &Monitor{gen: &Generation{Meta: meta, funcs: metadata.NewFuncIndex(meta)}, Cfg: DefaultConfig(), guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}}
 
 	regs := vm.Regs{RIP: 0x1500, RBP: stackBase}
 	trace := []stackFrame{{Ret: 0x3008, BP: stackBase}}

@@ -2,7 +2,7 @@
 // independent protected guest instances (tenants) concurrently, each with
 // its own kernel, clock, machine, and monitor, while the
 // expensive per-workload artifacts — the instrumented IR program, its
-// context metadata, and the compiled seccomp filter — are compiled once
+// context metadata, and the compiled monitor generation — are compiled once
 // and shared immutably across every tenant that runs the same workload.
 //
 // The paper evaluates one monitored process at a time; this package is
@@ -20,18 +20,16 @@ import (
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/ir"
-	"bastion/internal/seccomp"
 	"bastion/internal/workload"
 )
 
 // Artifacts compiles workload artifacts once per key and shares the
 // results. All methods are safe for concurrent use; the returned programs,
-// metadata, and filters are immutable after compilation, so any number of
-// tenants (or bench experiments) may launch from them simultaneously.
+// metadata, and generations are immutable after compilation, so any number
+// of tenants (or bench experiments) may launch from them simultaneously.
 type Artifacts struct {
 	compiled onceMap[string, *core.Artifact]
 	raw      onceMap[string, *ir.Program]
-	filters  onceMap[filterKey, []seccomp.Insn]
 	gens     onceMap[genKey, *monitor.Generation]
 
 	compiles       atomic.Int64
@@ -66,7 +64,7 @@ func (o *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
 	return c.v, c.err
 }
 
-// filterKey is everything of a monitor.Config that shapes its filter
+// filterKey is everything of a monitor.Config that shapes its generation
 // (TestFilterKeyComplete checks that nothing else does).
 type filterKey struct {
 	app    string
@@ -78,8 +76,8 @@ func keyOf(app string, cfg monitor.Config) filterKey {
 	return filterKey{app: app, mode: cfg.Mode, policy: cfg.Policy}
 }
 
-// genKey identifies a hot-reload generation bundle: the filter key plus
-// the generation ID.
+// genKey identifies a generation: the filter key, which decides everything
+// compiled, plus the ID stamped on the compiled value.
 type genKey struct {
 	filterKey
 	id uint64
@@ -123,40 +121,37 @@ func (a *Artifacts) Raw(app string) (*ir.Program, error) {
 	})
 }
 
-// Config returns cfg with the precompiled seccomp filter for (app, cfg)
-// attached, compiling the filter on first use per filter key.
+// Config returns cfg carrying the precompiled launch generation for (app,
+// cfg).
 func (a *Artifacts) Config(app string, cfg monitor.Config) (monitor.Config, error) {
-	art, err := a.Compiled(app)
-	if err != nil {
-		return cfg, err
-	}
-	prog, err := a.filters.get(keyOf(app, cfg), func() ([]seccomp.Insn, error) {
-		a.filterCompiles.Add(1)
-		return monitor.BuildFilter(art.Meta, cfg)
-	})
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Filter = prog
-	return cfg, nil
+	g, err := a.Generation(0, app, cfg)
+	cfg.Generation = g
+	return cfg, err
 }
 
-// Generation returns the hot-reload generation bundle for (id, app, cfg),
-// building it once per key and sharing the immutable result across every
-// tenant that stages it. The bundle's filter goes through the same cached
-// compilation as launch filters, so reload filter compiles are counted
-// (and amortized) exactly like launch ones.
+// Generation returns generation id for (app, cfg). The generation is
+// compiled once per filter key, on first use under any ID, and shared by
+// every launch and reload under that key: a generation with another ID is
+// a copy of the compiled one that differs only in its stamp. Each
+// (key, ID) resolves to one shared value, so launch and reload compiles are
+// counted, and amortized, alike.
 func (a *Artifacts) Generation(id uint64, app string, cfg monitor.Config) (*monitor.Generation, error) {
-	cfg, err := a.Config(app, cfg)
-	if err != nil {
-		return nil, err
-	}
-	art, err := a.Compiled(app)
-	if err != nil {
-		return nil, err
-	}
 	return a.gens.get(genKey{keyOf(app, cfg), id}, func() (*monitor.Generation, error) {
-		return monitor.NewGeneration(id, art.Meta, cfg, cfg.Filter)
+		if id != 0 {
+			g, err := a.Generation(0, app, cfg)
+			if err != nil {
+				return nil, err
+			}
+			stamped := *g
+			stamped.ID = id
+			return &stamped, nil
+		}
+		art, err := a.Compiled(app)
+		if err != nil {
+			return nil, err
+		}
+		a.filterCompiles.Add(1)
+		return monitor.NewGeneration(0, art.Meta, cfg)
 	})
 }
 
@@ -165,6 +160,6 @@ func (a *Artifacts) Generation(id uint64, app string, cfg monitor.Config) (*moni
 // deterministic setup-cost measure.
 func (a *Artifacts) Compiles() int { return int(a.compiles.Load()) }
 
-// FilterCompiles reports how many seccomp filter compilations this cache
-// has performed.
+// FilterCompiles reports how many generations (each with its seccomp
+// filter) this cache has compiled.
 func (a *Artifacts) FilterCompiles() int { return int(a.filterCompiles.Load()) }

@@ -9,12 +9,12 @@ import (
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/obs"
-	"bastion/internal/seccomp"
 )
 
 // TestArtifactsSingleflight: N goroutines requesting the same key get the
 // same immutable artifact back, and the cache compiles exactly once —
-// per program, per filter key, and per reload generation.
+// per program and per filter key, the launch and the reload generation
+// sharing one compile.
 func TestArtifactsSingleflight(t *testing.T) {
 	const n = 32
 	arts := NewArtifacts()
@@ -44,8 +44,8 @@ func TestArtifactsSingleflight(t *testing.T) {
 		if compiled[i] != compiled[0] {
 			t.Fatal("concurrent Compiled calls returned distinct artifacts")
 		}
-		if &filters[i].Filter[0] != &filters[0].Filter[0] {
-			t.Fatal("concurrent Config calls returned distinct filter programs")
+		if filters[i].Generation != filters[0].Generation {
+			t.Fatal("concurrent Config calls returned distinct launch generations")
 		}
 		if gens[i] != gens[0] {
 			t.Fatal("concurrent Generation calls returned distinct generations")
@@ -57,8 +57,13 @@ func TestArtifactsSingleflight(t *testing.T) {
 	if got := arts.FilterCompiles(); got != 1 {
 		t.Errorf("%d goroutines triggered %d filter compiles, want 1", n, got)
 	}
-	if gens[0].ID != 1 || gens[0].FilterID == 0 {
-		t.Errorf("generation malformed: %+v", gens[0])
+	launch := filters[0].Generation
+	if launch.ID != 0 || gens[0].ID != 1 || len(gens[0].Filter) == 0 {
+		t.Errorf("generations malformed: launch %d, reload %d with %d filter instructions",
+			launch.ID, gens[0].ID, len(gens[0].Filter))
+	}
+	if &gens[0].Filter[0] != &launch.Filter[0] || gens[0].Offload != launch.Offload {
+		t.Error("the reload generation recompiled the launch generation's key")
 	}
 }
 
@@ -84,12 +89,13 @@ func TestArtifactsDistinctKeys(t *testing.T) {
 }
 
 // TestFilterKeyComplete: every monitor.Config field is classified as
-// shaping the filter (Mode and each Policy field, all in filterKey) or not
-// (everything else). Changing an unkeyed field leaves the filter key and
-// BuildFilter's output byte-identical, so configs sharing a key may share
-// a filter; each keyed field changes the key, and the output for at least
-// one app and starting config, so the key holds no dead field. A new
-// Config field fails the test until it is classified here.
+// shaping the generation (Mode and each Policy field, all in filterKey) or
+// not (everything else). Changing an unkeyed field leaves the filter key
+// and the whole compiled generation — filter, offload plan, function
+// index and flow projection — unchanged, so configs sharing a key may
+// share a generation; each keyed field changes the key, and the filter
+// for at least one app and starting config, so the key holds no dead
+// field. A new Config field fails the test until it is classified here.
 func TestFilterKeyComplete(t *testing.T) {
 	keyed := map[string]func(*monitor.Config){
 		"Mode":       func(c *monitor.Config) { c.Mode = monitor.ModeHookOnly },
@@ -102,7 +108,7 @@ func TestFilterKeyComplete(t *testing.T) {
 		"AcceptFastPath": func(c *monitor.Config) { c.AcceptFastPath = !c.AcceptFastPath },
 		"ReportOnly":     func(c *monitor.Config) { c.ReportOnly = !c.ReportOnly },
 		"InKernel":       func(c *monitor.Config) { c.InKernel = !c.InKernel },
-		"Filter":         func(c *monitor.Config) { c.Filter = []seccomp.Insn{seccomp.RetConst(seccomp.RetKill)} },
+		"Generation":     func(c *monitor.Config) { c.Generation = &monitor.Generation{ID: 7} },
 		"Sink":           func(c *monitor.Config) { c.Sink = &obs.BufferSink{} },
 		"FlightN":        func(c *monitor.Config) { c.FlightN += 8 },
 		"MaxUnwindDepth": func(c *monitor.Config) { c.MaxUnwindDepth /= 2 },
@@ -144,13 +150,13 @@ func TestFilterKeyComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := func(cfg monitor.Config) []seccomp.Insn {
+		build := func(cfg monitor.Config) *monitor.Generation {
 			t.Helper()
-			prog, err := monitor.BuildFilter(art.Meta, cfg)
+			g, err := monitor.NewGeneration(0, art.Meta, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return prog
+			return g
 		}
 		for startName, start := range starts {
 			want := build(start)
@@ -160,8 +166,8 @@ func TestFilterKeyComplete(t *testing.T) {
 				if keyOf(app, cfg) != keyOf(app, start) {
 					t.Errorf("%s/%s: changing %s changed the filter key", app, startName, name)
 				}
-				if !slices.Equal(build(cfg), want) {
-					t.Errorf("%s/%s: changing %s changed the filter, but the filter key ignores it", app, startName, name)
+				if !reflect.DeepEqual(build(cfg), want) {
+					t.Errorf("%s/%s: changing %s changed the generation, but the filter key ignores it", app, startName, name)
 				}
 			}
 			for name, mut := range keyed {
@@ -170,7 +176,7 @@ func TestFilterKeyComplete(t *testing.T) {
 				if keyOf(app, cfg) == keyOf(app, start) {
 					t.Errorf("%s/%s: changing %s left the filter key unchanged", app, startName, name)
 				}
-				if !slices.Equal(build(cfg), want) {
+				if !slices.Equal(build(cfg).Filter, want.Filter) {
 					moved[name] = true
 				}
 			}
@@ -180,5 +186,41 @@ func TestFilterKeyComplete(t *testing.T) {
 		if !moved[name] {
 			t.Errorf("%s is in the filter key but changed no app's filter from any starting config", name)
 		}
+	}
+}
+
+// TestTenantsShareOneGeneration: every tenant of one app and policy
+// launches under the one compiled generation (pointer-equal), the reload
+// generation under the same policy is a stamp on that compile, and the
+// cache compiles one generation per app.
+func TestTenantsShareOneGeneration(t *testing.T) {
+	cfg := DefaultConfig(6, 2)
+	cfg.ReloadAt, cfg.ReloadSpec = 1, &PolicySpec{}
+	arts := NewArtifacts()
+	var pool turnover
+	launched := map[string]*monitor.Generation{}
+	for idx := 0; idx < cfg.Tenants; idx++ {
+		app := cfg.appOf(idx)
+		prot, target, err := launchTenant(&cfg, idx, app, false, arts, &pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := prot.Monitor.Generation()
+		if first, ok := launched[app]; !ok {
+			launched[app] = g
+		} else if g != first {
+			t.Errorf("tenant %d (%s) launched under its own generation", idx, app)
+		}
+		reload, err := reloadGeneration(&cfg, app, arts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reload.ID != 1 || &reload.Filter[0] != &g.Filter[0] || reload.Offload != g.Offload {
+			t.Errorf("tenant %d (%s): reload generation %d is not a stamp on the launch compile", idx, app, reload.ID)
+		}
+		drainMonitor(&TenantResult{}, prot, target, false)
+	}
+	if got := arts.FilterCompiles(); got != len(cfg.Apps) {
+		t.Errorf("%d tenants compiled %d generations, want one per app (%d)", cfg.Tenants, got, len(cfg.Apps))
 	}
 }

@@ -59,7 +59,7 @@ type Config struct {
 	Mode monitor.Mode
 
 	// ShareArtifacts compiles each workload's program, metadata, and
-	// seccomp filter once and shares them across tenants. When false,
+	// monitor generations once and shares them across tenants. When false,
 	// every incarnation compiles privately (the ablation baseline).
 	ShareArtifacts bool
 
@@ -732,7 +732,7 @@ func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Targe
 	res.OffloadAvoided += mon.OffloadAvoided()
 	res.Reloads += mon.Reloads
 	res.ReloadCycles += mon.ReloadCycles
-	if g := mon.GenerationID(); g > res.Gen {
+	if g := mon.Generation().ID; g > res.Gen {
 		res.Gen = g
 	}
 	for _, v := range mon.Violations {

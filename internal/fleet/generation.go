@@ -30,10 +30,9 @@ func (s *PolicySpec) policy() monitor.Policy {
 }
 
 // reloadGeneration resolves the fleet's reload generation (ID 1) for one
-// workload through the artifact cache: the metadata is the workload's
-// compiled metadata, the filter is compiled once per filter key and
-// shared, and the Generation bundle itself is built once and staged into
-// every tenant running that workload.
+// workload through the artifact cache: compiled once per filter key from
+// the workload's metadata and staged into every tenant running that
+// workload.
 func reloadGeneration(cfg *Config, app string, arts *Artifacts) (*monitor.Generation, error) {
 	mcfg := cfg.monitorConfig()
 	mcfg.Policy = cfg.ReloadSpec.policy()

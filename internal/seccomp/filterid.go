@@ -2,14 +2,13 @@ package seccomp
 
 // FilterID fingerprints a compiled program: FNV-1a over every
 // instruction's fields in order. Two programs get the same ID iff they are
-// instruction-for-instruction identical, which is what the fleet's policy
-// hot reload uses to tell artifact generations apart (a staged generation
-// whose filter hashes like the installed one is a metadata/config-only
-// swap; a differing ID proves the kernel-side program really changed).
+// instruction-for-instruction identical, which is how the hot-reload
+// tests tell generations' filters apart (a differing ID proves the
+// kernel-side program really changed).
 //
 // The hash is stable across processes and runs — no map iteration, no
-// pointers — so generation IDs derived from it are safe to compare in
-// golden tests and across the fleet.
+// pointers — so IDs are safe to compare in golden tests and across the
+// fleet.
 func FilterID(prog []Insn) uint64 {
 	const (
 		offset64 = 14695981039346656037

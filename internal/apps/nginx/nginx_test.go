@@ -78,7 +78,7 @@ func TestServesStaticPageProtected(t *testing.T) {
 		t.Fatalf("violations: %v", prot.Monitor.Violations)
 	}
 	// Steady state: exactly one sensitive trap (accept4) per request.
-	if prot.Monitor.ChecksByNr[kernel.SysAccept4] != 1 {
+	if prot.Monitor.ChecksByNr.Of(kernel.SysAccept4) != 1 {
 		t.Fatalf("accept4 checks = %v", prot.Monitor.ChecksByNr)
 	}
 }
@@ -91,26 +91,26 @@ func TestInitSyscallProfile(t *testing.T) {
 	c := prot.Proc.SyscallCounts
 	// Per Table 4's shape: init-heavy mmap/mprotect, per-worker creds and
 	// upstream sockets, one bind, two listens.
-	if c[kernel.SysMmap] != 1+4*16 {
-		t.Errorf("mmap = %d, want %d", c[kernel.SysMmap], 1+4*16)
+	if c.Of(kernel.SysMmap) != 1+4*16 {
+		t.Errorf("mmap = %d, want %d", c.Of(kernel.SysMmap), 1+4*16)
 	}
-	if c[kernel.SysMprotect] != 1+4*6 {
-		t.Errorf("mprotect = %d, want %d", c[kernel.SysMprotect], 1+4*6)
+	if c.Of(kernel.SysMprotect) != 1+4*6 {
+		t.Errorf("mprotect = %d, want %d", c.Of(kernel.SysMprotect), 1+4*6)
 	}
-	if c[kernel.SysSetuid] != 4 || c[kernel.SysSetgid] != 4 {
-		t.Errorf("setuid/setgid = %d/%d", c[kernel.SysSetuid], c[kernel.SysSetgid])
+	if c.Of(kernel.SysSetuid) != 4 || c.Of(kernel.SysSetgid) != 4 {
+		t.Errorf("setuid/setgid = %d/%d", c.Of(kernel.SysSetuid), c.Of(kernel.SysSetgid))
 	}
-	if c[kernel.SysSocket] != 5 { // 4 workers + 1 listener
-		t.Errorf("socket = %d", c[kernel.SysSocket])
+	if c.Of(kernel.SysSocket) != 5 { // 4 workers + 1 listener
+		t.Errorf("socket = %d", c.Of(kernel.SysSocket))
 	}
-	if c[kernel.SysBind] != 1 || c[kernel.SysListen] != 2 {
-		t.Errorf("bind/listen = %d/%d", c[kernel.SysBind], c[kernel.SysListen])
+	if c.Of(kernel.SysBind) != 1 || c.Of(kernel.SysListen) != 2 {
+		t.Errorf("bind/listen = %d/%d", c.Of(kernel.SysBind), c.Of(kernel.SysListen))
 	}
-	if c[kernel.SysClone] != 4*3 {
-		t.Errorf("clone = %d", c[kernel.SysClone])
+	if c.Of(kernel.SysClone) != 4*3 {
+		t.Errorf("clone = %d", c.Of(kernel.SysClone))
 	}
-	if c[kernel.SysConnect] != 4 {
-		t.Errorf("connect = %d", c[kernel.SysConnect])
+	if c.Of(kernel.SysConnect) != 4 {
+		t.Errorf("connect = %d", c.Of(kernel.SysConnect))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestManyRequestsStayClean(t *testing.T) {
 			t.Fatalf("request %d served %d", i, n)
 		}
 	}
-	if got := prot.Monitor.ChecksByNr[kernel.SysAccept4]; got != 25 {
+	if got := prot.Monitor.ChecksByNr.Of(kernel.SysAccept4); got != 25 {
 		t.Fatalf("accept4 checks = %d", got)
 	}
 	if len(prot.Monitor.Violations) != 0 {

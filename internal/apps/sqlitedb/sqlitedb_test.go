@@ -101,7 +101,7 @@ func TestTransactionsProtected(t *testing.T) {
 	// mprotect fires twice per MprotectPeriod transactions (harden +
 	// release); db_init performs none.
 	want := uint64(10/sqlitedb.MprotectPeriod) * 2
-	if got := prot.Monitor.ChecksByNr[kernel.SysMprotect]; got != want {
+	if got := prot.Monitor.ChecksByNr.Of(kernel.SysMprotect); got != want {
 		t.Fatalf("mprotect checks = %d, want %d", got, want)
 	}
 }
@@ -144,13 +144,13 @@ func TestInitProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := prot.Proc.SyscallCounts
-	if c[kernel.SysMmap] != 9 { // table + 8 cache regions
-		t.Errorf("mmap = %d", c[kernel.SysMmap])
+	if c.Of(kernel.SysMmap) != 9 { // table + 8 cache regions
+		t.Errorf("mmap = %d", c.Of(kernel.SysMmap))
 	}
-	if c[kernel.SysClone] != 4 {
-		t.Errorf("clone = %d", c[kernel.SysClone])
+	if c.Of(kernel.SysClone) != 4 {
+		t.Errorf("clone = %d", c.Of(kernel.SysClone))
 	}
-	if c[kernel.SysBind] != 1 || c[kernel.SysListen] != 1 || c[kernel.SysSocket] != 1 {
-		t.Errorf("net setup = %d/%d/%d", c[kernel.SysSocket], c[kernel.SysBind], c[kernel.SysListen])
+	if c.Of(kernel.SysBind) != 1 || c.Of(kernel.SysListen) != 1 || c.Of(kernel.SysSocket) != 1 {
+		t.Errorf("net setup = %d/%d/%d", c.Of(kernel.SysSocket), c.Of(kernel.SysBind), c.Of(kernel.SysListen))
 	}
 }

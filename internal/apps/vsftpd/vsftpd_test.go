@@ -147,17 +147,17 @@ func TestTransferSyscallProfile(t *testing.T) {
 	}
 	c := prot.Proc.SyscallCounts
 	// Per-transfer socket/bind/listen/accept, plus control setup.
-	if c[kernel.SysSocket] != 6 { // 1 control + 5 data
-		t.Errorf("socket = %d", c[kernel.SysSocket])
+	if c.Of(kernel.SysSocket) != 6 { // 1 control + 5 data
+		t.Errorf("socket = %d", c.Of(kernel.SysSocket))
 	}
-	if c[kernel.SysBind] != 6 || c[kernel.SysListen] != 6 {
-		t.Errorf("bind/listen = %d/%d", c[kernel.SysBind], c[kernel.SysListen])
+	if c.Of(kernel.SysBind) != 6 || c.Of(kernel.SysListen) != 6 {
+		t.Errorf("bind/listen = %d/%d", c.Of(kernel.SysBind), c.Of(kernel.SysListen))
 	}
-	if c[kernel.SysAccept] != 6 { // 1 session + 5 data
-		t.Errorf("accept = %d", c[kernel.SysAccept])
+	if c.Of(kernel.SysAccept) != 6 { // 1 session + 5 data
+		t.Errorf("accept = %d", c.Of(kernel.SysAccept))
 	}
-	if c[kernel.SysSendfile] != uint64(5*(fileSize/65536+1)) {
-		t.Errorf("sendfile = %d", c[kernel.SysSendfile])
+	if c.Of(kernel.SysSendfile) != uint64(5*(fileSize/65536+1)) {
+		t.Errorf("sendfile = %d", c.Of(kernel.SysSendfile))
 	}
 }
 

@@ -190,8 +190,9 @@ func (a *auditor) index() {
 }
 
 // checkFuncs: every metadata code range must match the program, and every
-// program function must be mapped (FuncAt feeds the CF walk; a gap there
-// turns legitimate frames into violations).
+// program function must be mapped (the CF walk resolves the trapping RIP
+// through these ranges; a gap there turns legitimate frames into
+// violations).
 func (a *auditor) checkFuncs() {
 	for name, fi := range a.meta.Funcs {
 		f := a.prog.Func(name)

@@ -29,11 +29,14 @@ func NewProfile(nrs ...uint32) Profile {
 }
 
 // Observe merges a process's invocation counts into the profile (the
-// dynamic-profiling step the temporal-filtering papers use).
-func (p Profile) Observe(counts map[uint32]uint64) {
-	for nr, n := range counts {
+// dynamic-profiling step the temporal-filtering papers use). The overflow
+// slot pools the unimplemented numbers and names none of them, so they
+// stay out of the profile: a kill-by-default allowlist kills them, where
+// the kernel would only have answered ENOSYS.
+func (p Profile) Observe(counts *kernel.Counts) {
+	for s, n := range counts[:kernel.NrSlots] {
 		if n > 0 {
-			p[nr] = true
+			p[kernel.SlotNr(s)] = true
 		}
 	}
 }

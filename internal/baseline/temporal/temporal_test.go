@@ -24,7 +24,7 @@ func profileNginx(t *testing.T) (initP, servingP temporal.Profile) {
 		t.Fatal(err)
 	}
 	initP = temporal.NewProfile()
-	initP.Observe(prot.Proc.SyscallCounts)
+	initP.Observe(&prot.Proc.SyscallCounts)
 
 	// Derive the serving profile on a clean instance: everything invoked
 	// after init by a request plus the legitimate upgrade path.
@@ -33,10 +33,7 @@ func profileNginx(t *testing.T) (initP, servingP temporal.Profile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := map[uint32]uint64{}
-	for nr, n := range prot2.Proc.SyscallCounts {
-		base[nr] = n
-	}
+	base := prot2.Proc.SyscallCounts
 	conn2, err := prot2.Kernel.Net.Dial(nginx.Port)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +51,9 @@ func profileNginx(t *testing.T) (initP, servingP temporal.Profile) {
 		t.Fatal(err)
 	}
 	servingP = temporal.NewProfile()
-	for nr, n := range prot2.Proc.SyscallCounts {
-		if n > base[nr] {
-			servingP[nr] = true
+	for s, n := range prot2.Proc.SyscallCounts[:kernel.NrSlots] {
+		if n > base[s] {
+			servingP[kernel.SlotNr(s)] = true
 		}
 	}
 	return initP, servingP

@@ -149,7 +149,7 @@ func table4(units int) (*Table, error) {
 		row := Row{Cells: []Cell{text(name)}}
 		for i, app := range Apps {
 			row.Cells = append(row.Cells, cell("%d",
-				count("table4."+app+"."+name+".calls", procs[i].SyscallCounts[nr], perf.Exact)))
+				count("table4."+app+"."+name+".calls", procs[i].SyscallCounts.Of(nr), perf.Exact)))
 		}
 		t.Rows = append(t.Rows, row)
 	}

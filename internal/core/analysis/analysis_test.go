@@ -352,8 +352,8 @@ func TestMetadataSerializationRoundTrip(t *testing.T) {
 		len(back.ArgSites) != len(res.Meta.ArgSites) {
 		t.Fatal("round trip lost entries")
 	}
-	if back.FuncAt(res.Prog.Func("bar").Base) != "bar" {
-		t.Fatal("FuncAt broken after round trip")
+	if fi := back.Funcs["bar"]; fi.Entry != res.Prog.Func("bar").Base || fi != res.Meta.Funcs["bar"] {
+		t.Fatalf("bar's range after round trip = %+v", fi)
 	}
 	if res.Meta.Summary() == "" {
 		t.Fatal("empty summary")

@@ -15,6 +15,8 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+
+	"bastion/internal/ir"
 )
 
 // AddrSet is a set of code addresses. It serializes as a sorted JSON array
@@ -324,50 +326,10 @@ func (m *Metadata) CoarseIndirect() *Metadata {
 	return &c
 }
 
-// FuncAt returns the function whose code range contains addr, or "". It
-// scans Funcs; Validate guarantees the ranges are disjoint, so the answer
-// does not depend on map order. Hot paths resolve through a FuncIndex.
-func (m *Metadata) FuncAt(addr uint64) string {
-	for name, fi := range m.Funcs {
-		if addr >= fi.Entry && addr < fi.End {
-			return name
-		}
-	}
-	return ""
-}
-
-// FuncIndex resolves code addresses to function names by binary search
-// over the metadata's non-empty code ranges, sorted by entry. It answers
-// exactly as Metadata.FuncAt does for metadata that validates. An index
-// is immutable once built, so a consumer builds its own rather than
-// caching one on a Metadata that other goroutines share.
-type FuncIndex struct {
-	ranges []funcRange
-}
-
+// funcRange is one function's code range, as Validate checks it.
 type funcRange struct {
 	entry, end uint64
 	name       string
-}
-
-// NewFuncIndex builds the index of m's function ranges.
-func NewFuncIndex(m *Metadata) FuncIndex {
-	return FuncIndex{ranges: sortedRanges(m.Funcs)}
-}
-
-// FuncAt returns the function whose code range contains addr, or "".
-func (ix FuncIndex) FuncAt(addr uint64) string {
-	// The first range ending past addr is the only one that can hold it.
-	i, _ := slices.BinarySearchFunc(ix.ranges, addr, func(r funcRange, a uint64) int {
-		if r.end <= a {
-			return -1
-		}
-		return 1
-	})
-	if i < len(ix.ranges) && ix.ranges[i].entry <= addr {
-		return ix.ranges[i].name
-	}
-	return ""
 }
 
 // sortedRanges returns the ranges of funcs ordered by (entry, end, name).
@@ -408,15 +370,25 @@ func (m *Metadata) CallerAllowed(callee, caller string) (constrained, allowed bo
 // the syscall ABI's 1..6 range: vm.Regs.Arg returns 0 for anything else,
 // so a malformed position would make argument integrity compare against a
 // fabricated zero instead of the real register.
+//
+// The monitor indexes callsites and function ranges by instruction slot,
+// (addr-base)/ir.InstrSize, so every callsite key and function range must
+// be an InstrSize-aligned address of the code region [ir.CodeBase,
+// ir.DataBase): a forged range can then never size a table past the
+// region's 2 MiB / InstrSize slots. A callsite's key is its return
+// address, the instruction after the call.
 func (m *Metadata) Validate() error {
 	// Function ranges must be well formed and disjoint: address→function
-	// resolution (FuncAt, FuncIndex) would otherwise depend on map order
-	// or on the index's tie-breaking. A compiler-produced sidecar never
-	// overlaps; fail closed on one that does.
+	// resolution would otherwise depend on map order or on tie-breaking.
+	// A compiler-produced sidecar never overlaps; fail closed on one that
+	// does.
 	ranges := sortedRanges(m.Funcs)
 	for i, cur := range ranges {
 		if cur.entry > cur.end {
 			return fmt.Errorf("metadata: function %q: entry %#x past end %#x", cur.name, cur.entry, cur.end)
+		}
+		if !inCode(cur.entry) || !inCode(cur.end) && cur.end != ir.DataBase {
+			return fmt.Errorf("metadata: function %q [%#x,%#x) is not an aligned range of the code region", cur.name, cur.entry, cur.end)
 		}
 		if i == 0 {
 			continue
@@ -424,6 +396,14 @@ func (m *Metadata) Validate() error {
 		if prev := ranges[i-1]; cur.entry < prev.end {
 			return fmt.Errorf("metadata: function %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				cur.name, cur.entry, cur.end, prev.name, prev.entry, prev.end)
+		}
+	}
+	for ret, cs := range m.Callsites {
+		if !inCode(ret) {
+			return fmt.Errorf("metadata: callsite key %#x is not an aligned code address", ret)
+		}
+		if cs.RetAddr != ret || cs.Addr+ir.InstrSize != ret {
+			return fmt.Errorf("metadata: callsite key %#x: call at %#x returns to %#x", ret, cs.Addr, cs.RetAddr)
 		}
 	}
 	for addr, site := range m.ArgSites {
@@ -468,6 +448,12 @@ func (m *Metadata) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// inCode reports whether addr is an InstrSize-aligned address of the code
+// region.
+func inCode(addr uint64) bool {
+	return addr >= ir.CodeBase && addr < ir.DataBase && (addr-ir.CodeBase)%ir.InstrSize == 0
 }
 
 // firstDuplicate returns the first repeated element of list, or "".

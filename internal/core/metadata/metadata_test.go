@@ -3,6 +3,8 @@ package metadata
 import (
 	"strings"
 	"testing"
+
+	"bastion/internal/ir"
 )
 
 func sampleMeta() *Metadata {
@@ -39,19 +41,6 @@ func TestCallableAndKinds(t *testing.T) {
 	}
 	if ArgConst.String() != "const" || ArgMem.String() != "mem" {
 		t.Error("arg kind strings")
-	}
-}
-
-func TestFuncAt(t *testing.T) {
-	m := sampleMeta()
-	if got := m.FuncAt(0x400120); got != "f" {
-		t.Fatalf("FuncAt = %q", got)
-	}
-	if got := m.FuncAt(0x400140); got != "" { // end is exclusive
-		t.Fatalf("FuncAt(end) = %q", got)
-	}
-	if got := m.FuncAt(0x1); got != "" {
-		t.Fatalf("FuncAt(wild) = %q", got)
 	}
 }
 
@@ -310,21 +299,78 @@ func TestValidateRejectsMalformedFuncRanges(t *testing.T) {
 	}
 }
 
-func TestFuncIndexMatchesFuncAt(t *testing.T) {
-	m := sampleMeta()
-	m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400140, End: 0x400180}
-	m.Funcs["h"] = FuncInfo{Name: "h", Entry: 0x400200, End: 0x400210}
-	m.Funcs["e"] = FuncInfo{Name: "e", Entry: 0x400190, End: 0x400190}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+// TestValidateRejectsUnindexableAddresses: the monitor indexes callsites
+// and function ranges by instruction slot, so Validate refuses any
+// callsite key or function range it could not index — outside the code
+// region, off the instruction grid, or a key that is not its call's
+// return address — and accepts the region's edges.
+func TestValidateRejectsUnindexableAddresses(t *testing.T) {
+	const code, data = ir.CodeBase, ir.DataBase
+	cases := []struct {
+		name  string
+		mut   func(m *Metadata)
+		valid bool
+	}{
+		{"key-not-retaddr", func(m *Metadata) {
+			m.Callsites[0x400304] = Callsite{Addr: 0x400300, RetAddr: 0x400308}
+		}, false},
+		{"key-past-call", func(m *Metadata) {
+			m.Callsites[0x400308] = Callsite{Addr: 0x400300, RetAddr: 0x400308}
+		}, false},
+		{"key-below-code", func(m *Metadata) {
+			m.Callsites[0x3004] = Callsite{Addr: 0x3000, RetAddr: 0x3004}
+		}, false},
+		{"key-at-data", func(m *Metadata) {
+			m.Callsites[data] = Callsite{Addr: data - ir.InstrSize, RetAddr: data}
+		}, false},
+		{"key-unaligned", func(m *Metadata) {
+			m.Callsites[0x400302] = Callsite{Addr: 0x4002fe, RetAddr: 0x400302}
+		}, false},
+		{"key-wraps", func(m *Metadata) {
+			m.Callsites[2] = Callsite{Addr: ^uint64(1), RetAddr: 2}
+		}, false},
+		{"func-below-code", func(m *Metadata) {
+			m.Funcs["g"] = FuncInfo{Name: "g", Entry: code - 0x40, End: code + 0x40}
+		}, false},
+		{"func-2^40-bytes", func(m *Metadata) {
+			m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400200, End: 0x400200 + 1<<40}
+		}, false},
+		{"func-past-data", func(m *Metadata) {
+			m.Funcs["g"] = FuncInfo{Name: "g", Entry: data - 0x40, End: data + ir.InstrSize}
+		}, false},
+		{"func-unaligned-entry", func(m *Metadata) {
+			m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400202, End: 0x400240}
+		}, false},
+		{"func-unaligned-end", func(m *Metadata) {
+			m.Funcs["g"] = FuncInfo{Name: "g", Entry: 0x400200, End: 0x400241}
+		}, false},
+		{"region-edges", func(m *Metadata) {
+			m.Funcs["first"] = FuncInfo{Name: "first", Entry: code, End: code + 0x40}
+			m.Funcs["last"] = FuncInfo{Name: "last", Entry: data - 0x40, End: data}
+			m.Callsites[code+ir.InstrSize] = Callsite{Addr: code, RetAddr: code + ir.InstrSize}
+			m.Callsites[data-ir.InstrSize] = Callsite{Addr: data - 2*ir.InstrSize, RetAddr: data - ir.InstrSize}
+		}, true},
 	}
-	ix := NewFuncIndex(m)
-	for _, a := range []uint64{0, 0x400000, 0x4000ff, 0x400100, 0x40013f, 0x400140, 0x400180, 0x400190, 0x40020f, 0x400210, ^uint64(0)} {
-		if got, want := ix.FuncAt(a), m.FuncAt(a); got != want {
-			t.Fatalf("index FuncAt(%#x) = %q, scan = %q", a, got, want)
+	for _, tc := range cases {
+		m := sampleMeta()
+		tc.mut(m)
+		err := m.Validate()
+		if tc.valid {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
 		}
-	}
-	if got := NewFuncIndex(New()).FuncAt(0x400100); got != "" {
-		t.Fatalf("empty index resolved %q", got)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		raw, merr := m.Marshal()
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if _, err := Unmarshal(raw); err == nil {
+			t.Errorf("%s: sidecar accepted by Unmarshal", tc.name)
+		}
 	}
 }

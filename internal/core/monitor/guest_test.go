@@ -139,14 +139,18 @@ func (f *failingShadow) Load(addr uint64) (uint64, error) {
 // is still skipped.
 func TestOuterBindingReadErrorIsViolation(t *testing.T) {
 	meta := metadata.New()
-	meta.Callsites[0x3008] = metadata.Callsite{Addr: 0x3000, RetAddr: 0x3008, Caller: "outer", Kind: metadata.SiteDirect, Target: "mprotect"}
-	meta.ArgSites[0x3000] = metadata.ArgSite{Addr: 0x3000, Caller: "outer", Target: "mprotect", IsSyscall: true}
-	meta.Callsites[0x4008] = metadata.Callsite{Addr: 0x4000, RetAddr: 0x4008, Caller: "main", Kind: metadata.SiteDirect, Target: "outer"}
-	meta.ArgSites[0x4000] = metadata.ArgSite{Addr: 0x4000, Caller: "main", Target: "outer",
+	meta.Callsites[0x403004] = metadata.Callsite{Addr: 0x403000, RetAddr: 0x403004, Caller: "outer", Kind: metadata.SiteDirect, Target: "mprotect"}
+	meta.ArgSites[0x403000] = metadata.ArgSite{Addr: 0x403000, Caller: "outer", Target: "mprotect", IsSyscall: true}
+	meta.Callsites[0x404004] = metadata.Callsite{Addr: 0x404000, RetAddr: 0x404004, Caller: "main", Kind: metadata.SiteDirect, Target: "outer"}
+	meta.ArgSites[0x404000] = metadata.ArgSite{Addr: 0x404000, Caller: "main", Target: "outer",
 		Args: []metadata.ArgSpec{{Pos: 1, Kind: metadata.ArgMem, Size: 8}}}
-	trace := []stackFrame{{Ret: 0x3008, BP: 0x100}, {Ret: 0x4008, BP: 0x200}}
+	trace := []stackFrame{{Ret: 0x403004, BP: 0x100}, {Ret: 0x404004, BP: 0x200}}
+	g, err := NewGeneration(0, meta, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	newMon := func(src shadow.Loader) *Monitor {
-		return &Monitor{gen: &Generation{Meta: meta}, Cfg: DefaultConfig(),
+		return &Monitor{gen: g, Cfg: DefaultConfig(),
 			guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}, shadow: shadow.Reader{Src: src}}
 	}
 

@@ -269,7 +269,7 @@ type Monitor struct {
 
 	// Hooks counts SECCOMP_RET_TRACE stops; ChecksByNr per syscall.
 	Hooks      uint64
-	ChecksByNr map[uint32]uint64
+	ChecksByNr kernel.Counts
 	// Violations records everything detected (ReportOnly accumulates; kill
 	// mode records the fatal one).
 	Violations []Violation
@@ -311,7 +311,9 @@ type Monitor struct {
 	// sums to the trap's total.
 	ev           obs.TrapEvent
 	frameScratch []stackFrame
-	histByNr     map[uint32]*obs.Histogram
+	// histByNr holds each syscall slot's trap-cycle histogram, registered
+	// on the slot's first trap.
+	histByNr [kernel.NrSlots + 1]*obs.Histogram
 
 	// stageCycles sums every trap's ev.Cycles; violations counts flagged
 	// violations. Both are bound into Metrics.
@@ -342,9 +344,8 @@ func Attach(proc *kernel.Process, meta *metadata.Metadata, cfg Config) (*Monitor
 		return nil, errors.New("monitor: the precompiled generation was not compiled for this metadata, mode and policy")
 	}
 	m := &Monitor{
-		Cfg:        cfg,
-		guest:      guestAccess(proc, cfg),
-		ChecksByNr: map[uint32]uint64{},
+		Cfg:   cfg,
+		guest: guestAccess(proc, cfg),
 	}
 	m.initTelemetry()
 	if err := shadow.MapRegion(proc.M.Mem); err != nil {
@@ -393,14 +394,17 @@ func (gen *Generation) projectFlow() {
 	// Trapped = syscalls whose policy action is SECCOMP_RET_TRACE. Read
 	// from the seccomp policy the generation's filter compiles, so the
 	// projection and the filter can never disagree about observability.
+	// The policy only acts on implemented syscalls, so every trapped one
+	// has its own slot bit.
 	trapped := func(nr uint32) bool {
-		return gen.Seccomp.Actions[nr] == seccomp.RetTrace
+		return kernel.Slot(nr) < kernel.NrSlots && gen.Seccomp.Actions[nr] == seccomp.RetTrace
 	}
-	// closure returns every trapped node reachable from the given frontier
-	// through untrapped intermediate nodes (the frontier nodes themselves
-	// are tested first: a trapped frontier node terminates its path).
-	closure := func(frontier []uint32) map[uint32]struct{} {
-		out := map[uint32]struct{}{}
+	// closure returns the slot mask of every trapped node reachable from
+	// the given frontier through untrapped intermediate nodes (the
+	// frontier nodes themselves are tested first: a trapped frontier node
+	// terminates its path).
+	closure := func(frontier []uint32) uint64 {
+		var out uint64
 		seen := map[uint32]bool{}
 		for len(frontier) > 0 {
 			nr := frontier[0]
@@ -410,7 +414,7 @@ func (gen *Generation) projectFlow() {
 			}
 			seen[nr] = true
 			if trapped(nr) {
-				out[nr] = struct{}{}
+				out |= 1 << kernel.Slot(nr)
 				continue
 			}
 			for succ := range g.Edges[nr] {
@@ -422,13 +426,9 @@ func (gen *Generation) projectFlow() {
 		return out
 	}
 	gen.sfStart = closure(setKeys(g.Start))
-	gen.sfEdges = map[uint64]struct{}{}
 	for nr := range g.Nodes {
-		if !trapped(nr) {
-			continue
-		}
-		for succ := range closure(setKeys(g.Edges[nr])) {
-			gen.sfEdges[uint64(nr)<<32|uint64(succ)] = struct{}{}
+		if trapped(nr) {
+			gen.sfEdges[kernel.Slot(nr)] = closure(setKeys(g.Edges[nr]))
 		}
 	}
 	gen.sfEnforce = true
@@ -445,17 +445,17 @@ func setKeys(s metadata.NrSet) []uint32 {
 }
 
 // initTelemetry builds the metrics registry, binds the counter fields and
-// the per-syscall check map into it, and sets up the flight recorder and
+// the per-syscall check counts into it, and sets up the flight recorder and
 // the unwind scratch.
 func (m *Monitor) initTelemetry() {
 	r := obs.NewRegistry()
 	r.BindCounter("monitor_hooks_total", &m.Hooks)
 	r.BindCounter("monitor_flow_checks_total", &m.FlowChecks)
-	r.BindCounterMap("monitor_checks_total", m.ChecksByNr, kernel.Name)
+	r.BindCounterMap("monitor_checks_total", m.ChecksByNr[:], kernel.SlotName)
 	if m.guest.P != nil {
 		// The kernel counts RET_LOG allows per syscall; with offload active
 		// each one is a trap the pure-monitor filter would have taken.
-		r.BindCounterMap("monitor_offload_avoided_total", m.guest.P.LogVerdicts, kernel.Name)
+		r.BindCounterMap("monitor_offload_avoided_total", m.guest.P.LogVerdicts[:], kernel.SlotName)
 	}
 	r.BindCounter("monitor_violations_total", &m.violations)
 	r.BindCounter("monitor_cycles_fetch_total", &m.stageCycles.Fetch)
@@ -467,7 +467,6 @@ func (m *Monitor) initTelemetry() {
 	m.histTrap = r.Histogram("monitor_trap_cycles", obs.CycleBuckets)
 	m.histDepth = r.Histogram("monitor_unwind_depth", obs.DepthBuckets)
 	m.histPointee = r.Histogram("monitor_pointee_bytes", obs.ByteBuckets)
-	m.histByNr = map[uint32]*obs.Histogram{}
 	m.Metrics = r
 	m.frameScratch = make([]stackFrame, 0, m.Cfg.MaxUnwindDepth)
 	if m.Cfg.FlightN > 0 {
@@ -575,7 +574,7 @@ func (m *Monitor) trap(p *kernel.Process) error {
 	ev.Cycles.Fetch = *clk - c
 	nr := uint32(regs.RAX)
 	ev.Nr = nr
-	m.ChecksByNr[nr]++
+	m.ChecksByNr.Inc(nr)
 
 	fast := m.Cfg.Mode == ModeFull && m.Cfg.AcceptFastPath &&
 		(nr == kernel.SysAccept || nr == kernel.SysAccept4)
@@ -611,12 +610,13 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		m.FlowChecks++
 		p.K.Clock.Add(m.Cfg.Costs.SFCheck)
 		var v *Violation
+		bit := uint64(1) << kernel.Slot(nr)
 		if !m.sfActive {
-			if _, ok := m.gen.sfStart[nr]; !ok {
+			if m.gen.sfStart&bit == 0 {
 				v = &Violation{Context: SyscallFlow, Nr: nr,
 					Reason: fmt.Sprintf("%s cannot be the first trapped syscall", kernel.Name(nr))}
 			}
-		} else if _, ok := m.gen.sfEdges[uint64(m.sfPrev)<<32|uint64(nr)]; !ok {
+		} else if m.gen.sfEdges[kernel.Slot(m.sfPrev)]&bit == 0 {
 			v = &Violation{Context: SyscallFlow, Nr: nr,
 				Reason: fmt.Sprintf("transition %s -> %s is outside the flow graph", kernel.Name(m.sfPrev), kernel.Name(nr))}
 		}
@@ -643,12 +643,10 @@ func (m *Monitor) trap(p *kernel.Process) error {
 			c = *clk
 			p.K.Clock.Add(m.Cfg.Costs.CFPerFrame)
 			var v *Violation
-			cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
-			if ok && cs.Kind == metadata.SiteDirect {
-				if constrained, allowed := m.gen.Meta.CallerAllowed(cs.Target, cs.Caller); constrained && !allowed {
-					v = &Violation{Context: ControlFlow, Nr: nr,
-						Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, cs.Target)}
-				}
+			if cs := m.gen.tables.site(trace[0].Ret); cs != nil && cs.kind == metadata.SiteDirect && !cs.callerOK {
+				t := m.gen.tables
+				v = &Violation{Context: ControlFlow, Nr: nr,
+					Reason: fmt.Sprintf("%s is not a valid caller of %s", t.names[cs.caller], t.names[cs.target])}
 			}
 			if err := m.judge(v, &ev.CF, &ev.Cycles.CF, c); err != nil || v != nil {
 				return err
@@ -657,18 +655,16 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		if m.Cfg.Contexts&ArgIntegrity != 0 && len(trace) == 1 {
 			c = *clk
 			var v *Violation
-			if cs, ok := m.gen.Meta.Callsites[trace[0].Ret]; ok {
-				if site, ok := m.gen.Meta.ArgSites[cs.Addr]; ok {
-					for _, spec := range site.Args {
-						if spec.Kind != metadata.ArgConst {
-							continue
-						}
-						p.K.Clock.Add(m.Cfg.Costs.AIPerArg)
-						if regs.Arg(spec.Pos) != uint64(spec.Const) {
-							v = &Violation{Context: ArgIntegrity, Nr: nr,
-								Reason: fmt.Sprintf("arg %d is %#x, expected constant %#x", spec.Pos, regs.Arg(spec.Pos), uint64(spec.Const))}
-							break
-						}
+			if cs := m.gen.tables.site(trace[0].Ret); cs != nil {
+				for _, spec := range cs.args {
+					if spec.Kind != metadata.ArgConst {
+						continue
+					}
+					p.K.Clock.Add(m.Cfg.Costs.AIPerArg)
+					if regs.Arg(spec.Pos) != uint64(spec.Const) {
+						v = &Violation{Context: ArgIntegrity, Nr: nr,
+							Reason: fmt.Sprintf("arg %d is %#x, expected constant %#x", spec.Pos, regs.Arg(spec.Pos), uint64(spec.Const))}
+						break
 					}
 				}
 			}
@@ -721,10 +717,11 @@ func (m *Monitor) observe(p *kernel.Process, nViol int) {
 	if m.Cfg.Mode != ModeHookOnly {
 		m.histDepth.Observe(uint64(ev.UnwindDepth))
 		m.histPointee.Observe(ev.PointeeBytes)
-		h := m.histByNr[ev.Nr]
+		s := kernel.Slot(ev.Nr)
+		h := m.histByNr[s]
 		if h == nil {
-			h = m.Metrics.Histogram("monitor_trap_cycles["+kernel.Name(ev.Nr)+"]", obs.CycleBuckets)
-			m.histByNr[ev.Nr] = h
+			h = m.Metrics.Histogram("monitor_trap_cycles["+kernel.SlotName(s)+"]", obs.CycleBuckets)
+			m.histByNr[s] = h
 		}
 		h.Observe(end - ev.Start)
 	}
@@ -865,27 +862,28 @@ func (m *Monitor) unwind(regs vm.Regs) (frames []stackFrame, clean bool, err err
 // checkCallType enforces §7.2: the syscall must be callable, and the
 // invoking callsite's kind (direct/indirect) must be permitted.
 func (m *Monitor) checkCallType(nr uint32, trace []stackFrame) *Violation {
-	ct, ok := m.gen.Meta.CallTypes[nr]
-	if !ok || !ct.Callable() {
+	t := m.gen.tables
+	ct := t.callTypeOf(m.gen.Meta, nr)
+	if !ct.direct && !ct.indirect {
 		return &Violation{Context: CallType, Nr: nr, Reason: "not-callable system call invoked"}
 	}
 	if len(trace) == 0 {
 		return &Violation{Context: CallType, Nr: nr, Reason: "no invoking callsite on stack"}
 	}
-	cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
-	if !ok {
+	cs := t.site(trace[0].Ret)
+	if cs == nil {
 		return &Violation{Context: CallType, Nr: nr, Reason: fmt.Sprintf("invoked from unknown callsite (ret %#x)", trace[0].Ret)}
 	}
-	switch cs.Kind {
+	switch cs.kind {
 	case metadata.SiteDirect:
-		if !ct.Direct {
+		if !ct.direct {
 			return &Violation{Context: CallType, Nr: nr, Reason: "direct invocation not permitted"}
 		}
-		if cs.Target != ct.Wrapper {
-			return &Violation{Context: CallType, Nr: nr, Reason: fmt.Sprintf("callsite targets %q, not wrapper %q", cs.Target, ct.Wrapper)}
+		if cs.target != ct.wrapper {
+			return &Violation{Context: CallType, Nr: nr, Reason: fmt.Sprintf("callsite targets %q, not wrapper %q", t.names[cs.target], t.names[ct.wrapper])}
 		}
 	case metadata.SiteIndirect:
-		if !ct.Indirect {
+		if !ct.indirect {
 			return &Violation{Context: CallType, Nr: nr, Reason: "indirect invocation not permitted"}
 		}
 	}
@@ -894,14 +892,16 @@ func (m *Monitor) checkCallType(nr uint32, trace []stackFrame) *Violation {
 
 // checkControlFlow enforces §7.3: every callee→caller transition on the
 // stack must match the CFG metadata, until main (the sentinel) or a
-// legitimate indirect callsite is reached.
+// legitimate indirect callsite is reached. Functions are compared by
+// their index in the generation's name table.
 func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, clean bool) *Violation {
 	if !clean {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "stack walk did not reach the process base"}
 	}
 	m.guest.P.K.Clock.Add(m.Cfg.Costs.CFPerFrame * uint64(len(trace)+1))
-	prevFn := m.gen.funcs.FuncAt(regs.RIP) // the wrapper containing the syscall
-	if prevFn == "" {
+	t := m.gen.tables
+	prevFn := t.funcOf(regs.RIP) // the wrapper containing the syscall
+	if prevFn == 0 {
 		return &Violation{Context: ControlFlow, Nr: nr, Reason: "syscall executing outside known code"}
 	}
 	prevBP := uint64(0)
@@ -917,32 +917,32 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("frame chain not ascending at %#x (stack pivot)", fr.BP)}
 		}
 		prevBP = fr.BP
-		cs, ok := m.gen.Meta.Callsites[fr.Ret]
-		if !ok {
+		cs := t.site(fr.Ret)
+		if cs == nil {
 			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("return address %#x is not a callsite", fr.Ret)}
 		}
-		if cs.Kind == metadata.SiteIndirect {
+		if cs.kind == metadata.SiteIndirect {
 			// Verification of the partial trace ends at a legitimate
 			// indirect callsite, provided the callee is a known indirect
 			// target whose class can reach this syscall (§6.2, §7.3).
-			if !m.gen.Meta.IndirectTargets[prevFn] {
-				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s reached via indirect call but its address is never taken", prevFn)}
+			if !t.isIndirectTarget(prevFn) {
+				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s reached via indirect call but its address is never taken", t.names[prevFn])}
 			}
 			// A syscall with an AllowedIndirect entry is constrained to the
 			// recorded callsites; a present-but-empty set therefore rejects
 			// every indirect path. Unconstrained syscalls have no entry.
-			if allowed, ok := m.gen.Meta.AllowedIndirect[nr]; ok && !allowed[cs.Addr] {
-				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", cs.Addr, kernel.Name(nr))}
+			if addr := fr.Ret - ir.InstrSize; !t.indirectAllowed(m.gen.Meta, nr, cs, addr) {
+				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", addr, kernel.Name(nr))}
 			}
 			return nil
 		}
-		if cs.Target != prevFn {
-			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("frame mismatch: callsite in %s targets %s, stack has %s", cs.Caller, cs.Target, prevFn)}
+		if cs.target != prevFn {
+			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("frame mismatch: callsite in %s targets %s, stack has %s", t.names[cs.caller], t.names[cs.target], t.names[prevFn])}
 		}
-		if constrained, allowed := m.gen.Meta.CallerAllowed(prevFn, cs.Caller); constrained && !allowed {
-			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s is not a valid caller of %s", cs.Caller, prevFn)}
+		if !cs.callerOK {
+			return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("%s is not a valid caller of %s", t.names[cs.caller], t.names[prevFn])}
 		}
-		prevFn = cs.Caller
+		prevFn = cs.caller
 	}
 	return nil
 }
@@ -1002,8 +1002,9 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 	if len(trace) == 0 {
 		return nil
 	}
-	cs, ok := m.gen.Meta.Callsites[trace[0].Ret]
-	if !ok {
+	t := m.gen.tables
+	cs := t.site(trace[0].Ret)
+	if cs == nil {
 		// No legitimate callsite means no traced arguments exist for this
 		// invocation at all.
 		if kernel.IsSensitive(nr) {
@@ -1012,39 +1013,36 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 		}
 		return nil
 	}
-	site, hasSite := m.gen.Meta.ArgSites[cs.Addr]
-	if !hasSite || !site.IsSyscall {
+	callAddr := trace[0].Ret - ir.InstrSize
+	if !cs.hasArgs || !cs.isSyscall {
 		// A sensitive syscall fired from a callsite whose arguments were
 		// never part of any legal invocation (§3.4: the leveraged
 		// variables are "never used by any legal system call invocation").
 		if kernel.IsSensitive(nr) {
 			return &Violation{Context: ArgIntegrity, Nr: nr,
-				Reason: fmt.Sprintf("callsite %#x has no traced arguments for %s", cs.Addr, kernel.Name(nr))}
+				Reason: fmt.Sprintf("callsite %#x has no traced arguments for %s", callAddr, kernel.Name(nr))}
 		}
 		return nil
 	}
-	if v := m.checkSyscallFrameArgs(nr, regs, site); v != nil {
+	if v := m.checkSyscallFrameArgs(nr, regs, callAddr, cs.args); v != nil {
 		return v
 	}
 	// Outer frames: verify bound sensitive variables shadow-vs-memory.
 	for _, fr := range trace[1:] {
-		ocs, ok := m.gen.Meta.Callsites[fr.Ret]
-		if !ok {
+		ocs := t.site(fr.Ret)
+		if ocs == nil {
 			return nil
 		}
-		site, ok := m.gen.Meta.ArgSites[ocs.Addr]
-		if !ok {
-			continue
-		}
-		for _, spec := range site.Args {
+		outer := fr.Ret - ir.InstrSize
+		for _, spec := range ocs.args {
 			if spec.Kind != metadata.ArgMem {
 				continue
 			}
 			m.guest.P.K.Clock.Add(m.Cfg.Costs.AIPerArg)
-			addr, isConst, bound, err := m.shadow.Binding(ocs.Addr, spec.Pos)
+			addr, isConst, bound, err := m.shadow.Binding(outer, spec.Pos)
 			if err != nil {
 				return &Violation{Context: ArgIntegrity, Nr: nr,
-					Reason: fmt.Sprintf("shadow binding unreadable in %s frame", site.Caller)}
+					Reason: fmt.Sprintf("shadow binding unreadable in %s frame", m.gen.Meta.ArgSites[outer].Caller)}
 			}
 			if !bound || isConst {
 				continue
@@ -1052,7 +1050,7 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 			v, meta, ok, err := m.shadow.Value(addr)
 			if err != nil || !ok {
 				return &Violation{Context: ArgIntegrity, Nr: nr,
-					Reason: fmt.Sprintf("no shadow copy for sensitive variable %#x in %s frame", addr, site.Caller)}
+					Reason: fmt.Sprintf("no shadow copy for sensitive variable %#x in %s frame", addr, m.gen.Meta.ArgSites[outer].Caller)}
 			}
 			size := int64(meta & shadow.MetaSizeMask)
 			if size <= 0 || size > 8 || meta&shadow.MetaDigest != 0 {
@@ -1064,16 +1062,17 @@ func (m *Monitor) checkArgIntegrity(nr uint32, regs vm.Regs, trace []stackFrame)
 			}
 			if cur != v {
 				return &Violation{Context: ArgIntegrity, Nr: nr,
-					Reason: fmt.Sprintf("sensitive variable at %#x in %s frame corrupted (%#x != shadow %#x)", addr, site.Caller, cur, v)}
+					Reason: fmt.Sprintf("sensitive variable at %#x in %s frame corrupted (%#x != shadow %#x)", addr, m.gen.Meta.ArgSites[outer].Caller, cur, v)}
 			}
 		}
 	}
 	return nil
 }
 
-// checkSyscallFrameArgs verifies the trapping syscall's own arguments.
-func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.ArgSite) *Violation {
-	for _, spec := range site.Args {
+// checkSyscallFrameArgs verifies the trapping syscall's own arguments
+// against the argument record of the call instruction at callAddr.
+func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, callAddr uint64, args []metadata.ArgSpec) *Violation {
+	for _, spec := range args {
 		m.guest.P.K.Clock.Add(m.Cfg.Costs.AIPerArg)
 		actual := regs.Arg(spec.Pos)
 		switch spec.Kind {
@@ -1083,7 +1082,7 @@ func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.A
 					Reason: fmt.Sprintf("arg %d is %#x, expected constant %#x", spec.Pos, actual, uint64(spec.Const))}
 			}
 		case metadata.ArgMem:
-			if v := m.checkMemArg(nr, regs, site, spec, actual); v != nil {
+			if v := m.checkMemArg(nr, callAddr, spec, actual); v != nil {
 				return v
 			}
 		}
@@ -1091,8 +1090,8 @@ func (m *Monitor) checkSyscallFrameArgs(nr uint32, regs vm.Regs, site metadata.A
 	return nil
 }
 
-func (m *Monitor) checkMemArg(nr uint32, regs vm.Regs, site metadata.ArgSite, spec metadata.ArgSpec, actual uint64) *Violation {
-	bound, isConst, ok, err := m.shadow.Binding(site.Addr, spec.Pos)
+func (m *Monitor) checkMemArg(nr uint32, addr uint64, spec metadata.ArgSpec, actual uint64) *Violation {
+	bound, isConst, ok, err := m.shadow.Binding(addr, spec.Pos)
 	if err != nil {
 		return &Violation{Context: ArgIntegrity, Nr: nr, Reason: "shadow binding unreadable"}
 	}

@@ -135,7 +135,7 @@ func TestLegitimateRunPasses(t *testing.T) {
 		t.Fatalf("violations on legit run: %v", prot.Monitor.Violations)
 	}
 	// mmap and mprotect each trapped once.
-	if prot.Monitor.ChecksByNr[kernel.SysMmap] != 1 || prot.Monitor.ChecksByNr[kernel.SysMprotect] != 1 {
+	if prot.Monitor.ChecksByNr.Of(kernel.SysMmap) != 1 || prot.Monitor.ChecksByNr.Of(kernel.SysMprotect) != 1 {
 		t.Fatalf("checks = %v", prot.Monitor.ChecksByNr)
 	}
 	if prot.Proc.TrapCount != prot.Monitor.Hooks {
@@ -380,7 +380,7 @@ func TestExtendFSTrapsFileSyscalls(t *testing.T) {
 	if _, err := prot.Machine.CallFunction("main"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if prot.Monitor.ChecksByNr[kernel.SysOpen] != 1 || prot.Monitor.ChecksByNr[kernel.SysRead] != 1 {
+	if prot.Monitor.ChecksByNr.Of(kernel.SysOpen) != 1 || prot.Monitor.ChecksByNr.Of(kernel.SysRead) != 1 {
 		t.Fatalf("fs syscalls not trapped: %v", prot.Monitor.ChecksByNr)
 	}
 	if len(prot.Monitor.Violations) != 0 {
@@ -507,7 +507,7 @@ func TestTreeFilterEnforcesIdentically(t *testing.T) {
 	if len(prot.Monitor.Violations) != 0 {
 		t.Fatalf("violations on legit run: %v", prot.Monitor.Violations)
 	}
-	if prot.Monitor.ChecksByNr[kernel.SysMmap] != 1 || prot.Monitor.ChecksByNr[kernel.SysMprotect] != 1 {
+	if prot.Monitor.ChecksByNr.Of(kernel.SysMmap) != 1 || prot.Monitor.ChecksByNr.Of(kernel.SysMprotect) != 1 {
 		t.Fatalf("checks = %v", prot.Monitor.ChecksByNr)
 	}
 	_, err := prot.Machine.CallFunction("setuid", 0)

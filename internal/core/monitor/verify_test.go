@@ -91,23 +91,30 @@ func TestVerifyBytesCoverageClamped(t *testing.T) {
 func TestAllowedIndirectEmptySetRejects(t *testing.T) {
 	meta := metadata.New()
 	stackBase := ir.StackTop - 64
-	meta.Funcs["wrapper"] = metadata.FuncInfo{Name: "wrapper", Entry: 0x1000, End: 0x2000}
+	meta.Funcs["wrapper"] = metadata.FuncInfo{Name: "wrapper", Entry: 0x401000, End: 0x402000}
 	meta.IndirectTargets["wrapper"] = true
-	meta.Callsites[0x3008] = metadata.Callsite{
-		Addr: 0x3000, RetAddr: 0x3008, Caller: "dispatch", Kind: metadata.SiteIndirect,
+	meta.Callsites[0x403004] = metadata.Callsite{
+		Addr: 0x403000, RetAddr: 0x403004, Caller: "dispatch", Kind: metadata.SiteIndirect,
 	}
-	m := &Monitor{gen: &Generation{Meta: meta, funcs: metadata.NewFuncIndex(meta)}, Cfg: DefaultConfig(), guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}}
-
-	regs := vm.Regs{RIP: 0x1500, RBP: stackBase}
-	trace := []stackFrame{{Ret: 0x3008, BP: stackBase}}
+	// Each check compiles the metadata as it stands into a generation.
+	check := func() *Violation {
+		g, err := NewGeneration(0, meta, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &Monitor{gen: g, Cfg: DefaultConfig(), guest: kernel.Tracee{P: &kernel.Process{K: kernel.New(nil)}}}
+		regs := vm.Regs{RIP: 0x401500, RBP: stackBase}
+		trace := []stackFrame{{Ret: 0x403004, BP: stackBase}}
+		return m.checkControlFlow(kernel.SysSocket, regs, trace, true)
+	}
 
 	// No entry: unconstrained, the indirect path is accepted.
-	if v := m.checkControlFlow(kernel.SysSocket, regs, trace, true); v != nil {
+	if v := check(); v != nil {
 		t.Fatalf("unconstrained syscall rejected: %v", v)
 	}
 	// Present but empty: constrained with no legitimate callsites.
 	meta.AllowedIndirect[kernel.SysSocket] = map[uint64]bool{}
-	v := m.checkControlFlow(kernel.SysSocket, regs, trace, true)
+	v := check()
 	if v == nil {
 		t.Fatal("empty allowed set accepted an indirect callsite")
 	}
@@ -115,8 +122,8 @@ func TestAllowedIndirectEmptySetRejects(t *testing.T) {
 		t.Fatalf("unexpected reason: %s", v.Reason)
 	}
 	// The recorded callsite is accepted once listed.
-	meta.AllowedIndirect[kernel.SysSocket][0x3000] = true
-	if v := m.checkControlFlow(kernel.SysSocket, regs, trace, true); v != nil {
+	meta.AllowedIndirect[kernel.SysSocket][0x403000] = true
+	if v := check(); v != nil {
 		t.Fatalf("listed callsite rejected: %v", v)
 	}
 }

@@ -151,18 +151,18 @@ type Process struct {
 	Events []Event
 
 	// SyscallCounts counts invocations by number (Table 4 source).
-	SyscallCounts map[uint32]uint64
+	SyscallCounts Counts
 	// CompletedCounts counts syscalls that passed filtering and tracing
 	// and reached execution.
-	CompletedCounts map[uint32]uint64
+	CompletedCounts Counts
 	// TrapCount counts monitor hooks (SECCOMP_RET_TRACE stops).
 	TrapCount uint64
 	// LogVerdicts counts SECCOMP_RET_LOG allows by syscall number. The
 	// verdict-offload compiler emits LOG (not plain ALLOW) for decisions it
-	// answers in-filter, so this map is the kernel-side ground truth for
-	// "traps avoided": each entry would have been a RET_TRACE stop under
+	// answers in-filter, so these counts are the kernel-side ground truth for
+	// "traps avoided": each count would have been a RET_TRACE stop under
 	// the pure-monitor filter.
-	LogVerdicts map[uint32]uint64
+	LogVerdicts Counts
 	// MonitorCycles accumulates cycles spent inside monitor traps
 	// (round-trip, ptrace fetches, checks) — the serialized portion the
 	// bench's multi-worker model queues on.
@@ -188,6 +188,9 @@ type Kernel struct {
 
 	procs   map[*vm.Machine]*Process
 	nextPID int
+	// last is the process of the most recent syscall: a kernel almost
+	// always runs one process, so Syscall rarely consults procs.
+	last *Process
 }
 
 // Buffers holds the host buffers a released process leaves for the next
@@ -226,16 +229,13 @@ func New(clock *vm.Clock) *Kernel {
 // built with WithOS(k) so syscalls route here.
 func (k *Kernel) Register(m *vm.Machine) *Process {
 	p := &Process{
-		K:               k,
-		M:               m,
-		PID:             k.nextPID,
-		fds:             map[int]*FD{},
-		nextFD:          3, // 0,1,2 reserved
-		brk:             0, // assigned on first brk
-		mmapCursor:      0x7f00_0000_0000,
-		SyscallCounts:   map[uint32]uint64{},
-		CompletedCounts: map[uint32]uint64{},
-		LogVerdicts:     map[uint32]uint64{},
+		K:          k,
+		M:          m,
+		PID:        k.nextPID,
+		fds:        map[int]*FD{},
+		nextFD:     3, // 0,1,2 reserved
+		brk:        0, // assigned on first brk
+		mmapCursor: 0x7f00_0000_0000,
 	}
 	if b := k.Buffers; b != nil {
 		p.stage, p.Events = b.stage, b.events
@@ -243,6 +243,7 @@ func (k *Kernel) Register(m *vm.Machine) *Process {
 	}
 	k.nextPID++
 	k.procs[m] = p
+	k.last = p
 	return p
 }
 
@@ -345,13 +346,16 @@ func (t *Tracee) charge(n uint64) {
 // Syscall implements vm.SyscallHandler: seccomp filtering, optional tracer
 // stop, then execution.
 func (k *Kernel) Syscall(m *vm.Machine) (int64, error) {
-	p := k.procs[m]
-	if p == nil {
-		return 0, errors.New("kernel: syscall from unregistered machine")
+	p := k.last
+	if p == nil || p.M != m {
+		if p = k.procs[m]; p == nil {
+			return 0, errors.New("kernel: syscall from unregistered machine")
+		}
+		k.last = p
 	}
 	k.Clock.Add(k.Costs.SyscallEntry)
 	nr := uint32(m.SysRegs.RAX)
-	p.SyscallCounts[nr]++
+	p.SyscallCounts.Inc(nr)
 
 	if p.filter != nil {
 		data := &seccomp.Data{
@@ -374,7 +378,7 @@ func (k *Kernel) Syscall(m *vm.Machine) (int64, error) {
 			// proceed
 		case seccomp.RetLog:
 			// proceed, but audit-log the in-filter verdict
-			p.LogVerdicts[nr]++
+			p.LogVerdicts.Inc(nr)
 		case seccomp.RetErrno:
 			return -int64(action & seccomp.RetDataMask), nil
 		case seccomp.RetKill, seccomp.RetTrap:
@@ -395,7 +399,7 @@ func (k *Kernel) Syscall(m *vm.Machine) (int64, error) {
 		}
 	}
 	k.Clock.Add(k.Costs.KernelOp)
-	p.CompletedCounts[nr]++
+	p.CompletedCounts.Inc(nr)
 	return p.execute(nr)
 }
 

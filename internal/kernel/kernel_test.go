@@ -79,7 +79,7 @@ func TestFileReadWriteThroughSyscalls(t *testing.T) {
 	if proc.Stdout.String() != "welcome" {
 		t.Fatalf("stdout = %q", proc.Stdout.String())
 	}
-	if proc.SyscallCounts[kernel.SysOpen] != 1 || proc.SyscallCounts[kernel.SysRead] != 1 {
+	if proc.SyscallCounts.Of(kernel.SysOpen) != 1 || proc.SyscallCounts.Of(kernel.SysRead) != 1 {
 		t.Fatalf("counts = %v", proc.SyscallCounts)
 	}
 }

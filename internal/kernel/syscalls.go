@@ -58,6 +58,68 @@ var Names = map[uint32]string{
 	SysOpenat: "openat", SysAccept4: "accept4", SysExecveat: "execveat",
 }
 
+// NrSlots is the number of implemented syscalls. Each has a dense slot,
+// its rank among Names in ascending number order; every other number
+// shares the overflow slot NrSlots. Per-syscall counters and tables are
+// arrays indexed by slot.
+const NrSlots = 36
+
+// slotNrs lists the implemented numbers in slot order, and slotOf maps a
+// number up to the largest implemented one, SysExecveat, to its slot.
+var slotNrs, slotOf = slotIndex()
+
+func slotIndex() (nrs [NrSlots]uint32, of [SysExecveat + 1]uint8) {
+	if len(Names) != NrSlots {
+		panic("kernel: NrSlots does not match Names")
+	}
+	for i := range of {
+		of[i] = NrSlots
+	}
+	s := 0
+	for nr := range of {
+		if _, ok := Names[uint32(nr)]; ok {
+			nrs[s], of[nr] = uint32(nr), uint8(s)
+			s++
+		}
+	}
+	if s != NrSlots {
+		panic("kernel: an implemented number is past SysExecveat")
+	}
+	return nrs, of
+}
+
+// Slot returns nr's slot: its rank among the implemented numbers, or
+// NrSlots for any other number.
+func Slot(nr uint32) int {
+	if nr < uint32(len(slotOf)) {
+		return int(slotOf[nr])
+	}
+	return NrSlots
+}
+
+// SlotNr returns the number of slot s, which must be below NrSlots.
+func SlotNr(s int) uint32 { return slotNrs[s] }
+
+// SlotName labels slot s: the syscall's name, or "other" for the overflow
+// slot, which pools every unimplemented number.
+func SlotName(s int) string {
+	if s < NrSlots {
+		return Names[slotNrs[s]]
+	}
+	return "other"
+}
+
+// Counts is a per-syscall counter array indexed by slot. Ranging over it
+// sums every syscall exactly, unimplemented numbers included.
+type Counts [NrSlots + 1]uint64
+
+// Inc counts one invocation of nr.
+func (c *Counts) Inc(nr uint32) { c[Slot(nr)]++ }
+
+// Of returns nr's count; for an unimplemented number, the overflow slot's
+// count of all of them.
+func (c *Counts) Of(nr uint32) uint64 { return c[Slot(nr)] }
+
 // Name returns the syscall's name, or a numeric fallback.
 func Name(nr uint32) string {
 	if n, ok := Names[nr]; ok {

@@ -115,13 +115,25 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return QuantileOverflow
 }
 
-// counterMap exposes an existing numeric-keyed counter map (for example
-// the monitor's ChecksByNr) as a family of counters named
-// "name[label(key)]", read through at render time.
+// counterMap exposes an existing counter array indexed by slot (for
+// example the monitor's per-syscall checks) as a family of counters named
+// "name[label(slot)]", read through at render time. Slots still at zero
+// render no row.
 type counterMap struct {
-	name  string
-	m     map[uint32]uint64
-	label func(uint32) string
+	name   string
+	counts []uint64
+	label  func(slot int) string
+}
+
+// rows returns the non-zero slots' rows in ascending slot order.
+func (cm *counterMap) rows() []CounterRow {
+	var rows []CounterRow
+	for s, v := range cm.counts {
+		if v != 0 {
+			rows = append(rows, CounterRow{Label: cm.label(s), Value: v})
+		}
+	}
+	return rows
 }
 
 // Registry holds a run's counters and histograms and renders them
@@ -164,11 +176,12 @@ func (r *Registry) BindCounter(name string, p *uint64) *Counter {
 	return c
 }
 
-// BindCounterMap registers a numeric-keyed counter map rendered as
-// "name[label(key)]" rows in ascending key order. The map is read at
-// render time; the caller keeps incrementing it directly.
-func (r *Registry) BindCounterMap(name string, m map[uint32]uint64, label func(uint32) string) {
-	r.maps[name] = &counterMap{name: name, m: m, label: label}
+// BindCounterMap registers a counter array indexed by slot, rendered as
+// "name[label(slot)]" rows in ascending slot order. The array is read at
+// render time through counts, which must alias it; the caller keeps
+// incrementing it directly.
+func (r *Registry) BindCounterMap(name string, counts []uint64, label func(slot int) string) {
+	r.maps[name] = &counterMap{name: name, counts: counts, label: label}
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -188,24 +201,16 @@ type CounterRow struct {
 	Value uint64
 }
 
-// CounterMapRows returns the named bound counter map's rows in ascending
-// key order, or nil for an unknown name. Renderers use it to present a
-// counter family without iterating the underlying map themselves.
+// CounterMapRows returns the named bound counter map's non-zero rows in
+// ascending slot order, or nil for an unknown name. Renderers use it to
+// present a counter family without reading the underlying array
+// themselves.
 func (r *Registry) CounterMapRows(name string) []CounterRow {
 	cm := r.maps[name]
 	if cm == nil {
 		return nil
 	}
-	keys := make([]uint32, 0, len(cm.m))
-	for k := range cm.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rows := make([]CounterRow, len(keys))
-	for i, k := range keys {
-		rows[i] = CounterRow{Label: cm.label(k), Value: cm.m[k]}
-	}
-	return rows
+	return cm.rows()
 }
 
 // sample is one rendered counter row.
@@ -222,13 +227,8 @@ func (r *Registry) counterSamples() []sample {
 		out = append(out, sample{name: name, value: c.Value()})
 	}
 	for _, cm := range r.maps {
-		keys := make([]uint32, 0, len(cm.m))
-		for k := range cm.m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			out = append(out, sample{name: fmt.Sprintf("%s[%s]", cm.name, cm.label(k)), value: cm.m[k]})
+		for _, row := range cm.rows() {
+			out = append(out, sample{name: cm.name + "[" + row.Label + "]", value: row.Value})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })

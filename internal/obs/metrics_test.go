@@ -10,9 +10,10 @@ func fixtureRegistry() *Registry {
 	r.Counter("traps_total").Add(4)
 	hits := uint64(17)
 	r.BindCounter("cache_hits_total", &hits)
-	checks := map[uint32]uint64{10: 2, 9: 1, 288: 3}
-	r.BindCounterMap("checks_total", checks, func(nr uint32) string {
-		return map[uint32]string{9: "mmap", 10: "mprotect", 288: "accept4"}[nr]
+	// Slot 1 never counted, so it renders no row.
+	checks := []uint64{1, 0, 2, 3}
+	r.BindCounterMap("checks_total", checks, func(slot int) string {
+		return []string{"mmap", "munmap", "mprotect", "accept4"}[slot]
 	})
 	h := r.Histogram("trap_cycles", CycleBuckets)
 	for _, v := range []uint64{480, 3810, 5304, 2925, 70000} {

@@ -22,19 +22,10 @@ import (
 	"fmt"
 	"os"
 
-	"bastion/internal/apps/nginx"
-	"bastion/internal/apps/sqlitedb"
-	"bastion/internal/apps/vsftpd"
 	"bastion/internal/audit"
 	"bastion/internal/core"
-	"bastion/internal/ir"
+	"bastion/internal/workload"
 )
-
-var builders = map[string]func() *ir.Program{
-	"nginx":  nginx.Build,
-	"sqlite": sqlitedb.Build,
-	"vsftpd": vsftpd.Build,
-}
 
 func main() {
 	app := flag.String("app", "all", "guest application: nginx | sqlite | vsftpd | all")
@@ -49,16 +40,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var apps []string
-	switch *app {
-	case "all":
-		apps = []string{"nginx", "sqlite", "vsftpd"}
-	default:
-		if builders[*app] == nil {
-			fmt.Fprintf(os.Stderr, "bastion-audit: unknown app %q\n", *app)
+	apps := workload.Apps
+	if *app != "all" {
+		apps = []string{*app}
+	}
+	targets := make([]workload.Target, len(apps))
+	for i, name := range apps {
+		t, err := workload.NewTarget(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bastion-audit: unknown app %q\n", name)
 			os.Exit(2)
 		}
-		apps = []string{*app}
+		targets[i] = t
 	}
 
 	allow := map[string]bool{}
@@ -72,8 +65,9 @@ func main() {
 	}
 
 	failed := false
-	for _, name := range apps {
-		art, err := core.Compile(builders[name](), core.CompileOptions{})
+	for _, target := range targets {
+		name := target.Name()
+		art, err := core.Compile(target.Build(), core.CompileOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bastion-audit: compile %s: %v\n", name, err)
 			os.Exit(1)

@@ -23,20 +23,11 @@ import (
 	"os"
 	"strings"
 
-	"bastion/internal/apps/nginx"
-	"bastion/internal/apps/sqlitedb"
-	"bastion/internal/apps/vsftpd"
 	"bastion/internal/audit"
 	"bastion/internal/core"
 	"bastion/internal/core/binscan"
-	"bastion/internal/ir"
+	"bastion/internal/workload"
 )
-
-var builders = map[string]func() *ir.Program{
-	"nginx":  nginx.Build,
-	"sqlite": sqlitedb.Build,
-	"vsftpd": vsftpd.Build,
-}
 
 func main() {
 	app := flag.String("app", "all", "guest application: nginx | sqlite | vsftpd | all")
@@ -46,16 +37,18 @@ func main() {
 	strict := flag.Bool("strict", false, "exit 1 when the report contains any error-severity finding")
 	flag.Parse()
 
-	var apps []string
-	switch *app {
-	case "all":
-		apps = []string{"nginx", "sqlite", "vsftpd"}
-	default:
-		if builders[*app] == nil {
-			fmt.Fprintf(os.Stderr, "bastion-extract: unknown app %q\n", *app)
+	apps := workload.Apps
+	if *app != "all" {
+		apps = []string{*app}
+	}
+	targets := make([]workload.Target, len(apps))
+	for i, name := range apps {
+		t, err := workload.NewTarget(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bastion-extract: unknown app %q\n", name)
 			os.Exit(2)
 		}
-		apps = []string{*app}
+		targets[i] = t
 	}
 	if *metaOut != "" && len(apps) != 1 {
 		fmt.Fprintln(os.Stderr, "bastion-extract: -meta requires a single -app")
@@ -64,8 +57,9 @@ func main() {
 
 	var report strings.Builder
 	failed := false
-	for _, name := range apps {
-		res, err := binscan.Extract(builders[name]())
+	for _, target := range targets {
+		name := target.Name()
+		res, err := binscan.Extract(target.Build())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bastion-extract: %s: %v\n", name, err)
 			os.Exit(1)
@@ -92,7 +86,7 @@ func main() {
 			fmt.Printf("extracted metadata written to %s (%d bytes)\n", *metaOut, len(data))
 		}
 		if *reportOut != "" || *strict {
-			art, err := core.Compile(builders[name](), core.CompileOptions{})
+			art, err := core.Compile(target.Build(), core.CompileOptions{})
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bastion-extract: compile %s: %v\n", name, err)
 				os.Exit(1)

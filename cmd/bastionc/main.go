@@ -19,14 +19,11 @@ import (
 	"fmt"
 	"os"
 
-	"bastion/internal/apps/nginx"
-	"bastion/internal/apps/sqlitedb"
-	"bastion/internal/apps/vsftpd"
 	"bastion/internal/audit"
 	"bastion/internal/core"
 	"bastion/internal/core/binscan"
-	"bastion/internal/ir"
 	"bastion/internal/ir/irtext"
+	"bastion/internal/workload"
 )
 
 func main() {
@@ -39,18 +36,12 @@ func main() {
 	binaryOnly := flag.Bool("binary-only", false, "skip the compiler pass; extract the policy from the uninstrumented binary (B-Side mode)")
 	flag.Parse()
 
-	var prog *ir.Program
-	switch *app {
-	case "nginx":
-		prog = nginx.Build()
-	case "sqlite":
-		prog = sqlitedb.Build()
-	case "vsftpd":
-		prog = vsftpd.Build()
-	default:
+	target, err := workload.NewTarget(*app)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "bastionc: unknown app %q\n", *app)
 		os.Exit(2)
 	}
+	prog := target.Build()
 
 	var art *core.Artifact
 	if *binaryOnly {

@@ -16,15 +16,13 @@ import (
 	"errors"
 	"fmt"
 
-	"bastion/internal/apps/nginx"
-	"bastion/internal/apps/sqlitedb"
-	"bastion/internal/apps/vsftpd"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/kernel/fs"
 	"bastion/internal/vm"
+	"bastion/internal/workload"
 )
 
 // Defense selects the protection configuration an attack runs against.
@@ -64,11 +62,10 @@ type Env struct {
 	LastErr error
 
 	// clientFD is the established connection fd for connection-oriented
-	// apps (sqlite).
+	// apps (sqlite): the workload's first terminal.
 	clientFD uint64
-	// initRet is the app init function's return value (the listen fd for
-	// the server apps).
-	initRet uint64
+	// listenFD is the server's listen fd, as the workload's Init left it.
+	listenFD uint64
 
 	eventMark int
 }
@@ -220,28 +217,30 @@ type Outcome struct {
 // Blocked reports whether the defense stopped the attack.
 func (o Outcome) Blocked() bool { return !o.Completed && o.Killed }
 
-// InstallFixtures writes the attack goal files (target shells, binaries,
-// served content) into a kernel's filesystem. Launch installs them
-// automatically; fleet supervisors call it on a tenant kernel before
-// replaying a scenario against that tenant.
+// InstallFixtures writes the attack goal files (the target shells and the
+// apache control binary) into a kernel's filesystem. The application's
+// own fixture comes from its workload target. Launch installs both; fleet
+// supervisors call it on a tenant kernel before replaying a scenario
+// against that tenant.
 func InstallFixtures(k *kernel.Kernel) {
 	k.FS.WriteFile("/bin/sh", []byte("#!"), fs.ModeRead|fs.ModeExec)
 	k.FS.WriteFile("/bin/rootsh", []byte("#!"), fs.ModeRead|fs.ModeExec|fs.ModeSetUID)
-	k.FS.WriteFile("/usr/sbin/nginx", []byte{0x7f}, fs.ModeRead|fs.ModeExec)
 	k.FS.WriteFile("/usr/bin/apachectl", []byte{0x7f}, fs.ModeRead|fs.ModeExec)
-	k.FS.WriteFile("/srv/index.html", bytes.Repeat([]byte("x"), 4096), fs.ModeRead)
-	k.FS.WriteFile("/pub/file.bin", bytes.Repeat([]byte{0xab}, 16384), fs.ModeRead)
-	k.FS.MkdirAll("/var/db", fs.ModeRead|fs.ModeWrite|fs.ModeExec)
 }
 
-// Adopt wraps an already-launched protected guest in an attack
-// environment so a scenario can be replayed against it in place — the
-// fleet supervisor's malicious-tenant injection. initRet is the guest's
-// listen fd (the value Launch records from app init); conn and clientFD
-// supply an established client connection for connection-oriented
-// scenarios (nil/0 when the app's scenarios dial their own).
-func Adopt(app string, p *core.Protected, initRet uint64, conn ClientConn, clientFD uint64) *Env {
-	env := &Env{App: app, P: p, Conn: conn, clientFD: clientFD, initRet: initRet}
+// Adopt wraps a protected guest that t brought up (Fixture, launch, Init)
+// in an attack environment, so a scenario runs against it in place: the
+// scenarios reach the server through t's listen fd and, for sqlite, its
+// first terminal connection. Launch and the fleet supervisor's
+// malicious-tenant injection both adopt their guests through it.
+func Adopt(p *core.Protected, t workload.Target) *Env {
+	env := &Env{App: t.Name(), P: p}
+	if s, ok := t.(interface{ ListenFD() uint64 }); ok {
+		env.listenFD = s.ListenFD()
+	}
+	if s, ok := t.(*workload.SQLite); ok {
+		env.Conn, env.clientFD = s.Terminal(0)
+	}
 	env.MarkEvents()
 	return env
 }
@@ -254,24 +253,21 @@ func Replay(s Scenario, env *Env) Outcome {
 }
 
 // BuildApp returns a fresh, uncompiled program for one of the catalog
-// applications (nginx | sqlite | vsftpd | apache).
+// applications: a workload target's, or the attack-only apache.
 func BuildApp(app string) (*ir.Program, error) {
-	switch app {
-	case "nginx":
-		return nginx.Build(), nil
-	case "sqlite":
-		return sqlitedb.Build(), nil
-	case "vsftpd":
-		return vsftpd.Build(), nil
-	case "apache":
+	if app == "apache" {
 		return buildApache(), nil
 	}
-	return nil, fmt.Errorf("attacks: unknown app %q", app)
+	t, err := workload.NewTarget(app)
+	if err != nil {
+		return nil, err
+	}
+	return t.Build(), nil
 }
 
 // Launch builds, compiles, and starts the scenario's application under the
 // given defense, returning an attack environment with the app initialized
-// and one client connection established where applicable.
+// as its workload target initializes it.
 func Launch(app string, d Defense) (*Env, error) {
 	prog, err := BuildApp(app)
 	if err != nil {
@@ -297,58 +293,36 @@ func LaunchArtifact(app string, art *core.Artifact, d Defense) (*Env, error) {
 func launchArtifact(app string, art *core.Artifact, d Defense, extra ...vm.Option) (*Env, error) {
 	k := kernel.New(nil)
 	InstallFixtures(k)
+	var target workload.Target
+	if app != "apache" {
+		t, err := workload.NewTarget(app)
+		if err != nil {
+			return nil, err
+		}
+		if err := t.Fixture(k); err != nil {
+			return nil, err
+		}
+		target = t
+	}
 	// Every defense launches art's program (Launch's is the instrumented
 	// one), so gadget and callsite addresses are the same under each.
 	prot, err := d.Launch(art, k, append([]vm.Option{vm.WithMaxSteps(1 << 24)}, extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{App: app, P: prot}
-
 	// Application initialization (legitimate phase).
-	switch app {
-	case "nginx":
-		up := k.Net.NewSocket()
-		if err := k.Net.Bind(up, nginx.UpstreamPort); err != nil {
-			return nil, err
-		}
-		if err := k.Net.Listen(up, 1024); err != nil {
-			return nil, err
-		}
-		lfd, err := prot.Machine.CallFunction(nginx.FnInit, 2)
-		if err != nil {
-			return nil, fmt.Errorf("attacks: nginx init: %w", err)
-		}
-		env.initRet = lfd
-	case "sqlite":
-		lfd, err := prot.Machine.CallFunction(sqlitedb.FnInit, 2)
-		if err != nil {
-			return nil, fmt.Errorf("attacks: sqlite init: %w", err)
-		}
-		conn, err := k.Net.Dial(sqlitedb.Port)
-		if err != nil {
-			return nil, err
-		}
-		cfd, err := prot.Machine.CallFunction(sqlitedb.FnAccept, lfd)
-		if err != nil {
-			return nil, err
-		}
-		env.Conn = conn
-		env.clientFD = cfd
-		env.initRet = lfd
-	case "vsftpd":
-		lfd, err := prot.Machine.CallFunction(vsftpd.FnInit)
-		if err != nil {
-			return nil, fmt.Errorf("attacks: vsftpd init: %w", err)
-		}
-		env.initRet = lfd
-	case "apache":
+	if target == nil {
 		if _, err := prot.Machine.CallFunction("ap_init"); err != nil {
 			return nil, fmt.Errorf("attacks: apache init: %w", err)
 		}
+		env := &Env{App: app, P: prot}
+		env.MarkEvents()
+		return env, nil
 	}
-	env.MarkEvents()
-	return env, nil
+	if err := target.Init(prot); err != nil {
+		return nil, fmt.Errorf("attacks: %s init: %w", app, err)
+	}
+	return Adopt(prot, target), nil
 }
 
 // Execute runs one scenario under one defense.

@@ -193,7 +193,7 @@ func driveNginxVictim(e *Env, victim string) {
 			return
 		}
 		conn.ClientWrite([]byte("GET /index.html HTTP/1.1\r\n\r\n"))
-		e.Call(nginx.FnHandleRequest, e.initRet)
+		e.Call(nginx.FnHandleRequest, e.listenFD)
 	case nginx.FnOutputChain:
 		// Drive the output chain directly with a benign descriptor.
 		e.Call(nginx.FnOutputChain, e.GlobalAddr("scratch")+104)
@@ -285,7 +285,7 @@ func runRopMemPerm(e *Env, app string, stage stageKind) {
 			return
 		}
 		conn.ClientWrite([]byte("USER x\r\n"))
-		e.Call(vsftpd.FnSession, e.initRet)
+		e.Call(vsftpd.FnSession, e.listenFD)
 	}
 }
 
@@ -456,7 +456,7 @@ func runVsftpdOverflow(e *Env, stub string, args []uint64, plantStr string, plan
 		return
 	}
 	conn.ClientWrite(payload)
-	e.Call(vsftpd.FnSession, e.initRet)
+	e.Call(vsftpd.FnSession, e.listenFD)
 }
 
 func putLE(b []byte, v uint64) {
@@ -675,7 +675,7 @@ func orderingScenarios() []Scenario {
 					return
 				}
 				conn.ClientWrite([]byte("USER anon\r\nPASS x\r\n"))
-				e.Call(vsftpd.FnSession, e.initRet)
+				e.Call(vsftpd.FnSession, e.listenFD)
 				e.Call(vsftpd.FnInit)
 			},
 		},
@@ -698,7 +698,7 @@ func orderingScenarios() []Scenario {
 					return
 				}
 				conn.ClientWrite([]byte("USER anon\r\nPASS x\r\n"))
-				cfd := e.Call(vsftpd.FnSession, e.initRet)
+				cfd := e.Call(vsftpd.FnSession, e.listenFD)
 				e.Call(vsftpd.FnPasv, cfd, uint64(vsftpd.DataPortBase))
 				e.Call(vsftpd.FnPasv, cfd, uint64(vsftpd.DataPortBase+7))
 			},

@@ -109,7 +109,7 @@ func diffRuns(t *testing.T, what string, block, single runView) {
 // TestRunLoopDifferentialApps runs each application's Init and 50 units
 // under full enforcement, in blocks and one instruction at a time.
 func TestRunLoopDifferentialApps(t *testing.T) {
-	for _, app := range []string{"nginx", "sqlite", "vsftpd"} {
+	for _, app := range workload.Apps {
 		t.Run(app, func(t *testing.T) {
 			target, err := workload.NewTarget(app)
 			if err != nil {

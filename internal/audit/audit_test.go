@@ -4,41 +4,30 @@ import (
 	"strings"
 	"testing"
 
-	"bastion/internal/apps/nginx"
-	"bastion/internal/apps/sqlitedb"
-	"bastion/internal/apps/vsftpd"
 	"bastion/internal/core"
 	"bastion/internal/core/metadata"
 	"bastion/internal/ir"
+	"bastion/internal/workload"
 )
 
 func compileApp(t *testing.T, app string) *core.Artifact {
 	t.Helper()
-	var prog *ir.Program
-	switch app {
-	case "nginx":
-		prog = nginx.Build()
-	case "sqlite":
-		prog = sqlitedb.Build()
-	case "vsftpd":
-		prog = vsftpd.Build()
-	default:
-		t.Fatalf("unknown app %q", app)
+	target, err := workload.NewTarget(app)
+	if err != nil {
+		t.Fatal(err)
 	}
-	art, err := core.Compile(prog, core.CompileOptions{})
+	art, err := core.Compile(target.Build(), core.CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile %s: %v", app, err)
 	}
 	return art
 }
 
-var apps = []string{"nginx", "sqlite", "vsftpd"}
-
 // TestAuditCleanOnShippedApps is the acceptance gate: the compiler's own
 // output must audit with zero errors on every shipped guest. Warnings
 // (dead wrappers, untraced arguments) are expected and enumerable.
 func TestAuditCleanOnShippedApps(t *testing.T) {
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		art := compileApp(t, app)
 		rep := Run(app, art.Prog, art.Meta)
 		if n := rep.Errors(); n != 0 {
@@ -216,7 +205,7 @@ func TestAuditDetectsSeededCorruption(t *testing.T) {
 // TestResidualSurfaceShape: the residual report covers every callable
 // syscall and never shows refinement growing the indirect surface.
 func TestResidualSurfaceShape(t *testing.T) {
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		art := compileApp(t, app)
 		rep := Run(app, art.Prog, art.Meta)
 		if len(rep.Residual) != len(art.Meta.CallTypes) {

@@ -53,7 +53,7 @@ func (r *indirectRecorder) OnIndirectCall(m *vm.Machine, in *ir.Instr, target ui
 // statically predicted target set of its callsite (static ⊇ dynamic).
 func TestStaticCoversDynamic(t *testing.T) {
 	const units = 40
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		target, err := workload.NewTarget(app)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)

@@ -43,7 +43,7 @@ func diffApp(t *testing.T, app string) *ExtractReport {
 // extracted policy rejects behavior ground truth allows, which is exactly
 // the unsoundness the B-Side regime must not introduce.
 func TestExtractRecallIsTotal(t *testing.T) {
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		rep := diffApp(t, app)
 		for _, row := range rep.Rows {
 			if row.Context == "AI" {
@@ -65,7 +65,7 @@ func TestExtractRecallIsTotal(t *testing.T) {
 // go test ./internal/audit/ -run ExtractReportGolden -update
 func TestExtractReportGolden(t *testing.T) {
 	var b strings.Builder
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		b.WriteString(diffApp(t, app).Render())
 	}
 	got := b.String()

@@ -51,7 +51,7 @@ func TestRenderJSONGolden(t *testing.T) {
 // TestRenderJSONWellFormed: the encoding parses back, mirrors the text
 // report's counts, and is byte-stable across independent audits.
 func TestRenderJSONWellFormed(t *testing.T) {
-	for _, app := range apps {
+	for _, app := range workload.Apps {
 		rep := auditApp(t, app)
 		data, err := rep.RenderJSON()
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bastion/internal/core"
+	"bastion/internal/workload"
 )
 
 // calUnits keeps unit counts small for test speed; the regeneration
@@ -67,7 +68,7 @@ func TestFigure3Shape(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		ovh := func(mit core.Defense) float64 { return get(t, m, "fig3."+app+"."+mitSlug(mit)+".overhead_pct") }
 		cfi, cet, ct, cf, full := ovh(MitCFI), ovh(MitCET), ovh(MitCETCT), ovh(MitCETCTCF), ovh(MitFull)
 		// Paper shape: baselines small; context stacking monotone; all
@@ -98,7 +99,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	tab, m := measure(t, "table3", calUnits)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		raw := func(mit core.Defense) float64 { return get(t, m, "table3."+app+"."+mitSlug(mit)+".raw") }
 		for _, mit := range Mitigations {
 			raw(mit)
@@ -140,7 +141,7 @@ func TestTable4Shape(t *testing.T) {
 		t.Logf("note: nginx init-phase mprotect %.0f vs sqlite %.0f", calls("nginx", "mprotect"), calls("sqlite", "mprotect"))
 	}
 	for _, sc := range []string{"execve", "execveat", "fork", "vfork", "ptrace", "chmod"} {
-		for _, app := range Apps {
+		for _, app := range workload.Apps {
 			if n := calls(app, sc); n != 0 {
 				t.Errorf("%s %s = %.0f, want 0 during benchmarking", app, sc, n)
 			}
@@ -149,7 +150,7 @@ func TestTable4Shape(t *testing.T) {
 	if calls("vsftpd", "socket") <= 1 || calls("vsftpd", "bind") <= 1 || calls("vsftpd", "accept") <= 1 {
 		t.Error("vsftpd per-transfer socket/bind/accept profile missing")
 	}
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		if get(t, m, "table4."+app+".hooks") == 0 {
 			t.Errorf("%s: no monitor hooks", app)
 		}
@@ -159,7 +160,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	tab, m := measure(t, "table5", 1)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		stat := func(name string) float64 { return get(t, m, "table5."+app+"."+name) }
 		if stat("callsites_total") != stat("callsites_direct")+stat("callsites_indirect") {
 			t.Errorf("%s: callsite sum mismatch", app)
@@ -185,7 +186,7 @@ func TestTable7Shape(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		ovh := func(cfg string) float64 { return get(t, m, "table7."+cfg+"."+app+".overhead_pct") }
 		hook, fetch, full := ovh("hook_only"), ovh("fetch"), ovh("full")
 		if hook > 1.5 {
@@ -239,7 +240,7 @@ func TestAblationAcceptFastPath(t *testing.T) {
 
 func TestInKernelAblation(t *testing.T) {
 	_, m := measure(t, "extras", calUnits)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		ptrace := get(t, m, "inkernel."+app+".ptrace.overhead_pct")
 		inK := get(t, m, "inkernel."+app+".inkernel.overhead_pct")
 		if inK >= ptrace {
@@ -414,7 +415,7 @@ func firstDiff(a, b string) int {
 // the flow graph derived from each program covers its runtime orderings.
 func TestSFAblation(t *testing.T) {
 	_, m := measure(t, "sf", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "sf."+app+"."+name) }
 		if v("off_violations") != 0 || v("on_violations") != 0 {
 			t.Errorf("%s: benign workload flagged: off=%.0f on=%.0f",
@@ -442,7 +443,7 @@ func TestSFAblation(t *testing.T) {
 // in detection (zero violations on either side of every run).
 func TestOffloadAblation(t *testing.T) {
 	tab, m := measure(t, "offload", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "offload."+app+"."+name) }
 		if v("off_violations") != 0 || v("on_violations") != 0 {
 			t.Errorf("%s: benign workload flagged: off=%.0f on=%.0f",
@@ -470,7 +471,7 @@ func TestOffloadAblation(t *testing.T) {
 			v("off_mon_cyc_unit"), v("on_mon_cyc_unit"))
 	}
 	out := tab.Markdown()
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		if !strings.Contains(out, "| "+app+" |") {
 			t.Errorf("render missing app %s:\n%s", app, out)
 		}
@@ -483,7 +484,7 @@ func TestOffloadAblation(t *testing.T) {
 // both sides), and the stats line up.
 func TestRefineAblation(t *testing.T) {
 	_, m := measure(t, "refine", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "refine."+app+"."+name) }
 		if v("coarse_violations") != 0 || v("refined_violations") != 0 {
 			t.Errorf("%s: benign workload flagged: coarse=%.0f refined=%.0f",
@@ -508,7 +509,7 @@ func TestRefineAblation(t *testing.T) {
 
 func TestFilterAblationTreeStrictlyCheaper(t *testing.T) {
 	_, m := measure(t, "filter", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "filter."+app+"."+name) }
 		linEval, treeEval := v("linear_insns_eval"), v("tree_insns_eval")
 		linCall, treeCall := v("linear_insns_call"), v("tree_insns_call")
@@ -532,7 +533,7 @@ func TestFilterAblationTreeStrictlyCheaper(t *testing.T) {
 // bit-identical to the untraced run, and the trace fully covers the traps.
 func TestObsAblation(t *testing.T) {
 	_, m := measure(t, "obs", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "obs."+app+"."+name) }
 		if v("identical") != 1 {
 			t.Errorf("%s: telemetry perturbed the measurement: off %.1f vs on %.1f mon cyc/unit",
@@ -556,7 +557,7 @@ func TestObsAblation(t *testing.T) {
 // axes (pairs, flow edges), and the monitor numbers are sane.
 func TestBsideAblation(t *testing.T) {
 	_, m := measure(t, "bside", 10)
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		v := func(name string) float64 { return get(t, m, "bside."+app+"."+name) }
 		if v("traced_violations") != 0 || v("bside_violations") != 0 {
 			t.Errorf("%s: benign workload flagged: traced=%.0f bside=%.0f",

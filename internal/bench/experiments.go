@@ -17,16 +17,13 @@ import (
 	"bastion/internal/workload"
 )
 
-// Apps lists the evaluation applications in the paper's order.
-var Apps = []string{"nginx", "sqlite", "vsftpd"}
-
 // DefaultUnits is the per-measurement work-unit count used by the
 // regeneration commands; benchmarks may scale it down.
 const DefaultUnits = 120
 
 // perApp fills t with one row per evaluation application.
 func perApp(t *Table, row func(app string) (Row, error)) (*Table, error) {
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		r, err := row(app)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", app, err)
@@ -135,26 +132,26 @@ func table3(units int) (*Table, error) {
 // table4 counts sensitive syscall invocations (init + steady state) under
 // full protection.
 func table4(units int) (*Table, error) {
-	procs := make([]*kernel.Process, len(Apps))
-	for i, app := range Apps {
+	procs := make([]*kernel.Process, len(workload.Apps))
+	for i, app := range workload.Apps {
 		r, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: units})
 		if err != nil {
 			return nil, err
 		}
 		procs[i] = r.Protected.Proc
 	}
-	t := &Table{Heading: "Table 4 — sensitive syscall usage", Header: append([]string{"syscall"}, Apps...)}
+	t := &Table{Heading: "Table 4 — sensitive syscall usage", Header: append([]string{"syscall"}, workload.Apps...)}
 	for _, nr := range kernel.SensitiveSyscalls {
 		name := kernel.Name(nr)
 		row := Row{Cells: []Cell{text(name)}}
-		for i, app := range Apps {
+		for i, app := range workload.Apps {
 			row.Cells = append(row.Cells, cell("%d",
 				count("table4."+app+"."+name+".calls", procs[i].SyscallCounts.Of(nr), perf.Exact)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	hooks := Row{Cells: []Cell{text("**total monitor hook**")}}
-	for i, app := range Apps {
+	for i, app := range workload.Apps {
 		hooks.Cells = append(hooks.Cells, cell("%d", count("table4."+app+".hooks", procs[i].TrapCount, perf.Exact)))
 	}
 	t.Rows = append(t.Rows, hooks)
@@ -164,8 +161,8 @@ func table4(units int) (*Table, error) {
 // table5 reports the compiler's instrumentation statistics. They are
 // static, so it ignores the unit count.
 func table5(int) (*Table, error) {
-	stats := make([]analysis.Stats, len(Apps))
-	for i, app := range Apps {
+	stats := make([]analysis.Stats, len(workload.Apps))
+	for i, app := range workload.Apps {
 		r, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: 1})
 		if err != nil {
 			return nil, err
@@ -186,10 +183,10 @@ func table5(int) (*Table, error) {
 		{"ctx_bind_const", "ctx_bind_const", func(s analysis.Stats) int { return s.CtxBindConst }},
 		{"total instrumentation", "instrumentation_total", analysis.Stats.Total},
 	}
-	t := &Table{Heading: "Table 5 — instrumentation statistics", Header: append([]string{"statistic"}, Apps...)}
+	t := &Table{Heading: "Table 5 — instrumentation statistics", Header: append([]string{"statistic"}, workload.Apps...)}
 	for _, l := range lines {
 		row := Row{Cells: []Cell{text(l.label)}}
-		for i, app := range Apps {
+		for i, app := range workload.Apps {
 			row.Cells = append(row.Cells, cell("%d", count("table5."+app+"."+l.name, l.get(stats[i]), perf.Exact)))
 		}
 		t.Rows = append(t.Rows, row)
@@ -225,7 +222,7 @@ func table6(int) (*Table, error) {
 // the three monitor checkpoints.
 func table7(units int) (*Table, error) {
 	base := map[string]*RunResult{}
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		r, err := Run(RunSpec{App: app, Mitigation: MitVanilla, Units: units})
 		if err != nil {
 			return nil, err
@@ -240,10 +237,10 @@ func table7(units int) (*Table, error) {
 		{"fetch process state", "fetch", monitor.ModeFetchOnly},
 		{"full context checking", "full", monitor.ModeFull},
 	}
-	t := &Table{Heading: "Table 7 — file-system syscall extension", Header: append([]string{"configuration"}, Apps...)}
+	t := &Table{Heading: "Table 7 — file-system syscall extension", Header: append([]string{"configuration"}, workload.Apps...)}
 	for _, cfg := range configs {
 		row := Row{Cells: []Cell{text(cfg.label)}}
-		for _, app := range Apps {
+		for _, app := range workload.Apps {
 			r, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true, Mode: cfg.mode})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", app, cfg.label, err)
@@ -484,7 +481,7 @@ func obsAblation(units int) (*Table, error) {
 // Table 7 overhead the §11.2 in-kernel monitor recovers.
 func extras(units int) (*Table, error) {
 	t := &Table{Heading: "§9.2 / §11.2 extras"}
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		r, err := Run(RunSpec{App: app, Mitigation: MitFull, Units: units})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", app, err)
@@ -506,7 +503,7 @@ func extras(units int) (*Table, error) {
 	t.Rows = append(t.Rows, Row{Cells: []Cell{cell("accept4 fast path (nginx): %.2f%% vs %.2f%% with full-walk verification",
 		num("accept.fast_path.overhead_pct", Overhead(base, fast), perf.LowerIsBetter),
 		num("accept.full_walk.overhead_pct", Overhead(base, walk), perf.LowerIsBetter))}})
-	for _, app := range Apps {
+	for _, app := range workload.Apps {
 		base, ptrace, inK, err := onOff(
 			RunSpec{App: app, Mitigation: MitFull, Units: units, ExtendFS: true},
 			func(s *RunSpec) { s.Mitigation.Monitor.InKernel = true })

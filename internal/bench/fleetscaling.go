@@ -6,6 +6,7 @@ import (
 
 	"bastion/internal/fleet"
 	"bastion/internal/obs/perf"
+	"bastion/internal/workload"
 )
 
 // FleetTenantCounts is the fleet scaling ablation's tenant axis.
@@ -18,7 +19,7 @@ func fleetStem(tenants int) string {
 }
 
 // fleetScaling measures fleet throughput and setup cost across
-// FleetTenantCounts, with the workload mix assigned round-robin from Apps.
+// FleetTenantCounts, with the workload mix assigned round-robin from workload.Apps.
 // Each point runs twice — once sharing one compilation per app, once
 // compiling per tenant — and any divergence in tenant-visible results
 // between the two regimes is an error, so the table is also a continuous
@@ -32,7 +33,7 @@ func fleetScaling(units int) (*Table, error) {
 		Header:  []string{"tenants", "shared compiles (/tenant)", "per-tenant compiles (/tenant)", "units/s", "mon cyc/unit"},
 	}
 	for _, tenants := range FleetTenantCounts {
-		cfg := fleet.DefaultConfig(tenants, units, Apps...)
+		cfg := fleet.DefaultConfig(tenants, units, workload.Apps...)
 		cfg.Seed = 42
 
 		shared, err := fleet.Run(cfg)

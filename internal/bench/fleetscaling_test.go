@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bastion/internal/fleet"
+	"bastion/internal/workload"
 )
 
 // TestRunDedupesCompilation: repeated Run calls against one artifact cache
@@ -93,8 +94,8 @@ func TestFleetScalingAmortization(t *testing.T) {
 		if get(t, m, fleetStem(tenants)+"throughput") <= 0 {
 			t.Errorf("%d tenants: non-positive fleet throughput", tenants)
 		}
-		if n := get(t, m, fleetStem(tenants)+"shared_compiles"); n > float64(len(Apps)) {
-			t.Errorf("%d tenants: shared regime compiled %.0f programs, want ≤ %d", tenants, n, len(Apps))
+		if n := get(t, m, fleetStem(tenants)+"shared_compiles"); n > float64(len(workload.Apps)) {
+			t.Errorf("%d tenants: shared regime compiled %.0f programs, want ≤ %d", tenants, n, len(workload.Apps))
 		}
 	}
 	t.Logf("\n%s", tab.Markdown())

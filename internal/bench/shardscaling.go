@@ -8,6 +8,7 @@ import (
 	"bastion/internal/fleet"
 	"bastion/internal/fleet/shard"
 	"bastion/internal/obs/perf"
+	"bastion/internal/workload"
 )
 
 // ShardTenantCounts is the sharded control plane ablation's fleet axis.
@@ -59,12 +60,12 @@ func shardScaling(units int, tenantCounts, shardCounts []int) (*Table, error) {
 	}
 	t := &Table{
 		Heading: "Shard scaling — sharded control plane",
-		Note:    fmt.Sprintf("%s round-robin, %d units/tenant, %s.", strings.Join(Apps, ","), units, reload),
+		Note:    fmt.Sprintf("%s round-robin, %d units/tenant, %s.", strings.Join(workload.Apps, ","), units, reload),
 		Header:  []string{"tenants", "shards", "makespan cyc", "units/s", "rejects", "max admit wait", "reloads", "mean reload cyc"},
 	}
 	for _, tenants := range tenantCounts {
 		for _, shards := range shardCounts {
-			cfg := fleet.DefaultConfig(tenants, units, Apps...)
+			cfg := fleet.DefaultConfig(tenants, units, workload.Apps...)
 			cfg.Seed = 42
 			cfg.Shards = shards
 			cfg.Admission = shardBenchAdmission()

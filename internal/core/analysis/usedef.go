@@ -184,7 +184,7 @@ func (p *pass) traceValue(f *ir.Function, idx int, reg ir.Reg, depth int) valueS
 		av := p.operandConst(f, i, def.A, depth+1)
 		bv := p.operandConst(f, i, def.B, depth+1)
 		if av != nil && bv != nil {
-			if folded, ok := foldConst(def.Op, *av, *bv); ok {
+			if folded, ok := ir.FoldConst(def.Op, *av, *bv); ok {
 				return valueSrc{kind: srcConst, c: folded}
 			}
 		}
@@ -234,26 +234,4 @@ func (p *pass) operandConst(f *ir.Function, idx int, o ir.Operand, depth int) *i
 		return &src.c
 	}
 	return nil
-}
-
-func foldConst(op ir.Op, a, b int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, true
-	case ir.OpSub:
-		return a - b, true
-	case ir.OpMul:
-		return a * b, true
-	case ir.OpAnd:
-		return a & b, true
-	case ir.OpOr:
-		return a | b, true
-	case ir.OpXor:
-		return a ^ b, true
-	case ir.OpShl:
-		return a << (uint64(b) & 63), true
-	case ir.OpShr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	}
-	return 0, false
 }

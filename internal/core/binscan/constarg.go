@@ -270,7 +270,7 @@ func (v *valuation) evalDef(f *ir.Function, d int, depth int, active map[valKey]
 		if !b.ok {
 			return b
 		}
-		if folded, ok := foldOp(in.Op, a.v, b.v); ok {
+		if folded, ok := ir.FoldConst(in.Op, a.v, b.v); ok {
 			return konst(folded)
 		}
 		return top(ReasonValueOrigin)
@@ -682,26 +682,4 @@ func (v *valuation) globalBaseAll(f *ir.Function, idx int, reg ir.Reg, depth int
 		}
 	}
 	return true
-}
-
-func foldOp(op ir.Op, a, b int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, true
-	case ir.OpSub:
-		return a - b, true
-	case ir.OpMul:
-		return a * b, true
-	case ir.OpAnd:
-		return a & b, true
-	case ir.OpOr:
-		return a | b, true
-	case ir.OpXor:
-		return a ^ b, true
-	case ir.OpShl:
-		return a << (uint64(b) & 63), true
-	case ir.OpShr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	}
-	return 0, false
 }

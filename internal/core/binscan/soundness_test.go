@@ -14,8 +14,6 @@ import (
 	"bastion/internal/workload"
 )
 
-var soundnessApps = []string{"nginx", "sqlite", "vsftpd"}
-
 // extractApp builds a fresh, uninstrumented copy of the app and runs the
 // binary-only extractor over it.
 func extractApp(t *testing.T, app string) (*ir.Program, *Result) {
@@ -40,7 +38,7 @@ func extractApp(t *testing.T, app string) (*ir.Program, *Result) {
 // kills not-callable syscalls and the monitor kills context violations.
 func TestExtractedPolicyRunsWorkloads(t *testing.T) {
 	const units = 40
-	for _, app := range soundnessApps {
+	for _, app := range workload.Apps {
 		raw, res := extractApp(t, app)
 		art := &core.Artifact{Prog: raw, Meta: res.Meta}
 
@@ -168,7 +166,7 @@ func traceApp(t *testing.T, app string, units int) *dynamicTrace {
 // policy — extracted ⊇ dynamic, tuple by tuple, for CT, CF, and SF.
 func TestExtractedCoversDynamicTuples(t *testing.T) {
 	const units = 40
-	for _, app := range soundnessApps {
+	for _, app := range workload.Apps {
 		_, res := extractApp(t, app)
 		proj := Project(res.Meta)
 		tr := traceApp(t, app, units)

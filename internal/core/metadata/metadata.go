@@ -432,10 +432,11 @@ func (m *Metadata) Validate() error {
 			}
 		}
 	}
-	// Control-flow edge lists must be duplicate-free: the monitor sizes its
-	// per-site permit tables from len(Targets), so a duplicated edge would
-	// double-count a target and skew the residual-surface accounting; a
-	// sidecar carrying one was not produced by the compiler. Fail closed.
+	// Control-flow edge lists must be duplicate-free. No monitor code reads
+	// IndirectSites (enforcement checks AllowedIndirect); the site records
+	// are the policy's provenance, which the audit checks against the
+	// program. The compiler never emits a duplicated edge, so a sidecar
+	// carrying one was not produced by it. Fail closed.
 	for addr, site := range m.IndirectSites {
 		if dup := firstDuplicate(site.Targets); dup != "" {
 			return fmt.Errorf("metadata: indirect site %#x: duplicate refined target %q", addr, dup)

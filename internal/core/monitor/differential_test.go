@@ -16,7 +16,6 @@ import (
 
 	"bastion/internal/attacks"
 	"bastion/internal/baseline/cet"
-	"bastion/internal/bench"
 	"bastion/internal/core"
 	"bastion/internal/core/metadata"
 	"bastion/internal/core/monitor"
@@ -164,7 +163,7 @@ func TestDifferentialAttackMatrix(t *testing.T) {
 // measurements, violation-free on both sides.
 func TestDifferentialWorkloads(t *testing.T) {
 	arts := fleet.NewArtifacts()
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		for _, extendFS := range []bool{false, true} {
 			name := app
 			if extendFS {

@@ -14,6 +14,7 @@ import (
 	"bastion/internal/bench"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
+	"bastion/internal/workload"
 )
 
 // offloadCases sweeps the context sets the offload interacts with: the
@@ -74,7 +75,7 @@ func TestOffloadDifferentialAttackMatrix(t *testing.T) {
 // identical, while the offload must actually remove traps and strictly
 // reduce monitor cycles.
 func TestOffloadDifferentialWorkloads(t *testing.T) {
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		t.Run(app, func(t *testing.T) {
 			spec := bench.RunSpec{App: app, Mitigation: bench.MitFull, Units: 25, ExtendFS: true}
 			spec.Mitigation.Monitor.Contexts = monitor.CallType | monitor.ArgIntegrity

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"bastion/internal/bench"
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/kernel"
@@ -41,7 +40,7 @@ func compileApp(t *testing.T, app string) *core.Artifact {
 // in-filter arg rules — residual = full − offloaded, nothing gained,
 // nothing lost.
 func TestOffloadResidualPolicy(t *testing.T) {
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		t.Run(app, func(t *testing.T) {
 			art := compileApp(t, app)
 			cfg := offloadShape()

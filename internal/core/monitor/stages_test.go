@@ -7,6 +7,7 @@ import (
 
 	"bastion/internal/bench"
 	"bastion/internal/core/monitor"
+	"bastion/internal/workload"
 )
 
 // trapStages are the per-stage cycle counters of one trap, in pipeline
@@ -31,7 +32,7 @@ func TestStageCountersSumToMonitorCycles(t *testing.T) {
 		// state; CT+AI is its target shape.
 		{"ct+ai/offload", monitor.CallType | monitor.ArgIntegrity, true},
 	}
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		for _, c := range configs {
 			t.Run(app+"/"+c.name, func(t *testing.T) {
 				spec := bench.RunSpec{App: app, Mitigation: bench.MitFull, Units: 10, ExtendFS: true}

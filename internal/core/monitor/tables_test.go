@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"bastion/internal/bench"
 	"bastion/internal/core"
 	"bastion/internal/core/binscan"
 	"bastion/internal/core/metadata"
@@ -162,7 +161,7 @@ func appGenerations(tb testing.TB) map[string][]genCase {
 	tb.Helper()
 	appCasesOnce.Do(func() {
 		cases := map[string][]genCase{}
-		for _, app := range bench.Apps {
+		for _, app := range workload.Apps {
 			target, err := workload.NewTarget(app)
 			if err != nil {
 				tb.Fatal(err)
@@ -304,7 +303,7 @@ func TestGenerationFuncAt(t *testing.T) {
 func TestGenerationMatchesMetadataOnApps(t *testing.T) {
 	cases := appGenerations(t)
 	nrs := syscallSeeds()
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		t.Run(app, func(t *testing.T) {
 			for _, c := range cases[app] {
 				lo, hi := uint64(math.MaxUint64), uint64(0)
@@ -337,7 +336,7 @@ func TestGenerationMatchesMetadataOnApps(t *testing.T) {
 // the linear range scan and the map-built flow projection do.
 func FuzzGenerationMatchesMetadata(f *testing.F) {
 	var all []genCase
-	for _, app := range bench.Apps {
+	for _, app := range workload.Apps {
 		all = append(all, appGenerations(f)[app]...)
 	}
 	all = append(all, compileCases(f, "hand", handMeta())...)

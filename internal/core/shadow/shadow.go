@@ -11,6 +11,7 @@ package shadow
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bastion/internal/ir"
 	"bastion/internal/mem"
@@ -62,16 +63,11 @@ func NewTable(acc Accessor, base, capacity uint64) *Table {
 	return &Table{Acc: acc, Base: base, Cap: capacity}
 }
 
-// fnv1a hashes a 64-bit key.
-func fnv1a(v uint64) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime
-		v >>= 8
-	}
-	return h
+// home returns key's home slot in a table of capacity slots, a power of
+// two: Fibonacci hashing, the top log2(capacity) bits of key·2⁶⁴/φ. Keys at
+// a fixed stride, as shadowed addresses are, spread evenly over the table.
+func home(key, capacity uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> (64 - bits.TrailingZeros64(capacity))
 }
 
 // MaxProbe bounds the slots one Get or Put probes, home slot included.
@@ -92,7 +88,7 @@ func (t *Table) Put(key, value, meta uint64) error {
 	if key == 0 {
 		return errors.New("shadow: zero key")
 	}
-	idx := fnv1a(key) & (t.Cap - 1)
+	idx := home(key, t.Cap)
 	for i := uint64(0); i < min(t.Cap, MaxProbe); i++ {
 		s := t.Base + ((idx+i)&(t.Cap-1))*entryBytes
 		k, err := t.Acc.Load(s)
@@ -123,7 +119,7 @@ func get(l Loader, base, capacity, key uint64) (value, meta uint64, ok bool, err
 	if key == 0 {
 		return 0, 0, false, nil
 	}
-	idx := fnv1a(key) & (capacity - 1)
+	idx := home(key, capacity)
 	for i := uint64(0); i < min(capacity, MaxProbe); i++ {
 		s := base + ((idx+i)&(capacity-1))*entryBytes
 		k, err := l.Load(s)

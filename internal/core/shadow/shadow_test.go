@@ -186,9 +186,9 @@ func TestProbeLimit(t *testing.T) {
 	const capacity = 1 << 10
 	tab := NewTable(acc, ValueBase(), capacity)
 	const key = uint64(0x4242)
-	home := fnv1a(key) & (capacity - 1)
+	start := home(key, capacity)
 	for i := uint64(0); i < MaxProbe; i++ {
-		slot := ValueBase() + ((home+i)&(capacity-1))*entryBytes
+		slot := ValueBase() + ((start+i)&(capacity-1))*entryBytes
 		if err := acc.Store(slot, 1<<62|i); err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestProbeLimit(t *testing.T) {
 	if err := tab.Put(key, 1, 8); err != ErrTableFull {
 		t.Fatalf("crowded Put = %v, want ErrTableFull", err)
 	}
-	last := ValueBase() + ((home+MaxProbe-1)&(capacity-1))*entryBytes
+	last := ValueBase() + ((start+MaxProbe-1)&(capacity-1))*entryBytes
 	if err := acc.Store(last, 0); err != nil {
 		t.Fatal(err)
 	}

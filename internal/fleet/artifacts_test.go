@@ -9,6 +9,7 @@ import (
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
 	"bastion/internal/obs"
+	"bastion/internal/workload"
 )
 
 // TestArtifactsSingleflight: N goroutines requesting the same key get the
@@ -145,7 +146,7 @@ func TestFilterKeyComplete(t *testing.T) {
 
 	arts := NewArtifacts()
 	moved := map[string]bool{}
-	for _, app := range []string{"nginx", "sqlite", "vsftpd"} {
+	for _, app := range workload.Apps {
 		art, err := arts.Compiled(app)
 		if err != nil {
 			t.Fatal(err)

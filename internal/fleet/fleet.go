@@ -203,7 +203,7 @@ func (c *Config) Validate() error {
 // contexts, full mode, shared artifacts, three restarts.
 func DefaultConfig(tenants, units int, apps ...string) Config {
 	if len(apps) == 0 {
-		apps = []string{"nginx", "sqlite", "vsftpd"}
+		apps = workload.Apps
 	}
 	return Config{
 		Tenants:        tenants,
@@ -302,9 +302,9 @@ type TenantResult struct {
 	Gen          uint64
 
 	// Violations are the monitor's recorded context violations, in order;
-	// ViolationMask is their context union.
-	Violations    []string
-	ViolationMask monitor.Context
+	// ContextViolations counts them per context (nil while there are none).
+	Violations        []string
+	ContextViolations map[monitor.Context]int
 
 	// Attack is non-nil for a malicious tenant; Compromised marks an
 	// attack that completed its goal.
@@ -563,7 +563,7 @@ func runTenant(cfg *Config, idx int, shared *Artifacts, pool *turnover) (TenantR
 
 		if injectAttack {
 			attackDone = true
-			out := replayAttack(cfg, app, attackID, prot, target)
+			out := replayAttack(attackID, prot, target)
 			res.Attack = &out
 			if out.Completed {
 				// The defense let the attack through: quarantine the
@@ -657,7 +657,6 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 	k.Buffers = &pool.kernel
 	k.Costs.IOPerByte = workload.IOPerByte(app)
 	if withAttackFixtures {
-		// Before the workload fixture, so workload-owned paths win.
 		attacks.InstallFixtures(k)
 	}
 	if err := target.Fixture(k); err != nil {
@@ -685,21 +684,9 @@ func launchTenant(cfg *Config, idx int, app string, withAttackFixtures bool, art
 
 // replayAttack adopts the live tenant into an attack environment and runs
 // the scenario against it.
-func replayAttack(cfg *Config, app, id string, prot *core.Protected, target workload.Target) AttackOutcome {
+func replayAttack(id string, prot *core.Protected, target workload.Target) AttackOutcome {
 	s, _ := attacks.ByID(id) // validated in Config.Validate
-	var env *attacks.Env
-	switch t := target.(type) {
-	case *workload.Nginx:
-		env = attacks.Adopt(app, prot, t.ListenFD(), nil, 0)
-	case *workload.SQLite:
-		conn, fd := t.Terminal(0)
-		env = attacks.Adopt(app, prot, t.ListenFD(), conn, fd)
-	case *workload.Vsftpd:
-		env = attacks.Adopt(app, prot, t.ListenFD(), nil, 0)
-	default:
-		env = attacks.Adopt(app, prot, 0, nil, 0)
-	}
-	out := attacks.Replay(s, env)
+	out := attacks.Replay(s, attacks.Adopt(prot, target))
 	return AttackOutcome{
 		ID:        id,
 		Completed: out.Completed,
@@ -737,7 +724,10 @@ func drainMonitor(res *TenantResult, prot *core.Protected, target workload.Targe
 	}
 	for _, v := range mon.Violations {
 		res.Violations = append(res.Violations, v.String())
-		res.ViolationMask |= v.Context
+		if res.ContextViolations == nil {
+			res.ContextViolations = map[monitor.Context]int{}
+		}
+		res.ContextViolations[v.Context]++
 	}
 	if res.Metrics != nil && mon.Metrics != nil {
 		mustMerge(res.Metrics, mon.Metrics)

@@ -113,7 +113,7 @@ func TestFleetStandaloneEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, app := range []string{"nginx", "sqlite", "vsftpd"} {
+	for i, app := range workload.Apps {
 		target, err := workload.NewTarget(app)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestMaliciousReplayMatchesManualAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := attacks.ByID("cve-2012-0809")
-	out := attacks.Replay(s, attacks.Adopt("vsftpd", prot, target.ListenFD(), nil, 0))
+	out := attacks.Replay(s, attacks.Adopt(prot, target))
 
 	got := AttackOutcome{ID: "cve-2012-0809", Completed: out.Completed, Killed: out.Killed,
 		KilledBy: out.KilledBy, Reason: out.Reason}

@@ -36,8 +36,8 @@ func TestFleetSyscallFlowKillAndReset(t *testing.T) {
 	if !strings.Contains(mal.Attack.Reason, "syscall-flow") {
 		t.Errorf("kill reason %q does not name syscall-flow", mal.Attack.Reason)
 	}
-	if mal.ViolationMask&monitor.SyscallFlow == 0 {
-		t.Errorf("ViolationMask %v missing SyscallFlow", mal.ViolationMask)
+	if mal.ContextViolations[monitor.SyscallFlow] == 0 {
+		t.Errorf("ContextViolations %v missing SyscallFlow", mal.ContextViolations)
 	}
 
 	// The restart after the kill must finish every unit: fresh-monitor flow
@@ -67,7 +67,7 @@ func TestFleetSyscallFlowKillAndReset(t *testing.T) {
 				i, got, res.FlowChecks)
 		}
 	}
-	if clean.Kills != 0 || clean.ViolationMask != 0 {
+	if clean.Kills != 0 || len(clean.ContextViolations) != 0 {
 		t.Errorf("clean tenant disturbed: %+v", clean)
 	}
 
@@ -87,5 +87,37 @@ func TestFleetSyscallFlowKillAndReset(t *testing.T) {
 	}
 	if mal2.FlowChecks != 0 {
 		t.Errorf("FlowChecks = %d with SF disabled, want 0", mal2.FlowChecks)
+	}
+}
+
+// TestViolationsByContextCountsEveryContext: the report's rollup counts
+// each recorded violation under its own context, syscall-flow included,
+// and the markdown report prints the rollup line.
+func TestViolationsByContextCountsEveryContext(t *testing.T) {
+	cfg := DefaultConfig(2, 6, "vsftpd")
+	cfg.Deterministic = true
+	cfg.Malicious = map[int]string{0: "ord-sandbox-reseal"}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mal := rep.Results[0]
+	if len(mal.Violations) == 0 {
+		t.Fatal("malicious tenant recorded no violation")
+	}
+	byCtx := rep.ViolationsByContext()
+	if byCtx[monitor.SyscallFlow] != len(mal.Violations) {
+		t.Errorf("syscall-flow violations = %d, want %d (%v)", byCtx[monitor.SyscallFlow], len(mal.Violations), mal.Violations)
+	}
+	total := 0
+	for _, n := range byCtx {
+		total += n
+	}
+	if total != len(mal.Violations)+len(rep.Results[1].Violations) {
+		t.Errorf("rollup counts %d violations, tenants recorded %d", total, len(mal.Violations)+len(rep.Results[1].Violations))
+	}
+	want := "Violations by context: syscall-flow=1.\n"
+	if !strings.Contains(rep.Markdown(), want) {
+		t.Errorf("report lacks %q", want)
 	}
 }

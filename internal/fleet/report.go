@@ -192,34 +192,16 @@ func mustMerge(dst, src *obs.Registry) {
 	}
 }
 
-// ViolationsByContext rolls up recorded violations by their context mask
-// contribution: one count per violating context across all tenants.
+// ViolationsByContext rolls up recorded violations by context: one count
+// per violation across all tenants.
 func (r *Report) ViolationsByContext() map[monitor.Context]int {
 	out := map[monitor.Context]int{}
 	for i := range r.Results {
-		t := &r.Results[i]
-		n := len(t.Violations)
-		if n == 0 {
-			continue
-		}
-		for _, ctx := range []monitor.Context{monitor.CallType, monitor.ControlFlow, monitor.ArgIntegrity} {
-			if t.ViolationMask&ctx != 0 {
-				out[ctx] += countContext(t.Violations, ctx)
-			}
+		for ctx, n := range r.Results[i].ContextViolations {
+			out[ctx] += n
 		}
 	}
 	return out
-}
-
-func countContext(violations []string, ctx monitor.Context) int {
-	prefix := ctx.String() + " violation"
-	n := 0
-	for _, v := range violations {
-		if strings.HasPrefix(v, prefix) {
-			n++
-		}
-	}
-	return n
 }
 
 // SetupCyclesPerTenant is the mean monitor-attach (setup) cost per tenant

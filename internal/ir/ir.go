@@ -70,6 +70,32 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// FoldConst evaluates a op b on constants exactly as the VM's ALU does, for
+// the ops that cannot fault and are not comparisons: add, sub, mul, and,
+// or, xor and the two shifts, whose count is taken mod 64. ok is false for
+// every other op.
+func FoldConst(op Op, a, b int64) (v int64, ok bool) {
+	switch op {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpAnd:
+		return a & b, true
+	case OpOr:
+		return a | b, true
+	case OpXor:
+		return a ^ b, true
+	case OpShl:
+		return a << (uint64(b) & 63), true
+	case OpShr:
+		return int64(uint64(a) >> (uint64(b) & 63)), true
+	}
+	return 0, false
+}
+
 // OperandKind discriminates Operand.
 type OperandKind uint8
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +105,37 @@ func TestBinopTable(t *testing.T) {
 		if _, err := runBin(t, op, 1, 0); !errors.As(err, &cf) {
 			t.Fatalf("%v by zero: err = %v, want a control fault", op, err)
 		}
+	}
+}
+
+// TestBinMatchesFoldConst pins the interpreter's inline ALU to
+// ir.FoldConst, with which the compiler pass and the binary extractor fold
+// constant arguments: on every op FoldConst folds, the two agree for every
+// pair of operands below, shift counts of 64 and above included.
+func TestBinMatchesFoldConst(t *testing.T) {
+	vals := []int64{0, 1, 2, 7, 63, 64, 65, 127, 128, 1 << 40, -1, -64, math.MaxInt64, math.MinInt64, 0x5a5a5a5a5a5a5a5a}
+	var foldable []ir.Op
+	for op := ir.OpAdd; op <= ir.OpGe; op++ {
+		if _, ok := ir.FoldConst(op, 1, 1); !ok {
+			continue
+		}
+		foldable = append(foldable, op)
+		for _, a := range vals {
+			for _, b := range vals {
+				want, _ := ir.FoldConst(op, a, b)
+				got, err := runBin(t, op, uint64(a), uint64(b))
+				if err != nil {
+					t.Fatalf("%v(%d,%d): %v", op, a, b, err)
+				}
+				if int64(got) != want {
+					t.Errorf("%v(%d,%d): VM %d, FoldConst %d", op, a, b, int64(got), want)
+				}
+			}
+		}
+	}
+	want := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr}
+	if fmt.Sprint(foldable) != fmt.Sprint(want) {
+		t.Errorf("FoldConst folds %v, want %v", foldable, want)
 	}
 }
 

@@ -484,6 +484,10 @@ func (t *Vsftpd) Unit(p *core.Protected, i int) (int64, error) {
 	return int64(n), nil
 }
 
+// Apps lists the evaluation applications in the paper's order: every name
+// NewTarget builds.
+var Apps = []string{"nginx", "sqlite", "vsftpd"}
+
 // NewTarget constructs the named target with paper defaults.
 func NewTarget(name string) (Target, error) {
 	switch name {

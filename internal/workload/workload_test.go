@@ -37,7 +37,7 @@ func launch(t *testing.T, target workload.Target, protected bool) *core.Protecte
 }
 
 func TestTargetsRunProtected(t *testing.T) {
-	for _, name := range []string{"nginx", "sqlite", "vsftpd"} {
+	for _, name := range workload.Apps {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			target, err := workload.NewTarget(name)
@@ -72,7 +72,7 @@ func TestTargetsRunProtected(t *testing.T) {
 }
 
 func TestTargetsRunUnprotected(t *testing.T) {
-	for _, name := range []string{"nginx", "sqlite", "vsftpd"} {
+	for _, name := range workload.Apps {
 		target, err := workload.NewTarget(name)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 
 	"bastion/internal/core"
 	"bastion/internal/core/monitor"
+	"bastion/internal/ir"
+	"bastion/internal/kernel"
 	"bastion/internal/obs"
 	"bastion/internal/seccomp"
 )
@@ -77,6 +79,83 @@ func TestSwapAppliesAtTrapBoundary(t *testing.T) {
 	last := sink.Events[len(sink.Events)-1]
 	if last.Gen != 1 {
 		t.Fatalf("post-swap trap stamped gen %d, want 1", last.Gen)
+	}
+}
+
+// TestSwapDropsFilterVerdicts: the kernel keeps the filter's verdicts per
+// syscall number, and a hot reload must not leave the old filter's there.
+// Before the swap, getpid (untraced, issued by a function the victim gains
+// here) and mprotect (traced) are each charged the old filter's steps,
+// also when repeated; after the boundary trap installs the new
+// generation, each is charged the new filter's, which differ (the new
+// generation flips the tree compilation).
+func TestSwapDropsFilterVerdicts(t *testing.T) {
+	victim := buildVictim()
+	b := ir.NewBuilder("do_getpid", 0)
+	b.Ret(ir.R(b.Call("getpid")))
+	victim.AddFunc(b.Build())
+	art, err := core.Compile(victim, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := core.Launch(art, kernel.New(nil), monitor.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prot.Machine.CallFunction("setup"); err != nil {
+		t.Fatal(err)
+	}
+	stepsOf := func(filter []seccomp.Insn, nr uint32) uint64 {
+		_, steps, err := seccomp.Run(filter, &seccomp.Data{Nr: nr, Arch: seccomp.AuditArchX86_64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(steps)
+	}
+	charged := func(call func()) uint64 {
+		before := prot.Proc.FilterSteps
+		call()
+		return prot.Proc.FilterSteps - before
+	}
+	getpid := func() {
+		if _, err := prot.Machine.CallFunction("do_getpid"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	protect := func() {
+		if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := prot.Proc.SeccompFilter()
+	for i := 0; i < 2; i++ {
+		if got, want := charged(getpid), stepsOf(old, kernel.SysGetpid); got != want {
+			t.Fatalf("getpid %d under generation 0: %d steps, want %d", i, got, want)
+		}
+		if got, want := charged(protect), stepsOf(old, kernel.SysMprotect); got != want {
+			t.Fatalf("mprotect %d under generation 0: %d steps, want %d", i, got, want)
+		}
+	}
+
+	g := stageGen(t, prot, 1, func(c *monitor.Config) { c.TreeFilter = !c.TreeFilter })
+	if stepsOf(old, kernel.SysGetpid) == stepsOf(g.Filter, kernel.SysGetpid) ||
+		stepsOf(old, kernel.SysMprotect) == stepsOf(g.Filter, kernel.SysMprotect) {
+		t.Fatal("the generations' filters take equal steps; the test cannot tell them apart")
+	}
+	// The boundary trap is still judged, and charged, under generation 0.
+	if got, want := charged(protect), stepsOf(old, kernel.SysMprotect); got != want {
+		t.Fatalf("boundary mprotect: %d steps, want %d", got, want)
+	}
+	if prot.Monitor.Generation() != g {
+		t.Fatal("the swap did not apply at the boundary trap")
+	}
+	for i := 0; i < 2; i++ {
+		if got, want := charged(getpid), stepsOf(g.Filter, kernel.SysGetpid); got != want {
+			t.Fatalf("getpid %d under generation 1: %d steps, want %d", i, got, want)
+		}
+		if got, want := charged(protect), stepsOf(g.Filter, kernel.SysMprotect); got != want {
+			t.Fatalf("mprotect %d under generation 1: %d steps, want %d", i, got, want)
+		}
 	}
 }
 

@@ -283,6 +283,9 @@ type Function struct {
 	// frame pointer of every slot, then of the slot area's bottom, which
 	// is minus the area's size.
 	slots []int64
+	// regBound is the register bound Link recorded (see RegBound), for
+	// code of length regCode.
+	regBound, regCode int
 }
 
 // InstrAddr returns the code address of instruction index i.
@@ -335,6 +338,45 @@ func (f *Function) LinkedSlotDisp(i int) (int64, bool) {
 		return 0, false
 	}
 	return d[i], true
+}
+
+// RegBound returns the number of registers a frame running f may write:
+// NumRegs, or one more than the highest register any instruction names
+// when that is larger, as it can be in a program that was never
+// validated. Link records it, so the interpreter's call path does not
+// walk the code; a function never linked, whose code length changed
+// since, or whose NumRegs grew past the record, gets it computed afresh.
+func (f *Function) RegBound() int {
+	if f.regCode == len(f.Code) && f.NumRegs <= f.regBound {
+		return f.regBound
+	}
+	return f.regBoundOf()
+}
+
+// regBoundOf computes RegBound from the code.
+func (f *Function) regBoundOf() int {
+	n := f.NumRegs
+	reg := func(r Reg) {
+		n = max(n, int(r)+1)
+	}
+	op := func(o Operand) {
+		if o.Kind == OperandReg {
+			reg(o.Reg)
+		}
+	}
+	for i := range f.Code {
+		in := &f.Code[i]
+		reg(in.Dst)
+		reg(in.Addr)
+		reg(in.Target)
+		op(in.Src)
+		op(in.A)
+		op(in.B)
+		for _, a := range in.Args {
+			op(a)
+		}
+	}
+	return n
 }
 
 // FrameLocalSize is the total size of the frame's slot area.
@@ -474,6 +516,7 @@ func (p *Program) Link() error {
 		next += (sz + 0xf) &^ 0xf
 		next += 16 // guard gap so gadget addresses never straddle functions
 		f.slots = f.frameSlotTable()
+		f.regBound, f.regCode = f.regBoundOf(), len(f.Code)
 		if err := resolveLabels(f); err != nil {
 			return err
 		}

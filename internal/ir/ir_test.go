@@ -427,3 +427,53 @@ func TestFuncAtMatchesScan(t *testing.T) {
 		t.Fatalf("unlinked FuncAt(4) = %v,%d, want the first function", f, idx)
 	}
 }
+
+// TestRegBound: a function's register bound is NumRegs, or one more than
+// the highest register any instruction names in any field when that is
+// larger (an unvalidated program), before Link, after it, and after the
+// code or NumRegs grows past what Link recorded.
+func TestRegBound(t *testing.T) {
+	f := &Function{Name: "f", NumRegs: 2, Code: []Instr{
+		{Kind: Const, Dst: 1, Imm: 7},
+		{Kind: Ret, Src: Imm(300)}, // an immediate names no register
+	}}
+	p := NewProgram()
+	p.AddFunc(f)
+	if got := f.RegBound(); got != 2 {
+		t.Fatalf("unlinked bound %d, want NumRegs 2", got)
+	}
+	if err := p.Link(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.RegBound(); got != 2 {
+		t.Fatalf("linked bound %d, want 2", got)
+	}
+	for _, c := range []struct {
+		in   Instr
+		want int
+	}{
+		{Instr{Kind: Mov, Dst: 4, Src: R(0)}, 5},
+		{Instr{Kind: Bin, Dst: 0, A: R(9), B: Imm(1)}, 10},
+		{Instr{Kind: Bin, Dst: 0, A: Imm(1), B: R(11)}, 12},
+		{Instr{Kind: Load, Dst: 0, Addr: 13, Size: 8}, 14},
+		{Instr{Kind: Store, Addr: 0, Src: R(15), Size: 8}, 16},
+		{Instr{Kind: CallInd, Dst: 0, Target: 17}, 18},
+		{Instr{Kind: Syscall, Dst: 0, Args: []Operand{Imm(39), R(19)}}, 20},
+		{Instr{Kind: BranchNZ, Src: R(21)}, 22},
+	} {
+		g := &Function{Name: "g", NumRegs: 1, Code: []Instr{c.in, {Kind: Ret, Src: Imm(0)}}}
+		if got := g.RegBound(); got != c.want {
+			t.Errorf("%v: bound %d, want %d", c.in.Kind, got, c.want)
+		}
+	}
+	// Code or NumRegs grown after Link is bounded afresh.
+	f.Code = append(f.Code, Instr{Kind: Const, Dst: 40})
+	if got := f.RegBound(); got != 41 {
+		t.Fatalf("bound after growing the code %d, want 41", got)
+	}
+	f.Code = f.Code[:2]
+	f.NumRegs = 50
+	if got := f.RegBound(); got != 50 {
+		t.Fatalf("bound after growing NumRegs %d, want 50", got)
+	}
+}

@@ -135,7 +135,11 @@ type Process struct {
 	nextFD int
 
 	filter []seccomp.Insn
-	tracer Tracer
+	// verdicts memoizes, by syscall slot, the filter runs that read
+	// nothing but the number and arch (see runFilter). SetSeccompFilter
+	// empties it; the overflow slot is never filled.
+	verdicts [NrSlots + 1]verdict
+	tracer   Tracer
 
 	brk        uint64
 	mmapCursor uint64
@@ -171,6 +175,13 @@ type Process struct {
 	FilterSteps uint64
 
 	killed bool
+}
+
+// verdict is one memoized filter run: the action it returned and the
+// instructions it executed. An empty entry has steps 0, which no run has.
+type verdict struct {
+	action uint32
+	steps  uint32
 }
 
 // Kernel is the simulated operating system. One kernel may host several
@@ -269,12 +280,15 @@ func (p *Process) Release() {
 func (k *Kernel) Process(m *vm.Machine) *Process { return k.procs[m] }
 
 // SetSeccompFilter installs a validated filter program on the process
-// (SECCOMP_SET_MODE_FILTER). Installing replaces any previous filter.
+// (SECCOMP_SET_MODE_FILTER). Installing replaces any previous filter and
+// starts its verdict memo empty. As on Linux, the program must not change
+// once installed: the memo keeps the verdicts it gave.
 func (p *Process) SetSeccompFilter(prog []seccomp.Insn) error {
 	if err := seccomp.Validate(prog); err != nil {
 		return err
 	}
 	p.filter = prog
+	clear(p.verdicts[:])
 	return nil
 }
 
@@ -355,35 +369,29 @@ func (k *Kernel) Syscall(m *vm.Machine) (int64, error) {
 	}
 	k.Clock.Add(k.Costs.SyscallEntry)
 	nr := uint32(m.SysRegs.RAX)
-	p.SyscallCounts.Inc(nr)
+	s := Slot(nr)
+	p.SyscallCounts[s]++
 
 	if p.filter != nil {
-		data := &seccomp.Data{
-			Nr:   nr,
-			Arch: seccomp.AuditArchX86_64,
-			IP:   m.SysRegs.RIP,
-			Args: [6]uint64{
-				m.SysRegs.RDI, m.SysRegs.RSI, m.SysRegs.RDX,
-				m.SysRegs.R10, m.SysRegs.R8, m.SysRegs.R9,
-			},
+		// A memo hit charges the steps its run executed, as a run would.
+		v := p.verdicts[s]
+		if v.steps == 0 {
+			var err error
+			if v, err = p.runFilter(s, nr); err != nil {
+				return 0, fmt.Errorf("kernel: seccomp filter fault: %w", err)
+			}
 		}
-		action, steps, err := seccomp.Run(p.filter, data)
-		if err != nil {
-			return 0, fmt.Errorf("kernel: seccomp filter fault: %w", err)
-		}
-		p.FilterSteps += uint64(steps)
-		k.Clock.Add(k.Costs.BPFInsn * uint64(steps))
+		p.FilterSteps += uint64(v.steps)
+		k.Clock.Add(k.Costs.BPFInsn * uint64(v.steps))
+		action := v.action
 		switch action & seccomp.RetActionMask {
 		case seccomp.RetAllow:
 			// proceed
 		case seccomp.RetLog:
 			// proceed, but audit-log the in-filter verdict
-			p.LogVerdicts.Inc(nr)
+			p.LogVerdicts[s]++
 		case seccomp.RetErrno:
 			return -int64(action & seccomp.RetDataMask), nil
-		case seccomp.RetKill, seccomp.RetTrap:
-			p.killed = true
-			return 0, &vm.KillError{By: "seccomp", Reason: "filter returned " + seccomp.ActionName(action) + " for " + Name(nr)}
 		case seccomp.RetTrace:
 			if p.tracer == nil {
 				return -int64(ENOSYS), nil
@@ -396,11 +404,40 @@ func (k *Kernel) Syscall(m *vm.Machine) (int64, error) {
 				p.killed = true
 				return 0, err
 			}
+		default:
+			// KILL, TRAP, and any action the kernel does not know, such
+			// as USER_NOTIF or a `ret A` of a loaded word: Linux's
+			// __seccomp_filter kills in its default case too.
+			p.killed = true
+			return 0, &vm.KillError{By: "seccomp", Reason: "filter returned " + seccomp.ActionName(action) + " for " + Name(nr)}
 		}
 	}
 	k.Clock.Add(k.Costs.KernelOp)
-	p.CompletedCounts.Inc(nr)
+	p.CompletedCounts[s]++
 	return p.execute(nr)
+}
+
+// runFilter runs the installed filter on the syscall latched in
+// p.M.SysRegs, whose number nr has slot s. A run that read nothing but
+// the number and arch is kept in the slot's memo entry, so later calls of
+// nr skip seccomp_data and the interpreter until the next
+// SetSeccompFilter. A run that read an argument or the IP, a failed run
+// and any number of the overflow slot, which pools every unimplemented
+// number, are never kept.
+func (p *Process) runFilter(s int, nr uint32) (verdict, error) {
+	r := &p.M.SysRegs
+	data := seccomp.Data{
+		Nr:   nr,
+		Arch: seccomp.AuditArchX86_64,
+		IP:   r.RIP,
+		Args: [6]uint64{r.RDI, r.RSI, r.RDX, r.R10, r.R8, r.R9},
+	}
+	action, steps, byNr, err := seccomp.RunByNr(p.filter, &data)
+	v := verdict{action: action, steps: uint32(steps)}
+	if byNr && s < NrSlots {
+		p.verdicts[s] = v
+	}
+	return v, err
 }
 
 // Killed reports whether the process was killed by seccomp or its tracer.

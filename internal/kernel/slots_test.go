@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"bastion/internal/apps/guestlibc"
+	"bastion/internal/core"
+	"bastion/internal/core/monitor"
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/obs"
 	"bastion/internal/seccomp"
 	"bastion/internal/vm"
+	"bastion/internal/workload"
 )
 
 // TestSlotIndex: the implemented numbers take slots 0..NrSlots-1 in
@@ -38,19 +41,25 @@ func TestSlotIndex(t *testing.T) {
 	}
 }
 
-// syscallKind is one way a syscall passes the seccomp filter.
+// syscallKind is one way a syscall passes the seccomp filter. memo says
+// whether its filter run is kept in the verdict memo, so that every call
+// after the first is a memo hit.
 type syscallKind struct {
 	name string
 	nr   uint32
+	memo bool
 }
 
-// syscallKinds are a filtered allow, an in-filter RET_LOG allow and a
-// traced call whose tracer allows it; each does its work without touching
-// guest memory or the fd table's entries.
+// syscallKinds are a filtered allow, an in-filter RET_LOG allow, a traced
+// call whose tracer allows it and an unimplemented number; each does its
+// work without touching guest memory or the fd table's entries. The
+// RET_LOG verdict reads an argument and the unimplemented number shares
+// the overflow slot, so both run the filter on every call.
 var syscallKinds = []syscallKind{
-	{"allow", kernel.SysGetpid},
-	{"log", kernel.SysBrk},
-	{"trace", kernel.SysLseek},
+	{"allow", kernel.SysGetpid, true},
+	{"log", kernel.SysBrk, false},
+	{"trace", kernel.SysLseek, true},
+	{"overflow", 999, false},
 }
 
 // allowTracer allows every trapped syscall.
@@ -104,9 +113,9 @@ func syscall(tb testing.TB, k *kernel.Kernel, m *vm.Machine, nr uint32) int64 {
 	return ret
 }
 
-// TestSyscallNoAllocs: a filtered allow, a RET_LOG allow and a traced
-// call through Kernel.Syscall allocate nothing, and each lands in its
-// counters.
+// TestSyscallNoAllocs: a filtered allow, a RET_LOG allow, a traced call
+// and an unimplemented number through Kernel.Syscall allocate nothing,
+// on a verdict memo hit or miss alike, and each lands in its counters.
 func TestSyscallNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -120,6 +129,9 @@ func TestSyscallNoAllocs(t *testing.T) {
 		}
 		if n := proc.SyscallCounts.Of(kind.nr); n != 102 || proc.CompletedCounts.Of(kind.nr) != n {
 			t.Errorf("%s: %d calls, %d completed, want 102", kind.name, n, proc.CompletedCounts.Of(kind.nr))
+		}
+		if proc.Memoized(kind.nr) != kind.memo {
+			t.Errorf("%s: memoized %v, want %v", kind.name, proc.Memoized(kind.nr), kind.memo)
 		}
 	}
 	if proc.LogVerdicts.Of(kernel.SysBrk) != 102 || tr.traps != 102 || proc.TrapCount != 102 {
@@ -157,7 +169,9 @@ func TestUnimplementedSyscallsShareOverflowSlot(t *testing.T) {
 }
 
 // BenchmarkKernelSyscall measures Kernel.Syscall for each way a syscall
-// passes the filter.
+// passes the filter, and for a write under the linear filter of the
+// sqlite generation that the sqlite-txn benchmark runs (Table 1's set,
+// full enforcement), reporting that filter's steps per write.
 func BenchmarkKernelSyscall(b *testing.B) {
 	for _, kind := range syscallKinds {
 		b.Run(kind.name, func(b *testing.B) {
@@ -169,4 +183,26 @@ func BenchmarkKernelSyscall(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sqlite-write", func(b *testing.B) {
+		art, err := core.Compile(workload.NewSQLite().Build(), core.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := monitor.NewGeneration(0, art.Meta, monitor.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, m, proc, _ := newFilteredGuest(b)
+		if err := proc.SetSeccompFilter(g.Filter); err != nil {
+			b.Fatal(err)
+		}
+		syscall(b, k, m, kernel.SysWrite)
+		steps := proc.FilterSteps
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			syscall(b, k, m, kernel.SysWrite)
+		}
+		b.ReportMetric(float64(steps), "filter-steps/op")
+	})
 }

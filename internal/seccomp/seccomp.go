@@ -157,9 +157,6 @@ func Jump(k uint32) Insn { return Insn{Code: ClsJmp | JmpJa, K: k} }
 // RetConst returns the constant action k.
 func RetConst(k uint32) Insn { return Insn{Code: ClsRet | RvalK, K: k} }
 
-// RetAcc returns the accumulator.
-func RetAcc() Insn { return Insn{Code: ClsRet | RvalA} }
-
 // MaxInsns is the kernel's BPF_MAXINSNS.
 const MaxInsns = 4096
 
@@ -222,12 +219,25 @@ func Validate(prog []Insn) error {
 // Run evaluates prog against data, returning the action value and the
 // number of instructions executed (the cost signal for the cycle model).
 func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
+	action, steps, _, err = RunByNr(prog, data)
+	return action, steps, err
+}
+
+// RunByNr is the interpreter behind Run. It also reports byNr: whether
+// the run completed having loaded nothing from data but Nr and Arch;
+// the first load of the IP or of an argument word, or any fault, clears
+// it. Every other input of a run (scratch, X, immediates) starts the same
+// each time, so such a run's action and steps follow from prog, Nr and
+// Arch alone: a caller may keep them per syscall number for as long as
+// prog stays unchanged, as the kernel's filter verdict memo does.
+func RunByNr(prog []Insn, data *Data) (action uint32, steps int, byNr bool, err error) {
 	var a, x uint32
 	var scratch [16]uint32
 	pc := 0
+	byNr = true
 	for steps = 1; steps <= len(prog)+MaxInsns; steps++ {
 		if pc < 0 || pc >= len(prog) {
-			return 0, steps, fmt.Errorf("seccomp: pc %d out of range", pc)
+			return 0, steps, false, fmt.Errorf("seccomp: pc %d out of range", pc)
 		}
 		in := prog[pc]
 		pc++
@@ -235,20 +245,23 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 		case ClsLd:
 			switch in.Code & 0xe0 {
 			case ModeAbs:
+				if in.K > OffArch {
+					byNr = false
+				}
 				v, ok := data.load32(in.K)
 				if !ok {
-					return 0, steps, fmt.Errorf("seccomp: bad load offset %d", in.K)
+					return 0, steps, false, fmt.Errorf("seccomp: bad load offset %d", in.K)
 				}
 				a = v
 			case ModeImm:
 				a = in.K
 			case ModeMem:
 				if in.K >= 16 {
-					return 0, steps, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
+					return 0, steps, false, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
 				}
 				a = scratch[in.K]
 			default:
-				return 0, steps, fmt.Errorf("seccomp: bad load mode %#x", in.Code)
+				return 0, steps, false, fmt.Errorf("seccomp: bad load mode %#x", in.Code)
 			}
 		case ClsLdx:
 			switch in.Code & 0xe0 {
@@ -256,20 +269,20 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 				x = in.K
 			case ModeMem:
 				if in.K >= 16 {
-					return 0, steps, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
+					return 0, steps, false, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
 				}
 				x = scratch[in.K]
 			default:
-				return 0, steps, fmt.Errorf("seccomp: bad ldx mode %#x", in.Code)
+				return 0, steps, false, fmt.Errorf("seccomp: bad ldx mode %#x", in.Code)
 			}
 		case ClsSt:
 			if in.K >= 16 {
-				return 0, steps, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
+				return 0, steps, false, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
 			}
 			scratch[in.K] = a
 		case ClsStx:
 			if in.K >= 16 {
-				return 0, steps, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
+				return 0, steps, false, fmt.Errorf("seccomp: bad scratch slot %d", in.K)
 			}
 			scratch[in.K] = x
 		case ClsAlu:
@@ -286,7 +299,7 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 				a *= src
 			case AluDiv:
 				if src == 0 {
-					return 0, steps, errors.New("seccomp: division by zero")
+					return 0, steps, false, errors.New("seccomp: division by zero")
 				}
 				a /= src
 			case AluOr:
@@ -300,7 +313,7 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 			case AluNeg:
 				a = -a
 			default:
-				return 0, steps, fmt.Errorf("seccomp: bad alu op %#x", in.Code)
+				return 0, steps, false, fmt.Errorf("seccomp: bad alu op %#x", in.Code)
 			}
 		case ClsJmp:
 			src := in.K
@@ -321,7 +334,7 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 			case JmpJset:
 				taken = a&src != 0
 			default:
-				return 0, steps, fmt.Errorf("seccomp: bad jump op %#x", in.Code)
+				return 0, steps, false, fmt.Errorf("seccomp: bad jump op %#x", in.Code)
 			}
 			if taken {
 				pc += int(in.Jt)
@@ -330,14 +343,14 @@ func Run(prog []Insn, data *Data) (action uint32, steps int, err error) {
 			}
 		case ClsRet:
 			if in.Code&0x18 == RvalA {
-				return a, steps, nil
+				return a, steps, byNr, nil
 			}
-			return in.K, steps, nil
+			return in.K, steps, byNr, nil
 		default:
-			return 0, steps, fmt.Errorf("seccomp: bad class %#x", in.Code)
+			return 0, steps, false, fmt.Errorf("seccomp: bad class %#x", in.Code)
 		}
 	}
-	return 0, steps, errors.New("seccomp: instruction budget exceeded (loop?)")
+	return 0, steps, false, errors.New("seccomp: instruction budget exceeded (loop?)")
 }
 
 // Policy is a high-level seccomp policy: per-syscall actions over a default.
@@ -564,63 +577,4 @@ func (p *Policy) sortedNrs() []uint32 {
 	}
 	slices.Sort(nrs)
 	return nrs
-}
-
-// Disasm renders the program for debugging.
-func Disasm(prog []Insn) string {
-	out := ""
-	for pc, in := range prog {
-		out += fmt.Sprintf("%3d: ", pc)
-		switch {
-		case in.Code == ClsLd|SizeW|ModeAbs:
-			out += fmt.Sprintf("ld  [%s]\n", offsetName(in.K))
-		case in.Code&0x07 == ClsJmp && in.Code&0xf0 == JmpJa:
-			out += fmt.Sprintf("ja  +%d\n", in.K)
-		case in.Code&0x07 == ClsJmp:
-			out += fmt.Sprintf("j%s #%#x jt=%d jf=%d\n", jmpName(in.Code), in.K, in.Jt, in.Jf)
-		case in.Code&0x07 == ClsRet && in.Code&0x18 == RvalA:
-			out += "ret A\n"
-		case in.Code&0x07 == ClsRet:
-			out += fmt.Sprintf("ret %s\n", ActionName(in.K))
-		default:
-			out += fmt.Sprintf("op %#x k=%#x\n", in.Code, in.K)
-		}
-	}
-	return out
-}
-
-// offsetName renders a seccomp_data load offset symbolically so arg-compare
-// chains read as `ld [args[i].lo]` rather than raw byte offsets.
-func offsetName(off uint32) string {
-	switch {
-	case off == OffNr:
-		return "nr"
-	case off == OffArch:
-		return "arch"
-	case off == OffIPLo:
-		return "ip.lo"
-	case off == OffIPHi:
-		return "ip.hi"
-	case off >= 16 && off < 64 && off%4 == 0:
-		i := (off - 16) / 8
-		if (off-16)%8 == 0 {
-			return fmt.Sprintf("args[%d].lo", i)
-		}
-		return fmt.Sprintf("args[%d].hi", i)
-	}
-	return fmt.Sprintf("%d", off)
-}
-
-func jmpName(code uint16) string {
-	switch code & 0xf0 {
-	case JmpJeq:
-		return "eq"
-	case JmpJgt:
-		return "gt"
-	case JmpJge:
-		return "ge"
-	case JmpJset:
-		return "set"
-	}
-	return "??"
 }

@@ -355,3 +355,60 @@ func TestPolicyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunByNr: RunByNr returns what Run returns, and reports byNr exactly
+// for the runs that completed having loaded nothing past Arch. A load of
+// the IP or of any argument word clears it, also when the branch it fed
+// went the same way; a fault clears it; scratch, X and `ret A` of the
+// number keep it.
+func TestRunByNr(t *testing.T) {
+	pol := &Policy{
+		Default:   RetAllow,
+		Actions:   map[uint32]uint32{59: RetTrace},
+		ArgRules:  map[uint32]ArgRule{9: {Matches: []ArgMatch{{Pos: 2, Val: 7}}, Match: RetLog, Else: RetTrace}},
+		CheckArch: true,
+	}
+	linear, err := pol.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := pol.CompileTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nrPlus5 := []Insn{
+		LoadAbs(OffNr),
+		{Code: ClsSt, K: 0},
+		{Code: ClsLdx | ModeMem, K: 0},
+		{Code: ClsAlu | AluAdd | SrcK, K: 5},
+		RetAcc(),
+	}
+	for _, c := range []struct {
+		name string
+		prog []Insn
+		nr   uint32
+		byNr bool
+	}{
+		{"linear rule", linear, 59, true},
+		{"linear default", linear, 1, true},
+		{"linear arg rule", linear, 9, false},
+		{"tree rule", tree, 59, true},
+		{"tree arg rule", tree, 9, false},
+		{"scratch and X", nrPlus5, 3, true},
+		{"ip low", []Insn{LoadAbs(OffIPLo), RetConst(RetAllow)}, 1, false},
+		{"ip high", []Insn{LoadAbs(OffIPHi), RetConst(RetAllow)}, 1, false},
+		{"arg 5 high", []Insn{LoadAbs(OffArgHi(5)), RetConst(RetAllow)}, 1, false},
+		{"bad offset", []Insn{LoadAbs(2), RetConst(RetAllow)}, 1, false},
+		{"division by zero", []Insn{{Code: ClsAlu | AluDiv | SrcK, K: 0}, RetConst(RetAllow)}, 1, false},
+	} {
+		d := &Data{Nr: c.nr, Arch: AuditArchX86_64, IP: 0x401000, Args: [6]uint64{1, 2, 7}}
+		action, steps, byNr, err := RunByNr(c.prog, d)
+		wantAction, wantSteps, wantErr := Run(c.prog, d)
+		if action != wantAction || steps != wantSteps || (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: RunByNr (%#x, %d, %v), Run (%#x, %d, %v)", c.name, action, steps, err, wantAction, wantSteps, wantErr)
+		}
+		if byNr != c.byNr {
+			t.Errorf("%s: byNr %v, want %v", c.name, byNr, c.byNr)
+		}
+	}
+}

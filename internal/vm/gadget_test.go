@@ -334,3 +334,87 @@ func TestPooledFramesStartZeroed(t *testing.T) {
 		t.Fatal("probe did not run in the frame the first machine released")
 	}
 }
+
+// TestHijackedReturnReadsZeroRegisters: a reused frame is cleared up to
+// its high-water mark, not just to the new function's register count, and
+// a hijacked return that switches a frame to a function with more
+// registers raises the mark. "hijack"'s return address is pointed into
+// "gadget" ([0] r7 = 0xbeef, [1] r0 = 1, [2] ret r7), which then runs in
+// its caller "victim"'s frame; victim has one register, gadget eight.
+// Entered at [2], gadget returns r7 unwritten and must read 0, as in a
+// freshly allocated frame:
+//   - in main's second call, whose frame "wide" left r0..r7 at 0xdead;
+//   - in a frame gadget itself wrote r7 in, after entering at [0], and
+//     that victim has reused since.
+func TestHijackedReturnReadsZeroRegisters(t *testing.T) {
+	p := ir.NewProgram()
+	w := ir.NewBuilder("wide", 0)
+	for i := 0; i < 8; i++ {
+		w.Const(0xdead)
+	}
+	w.Ret(ir.Imm(0))
+	p.AddFunc(w.Build())
+
+	h := ir.NewBuilder("hijack", 0)
+	h.Ret(ir.Imm(0))
+	p.AddFunc(h.Build())
+
+	v := ir.NewBuilder("victim", 0)
+	r := v.Call("hijack")
+	v.Ret(ir.R(r))
+	p.AddFunc(v.Build())
+
+	g := ir.NewBuilder("gadget", 0)
+	regs := make([]ir.Reg, 8)
+	for i := range regs {
+		regs[i] = g.Reg()
+	}
+	g.ConstInto(regs[7], 0xbeef)
+	g.ConstInto(regs[0], 1)
+	g.Ret(ir.R(regs[7]))
+	p.AddFunc(g.Build())
+
+	b := ir.NewBuilder("main", 0)
+	b.Call("wide")
+	res := b.Call("victim")
+	b.Ret(ir.R(res))
+	p.AddFunc(b.Build())
+
+	m := mustMachine(t, p)
+	if nv, ng := p.Func("victim").RegBound(), p.Func("gadget").RegBound(); nv >= 8 || ng != 8 {
+		t.Fatalf("register bounds victim %d, gadget %d: want victim below 8, gadget 8", nv, ng)
+	}
+	gadget := p.Func("gadget")
+	entry := 2
+	if err := m.HookFunc("hijack", 0, func(mm *Machine) error {
+		return mm.Mem.WriteUint(mm.RBP()+8, gadget.InstrAddr(entry), 8)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wideFr, victimFr *frame
+	if err := m.HookFunc("wide", 0, topFrame(&wideFr)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HookFunc("victim", 0, topFrame(&victimFr)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.CallFunction("main"); err != nil || got != 0 {
+		t.Fatalf("gadget read r7 = %#x (%v) in the frame wide left, want 0", got, err)
+	}
+	if wideFr == nil || wideFr != victimFr {
+		t.Fatal("victim did not run in the register frame wide returned")
+	}
+
+	entry = 0
+	if got, err := m.CallFunction("victim"); err != nil || got != 0xbeef {
+		t.Fatalf("gadget entered at [0] returned %#x (%v), want 0xbeef", got, err)
+	}
+	written := victimFr
+	entry = 2
+	if got, err := m.CallFunction("victim"); err != nil || got != 0 {
+		t.Fatalf("gadget read r7 = %#x (%v) in the frame it wrote r7 in, want 0", got, err)
+	}
+	if victimFr != written {
+		t.Fatal("victim did not reuse the frame gadget wrote")
+	}
+}

@@ -162,10 +162,19 @@ func (e *ControlFault) Error() string {
 type Hook func(m *Machine) error
 
 type frame struct {
-	fn   *ir.Function
-	idx  int // next instruction index
+	fn  *ir.Function
+	idx int // next instruction index
+	// hw is the frame's high-water mark: the largest register bound of
+	// any function run in it since it was last cleared. Every register
+	// at or above hw is zero.
+	hw   int
 	regs [MaxRegsPerFrame]uint64
 }
+
+// regBound is fn's register bound (ir.Function.RegBound), capped at the
+// register file's size: an instruction naming a register past it faults
+// on its own.
+func regBound(fn *ir.Function) int { return min(fn.RegBound(), MaxRegsPerFrame) }
 
 // Machine executes one guest program. It is not safe for concurrent use.
 type Machine struct {
@@ -507,20 +516,22 @@ func (m *Machine) pushCall(fn *ir.Function, args []uint64, retaddr uint64) error
 // pushFrame makes a register frame for fn, resuming at instruction idx, the
 // new top of the frame stack. It reuses the frame a doRet, or a machine
 // released into this machine's Pool, parked just past the top of
-// m.frames, zeroing it whole, so the callee reads exactly what a freshly
+// m.frames, zeroing the registers below its high-water mark (all the
+// others are zero already), so the callee reads exactly what a freshly
 // allocated frame would give it. Reuse is sound because nothing holds a
 // *frame once doRet has popped it or its machine has been released.
 func (m *Machine) pushFrame(fn *ir.Function, idx int) {
 	n := len(m.frames)
 	if n < cap(m.frames) {
 		if f := m.frames[:n+1][n]; f != nil {
-			*f = frame{fn: fn, idx: idx}
+			clear(f.regs[:f.hw])
+			f.fn, f.idx, f.hw = fn, idx, regBound(fn)
 			m.frames = m.frames[:n+1]
 			m.CallDepth = n + 1
 			return
 		}
 	}
-	m.frames = append(m.frames, &frame{fn: fn, idx: idx})
+	m.frames = append(m.frames, &frame{fn: fn, idx: idx, hw: regBound(fn)})
 	m.CallDepth = len(m.frames)
 }
 
@@ -862,7 +873,12 @@ func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 		m.pushFrame(tf, idx)
 		return nil
 	}
-	top.fn = tf
+	if tf != top.fn {
+		// A hijacked return switches the caller's frame to another
+		// function, which may write registers past the frame's mark.
+		top.fn = tf
+		top.hw = max(top.hw, regBound(tf))
+	}
 	top.idx = idx
 	// Normal return: complete `dst = callee()` if the instruction before
 	// the return site is a call (mirrors the value arriving in RAX).

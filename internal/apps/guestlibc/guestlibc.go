@@ -61,15 +61,6 @@ var wrappers = []wrapperSpec{
 	{"setreuid", kernel.SysSetreuid, 2},
 }
 
-// WrapperNames returns the names of all syscall wrapper functions.
-func WrapperNames() []string {
-	out := make([]string, len(wrappers))
-	for i, w := range wrappers {
-		out[i] = w.name
-	}
-	return out
-}
-
 // AddSyscallWrappers registers every syscall wrapper function in p.
 func AddSyscallWrappers(p *ir.Program) {
 	for _, w := range wrappers {

@@ -52,6 +52,3 @@ func (s *ShadowStack) OnRet(m *vm.Machine, retaddr uint64) error {
 // OnIndirectCall is a no-op: CET's IBT is not modeled (the paper pairs CET
 // with BASTION for backward edges only).
 func (s *ShadowStack) OnIndirectCall(*vm.Machine, *ir.Instr, uint64) error { return nil }
-
-// Depth returns the current shadow stack depth.
-func (s *ShadowStack) Depth() int { return len(s.stack) }

@@ -121,52 +121,3 @@ func (p *Projection) Facts(ctx string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Covers reports whether p admits every fact of q in the given context —
-// the per-context static ⊇ static check (extracted ⊇ traced for CF/SF
-// looseness directions is not required; this is used fact-set-wise by
-// tests). The returned slice lists q's facts missing from p, sorted.
-func (p *Projection) Covers(q *Projection, ctx string) (bool, []string) {
-	var missing []string
-	mine := p.factSet(ctx)
-	for _, f := range q.Facts(ctx) {
-		if !mine[f] {
-			missing = append(missing, f)
-		}
-	}
-	return len(missing) == 0, missing
-}
-
-func (p *Projection) factSet(ctx string) map[string]bool {
-	switch ctx {
-	case "CT":
-		return p.CT
-	case "CF":
-		return p.CF
-	case "AI":
-		return p.AI
-	case "SF":
-		return p.SF
-	}
-	return nil
-}
-
-// AdmitsNr reports whether syscall nr is callable at all.
-func (p *Projection) AdmitsNr(nr uint32) bool {
-	return p.CallTypes[nr].Callable()
-}
-
-// AdmitsDirectEdge reports whether caller may directly call callee: an
-// unconstrained callee (no ValidCallers entry) admits everyone.
-func (p *Projection) AdmitsDirectEdge(callee, caller string) bool {
-	set, ok := p.ValidCallers[callee]
-	if !ok {
-		return true
-	}
-	return set[caller]
-}
-
-// AdmitsIndirectTarget reports whether fn may be reached indirectly.
-func (p *Projection) AdmitsIndirectTarget(fn string) bool {
-	return p.IndirectTargets[fn]
-}

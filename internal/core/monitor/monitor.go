@@ -196,9 +196,6 @@ type Config struct {
 	// (§9.2): the sockaddr out-parameter is verified as a pointer only.
 	// Disabling it forces a full pointee walk, for the ablation bench.
 	AcceptFastPath bool
-	// ReportOnly records violations without killing the guest (used by the
-	// security evaluation to observe every violated context in one run).
-	ReportOnly bool
 	// InKernel runs the monitor inside the kernel (the §11.2 eBPF design):
 	// no ptrace context switches, direct access to guest state. This is
 	// the paper's proposed optimization for extending coverage to hot
@@ -270,8 +267,8 @@ type Monitor struct {
 	// Hooks counts SECCOMP_RET_TRACE stops; ChecksByNr per syscall.
 	Hooks      uint64
 	ChecksByNr kernel.Counts
-	// Violations records everything detected (ReportOnly accumulates; kill
-	// mode records the fatal one).
+	// Violations records what the monitor detected: every violation kills,
+	// so it holds the fatal one.
 	Violations []Violation
 	// InitCycles is the simulated cost of monitor startup (metadata load,
 	// symbol recovery, seccomp installation).
@@ -602,9 +599,8 @@ func (m *Monitor) trap(p *kernel.Process) error {
 
 	// Syscall-flow context: the transition check runs on every ModeFull
 	// trap (including the accept fast path) because the state machine
-	// must advance on every observed syscall, violations and report-only
-	// runs included, to keep judging later transitions from the syscall
-	// that actually executed.
+	// must advance on every observed syscall to keep judging later
+	// transitions from the syscall that actually executed.
 	if m.gen.sfEnforce {
 		c = *clk
 		m.FlowChecks++
@@ -637,8 +633,7 @@ func (m *Monitor) trap(p *kernel.Process) error {
 		// Fast path (§9.2): verify what the already-fetched innermost frame
 		// supports — the immediate callee→caller link and the constant
 		// flag arguments — and skip the full walk, binding lookups, and the
-		// sockaddr pointee (kernel-written output). A violation ends the
-		// trap even in report-only mode.
+		// sockaddr pointee (kernel-written output).
 		if m.Cfg.Contexts&ControlFlow != 0 && len(trace) == 1 {
 			c = *clk
 			p.K.Clock.Add(m.Cfg.Costs.CFPerFrame)
@@ -648,7 +643,7 @@ func (m *Monitor) trap(p *kernel.Process) error {
 				v = &Violation{Context: ControlFlow, Nr: nr,
 					Reason: fmt.Sprintf("%s is not a valid caller of %s", t.names[cs.caller], t.names[cs.target])}
 			}
-			if err := m.judge(v, &ev.CF, &ev.Cycles.CF, c); err != nil || v != nil {
+			if err := m.judge(v, &ev.CF, &ev.Cycles.CF, c); err != nil {
 				return err
 			}
 		}
@@ -767,14 +762,11 @@ func (m *Monitor) innermostFrame(regs vm.Regs) ([]stackFrame, error) {
 	return append(m.frameScratch[:0], stackFrame{Ret: ret, BP: regs.RBP}), nil
 }
 
-// flag records a violation; in kill mode it returns the fatal error the
-// kernel turns into process termination.
+// flag records a violation and returns the fatal error the kernel turns
+// into process termination.
 func (m *Monitor) flag(v Violation) error {
 	m.Violations = append(m.Violations, v)
 	m.violations++
-	if m.Cfg.ReportOnly {
-		return nil
-	}
 	return &vm.KillError{By: "monitor", Reason: v.String()}
 }
 
@@ -805,19 +797,6 @@ func (m *Monitor) FlowState() (nr uint32, active bool) {
 // resulting violation.
 func (m *Monitor) SetFlowState(nr uint32, active bool) {
 	m.sfPrev, m.sfActive = nr, active
-}
-
-// FlowEnforced reports whether the syscall-flow context is live: enabled,
-// ModeFull, and backed by a non-empty projected graph.
-func (m *Monitor) FlowEnforced() bool { return m.gen.sfEnforce }
-
-// ViolatedContexts returns the union of violated contexts recorded so far.
-func (m *Monitor) ViolatedContexts() Context {
-	var c Context
-	for _, v := range m.Violations {
-		c |= v.Context
-	}
-	return c
 }
 
 // stackFrame is one unwound frame: the return address and the frame
@@ -863,7 +842,7 @@ func (m *Monitor) unwind(regs vm.Regs) (frames []stackFrame, clean bool, err err
 // invoking callsite's kind (direct/indirect) must be permitted.
 func (m *Monitor) checkCallType(nr uint32, trace []stackFrame) *Violation {
 	t := m.gen.tables
-	ct := t.callTypeOf(m.gen.Meta, nr)
+	ct := t.callTypeOf(nr)
 	if !ct.direct && !ct.indirect {
 		return &Violation{Context: CallType, Nr: nr, Reason: "not-callable system call invoked"}
 	}
@@ -931,8 +910,8 @@ func (m *Monitor) checkControlFlow(nr uint32, regs vm.Regs, trace []stackFrame, 
 			// A syscall with an AllowedIndirect entry is constrained to the
 			// recorded callsites; a present-but-empty set therefore rejects
 			// every indirect path. Unconstrained syscalls have no entry.
-			if addr := fr.Ret - ir.InstrSize; !t.indirectAllowed(m.gen.Meta, nr, cs, addr) {
-				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", addr, kernel.Name(nr))}
+			if !t.indirectAllowed(nr, cs) {
+				return &Violation{Context: ControlFlow, Nr: nr, Reason: fmt.Sprintf("indirect callsite %#x cannot legitimately reach %s", fr.Ret-ir.InstrSize, kernel.Name(nr))}
 			}
 			return nil
 		}
@@ -1161,11 +1140,7 @@ func (m *Monitor) checkMemArg(nr uint32, addr uint64, spec metadata.ArgSpec, act
 
 // checkPointee applies the extended-argument rule for a Deref argument.
 func (m *Monitor) checkPointee(nr uint32, spec metadata.ArgSpec, ptr uint64) *Violation {
-	rule := extendedRule(nr, spec.Pos)
-	if rule == extOut && m.Cfg.AcceptFastPath {
-		return nil // paper's accept/accept4 fast path (§9.2)
-	}
-	switch rule {
+	switch extendedRule(nr, spec.Pos) {
 	case extCString:
 		return m.checkCStringPointee(nr, spec.Pos, ptr)
 	case extBytes:

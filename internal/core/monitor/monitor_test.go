@@ -173,10 +173,7 @@ func TestIndirectInvocationOfDirectOnlySyscall(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := prot.Machine.CallFunction("dispatch")
-	var ke *vm.KillError
-	if !errors.As(err, &ke) || ke.By != "monitor" {
-		t.Fatalf("err = %v, want monitor kill", err)
-	}
+	wantMonitorKill(t, err)
 	if got := prot.Monitor.ViolatedContexts(); got&monitor.CallType == 0 {
 		t.Fatalf("violated = %v, want call-type", got)
 	}
@@ -185,10 +182,17 @@ func TestIndirectInvocationOfDirectOnlySyscall(t *testing.T) {
 	}
 }
 
+// wantMonitorKill fails the test unless err is the monitor's kill.
+func wantMonitorKill(t *testing.T, err error) {
+	t.Helper()
+	var ke *vm.KillError
+	if !errors.As(err, &ke) || ke.By != "monitor" {
+		t.Fatalf("err = %v, want monitor kill", err)
+	}
+}
+
 func TestReturnAddressHijackFlagsControlFlow(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
-	prot := launch(t, cfg)
+	prot := launch(t, monitor.DefaultConfig())
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +207,8 @@ func TestReturnAddressHijackFlagsControlFlow(t *testing.T) {
 	// The hijacked return loops back into main; a small step budget ends
 	// the run after the mprotect trap has fired.
 	prot.Machine.MaxSteps = 1 << 15
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Logf("run ended: %v", err)
-	}
+	_, err := prot.Machine.CallFunction("do_protect")
+	wantMonitorKill(t, err)
 	got := prot.Monitor.ViolatedContexts()
 	if got&monitor.ControlFlow == 0 {
 		t.Fatalf("violated = %v, want control-flow; violations: %v", got, prot.Monitor.Violations)
@@ -216,9 +219,7 @@ func TestReturnAddressHijackFlagsControlFlow(t *testing.T) {
 }
 
 func TestArgCorruptionFlagsArgIntegrity(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
-	prot := launch(t, cfg)
+	prot := launch(t, monitor.DefaultConfig())
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +234,8 @@ func TestArgCorruptionFlagsArgIntegrity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Fatal(err)
-	}
+	_, err := prot.Machine.CallFunction("do_protect")
+	wantMonitorKill(t, err)
 	got := prot.Monitor.ViolatedContexts()
 	if got&monitor.ArgIntegrity == 0 {
 		t.Fatalf("violated = %v, want argument-integrity; %v", got, prot.Monitor.Violations)
@@ -246,9 +246,7 @@ func TestArgCorruptionFlagsArgIntegrity(t *testing.T) {
 }
 
 func TestExtendedArgPointeeCorruption(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
-	prot := launch(t, cfg)
+	prot := launch(t, monitor.DefaultConfig())
 	// Corrupt one byte of the execve path right before the syscall: shadow
 	// byte entries disagree with memory.
 	if err := prot.Machine.HookFunc("execve", 0, func(m *vm.Machine) error {
@@ -257,9 +255,8 @@ func TestExtendedArgPointeeCorruption(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prot.Machine.CallFunction("do_exec"); err != nil {
-		t.Logf("run ended: %v", err)
-	}
+	_, err := prot.Machine.CallFunction("do_exec")
+	wantMonitorKill(t, err)
 	got := prot.Monitor.ViolatedContexts()
 	if got&monitor.ArgIntegrity == 0 {
 		t.Fatalf("violated = %v, want argument-integrity; %v", got, prot.Monitor.Violations)
@@ -267,9 +264,7 @@ func TestExtendedArgPointeeCorruption(t *testing.T) {
 }
 
 func TestExtendedArgPointerDiversion(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
-	prot := launch(t, cfg)
+	prot := launch(t, monitor.DefaultConfig())
 	// Divert the execve pathname pointer itself (wrapper's p0 spill slot)
 	// to an attacker string placed on the heap.
 	if err := prot.Machine.HookFunc("execve", 0, func(m *vm.Machine) error {
@@ -287,9 +282,8 @@ func TestExtendedArgPointerDiversion(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prot.Machine.CallFunction("do_exec"); err != nil {
-		t.Logf("run ended: %v", err)
-	}
+	_, err := prot.Machine.CallFunction("do_exec")
+	wantMonitorKill(t, err)
 	got := prot.Monitor.ViolatedContexts()
 	if got&monitor.ArgIntegrity == 0 {
 		t.Fatalf("violated = %v, want argument-integrity; %v", got, prot.Monitor.Violations)

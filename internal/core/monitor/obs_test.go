@@ -161,12 +161,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestFlightRecorderHistoryOnViolation corrupts the mprotect argument in
-// report-only mode with the recorder on: every recorded violation must
-// carry the syscall history, oldest first, with the violating trap last.
+// TestFlightRecorderHistoryOnViolation corrupts the mprotect argument with
+// the recorder on: the killing violation must carry the syscall history,
+// oldest first, with the violating trap last.
 func TestFlightRecorderHistoryOnViolation(t *testing.T) {
 	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
 	cfg.FlightN = 8
 	prot := launch(t, cfg)
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
@@ -181,9 +180,8 @@ func TestFlightRecorderHistoryOnViolation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Fatal(err)
-	}
+	_, err := prot.Machine.CallFunction("do_protect")
+	wantMonitorKill(t, err)
 	mon := prot.Monitor
 	if len(mon.Violations) == 0 {
 		t.Fatal("no violation recorded")
@@ -213,9 +211,7 @@ func TestFlightRecorderHistoryOnViolation(t *testing.T) {
 // a count header followed by the list (the asymmetry fixed alongside the
 // telemetry work — previously only the empty case had a summary line).
 func TestMonitorReportViolationGolden(t *testing.T) {
-	cfg := monitor.DefaultConfig()
-	cfg.ReportOnly = true
-	prot := launch(t, cfg)
+	prot := launch(t, monitor.DefaultConfig())
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +224,8 @@ func TestMonitorReportViolationGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
-		t.Fatal(err)
-	}
+	_, err := prot.Machine.CallFunction("do_protect")
+	wantMonitorKill(t, err)
 	rep := prot.Monitor.Report()
 	if !strings.Contains(rep, "1 violations\n") {
 		t.Errorf("report missing violation count header:\n%s", rep)

@@ -20,16 +20,6 @@ type OffloadPlan struct {
 	Rules map[uint32]seccomp.ArgRule
 }
 
-// Offloaded returns the offloaded syscall numbers in ascending order.
-func (p *OffloadPlan) Offloaded() []uint32 {
-	nrs := make([]uint32, 0, len(p.Rules))
-	for nr := range p.Rules {
-		nrs = append(nrs, nr)
-	}
-	slices.Sort(nrs)
-	return nrs
-}
-
 // DeriveOffload computes which trapped syscalls are decidable from
 // seccomp_data alone — the syscall number plus literal argument registers —
 // under the given config. The plan is intentionally conservative; a syscall

@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"slices"
 	"testing"
 
 	"bastion/internal/core"
@@ -39,13 +40,13 @@ func TestSwapAppliesAtTrapBoundary(t *testing.T) {
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
 		t.Fatal(err)
 	}
-	oldFilter := seccomp.FilterID(prot.Proc.SeccompFilter())
+	oldFilter := prot.Proc.SeccompFilter()
 
 	g := stageGen(t, prot, 1, func(c *monitor.Config) { c.TreeFilter = !c.TreeFilter })
 	if got := prot.Monitor.Generation().ID; got != 0 {
 		t.Fatalf("generation flipped at stage time: %d", got)
 	}
-	if seccomp.FilterID(prot.Proc.SeccompFilter()) != oldFilter {
+	if !slices.Equal(prot.Proc.SeccompFilter(), oldFilter) {
 		t.Fatal("kernel filter replaced before the trap boundary")
 	}
 
@@ -56,8 +57,11 @@ func TestSwapAppliesAtTrapBoundary(t *testing.T) {
 	if got := prot.Monitor.Generation().ID; got != 1 {
 		t.Fatalf("generation after boundary trap = %d, want 1", got)
 	}
-	if got, want := seccomp.FilterID(prot.Proc.SeccompFilter()), seccomp.FilterID(g.Filter); got != want {
-		t.Fatalf("installed filter %#x, want generation filter %#x", got, want)
+	if slices.Equal(g.Filter, oldFilter) {
+		t.Fatal("the reload's filter equals the launch filter")
+	}
+	if !slices.Equal(prot.Proc.SeccompFilter(), g.Filter) {
+		t.Fatal("installed filter is not the generation's filter")
 	}
 	if prot.Monitor.Reloads != 1 || prot.Monitor.ReloadCycles == 0 {
 		t.Fatalf("reload accounting: %d reloads, %d cycles", prot.Monitor.Reloads, prot.Monitor.ReloadCycles)
@@ -167,25 +171,24 @@ func TestSwapDropsFilterVerdicts(t *testing.T) {
 type tornSink struct {
 	t         *testing.T
 	prot      *core.Protected
-	oldFilter uint64
-	newFilter uint64
+	oldFilter []seccomp.Insn
+	newFilter []seccomp.Insn
 	oldMeta   bool // metadata pointer identity checked by the closure below
 	metaIsOld func() bool
 }
 
 func (s *tornSink) Emit(ev *obs.TrapEvent) {
-	installed := seccomp.FilterID(s.prot.Proc.SeccompFilter())
+	installed := s.prot.Proc.SeccompFilter()
+	filterOld, filterNew := slices.Equal(installed, s.oldFilter), slices.Equal(installed, s.newFilter)
 	metaOld := s.metaIsOld()
 	switch ev.Gen {
 	case 0:
-		if installed != s.oldFilter || !metaOld {
-			s.t.Errorf("torn policy: gen-0 event observed with filter=%#x (old %#x) metaOld=%v",
-				installed, s.oldFilter, metaOld)
+		if !filterOld || !metaOld {
+			s.t.Errorf("torn policy: gen-0 event observed with filterOld=%v metaOld=%v", filterOld, metaOld)
 		}
 	case 1:
-		if installed != s.newFilter || metaOld {
-			s.t.Errorf("torn policy: gen-1 event observed with filter=%#x (new %#x) metaOld=%v",
-				installed, s.newFilter, metaOld)
+		if !filterNew || metaOld {
+			s.t.Errorf("torn policy: gen-1 event observed with filterNew=%v metaOld=%v", filterNew, metaOld)
 		}
 	default:
 		s.t.Errorf("unexpected generation stamp %d", ev.Gen)
@@ -203,7 +206,7 @@ func TestSwapNeverTearsPolicy(t *testing.T) {
 	sink.prot = prot
 	oldMeta := prot.Monitor.Generation().Meta
 	sink.metaIsOld = func() bool { return prot.Monitor.Generation().Meta == oldMeta }
-	sink.oldFilter = seccomp.FilterID(prot.Proc.SeccompFilter())
+	sink.oldFilter = prot.Proc.SeccompFilter()
 
 	if _, err := prot.Machine.CallFunction("setup"); err != nil {
 		t.Fatal(err)
@@ -221,7 +224,7 @@ func TestSwapNeverTearsPolicy(t *testing.T) {
 	if err := prot.Monitor.StageGeneration(g); err != nil {
 		t.Fatal(err)
 	}
-	sink.newFilter = seccomp.FilterID(g.Filter)
+	sink.newFilter = g.Filter
 	for i := 0; i < 4; i++ {
 		if _, err := prot.Machine.CallFunction("do_protect"); err != nil {
 			t.Fatal(err)

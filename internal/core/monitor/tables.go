@@ -21,7 +21,10 @@ import (
 // deeply equal. Validate bounds every slot index to the code region.
 //
 // Syscall numbers outside kernel.Names share the overflow slot, which no
-// table holds: their rare lookups consult the metadata maps.
+// table holds. No filter NewGeneration compiles traps one: buildPolicy
+// acts only on kernel.Names and offload covers only the file-system set.
+// Should a foreign filter trap one, the tables answer fail-closed: no call
+// type, so call-type flags it not-callable, and no indirect path.
 type tables struct {
 	// names is every function name the function ranges, callsites and
 	// call types mention, in that order of first mention, with "" first;
@@ -176,10 +179,9 @@ func buildTables(meta *metadata.Metadata) (*tables, error) {
 	}
 	slices.Sort(nrs)
 	for _, nr := range nrs {
-		ct := meta.CallTypes[nr]
-		wrapper := intern(ct.Wrapper)
 		if s := kernel.Slot(nr); s < kernel.NrSlots {
-			t.callTypes[s] = callType{wrapper: wrapper, direct: ct.Direct, indirect: ct.Indirect}
+			ct := meta.CallTypes[nr]
+			t.callTypes[s] = callType{wrapper: intern(ct.Wrapper), direct: ct.Direct, indirect: ct.Indirect}
 		}
 	}
 	if full {
@@ -195,12 +197,6 @@ func buildTables(meta *metadata.Metadata) (*tables, error) {
 		}
 	}
 	return t, nil
-}
-
-// name returns the index of a name the table holds; it scans, for the
-// overflow slot's rare call-type lookups.
-func (t *tables) name(name string) uint16 {
-	return uint16(slices.Index(t.names, name))
 }
 
 // funcOf returns the name index of the function whose range holds addr,
@@ -230,24 +226,22 @@ func (t *tables) isIndirectTarget(name uint16) bool {
 	return w < len(t.indirect) && t.indirect[w]&(1<<(name%64)) != 0
 }
 
-// callTypeOf returns syscall nr's call type, the zero value when the
-// metadata has none.
-func (t *tables) callTypeOf(meta *metadata.Metadata, nr uint32) callType {
+// callTypeOf returns syscall nr's call type: the zero value, not
+// callable, when the metadata has none or nr is in the overflow slot.
+func (t *tables) callTypeOf(nr uint32) callType {
 	if s := kernel.Slot(nr); s < kernel.NrSlots {
 		return t.callTypes[s]
 	}
-	ct := meta.CallTypes[nr]
-	return callType{wrapper: t.name(ct.Wrapper), direct: ct.Direct, indirect: ct.Indirect}
+	return callType{}
 }
 
 // indirectAllowed reports whether AllowedIndirect lets the indirect
-// callsite e, whose call instruction is at addr, start a path to nr: a
-// syscall without an entry is unconstrained.
-func (t *tables) indirectAllowed(meta *metadata.Metadata, nr uint32, e *siteEntry, addr uint64) bool {
+// callsite e start a path to nr: a syscall without an entry is
+// unconstrained, and one in the overflow slot is never allowed.
+func (t *tables) indirectAllowed(nr uint32, e *siteEntry) bool {
 	s := kernel.Slot(nr)
 	if s == kernel.NrSlots {
-		allowed, ok := meta.AllowedIndirect[nr]
-		return !ok || allowed[addr]
+		return false
 	}
 	return t.constrained&(1<<s) == 0 || e.allowed&(1<<s) != 0
 }

@@ -16,6 +16,7 @@ import (
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/seccomp"
+	"bastion/internal/vm"
 	"bastion/internal/workload"
 )
 
@@ -116,7 +117,8 @@ func compileCases(tb testing.TB, name string, meta *metadata.Metadata) []genCase
 // handMeta is metadata that exercises the tables' edge cases: an empty
 // range, adjacent and gapped ranges, a callsite whose caller has no range,
 // an indirect target with no range, and a call type and AllowedIndirect
-// entry for an unimplemented syscall, answered through the overflow slot.
+// entry for an unimplemented syscall, which the tables ignore: the overflow
+// slot answers no call type and no indirect path.
 func handMeta() *metadata.Metadata {
 	m := metadata.New()
 	m.Entry = "main"
@@ -218,11 +220,14 @@ func checkLookups(tb testing.TB, c genCase, addr uint64, nr, prev uint32) {
 			tb.Fatalf("%s: IndirectTargets[%q] differs", c.name, cs.Caller)
 		}
 		set, limited := meta.AllowedIndirect[nr]
-		if want := !limited || set[cs.Addr]; g.IndirectAllowed(nr, addr) != want {
+		if want := (!limited || set[cs.Addr]) && kernel.Slot(nr) < kernel.NrSlots; g.IndirectAllowed(nr, addr) != want {
 			tb.Fatalf("%s: AllowedIndirect for %d at %#x = %v, metadata %v", c.name, nr, cs.Addr, !want, want)
 		}
 	}
-	ct := meta.CallTypes[nr]
+	var ct metadata.CallType
+	if kernel.Slot(nr) < kernel.NrSlots {
+		ct = meta.CallTypes[nr]
+	}
 	if got, want := g.CallType(nr), (metadata.CallType{Wrapper: ct.Wrapper, Direct: ct.Direct, Indirect: ct.Indirect}); got != want {
 		tb.Fatalf("%s: call type of %d = %+v, metadata %+v", c.name, nr, got, want)
 	}
@@ -418,5 +423,38 @@ func TestOverflowSlotRendersPooledRow(t *testing.T) {
 	}
 	if strings.Contains(out, "sys_") {
 		t.Errorf("registry renders a per-number row:\n%s", out)
+	}
+}
+
+// TestOverflowSlotFailsClosed: a foreign filter traps an unimplemented
+// number whose metadata call type matches its callsite. No generation
+// table holds the overflow slot, so call-type flags the trap as
+// not-callable instead of consulting the metadata.
+func TestOverflowSlotFailsClosed(t *testing.T) {
+	p := buildVictim()
+	w := ir.NewBuilder("sys_999", 0)
+	w.Syscall(999)
+	w.Ret(ir.Imm(0))
+	p.AddFunc(w.Build())
+	b := ir.NewBuilder("call_999", 0)
+	b.Call("sys_999")
+	b.Ret(ir.Imm(0))
+	p.AddFunc(b.Build())
+	art, err := core.Compile(p, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Meta.CallTypes[999] = metadata.CallType{Nr: 999, Name: "sys_999", Wrapper: "sys_999", Direct: true}
+	prot, err := core.Launch(art, kernel.New(nil), core.Enforcing(monitor.CallType), vm.WithMaxSteps(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prot.Proc.SetSeccompFilter([]seccomp.Insn{seccomp.RetConst(seccomp.RetTrace)}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = prot.Machine.CallFunction("call_999")
+	wantMonitorKill(t, err)
+	if v := prot.Monitor.Violations; len(v) != 1 || v[0].Nr != 999 || v[0].Reason != "not-callable system call invoked" {
+		t.Fatalf("violations = %v, want one not-callable 999", v)
 	}
 }

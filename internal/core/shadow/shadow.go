@@ -108,11 +108,6 @@ func (t *Table) Put(key, value, meta uint64) error {
 	return ErrTableFull
 }
 
-// Get looks up key.
-func (t *Table) Get(key uint64) (value, meta uint64, ok bool, err error) {
-	return get(t.Acc, t.Base, t.Cap, key)
-}
-
 // get looks up key in the table of capacity slots at base, loading at
 // most MaxProbe+2 words through l.
 func get(l Loader, base, capacity, key uint64) (value, meta uint64, ok bool, err error) {

@@ -266,3 +266,8 @@ func TestTableMapEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Get looks up key.
+func (t *Table) Get(key uint64) (value, meta uint64, ok bool, err error) {
+	return get(t.Acc, t.Base, t.Cap, key)
+}

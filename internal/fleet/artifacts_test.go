@@ -107,7 +107,6 @@ func TestFilterKeyComplete(t *testing.T) {
 	}
 	unkeyed := map[string]func(*monitor.Config){
 		"AcceptFastPath": func(c *monitor.Config) { c.AcceptFastPath = !c.AcceptFastPath },
-		"ReportOnly":     func(c *monitor.Config) { c.ReportOnly = !c.ReportOnly },
 		"InKernel":       func(c *monitor.Config) { c.InKernel = !c.InKernel },
 		"Generation":     func(c *monitor.Config) { c.Generation = &monitor.Generation{ID: 7} },
 		"Sink":           func(c *monitor.Config) { c.Sink = &obs.BufferSink{} },

@@ -323,14 +323,6 @@ type TenantResult struct {
 	Flight string
 }
 
-// PerUnitTotal returns steady-state cycles per completed unit.
-func (t *TenantResult) PerUnitTotal() float64 {
-	if t.Units == 0 {
-		return 0
-	}
-	return float64(t.TotalCycles) / float64(t.Units)
-}
-
 // PerUnitMonitor returns monitor cycles per completed unit.
 func (t *TenantResult) PerUnitMonitor() float64 {
 	if t.Units == 0 {

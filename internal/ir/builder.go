@@ -188,16 +188,6 @@ func (b *Builder) BranchNZ(cond Operand, label string) {
 // Ret emits a return.
 func (b *Builder) Ret(v Operand) { b.emit(Instr{Kind: Ret, Src: v}) }
 
-// Comment attaches a comment to the most recently emitted instruction.
-func (b *Builder) Comment(c string) {
-	if len(b.f.Code) > 0 {
-		b.f.Code[len(b.f.Code)-1].Comment = c
-	}
-}
-
-// NumInstrs returns the number of instructions emitted so far.
-func (b *Builder) NumInstrs() int { return len(b.f.Code) }
-
 // Build finalizes the function. The builder must not be reused.
 func (b *Builder) Build() *Function {
 	b.f.NumRegs = int(b.nextReg)

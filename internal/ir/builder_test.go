@@ -7,12 +7,8 @@ import (
 
 func TestBuilderConveniences(t *testing.T) {
 	b := NewBuilder("f", 1)
-	if b.NumInstrs() != 0 {
-		t.Fatal("fresh builder has instructions")
-	}
 	b.SetTypeSig("i64(ptr)")
 	r := b.Const(1)
-	b.Comment("the answer's seed")
 	b.ConstInto(r, 42)
 	b.Mov(b.Reg(), R(r))
 	b.StoreLocal("p0", Imm(9))
@@ -22,12 +18,6 @@ func TestBuilderConveniences(t *testing.T) {
 
 	if f.TypeSig != "i64(ptr)" {
 		t.Fatalf("sig = %q", f.TypeSig)
-	}
-	if f.Code[0].Comment != "the answer's seed" {
-		t.Fatalf("comment lost: %+v", f.Code[0])
-	}
-	if !strings.Contains(f.String(), "the answer's seed") {
-		t.Fatal("comment not printed")
 	}
 	if f.NumRegs < 2 {
 		t.Fatalf("regs = %d", f.NumRegs)

@@ -245,10 +245,6 @@ type Instr struct {
 	Pos      int   // Intrinsic argument position (1-based)
 	Imm      int64 // Const value; CtxBindConst constant
 	BindSite int   // Intrinsic: instruction index of the bound callsite
-
-	// Comment is an optional annotation carried through printing; analyses
-	// ignore it.
-	Comment string
 }
 
 // Slot describes a named local variable living in the frame's stack memory.
@@ -622,14 +618,4 @@ func SyscallNumber(f *Function) (nr int64, ok bool) {
 		return in.Args[0].Imm, true
 	}
 	return 0, false
-}
-
-// IsSyscallWrapper reports whether f contains a Syscall instruction.
-func IsSyscallWrapper(f *Function) bool {
-	for i := range f.Code {
-		if f.Code[i].Kind == Syscall {
-			return true
-		}
-	}
-	return false
 }

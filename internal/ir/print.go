@@ -53,11 +53,7 @@ func (f *Function) String() string {
 			fmt.Fprintf(&sb, " %s:\n", l)
 		}
 		in := &f.Code[i]
-		fmt.Fprintf(&sb, "  %s", in.String())
-		if in.Comment != "" {
-			fmt.Fprintf(&sb, "  ; %s", in.Comment)
-		}
-		sb.WriteByte('\n')
+		fmt.Fprintf(&sb, "  %s\n", in.String())
 	}
 	for _, l := range labelAt[len(f.Code)] {
 		fmt.Fprintf(&sb, " %s:\n", l)

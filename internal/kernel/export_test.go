@@ -1,5 +1,7 @@
 package kernel
 
+import "bastion/internal/vm"
+
 // Staged returns the whole of the process's staging buffer, up to its
 // capacity.
 func (p *Process) Staged() []byte { return p.stage[:cap(p.stage)] }
@@ -11,3 +13,6 @@ func (p *Process) Memoized(nr uint32) bool { return p.verdicts[Slot(nr)].steps !
 // ForgetVerdicts empties the verdict memo, so the next call of every
 // number runs the filter.
 func (p *Process) ForgetVerdicts() { clear(p.verdicts[:]) }
+
+// Process returns the process object for a machine.
+func (k *Kernel) Process(m *vm.Machine) *Process { return k.procs[m] }

@@ -7,10 +7,8 @@ package fs
 
 import (
 	"errors"
-	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -202,49 +200,6 @@ func (f *FS) Chmod(p string, mode Mode) error {
 	}
 	n.mode = mode
 	return nil
-}
-
-// Remove deletes a file or empty directory.
-func (f *FS) Remove(p string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	dir, name, err := f.lookupParent(p)
-	if err != nil {
-		return err
-	}
-	n, ok := dir.children[name]
-	if !ok {
-		return ErrNotExist
-	}
-	if n.dir && len(n.children) > 0 {
-		return fmt.Errorf("fs: directory not empty: %s", p)
-	}
-	delete(dir.children, name)
-	return nil
-}
-
-// ReadDir lists a directory's entries in name order.
-func (f *FS) ReadDir(p string) ([]Stat, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.lookup(p)
-	if err != nil {
-		return nil, err
-	}
-	if !n.dir {
-		return nil, ErrNotDir
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Stat, len(names))
-	for i, name := range names {
-		c := n.children[name]
-		out[i] = Stat{Name: c.name, Size: int64(len(c.data)), Mode: c.mode, Dir: c.dir}
-	}
-	return out, nil
 }
 
 // Open flags (subset of O_*).

@@ -276,9 +276,6 @@ func (p *Process) Release() {
 	p.stage, p.Events = nil, nil
 }
 
-// Process returns the process object for a machine.
-func (k *Kernel) Process(m *vm.Machine) *Process { return k.procs[m] }
-
 // SetSeccompFilter installs a validated filter program on the process
 // (SECCOMP_SET_MODE_FILTER). Installing replaces any previous filter and
 // starts its verdict memo empty. As on Linux, the program must not change

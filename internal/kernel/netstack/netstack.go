@@ -102,13 +102,6 @@ func (c *Conn) Close() {
 	c.closed = true
 }
 
-// Closed reports whether Close has been called.
-func (c *Conn) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
 // Listener is a bound, listening socket with a backlog of pending
 // connections.
 type Listener struct {

@@ -32,9 +32,6 @@ type Counter struct {
 	ptr  *uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { *c.ptr++ }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { *c.ptr += n }
 
@@ -63,12 +60,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.buckets[len(h.bounds)]++
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Mean returns sum/count, or 0 with no observations.
 func (h *Histogram) Mean() float64 {

@@ -172,3 +172,12 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("p100 of in-bounds distribution = %d, want 10", got)
 	}
 }
+
+// Inc adds one.
+func (c *Counter) Inc() { *c.ptr++ }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count }
+
+// Sum returns the sum of observations.
+func (h *Histogram) Sum() uint64 { return h.sum }

@@ -24,7 +24,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"bastion/internal/ir"
@@ -213,13 +212,7 @@ type Machine struct {
 	hooks map[uint64]Hook
 	pool  *Pool // WithPool's pool, or nil
 
-	// trace, when non-nil, receives one disassembled line per executed
-	// instruction (a debugging aid; costs nothing when disabled).
-	trace      io.Writer
-	traceLimit uint64
-
 	halted bool
-	exit   int64
 }
 
 // Option configures a Machine.
@@ -271,12 +264,6 @@ func WithPool(p *Pool) Option {
 		m.Mem = mem.NewSpaceFrom(&p.Pages)
 		m.frames, p.frames = p.frames, nil
 	}
-}
-
-// WithTrace streams a disassembly line per executed instruction to w, up
-// to max lines (0 = unlimited). For debugging guest programs.
-func WithTrace(w io.Writer, max uint64) Option {
-	return func(m *Machine) { m.trace = w; m.traceLimit = max }
 }
 
 // New creates a machine for a linked program and maps its image (globals
@@ -395,15 +382,9 @@ func (m *Machine) runHook(fn *ir.Function, idx int) error {
 // Halted reports whether the guest has stopped (exit, kill, or fault).
 func (m *Machine) Halted() bool { return m.halted }
 
-// ExitCode returns the guest's exit status (valid once halted by exit).
-func (m *Machine) ExitCode() int64 { return m.exit }
-
 // RBP returns the current frame pointer (attack scenarios use it to locate
 // stack data).
 func (m *Machine) RBP() uint64 { return m.rbp }
-
-// RSP returns the current stack pointer.
-func (m *Machine) RSP() uint64 { return m.rsp }
 
 // CurrentFunc returns the executing function and next-instruction index.
 func (m *Machine) CurrentFunc() (*ir.Function, int) {
@@ -460,11 +441,8 @@ func (m *Machine) run(depth int) error {
 		if err := m.exec(); err != nil {
 			m.halted = true
 			var xe *ExitError
-			if errors.As(err, &xe) {
-				m.exit = xe.Code
-				if xe.Code == 0 {
-					return nil
-				}
+			if errors.As(err, &xe) && xe.Code == 0 {
+				return nil
 			}
 			return err
 		}
@@ -570,8 +548,8 @@ func val(regs *[MaxRegsPerFrame]uint64, o ir.Operand) uint64 {
 // the slot table Link recorded, so only exits call out. It leaves at the
 // first Call, CallInd, Ret, Syscall or Intrinsic, which it executes; at a
 // Load or Store the word cache misses, or a LocalAddr Link's table cannot
-// answer, which miss executes; and at any fault. With a hook or a trace
-// installed it leaves after one instruction. Before every exit it writes
+// answer, which miss executes; and at any fault. With a hook installed
+// it leaves after one instruction. Before every exit it writes
 // fr.idx, m.Steps and m.Clock back (sync), so whatever runs next (the
 // callee's set-up, the kernel, the monitor, a mitigation, a hook, the
 // checked word accessors or the caller that sees a fault) reads exactly
@@ -586,7 +564,7 @@ func (m *Machine) exec() error {
 	if limit == 0 {
 		limit = math.MaxUint64
 	}
-	single := len(m.hooks) != 0 || m.trace != nil
+	single := len(m.hooks) != 0
 	var cycles uint64
 	for {
 		if steps >= limit {
@@ -603,19 +581,14 @@ func (m *Machine) exec() error {
 			// fr.idx and the clock are current; the hook may move the
 			// frame, run guest code or change Steps.
 			m.Steps = steps
-			if len(m.hooks) != 0 {
-				if err := m.runHook(fn, idx); err != nil {
-					return err
-				}
-				fr = m.frames[len(m.frames)-1]
-				fn, idx, regs = fr.fn, fr.idx, &fr.regs
-				code = fn.Code
-				instrCost = m.Costs.Instr
-				steps = m.Steps
+			if err := m.runHook(fn, idx); err != nil {
+				return err
 			}
-			if m.trace != nil && (m.traceLimit == 0 || steps <= m.traceLimit) {
-				fmt.Fprintf(m.trace, "%#x %s+%d: %s\n", fn.InstrAddr(idx), fn.Name, idx, code[idx].String())
-			}
+			fr = m.frames[len(m.frames)-1]
+			fn, idx, regs = fr.fn, fr.idx, &fr.regs
+			code = fn.Code
+			instrCost = m.Costs.Instr
+			steps = m.Steps
 		}
 		in := &code[idx]
 		idx++
@@ -989,28 +962,4 @@ func (m *Machine) AvgSyscallDepth() float64 {
 		return 0
 	}
 	return float64(m.DepthSum) / float64(m.DepthN)
-}
-
-// Unwind walks the frame-pointer chain from the latched syscall registers,
-// returning the return addresses from innermost outward, stopping at the
-// sentinel (0) or after max frames. This is the same walk the monitor
-// performs through ptrace; the VM exposes it for tests and diagnostics.
-func (m *Machine) Unwind(max int) ([]uint64, error) {
-	var out []uint64
-	bp := m.SysRegs.RBP
-	for i := 0; i < max && bp != 0; i++ {
-		ret, err := m.Mem.PeekUint(bp+8, 8)
-		if err != nil {
-			return out, err
-		}
-		if ret == 0 {
-			break
-		}
-		out = append(out, ret)
-		bp, err = m.Mem.PeekUint(bp, 8)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
